@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import AlignedSeries
 from .env import Action, MarketState, TradingEnv, action_from_index, episode_return
-from .nn import (ACTIVATIONS, Gradients, Mlp, RmspropState, apply_update,
+from .nn import (ACTIVATIONS, ForwardCache, Mlp, RmspropState, apply_update,
                  backward, forward, log_softmax, softmax, softmax_sample)
 
 OPTIMIZERS = ("sgd", "rmsprop")
@@ -89,32 +89,58 @@ def value_of(net: Mlp, state: np.ndarray) -> float:
 
 
 def advantage(transition: Transition, value_net: Mlp, gamma: float) -> float:
-    """A = R + gamma * V(s') * [not done] - V(s); terminal bootstraps with 0."""
+    """A = R + gamma * V(s') * [not done] - V(s); terminal bootstraps with 0.
+
+    The per-sample reference for the batched flush, which gets the same
+    quantity from one stacked forward (see _td_residuals).
+    """
     bootstrap = 0.0 if transition.done else gamma * value_of(value_net, transition.next_state)
     return transition.reward + bootstrap - value_of(value_net, transition.state)
 
 
-def _entropy(probs: np.ndarray) -> float:
-    nz = probs[probs > 0]
-    return float(-np.sum(nz * np.log(nz)))
+def _safe_log(probs: np.ndarray) -> np.ndarray:
+    # p -> 0 contributes 0 to entropy terms; avoid log(0) from underflowed probs
+    return np.log(np.where(probs > 0, probs, 1.0))
 
 
-def _targets(batch: Sequence[Transition], value_net: Mlp,
-             config: A2cConfig) -> np.ndarray:
-    """TD targets from the pre-update critic; batch order is rollout order."""
+def _entropy(probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy over the last axis (one value per row of a batch)."""
+    return -np.sum(probs * _safe_log(probs), axis=-1)
+
+
+def _targets(batch: Sequence[Transition], value_net: Mlp, config: A2cConfig,
+             next_values: np.ndarray | None = None) -> np.ndarray:
+    """TD targets from the pre-update critic; batch order is rollout order.
+
+    next_values holds V(s') per transition when the caller has already run
+    the critic on the next states; otherwise one forward computes them.
+    """
+    if next_values is None:
+        next_values = forward(value_net, np.stack([t.next_state for t in batch]))[0][:, 0]
+    rewards = np.array([t.reward for t in batch])
     if config.use_n_step_returns:
         last = batch[-1]
-        ret = 0.0 if last.done else float(value_of(value_net, last.next_state))
+        ret = 0.0 if last.done else float(next_values[-1])
         targets = np.empty(len(batch))
         for i in reversed(range(len(batch))):
-            ret = batch[i].reward + config.gamma * ret
+            ret = rewards[i] + config.gamma * ret
             targets[i] = ret
         return targets
-    out = np.empty(len(batch))
-    for i, t in enumerate(batch):
-        boot = 0.0 if t.done else config.gamma * value_of(value_net, t.next_state)
-        out[i] = t.reward + boot
-    return out
+    dones = np.array([t.done for t in batch])
+    return rewards + np.where(dones, 0.0, config.gamma * next_values)
+
+
+def _td_residuals(batch: Sequence[Transition], value_net: Mlp,
+                  config: A2cConfig) -> tuple[np.ndarray, ForwardCache]:
+    """target - V(s) per transition (the advantages), and the forward cache.
+
+    One value forward runs over the stacked states and next states; cache
+    rows [0, n) are the states.
+    """
+    n = len(batch)
+    states = np.stack([t.state for t in batch] + [t.next_state for t in batch])
+    values, cache = forward(value_net, states)
+    return _targets(batch, value_net, config, values[n:, 0]) - values[:n, 0], cache
 
 
 def critic_update(batch: Sequence[Transition], value_net: Mlp, config: A2cConfig,
@@ -122,19 +148,16 @@ def critic_update(batch: Sequence[Transition], value_net: Mlp, config: A2cConfig
     """One descent step on the mean squared TD residual; returns that loss."""
     if not batch:
         raise ValueError("empty batch")
-    targets = _targets(batch, value_net, config)
     n = len(batch)
-    grads = Gradients.zeros_like(value_net)
-    loss = 0.0
-    for target, t in zip(targets, batch):
-        out, cache = forward(value_net, t.state)
-        residual = float(target) - float(out[0])
-        loss += residual * residual / n
-        # ascent direction of -MSE: d(-L)/d(out) = 2 * residual / n
-        grads.add_(backward(value_net, cache, np.array([2.0 * residual / n])))
+    residuals, cache = _td_residuals(batch, value_net, config)
+    loss = float(np.mean(residuals * residuals))
     if not math.isfinite(loss):
         raise ValueError("non-finite critic loss")
-    apply_update(value_net, grads, config.lr_critic,
+    # ascent direction of -MSE: d(-L)/d(out) = 2 * residual / n; next-state
+    # rows of the stacked forward carry no gradient
+    out_grad = np.zeros((2 * n, 1))
+    out_grad[:n, 0] = 2.0 * residuals / n
+    apply_update(value_net, backward(value_net, cache, out_grad), config.lr_critic,
                  optimizer_state=optimizer_state, clip_norm=config.max_grad_norm)
     return loss
 
@@ -150,23 +173,19 @@ def actor_update(batch: Sequence[Transition], policy_net: Mlp,
     if len(advantages) != len(batch):
         raise ValueError("need one advantage per transition")
     n = len(batch)
-    grads = Gradients.zeros_like(policy_net)
-    loss = 0.0
-    for adv, t in zip(advantages, batch):
-        logits, cache = forward(policy_net, t.state)
-        probs = softmax(logits)
-        logp = log_softmax(logits)
-        loss -= float(adv) * float(logp[t.action_index]) / n
-        onehot = np.zeros(len(probs))
-        onehot[t.action_index] = 1.0
-        out_grad = float(adv) * (onehot - probs)
-        if config.entropy_coef > 0:
-            ent = _entropy(probs)
-            # p -> 0 contributes 0 to dH; avoid log(0) from underflowed probs
-            safe_log = np.log(np.where(probs > 0, probs, 1.0))
-            out_grad += config.entropy_coef * (-probs * (safe_log + ent))
-        grads.add_(backward(policy_net, cache, out_grad / n))
-    apply_update(policy_net, grads, config.lr_actor,
+    adv = np.asarray(advantages, dtype=float)
+    logits, cache = forward(policy_net, np.stack([t.state for t in batch]))
+    probs = softmax(logits)
+    rows = np.arange(n)
+    taken = np.array([t.action_index for t in batch])
+    loss = -float(adv @ log_softmax(logits)[rows, taken]) / n
+    onehot = np.zeros_like(probs)
+    onehot[rows, taken] = 1.0
+    out_grad = adv[:, None] * (onehot - probs)
+    if config.entropy_coef > 0:
+        ent = _entropy(probs)[:, None]
+        out_grad += config.entropy_coef * (-probs * (_safe_log(probs) + ent))
+    apply_update(policy_net, backward(policy_net, cache, out_grad / n), config.lr_actor,
                  optimizer_state=optimizer_state, clip_norm=config.max_grad_norm)
     return loss
 
@@ -258,16 +277,11 @@ def train(series: AlignedSeries, env_config, config: A2cConfig,
             batch.append(Transition(state_vec, index, outcome.reward,
                                     next_vec, outcome.done, log_prob))
             rewards.append(outcome.reward)
-            entropies.append(_entropy(probs))
+            entropies.append(float(_entropy(probs)))
             state_vec = next_vec
             done = outcome.done
             if len(batch) == config.n_steps or done:
-                if config.use_n_step_returns:
-                    targets = _targets(batch, value_net, config)
-                    advs = [float(tg) - value_of(value_net, t.state)
-                            for tg, t in zip(targets, batch)]
-                else:
-                    advs = [advantage(t, value_net, config.gamma) for t in batch]
+                advs, _ = _td_residuals(batch, value_net, config)
                 c_loss = critic_update(batch, value_net, config, value_opt)
                 a_loss = actor_update(batch, policy_net, advs, config, policy_opt)
                 critic_losses.append((c_loss, len(batch)))

@@ -94,26 +94,30 @@ class EnvConfig:
 @dataclass
 class MarketState:
     """Agent observation: sentiment window (optional) followed by the
-    price-diff window, hour window, and the previous action."""
+    price-diff window, hour window, and the previous action.
+
+    The windows may be read-only views into the series; the flat vector is
+    built once, and to_vector() returns that same array on every call.
+    """
 
     diffs_window: np.ndarray
     hours_window: np.ndarray
     sentiment_window: np.ndarray | None
     last_action: Action
+    _vector: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        parts = [self.diffs_window, self.hours_window, [float(self.last_action)]]
+        if self.sentiment_window is not None:
+            parts.insert(0, self.sentiment_window)
+        self._vector = np.concatenate(parts)
 
     def to_vector(self) -> np.ndarray:
-        parts = []
-        if self.sentiment_window is not None:
-            parts.append(self.sentiment_window)
-        parts.append(self.diffs_window)
-        parts.append(self.hours_window)
-        parts.append(np.array([float(self.last_action)]))
-        return np.concatenate(parts)
+        return self._vector
 
     @property
     def dimension(self) -> int:
-        extra = len(self.sentiment_window) if self.sentiment_window is not None else 0
-        return len(self.diffs_window) + len(self.hours_window) + extra + 1
+        return len(self._vector)
 
 
 @dataclass
@@ -136,6 +140,12 @@ class EquityPoint:
     cum_return: float
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 class TradingEnv:
     """Episode walker over one aligned series.
 
@@ -154,17 +164,25 @@ class TradingEnv:
         # Start where every configured window is full. The sentiment clock is
         # honored even with use_sentiment off so ablation runs stay aligned.
         self.start_index = max(config.w, config.l - 1)
-        self._state_diffs = series.diffs
+        state_diffs = series.diffs
         if config.diff_stats is not None:
             mean, std = config.diff_stats
-            self._state_diffs = (series.diffs - mean) / std
+            state_diffs = (series.diffs - mean) / std
+        # Observations hold slices of these read-only views, never copies.
+        self._state_diffs, self._hours, self._sentiment = (
+            _read_only(a) for a in (state_diffs, series.hours, series.sentiment))
         self.t = self.start_index
         self.last_action = Action.NEUTRAL
         self.psi = config.phi * float(series.prices[0])
         self.cash = self.psi
         self._done = False
         self._started = False
-        self._equity: list[EquityPoint] = []
+        # Per-episode step records, preallocated by reset(); the equity curve
+        # is built from them only when equity_curve() is called.
+        self._n = 0
+        self._actions = np.empty(0, dtype=np.int64)
+        self._rewards = np.empty(0)
+        self._costs = np.empty(0)
 
     def reset(self) -> MarketState:
         """Rewind to t0 with a flat position and the full initial wealth."""
@@ -173,17 +191,21 @@ class TradingEnv:
         self.cash = self.psi
         self._done = False
         self._started = True
-        self._equity = []
+        steps = len(self.series) - 1 - self.start_index
+        self._n = 0
+        self._actions = np.empty(steps, dtype=np.int64)
+        self._rewards = np.empty(steps)
+        self._costs = np.empty(steps)
         return self._observe()
 
     def _observe(self) -> MarketState:
         t, cfg = self.t, self.config
         # diffs[j] is z at grid index j + 1, so z_t lives at diffs[t - 1]
-        diffs_win = self._state_diffs[t - cfg.w: t][::-1].copy()
-        hours_win = self.series.hours[t - cfg.w + 1: t + 1][::-1].copy()
+        diffs_win = self._state_diffs[t - cfg.w: t][::-1]
+        hours_win = self._hours[t - cfg.w + 1: t + 1][::-1]
         sent_win = None
         if cfg.use_sentiment:
-            sent_win = self.series.sentiment[t - cfg.l + 1: t + 1][::-1].copy()
+            sent_win = self._sentiment[t - cfg.l + 1: t + 1][::-1]
         return MarketState(diffs_win, hours_win, sent_win, self.last_action)
 
     @property
@@ -224,15 +246,11 @@ class TradingEnv:
         self.last_action = action
         self._done = self.t == len(self.series) - 1
         next_state = self._observe()
-        cum = (math.fsum(p.reward for p in self._equity) + reward) / self.psi
-        self._equity.append(EquityPoint(
-            t=t,
-            timestamp=self.series.timestamps[t],
-            action=int(action),
-            reward=reward,
-            cost=cost,
-            cum_return=cum,
-        ))
+        n = self._n
+        self._actions[n] = action
+        self._rewards[n] = reward
+        self._costs[n] = cost
+        self._n = n + 1
         return StepOutcome(
             reward=reward,
             next_state=next_state,
@@ -241,7 +259,19 @@ class TradingEnv:
         )
 
     def equity_curve(self) -> list[EquityPoint]:
-        return list(self._equity)
+        """The current episode's steps so far, built at the time of the call.
+
+        cum_return of step i is ``(fsum(rewards[:i]) + rewards[i]) / psi``,
+        so the export costs O(steps^2) additions; training never calls it.
+        """
+        rewards = self._rewards[:self._n].tolist()
+        costs = self._costs[:self._n].tolist()
+        actions = self._actions[:self._n].tolist()
+        t0 = self.start_index
+        return [EquityPoint(t=t0 + i, timestamp=self.series.timestamps[t0 + i],
+                            action=actions[i], reward=r, cost=costs[i],
+                            cum_return=(math.fsum(rewards[:i]) + r) / self.psi)
+                for i, r in enumerate(rewards)]
 
 
 def episode_return(rewards: Sequence[float]) -> float:

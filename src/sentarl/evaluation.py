@@ -17,7 +17,7 @@ import csv
 import dataclasses
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -27,6 +27,7 @@ import numpy as np
 from .a2c import A2cConfig, TrainedAgent, greedy_policy, train, write_training_log
 from .data import AlignedSeries, coverage
 from .env import EnvConfig, TradingEnv, baseline_policy, run_policy, write_equity_csv
+from .errors import IngestError
 from .nn import save_model
 from .sentiment import series_pulse
 
@@ -177,6 +178,8 @@ def result_row(r: TrialResult) -> list[str]:
 
 
 def parse_result_row(row: Sequence[str]) -> TrialResult:
+    if len(row) != len(RESULTS_HEADER):
+        raise ValueError(f"expected {len(RESULTS_HEADER)} fields, got {len(row)}")
     return TrialResult(asset=row[0], window=int(row[1]), seed=int(row[2]),
                        tc=float(row[3]), strategy=row[4], tr=float(row[5]),
                        ar=None if row[6] == "" else float(row[6]),
@@ -254,28 +257,49 @@ def enumerate_keys(assets: Iterable[str], window_count: int, seeds: Iterable[int
     return keys
 
 
+def _parse_results(path: Path, text: str) -> list[tuple[TrialResult, list[str]]]:
+    """(result, raw row) per data row; a malformed row is an IngestError
+    naming path:line."""
+    reader = csv.reader(text.splitlines(keepends=True))
+    header = next(reader, None)
+    if header != RESULTS_HEADER:
+        raise ValueError(f"{path}: unexpected header {header}")
+    parsed = []
+    for row in reader:
+        try:
+            parsed.append((parse_result_row(row), row))
+        except ValueError as exc:
+            raise IngestError(f"{path}:{reader.line_num}: malformed row "
+                              f"{row!r}: {exc}") from exc
+    return parsed
+
+
 def _read_journal(path: Path) -> dict[TrialKey, list[str]]:
-    done: dict[TrialKey, list[str]] = {}
+    """Journaled rows by key, after repairing a torn tail.
+
+    A last line without its line terminator is what a kill during an append
+    leaves behind. It is cut from the file with a warning, so its trial runs
+    again and later appends start on a fresh line. An empty file holds no
+    rows; it gets its header on the next append.
+    """
     if not path.exists():
-        return done
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RESULTS_HEADER:
-            raise ValueError(f"{path}: unexpected journal header {header}")
-        for row in reader:
-            done[parse_result_row(row).key] = list(row)
-    return done
+        return {}
+    data = path.read_bytes()
+    if data and not data.endswith(b"\n"):
+        keep = data.rfind(b"\n") + 1
+        log.warning("%s:%d: dropping torn last line %r", path,
+                    data.count(b"\n") + 1, data[keep:].decode("utf-8", "replace"))
+        with path.open("r+b") as fh:
+            fh.truncate(keep)
+        data = data[:keep]
+    if not data:
+        return {}
+    return {result.key: row for result, row in _parse_results(path, data.decode("utf-8"))}
 
 
 def read_results_csv(path: str | Path) -> list[TrialResult]:
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RESULTS_HEADER:
-            raise ValueError(f"{path}: unexpected results header {header}")
-        return [parse_result_row(row) for row in reader]
+    return [result for result, _ in _parse_results(path, path.read_text(encoding="utf-8"))]
 
 
 def write_results_csv(rows: Iterable[Sequence[str]], path: Path) -> None:
@@ -337,7 +361,7 @@ def run_matrix(series_by_asset: Mapping[str, AlignedSeries],
     journal_writer = None
     if journal_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-        fresh = not journal_path.exists()
+        fresh = not journal_path.exists() or journal_path.stat().st_size == 0
         journal_fh = journal_path.open("a", newline="", encoding="utf-8")
         journal_writer = csv.writer(journal_fh)
         if fresh:
@@ -381,8 +405,10 @@ def run_matrix(series_by_asset: Mapping[str, AlignedSeries],
                     failures.append(TrialFailure(key, f"{type(exc).__name__}: {exc}"))
         if workers > 1 and len(agent_keys) > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for status, key, payload in pool.map(
-                        _trial_worker, [agent_args(k) for k in agent_keys]):
+                futures = [pool.submit(_trial_worker, agent_args(k)) for k in agent_keys]
+                # journal each trial as it finishes, not behind a slower one
+                for future in as_completed(futures):
+                    status, key, payload = future.result()
                     if status == "ok":
                         record(payload)
                     else:
@@ -398,6 +424,7 @@ def run_matrix(series_by_asset: Mapping[str, AlignedSeries],
         if journal_fh is not None:
             journal_fh.close()
 
+    failures.sort(key=lambda f: f.key)  # completion order varies between runs
     still_pending = skipped + len(failures)
     if out_path is not None and still_pending == 0 and len(done) == len(keys):
         write_results_csv(done.values(), out_path / "results.csv")

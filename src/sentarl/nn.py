@@ -138,11 +138,15 @@ class Gradients:
 
 
 def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Run the net on one input vector; the cache feeds backward()."""
+    """Run the net on one input vector or an (n, d) batch of row inputs.
+
+    The output has one row per input row; the cache feeds backward().
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (net.input_size,):
-        raise ValueError(f"input has shape {x.shape}, net expects ({net.input_size},)")
-    if not np.all(np.isfinite(x)):
+    if x.ndim not in (1, 2) or x.shape[-1] != net.input_size:
+        raise ValueError(f"input has shape {x.shape}, net expects "
+                         f"({net.input_size},) or (n, {net.input_size})")
+    if not np.isfinite(x).all():
         raise ValueError("non-finite input")
     n_layers = len(net.weights)
     inputs, pre = [], []
@@ -156,54 +160,69 @@ def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
 
 
 def backward(net: Mlp, cache: ForwardCache, output_grad: np.ndarray) -> Gradients:
-    """Exact parameter gradients of the scalar loss whose dL/d(output) is given."""
+    """Exact parameter gradients of the scalar loss whose dL/d(output) is given.
+
+    For a batched forward, output_grad holds one row per input row and the
+    gradients are summed over rows: grad_W = X^T delta, grad_b = sum(delta).
+    """
     if cache.layer_sizes != net.layer_sizes:
         raise ValueError("cache does not belong to this net")
     delta = np.asarray(output_grad, dtype=float)
-    if delta.shape != (net.output_size,):
-        raise ValueError(f"output_grad has shape {delta.shape}, "
-                         f"net output is ({net.output_size},)")
+    want = cache.pre[-1].shape
+    if delta.shape != want:
+        raise ValueError(f"output_grad has shape {delta.shape}, net output is {want}")
+    batched = delta.ndim == 2
     n_layers = len(net.weights)
     grad_w: list[np.ndarray] = [np.empty(0)] * n_layers
     grad_b: list[np.ndarray] = [np.empty(0)] * n_layers
     for i in reversed(range(n_layers)):
-        grad_w[i] = np.outer(cache.inputs[i], delta)
-        grad_b[i] = delta.copy()
+        if batched:
+            grad_w[i] = cache.inputs[i].T @ delta
+            grad_b[i] = delta.sum(axis=0)
+        else:
+            grad_w[i] = np.outer(cache.inputs[i], delta)
+            grad_b[i] = delta.copy()
         if i > 0:
-            delta = (net.weights[i] @ delta) * _activate_grad(net.activation, cache.pre[i - 1])
+            back = delta @ net.weights[i].T if batched else net.weights[i] @ delta
+            delta = back * _activate_grad(net.activation, cache.pre[i - 1])
     return Gradients(grad_w, grad_b)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Max-subtracted softmax; safe for any finite logits."""
+def _shifted(logits: np.ndarray) -> np.ndarray:
+    """Logits minus their max over the last axis; rejects non-finite input."""
     logits = np.asarray(logits, dtype=float)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise ValueError("non-finite logits")
-    shifted = logits - np.max(logits)
-    e = np.exp(shifted)
-    return e / np.sum(e)
+    return logits - logits.max(axis=-1, keepdims=True)
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax over the last axis; safe for any finite logits."""
+    e = np.exp(_shifted(logits))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    logits = np.asarray(logits, dtype=float)
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("non-finite logits")
-    shifted = logits - np.max(logits)
-    return shifted - math.log(float(np.sum(np.exp(shifted))))
+    """Log of softmax() over the last axis."""
+    shifted = _shifted(logits)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def softmax_sample(logits: np.ndarray,
                    rng: np.random.Generator) -> tuple[int, float, np.ndarray]:
     """Draw an index from softmax(logits) via one uniform variate.
 
-    Returns (index, log-probability of that index, full distribution).
+    Returns (index, log-probability of that index, full distribution), the
+    same values softmax() and log_softmax() give, from one exp pass.
     """
-    probs = softmax(logits)
-    logp = log_softmax(logits)
+    shifted = _shifted(logits)
+    e = np.exp(shifted)
+    total = e.sum()
+    probs = e / total
     u = rng.random()
     index = int(np.searchsorted(np.cumsum(probs), u, side="right"))
     index = min(index, len(probs) - 1)
-    return index, float(logp[index]), probs
+    return index, float(shifted[index] - np.log(total)), probs
 
 
 @dataclass
@@ -251,9 +270,10 @@ def apply_update(net: Mlp, grads: Gradients, lr: float,
     for g, w in zip(grads.weights, net.weights):
         if g.shape != w.shape:
             raise ValueError("gradient shapes do not match net")
-    if not grads.is_finite():
-        raise NonFiniteGradientError("update rejected: non-finite gradient")
     norm = grads.global_norm()
+    # any NaN or infinity makes the norm non-finite, so the scan runs only then
+    if not math.isfinite(norm) and not grads.is_finite():
+        raise NonFiniteGradientError("update rejected: non-finite gradient")
     grad_w, grad_b = grads.weights, grads.biases
     if clip_norm is not None and norm > clip_norm:
         factor = clip_norm / norm

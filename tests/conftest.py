@@ -68,6 +68,19 @@ def hourly_stamps(n: int, start: str = "2021-01-04T00:00:00") -> list[str]:
             for i in range(n)]
 
 
+def rel_err(actual, expected) -> float:
+    """Largest |actual - expected| over the largest |expected|, taken array by
+    array over paired sequences of arrays; the worst array counts."""
+    worst = 0.0
+    for a, e in zip(actual, expected):
+        a, e = np.asarray(a, dtype=float), np.asarray(e, dtype=float)
+        assert a.shape == e.shape
+        scale = float(np.max(np.abs(e)))
+        diff = float(np.max(np.abs(a - e)))
+        worst = max(worst, diff / scale if scale else diff)
+    return worst
+
+
 def pytest_runtest_logreport(report):
     """One visible status line per acceptance criterion."""
     if report.when != "call" or "test_acceptance.py" not in report.nodeid:

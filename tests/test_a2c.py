@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from conftest import random_walk_series
+from conftest import random_walk_series, rel_err
 from sentarl import a2c
 from sentarl.a2c import (A2cConfig, TrainedAgent, Transition, _targets,
                          act_greedy, act_sample, actor_update, advantage,
                          critic_update, greedy_policy, train, value_of,
                          write_training_log)
 from sentarl.env import Action, EnvConfig, MarketState
-from sentarl.nn import Mlp, forward, softmax
+from sentarl.nn import (Gradients, Mlp, RmspropState, apply_update, backward,
+                        forward, log_softmax, softmax)
 
 
 def value_net_identity():
@@ -151,6 +152,91 @@ def test_entropy_bonus_flattens_policy():
     batch = [transition(1.0, 0.0, 1.0, action_index=0)]
     actor_update(batch, net, [0.0], A2cConfig(entropy_coef=0.5, lr_actor=0.5))
     assert entropy() > before
+
+
+# ------------------------------------------- batched flush vs per-sample oracle
+
+
+def oracle_critic_update(batch, net, cfg, opt=None):
+    """The per-sample critic step: one forward and one backward per row."""
+    n = len(batch)
+    if cfg.use_n_step_returns:
+        ret = 0.0 if batch[-1].done else value_of(net, batch[-1].next_state)
+        targets = [0.0] * n
+        for i in reversed(range(n)):
+            ret = batch[i].reward + cfg.gamma * ret
+            targets[i] = ret
+        residuals = [tg - value_of(net, t.state) for tg, t in zip(targets, batch)]
+    else:
+        residuals = [advantage(t, net, cfg.gamma) for t in batch]
+    grads = Gradients.zeros_like(net)
+    for res, t in zip(residuals, batch):
+        _, cache = forward(net, t.state)
+        grads.add_(backward(net, cache, np.array([2.0 * res / n])))
+    apply_update(net, grads, cfg.lr_critic, optimizer_state=opt,
+                 clip_norm=cfg.max_grad_norm)
+    return sum(r * r for r in residuals) / n, residuals
+
+
+def oracle_actor_update(batch, net, advs, cfg, opt=None):
+    """The per-sample actor step, entropy bonus included."""
+    n = len(batch)
+    grads = Gradients.zeros_like(net)
+    loss = 0.0
+    for adv, t in zip(advs, batch):
+        logits, cache = forward(net, t.state)
+        probs, logp = softmax(logits), log_softmax(logits)
+        loss -= adv * logp[t.action_index] / n
+        out_grad = -adv * probs
+        out_grad[t.action_index] += adv
+        if cfg.entropy_coef > 0:
+            ent = -float(np.sum(probs * np.log(probs)))
+            out_grad += cfg.entropy_coef * (-probs * (np.log(probs) + ent))
+        grads.add_(backward(net, cache, out_grad / n))
+    apply_update(net, grads, cfg.lr_actor, optimizer_state=opt,
+                 clip_norm=cfg.max_grad_norm)
+    return loss
+
+
+def random_batch(rng, n, dim, done_last):
+    return [Transition(rng.normal(size=dim), int(rng.integers(3)),
+                       float(rng.normal()), rng.normal(size=dim),
+                       done_last and i == n - 1, log_prob=-1.0)
+            for i in range(n)]
+
+
+def params(net):
+    return [*net.weights, *net.biases]
+
+
+@pytest.mark.parametrize("n_step", [False, True])
+@pytest.mark.parametrize("done_last", [False, True])
+@pytest.mark.parametrize("entropy_coef", [0.0, 0.3])
+@pytest.mark.parametrize("optimizer", ["sgd", "rmsprop"])
+def test_batched_flush_matches_per_sample_oracle(n_step, done_last, entropy_coef,
+                                                 optimizer):
+    rng = np.random.default_rng(40)
+    dim = 6
+    cfg = A2cConfig(gamma=0.9, lr_actor=0.05, lr_critic=0.05, entropy_coef=entropy_coef,
+                    optimizer=optimizer, use_n_step_returns=n_step)
+    value, policy = Mlp.create((dim, 8, 8, 1), rng), Mlp.create((dim, 8, 8, 3), rng)
+    value_ref, policy_ref = value.copy(), policy.copy()
+    opts = [RmspropState.create(net) if optimizer == "rmsprop" else None
+            for net in (value, policy, value_ref, policy_ref)]
+    for n in (5, 5, 3):  # successive flushes, so optimizer state carries over
+        batch = random_batch(rng, n, dim, done_last)
+        before = params(value.copy()) + params(policy.copy())
+        advs, _ = a2c._td_residuals(batch, value, cfg)
+        c_loss = critic_update(batch, value, cfg, opts[0])
+        a_loss = actor_update(batch, policy, advs, cfg, opts[1])
+        ref_c_loss, ref_advs = oracle_critic_update(batch, value_ref, cfg, opts[2])
+        ref_a_loss = oracle_actor_update(batch, policy_ref, ref_advs, cfg, opts[3])
+        assert rel_err([advs], [ref_advs]) <= 1e-12
+        assert rel_err([c_loss, a_loss], [ref_c_loss, ref_a_loss]) <= 1e-12
+        steps = [a - b for a, b in zip(params(value) + params(policy), before)]
+        ref_steps = [a - b for a, b in
+                     zip(params(value_ref) + params(policy_ref), before)]
+        assert rel_err(steps, ref_steps) <= 1e-12
 
 
 def test_act_greedy_tie_break_and_argmax():

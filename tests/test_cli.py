@@ -227,6 +227,22 @@ def test_run_reports_trial_failures(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "out" / "results.csv").exists()
 
 
+def test_run_resume_repairs_torn_journal_and_rejects_malformed_rows(tmp_path, capsys):
+    cfg = make_workspace(tmp_path)
+    main(["ingest", "--config", str(cfg)])
+    assert main(["run", "--config", str(cfg), "--limit", "5"]) == 0
+    journal = tmp_path / "out" / "results.journal.csv"
+    journal.write_bytes(journal.read_bytes()[:-5])  # torn mid-row by a kill
+    assert main(["run", "--config", str(cfg), "--resume"]) == 0
+    assert (tmp_path / "out" / "results.csv").exists()
+
+    lines = journal.read_bytes().splitlines(keepends=True)
+    journal.write_bytes(b"".join([*lines[:2], b"AAA,0\r\n", *lines[2:]]))
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--resume"]) == 3
+    assert "results.journal.csv:3: malformed row" in capsys.readouterr().err
+
+
 def test_report_missing_results_exits_3(tmp_path, capsys):
     assert main(["report", "--results", str(tmp_path)]) == 3
     assert "no results file" in capsys.readouterr().err

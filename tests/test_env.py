@@ -243,6 +243,42 @@ def test_equity_csv_export(tmp_path):
     assert float(last[-1]) == pytest.approx(result.total_return, rel=1e-12)
 
 
+def test_equity_curve_built_at_export():
+    series = random_walk_series(60, seed=18)
+    env = TradingEnv(series, EnvConfig(w=3, l=2, tc_rate=0.0025))
+    assert env.equity_curve() == []
+    result = run_policy(env, baseline_policy("random", seed=2))
+    curve = env.equity_curve()
+    rewards = result.rewards
+    assert [p.reward for p in curve] == rewards
+    assert [p.action for p in curve] == result.actions
+    for i, p in enumerate(curve):
+        assert p.cum_return == (math.fsum(rewards[:i]) + rewards[i]) / env.psi
+        assert p.t == env.start_index + i
+        assert p.timestamp == series.timestamps[p.t]
+    assert [p.cum_return for p in result.equity] == [p.cum_return for p in curve]
+
+    # mid-episode the export covers the steps so far; reset clears it
+    env.reset()
+    costs = [env.step(Action.LONG).info["cost_paid"],
+             env.step(Action.SHORT).info["cost_paid"]]
+    assert [(p.action, p.cost) for p in env.equity_curve()] == list(zip([1, -1], costs))
+    env.reset()
+    assert env.equity_curve() == []
+
+
+def test_observation_is_read_only_view():
+    series = random_walk_series(30, seed=19)
+    env = TradingEnv(series, EnvConfig(w=3, l=2))
+    state = env.reset()
+    assert state.to_vector() is state.to_vector()
+    for window in (state.diffs_window, state.hours_window, state.sentiment_window):
+        assert window.base is not None and not window.flags.writeable
+    with pytest.raises(ValueError):
+        state.diffs_window[0] = 1.0
+    assert state.diffs_window.tolist() == series.diffs[2::-1].tolist()
+
+
 def test_env_config_validation():
     with pytest.raises(ValueError):
         EnvConfig(w=0)

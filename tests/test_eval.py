@@ -1,5 +1,10 @@
 """Rolling windows, metrics, matrix runs with resume, and report aggregation."""
 
+import csv
+import logging
+import multiprocessing
+import time
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,7 @@ from conftest import random_walk_series
 from sentarl import evaluation
 from sentarl.a2c import A2cConfig
 from sentarl.env import EnvConfig
+from sentarl.errors import IngestError
 from sentarl.evaluation import (RESULTS_HEADER, MatrixResult, TrialKey,
                                 TrialResult, WindowSpec, annualized_return,
                                 enumerate_keys, make_windows, parse_result_row,
@@ -190,6 +196,38 @@ def test_run_matrix_limit_then_resume(tmp_path):
     assert len(first.results) == len(rest.results)
 
 
+@pytest.mark.parametrize("keep", ["half", "all-but-terminator"])
+def test_run_matrix_resume_drops_torn_journal_line(tmp_path, caplog, keep):
+    small_matrix(out_dir=tmp_path / "run")
+    straight = (tmp_path / "run" / "results.csv").read_bytes()
+
+    out = tmp_path / "torn"
+    small_matrix(out_dir=out, limit=5)
+    journal = out / "results.journal.csv"
+    data = journal.read_bytes()
+    last = data.rstrip(b"\r\n").rfind(b"\n") + 1
+    row = data[last:].rstrip(b"\r\n")
+    # a kill during the fifth append leaves its row without a terminator,
+    # possibly cut mid-field; even a whole row without one is not trusted
+    journal.write_bytes(data[:last] + (row[:len(row) // 2] if keep == "half" else row))
+    with caplog.at_level(logging.WARNING):
+        rest = small_matrix(out_dir=out)
+    assert "torn last line" in caplog.text
+    assert rest.pending == 0 and not rest.failures
+    assert (out / "results.csv").read_bytes() == straight
+    assert len(journal.read_bytes().splitlines()) == 1 + 12
+
+
+def test_run_matrix_malformed_journal_row_names_line(tmp_path):
+    small_matrix(out_dir=tmp_path, limit=5)
+    journal = tmp_path / "results.journal.csv"
+    lines = journal.read_bytes().splitlines(keepends=True)
+    lines[2] = b"AAA,0,not-a-seed\r\n"
+    journal.write_bytes(b"".join(lines))
+    with pytest.raises(IngestError, match=r"results\.journal\.csv:3: malformed row"):
+        small_matrix(out_dir=tmp_path)
+
+
 def test_run_matrix_records_failures(tmp_path, monkeypatch):
     real = evaluation.run_agent_trial
 
@@ -218,6 +256,27 @@ def test_run_matrix_parallel_matches_sequential(tmp_path):
     assert (tmp_path / "seq" / "results.csv").read_bytes() == \
         (tmp_path / "par" / "results.csv").read_bytes()
     assert len(seq.results) == len(par.results)
+
+
+def test_run_matrix_journals_in_completion_order(tmp_path, monkeypatch):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers see the monkeypatch only when forked")
+    real = evaluation.run_agent_trial
+    slow = TrialKey("AAA", 0, 0, 0.0, "no-sentiment")  # first agent trial submitted
+
+    def delayed(key, *args, **kwargs):
+        if key == slow:
+            time.sleep(1.0)
+        return real(key, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "run_agent_trial", delayed)
+    small_matrix(out_dir=tmp_path, workers=2)
+    with (tmp_path / "results.journal.csv").open(newline="") as fh:
+        agent_keys = [parse_result_row(row).key for row in list(csv.reader(fh))[1:]
+                      if row[4] != "buy-and-hold"]
+    assert len(agent_keys) == 8
+    # trials finishing while the slow one runs are journaled without waiting
+    assert agent_keys[0] != slow
 
 
 def test_run_matrix_artifacts(tmp_path):

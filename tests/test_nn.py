@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import rel_err
 from sentarl.errors import ModelFormatError, NonFiniteGradientError
 from sentarl.nn import (ACTIVATIONS, Gradients, Mlp, RmspropState, apply_update,
                         backward, deserialize, fd_gradients, forward, load_model,
@@ -114,6 +115,51 @@ def test_backward_matches_finite_differences():
                 analytic = backward(net, cache, loss_weights)
                 numeric = fd_gradients(net, x, loss_weights)
                 assert max_rel_err(analytic, numeric) < 1e-6
+
+
+def test_batched_forward_backward_match_rows():
+    # an (n, d) batch gives each row's output and the sum of per-row gradients
+    rng = np.random.default_rng(21)
+    for activation in ACTIVATIONS:
+        for sizes in ((3, 2), (5, 4, 3), (46, 64, 64, 3), (46, 64, 64, 1)):
+            net = Mlp.create(sizes, rng, activation=activation)
+            x = rng.normal(size=(7, sizes[0]))
+            output_grad = rng.normal(size=(7, sizes[-1]))
+            out, cache = forward(net, x)
+            assert out.shape == (7, sizes[-1])
+            batched = backward(net, cache, output_grad)
+            summed = Gradients.zeros_like(net)
+            for i in range(len(x)):
+                row_out, row_cache = forward(net, x[i])
+                assert rel_err([out[i]], [row_out]) <= 1e-12
+                summed.add_(backward(net, row_cache, output_grad[i]))
+            assert rel_err(batched.weights, summed.weights) <= 1e-12
+            assert rel_err(batched.biases, summed.biases) <= 1e-12
+
+
+def test_batched_shape_validation():
+    net = Mlp.create([3, 4, 2], np.random.default_rng(6))
+    with pytest.raises(ValueError, match="shape"):
+        forward(net, np.zeros((5, 4)))
+    with pytest.raises(ValueError, match="shape"):
+        forward(net, np.zeros((2, 5, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        forward(net, np.array([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]]))
+    _, cache = forward(net, np.zeros((5, 3)))
+    with pytest.raises(ValueError, match="output_grad"):
+        backward(net, cache, np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="output_grad"):
+        backward(net, cache, np.zeros(2))
+
+
+def test_softmax_rows():
+    logits = np.array([[0.0, 1.0, 2.0], [5.0, -3.0, 0.5]])
+    probs = softmax(logits)
+    logp = log_softmax(logits)
+    for i in range(len(logits)):
+        assert rel_err([probs[i]], [softmax(logits[i])]) <= 1e-15
+        assert rel_err([logp[i]], [log_softmax(logits[i])]) <= 1e-15
+    assert np.allclose(probs.sum(axis=1), 1.0)
 
 
 def test_backward_rejects_foreign_cache():
