@@ -7,14 +7,17 @@ pre-update critic, then one actor ascent step on the advantage-scaled
 log-likelihood; advantages are constants during both steps.
 
 Training is a pure function of (series, env config, agent config, seed):
-one generator seeded per call drives weight init and action sampling.
+one generator seeded per trial drives weight init and action sampling.
+Trials over one series that differ only in seed and cost rate can train in
+lockstep: their nets are stacked on a leading trial axis, they share the
+env clock, and every rollout array below carries that axis too.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -22,8 +25,8 @@ import numpy as np
 
 from .data import AlignedSeries
 from .env import Action, MarketState, TradingEnv, action_from_index, episode_return
-from .nn import (ACTIVATIONS, ForwardCache, Mlp, RmspropState, apply_update,
-                 backward, forward, log_softmax, softmax, softmax_sample)
+from .nn import (ACTIVATIONS, ForwardCache, Gradients, Mlp, RmspropState,
+                 apply_update, backward, forward, log_softmax, softmax, softmax_sample)
 
 OPTIMIZERS = ("sgd", "rmsprop")
 
@@ -69,17 +72,20 @@ class A2cConfig:
 
 @dataclass
 class Transition:
-    state: np.ndarray        # flattened MarketState
-    action_index: int        # 0=Short, 1=Neutral, 2=Long
-    reward: float
-    next_state: np.ndarray   # observation after the step; bootstrap gated by done
+    """One step of one trial, or of K lockstep trials with a leading K axis
+    on every field but `done` (the trials share the env clock)."""
+
+    state: np.ndarray               # flattened MarketState
+    action_index: int | np.ndarray  # 0=Short, 1=Neutral, 2=Long
+    reward: float | np.ndarray
+    next_state: np.ndarray          # observation after the step; bootstrap gated by done
     done: bool
-    log_prob: float
+    log_prob: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.reward):
+        if not np.logical_and.reduce(np.isfinite(self.reward), axis=None):
             raise ValueError("reward must be finite")
-        if self.log_prob > 1e-12:
+        if np.maximum.reduce(self.log_prob, axis=None) > 1e-12:
             raise ValueError("log_prob must be <= 0")
 
 
@@ -108,6 +114,18 @@ def _entropy(probs: np.ndarray) -> np.ndarray:
     return -np.sum(probs * _safe_log(probs), axis=-1)
 
 
+def _rows(batch: Sequence[Transition], field_name: str) -> np.ndarray:
+    """One field of every transition as rows after any trial axis: states
+    as (..., n, d), the scalar fields as (..., n)."""
+    rows = np.array([getattr(t, field_name) for t in batch])
+    return np.ascontiguousarray(rows.swapaxes(0, -2 if field_name.endswith("state") else -1))
+
+
+def _scalar(x: np.ndarray) -> float | np.ndarray:
+    """A float for a single trial, the (K,) array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def _targets(batch: Sequence[Transition], value_net: Mlp, config: A2cConfig,
              next_values: np.ndarray | None = None) -> np.ndarray:
     """TD targets from the pre-update critic; batch order is rollout order.
@@ -116,15 +134,14 @@ def _targets(batch: Sequence[Transition], value_net: Mlp, config: A2cConfig,
     the critic on the next states; otherwise one forward computes them.
     """
     if next_values is None:
-        next_values = forward(value_net, np.stack([t.next_state for t in batch]))[0][:, 0]
-    rewards = np.array([t.reward for t in batch])
+        next_values = forward(value_net, _rows(batch, "next_state"))[0][..., 0]
+    rewards = _rows(batch, "reward")
     if config.use_n_step_returns:
-        last = batch[-1]
-        ret = 0.0 if last.done else float(next_values[-1])
-        targets = np.empty(len(batch))
+        ret = 0.0 if batch[-1].done else next_values[..., -1]
+        targets = np.empty(rewards.shape)
         for i in reversed(range(len(batch))):
-            ret = rewards[i] + config.gamma * ret
-            targets[i] = ret
+            ret = rewards[..., i] + config.gamma * ret
+            targets[..., i] = ret
         return targets
     dones = np.array([t.done for t in batch])
     return rewards + np.where(dones, 0.0, config.gamma * next_values)
@@ -138,56 +155,59 @@ def _td_residuals(batch: Sequence[Transition], value_net: Mlp,
     rows [0, n) are the states.
     """
     n = len(batch)
-    states = np.stack([t.state for t in batch] + [t.next_state for t in batch])
+    states = np.concatenate([_rows(batch, "state"), _rows(batch, "next_state")], axis=-2)
     values, cache = forward(value_net, states)
-    return _targets(batch, value_net, config, values[n:, 0]) - values[:n, 0], cache
+    return (_targets(batch, value_net, config, values[..., n:, 0])
+            - values[..., :n, 0]), cache
 
 
 def critic_update(batch: Sequence[Transition], value_net: Mlp, config: A2cConfig,
-                  optimizer_state: RmspropState | None = None) -> float:
-    """One descent step on the mean squared TD residual; returns that loss."""
+                  optimizer_state: RmspropState | None = None) -> float | np.ndarray:
+    """One descent step on the mean squared TD residual; returns that loss
+    (per trial for lockstep trials)."""
     if not batch:
         raise ValueError("empty batch")
     n = len(batch)
     residuals, cache = _td_residuals(batch, value_net, config)
-    loss = float(np.mean(residuals * residuals))
-    if not math.isfinite(loss):
+    loss = np.mean(residuals * residuals, axis=-1)
+    if not np.isfinite(loss).all():
         raise ValueError("non-finite critic loss")
     # ascent direction of -MSE: d(-L)/d(out) = 2 * residual / n; next-state
     # rows of the stacked forward carry no gradient
-    out_grad = np.zeros((2 * n, 1))
-    out_grad[:n, 0] = 2.0 * residuals / n
-    apply_update(value_net, backward(value_net, cache, out_grad), config.lr_critic,
+    out_grad = np.zeros((*residuals.shape[:-1], 2 * n, 1))
+    out_grad[..., :n, 0] = 2.0 * residuals / n
+    grads = backward(value_net, cache, out_grad, out=value_net.grad)
+    apply_update(value_net, grads, config.lr_critic,
                  optimizer_state=optimizer_state, clip_norm=config.max_grad_norm)
-    return loss
+    return _scalar(loss)
 
 
 def actor_update(batch: Sequence[Transition], policy_net: Mlp,
-                 advantages: Sequence[float], config: A2cConfig,
-                 optimizer_state: RmspropState | None = None) -> float:
+                 advantages: Sequence[float] | np.ndarray, config: A2cConfig,
+                 optimizer_state: RmspropState | None = None) -> float | np.ndarray:
     """One ascent step on mean(A * ln pi) plus the entropy bonus.
 
     Advantages are constants here (no gradient flows through them).
     Returns the conventional actor loss -mean(A * ln pi) for logging.
     """
-    if len(advantages) != len(batch):
+    adv = np.asarray(advantages, dtype=float)
+    if adv.shape[-1:] != (len(batch),):
         raise ValueError("need one advantage per transition")
     n = len(batch)
-    adv = np.asarray(advantages, dtype=float)
-    logits, cache = forward(policy_net, np.stack([t.state for t in batch]))
+    logits, cache = forward(policy_net, _rows(batch, "state"))
     probs = softmax(logits)
-    rows = np.arange(n)
-    taken = np.array([t.action_index for t in batch])
-    loss = -float(adv @ log_softmax(logits)[rows, taken]) / n
-    onehot = np.zeros_like(probs)
-    onehot[rows, taken] = 1.0
-    out_grad = adv[:, None] * (onehot - probs)
+    taken = _rows(batch, "action_index")
+    onehot = taken[..., None] == np.arange(probs.shape[-1])
+    log_taken = log_softmax(logits)[onehot].reshape(*taken.shape, 1)
+    loss = -(adv[..., None, :] @ log_taken)[..., 0, 0] / n
+    out_grad = adv[..., None] * (onehot - probs)
     if config.entropy_coef > 0:
-        ent = _entropy(probs)[:, None]
+        ent = _entropy(probs)[..., None]
         out_grad += config.entropy_coef * (-probs * (_safe_log(probs) + ent))
-    apply_update(policy_net, backward(policy_net, cache, out_grad / n), config.lr_actor,
+    grads = backward(policy_net, cache, out_grad / n, out=policy_net.grad)
+    apply_update(policy_net, grads, config.lr_actor,
                  optimizer_state=optimizer_state, clip_norm=config.max_grad_norm)
-    return loss
+    return _scalar(loss)
 
 
 def act_sample(state: MarketState, policy_net: Mlp,
@@ -238,63 +258,103 @@ def _weighted_mean(pairs: list[tuple[float, int]]) -> float:
     return math.fsum(v * n for v, n in pairs) / total
 
 
-def train(series: AlignedSeries, env_config, config: A2cConfig,
-          policy_net: Mlp | None = None, value_net: Mlp | None = None) -> TrainedAgent:
+def train(series: AlignedSeries, env_config, config,
+          policy_net: Mlp | None = None, value_net: Mlp | None = None):
     """Run `episodes` full passes over the series and return the nets + log.
 
     Nets may be supplied (e.g. ablation surgery or warm starts); otherwise
     they are created from the config seed. The same generator then drives
     action sampling, so results are bit-reproducible for fixed inputs.
+
+    Given equal-length sequences of env configs and agent configs instead,
+    it trains one trial per pair in lockstep and returns a list with one
+    TrainedAgent per trial. The pairs may differ only in tc_rate and seed.
+    The trials share the env clock; their nets are stacked, so each
+    forward, backward and update serves all of them. Every trial keeps its
+    own generator and its own row counts, so it comes out bit-identical to
+    its own single call.
     """
-    env = TradingEnv(series, env_config)
-    rng = np.random.default_rng(config.seed)
-    dim = env_config.state_dim
+    group = not isinstance(config, A2cConfig)
+    env_configs = list(env_config) if group else [env_config]
+    configs = list(config) if group else [config]
+    if not configs or len(env_configs) != len(configs):
+        raise ValueError("need one env config per agent config")
+    base, env_base = configs[0], env_configs[0]
+    if any(replace(c, seed=base.seed) != base for c in configs) or any(
+            replace(e, tc_rate=env_base.tc_rate) != env_base for e in env_configs):
+        raise ValueError("lockstep trials may differ only in seed and tc_rate")
+    envs = [TradingEnv(series, c) for c in env_configs]
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    sampler = rngs if group else rngs[0]
+    dim = env_base.state_dim
     if policy_net is None:
-        policy_net = Mlp.create((dim, *config.hidden_sizes, 3), rng, config.activation)
+        policy_net = Mlp.create((dim, *base.hidden_sizes, 3), sampler, base.activation)
     if value_net is None:
-        value_net = Mlp.create((dim, *config.hidden_sizes, 1), rng, config.activation)
+        value_net = Mlp.create((dim, *base.hidden_sizes, 1), sampler, base.activation)
     if policy_net.input_size != dim or value_net.input_size != dim:
         raise ValueError(f"net input size does not match state dimension {dim}")
+    trials = len(configs) if group else None
+    if policy_net.trials != trials or value_net.trials != trials:
+        raise ValueError("nets must be stacked once per lockstep trial")
+    for net in (policy_net, value_net):
+        net.grad = Gradients.zeros_like(net)
     policy_opt = value_opt = None
-    if config.optimizer == "rmsprop":
+    if base.optimizer == "rmsprop":
         policy_opt = RmspropState.create(policy_net)
         value_opt = RmspropState.create(value_net)
 
-    log: list[EpisodeLog] = []
-    for episode in range(config.episodes):
-        state_vec = env.reset().to_vector()
+    def join(values: list) -> np.ndarray:
+        return np.array(values) if group else values[0]
+
+    steps = envs[0].steps
+    logs: list[list[EpisodeLog]] = [[] for _ in envs]
+    for episode in range(base.episodes):
+        state = join([env.reset().to_vector() for env in envs])
         batch: list[Transition] = []
-        rewards: list[float] = []
-        entropies: list[float] = []
-        actor_losses: list[tuple[float, int]] = []
-        critic_losses: list[tuple[float, int]] = []
+        batch_probs: list[np.ndarray] = []
+        # one column per trial
+        rewards = np.empty((steps, len(envs)))
+        entropies = np.empty((steps, len(envs)))
+        actor_losses: list[tuple[np.ndarray, int]] = []
+        critic_losses: list[tuple[np.ndarray, int]] = []
+        t = 0
         done = False
         while not done:
-            logits, _ = forward(policy_net, state_vec)
-            index, log_prob, probs = softmax_sample(logits, rng)
-            outcome = env.step(action_from_index(index))
-            next_vec = outcome.next_state.to_vector()
-            batch.append(Transition(state_vec, index, outcome.reward,
-                                    next_vec, outcome.done, log_prob))
-            rewards.append(outcome.reward)
-            entropies.append(float(_entropy(probs)))
-            state_vec = next_vec
-            done = outcome.done
-            if len(batch) == config.n_steps or done:
-                advs, _ = _td_residuals(batch, value_net, config)
-                c_loss = critic_update(batch, value_net, config, value_opt)
-                a_loss = actor_update(batch, policy_net, advs, config, policy_opt)
-                critic_losses.append((c_loss, len(batch)))
-                actor_losses.append((a_loss, len(batch)))
-                batch = []
-        log.append(EpisodeLog(
-            episode=episode,
-            train_tr=episode_return(rewards) / env.psi,
-            actor_loss=_weighted_mean(actor_losses),
-            critic_loss=_weighted_mean(critic_losses),
-            policy_entropy=float(np.mean(entropies)) if entropies else 0.0,
-        ))
-    return TrainedAgent(policy_net, value_net, log)
+            logits, _ = forward(policy_net, state)
+            index, log_prob, probs = softmax_sample(logits, sampler)
+            outcomes = [env.step(action_from_index(i))
+                        for env, i in zip(envs, index.tolist() if group else [index])]
+            next_state = join([o.next_state.to_vector() for o in outcomes])
+            reward = join([o.reward for o in outcomes])
+            done = outcomes[0].done
+            batch.append(Transition(state, index, reward, next_state, done, log_prob))
+            batch_probs.append(probs)
+            rewards[t] = reward
+            t += 1
+            state = next_state
+            if len(batch) == base.n_steps or done:
+                entropies[t - len(batch):t] = _entropy(np.array(batch_probs)).reshape(
+                    len(batch), -1)
+                advs, _ = _td_residuals(batch, value_net, base)
+                c_loss = critic_update(batch, value_net, base, value_opt)
+                a_loss = actor_update(batch, policy_net, advs, base, policy_opt)
+                critic_losses.append((np.reshape(c_loss, -1), len(batch)))
+                actor_losses.append((np.reshape(a_loss, -1), len(batch)))
+                batch, batch_probs = [], []
+        # one contiguous row per trial, so each mean sums in the same order
+        entropy = np.ascontiguousarray(entropies.T).mean(axis=-1)
+        for k, env in enumerate(envs):
+            logs[k].append(EpisodeLog(
+                episode=episode,
+                train_tr=episode_return(rewards[:, k].tolist()) / env.psi,
+                actor_loss=_weighted_mean([(loss[k], n) for loss, n in actor_losses]),
+                critic_loss=_weighted_mean([(loss[k], n) for loss, n in critic_losses]),
+                policy_entropy=float(entropy[k]),
+            ))
+    if not group:
+        return TrainedAgent(policy_net, value_net, logs[0])
+    return [TrainedAgent(policy_net.trial(k), value_net.trial(k), log)
+            for k, log in enumerate(logs)]
 
 
 def write_training_log(log: Sequence[EpisodeLog], path: str | Path) -> None:

@@ -6,8 +6,9 @@ the full experiment matrix and reports, `report` re-aggregates an existing
 results file. All outputs land under the config's output directory; the
 SENTARL_OUTPUT_ROOT environment variable re-roots relative output dirs.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 ingestion or missing
-data error, 4 one or more trials failed.
+Exit codes: 0 success, 1 internal error (an unexpected exception), 2
+configuration/usage error, 3 ingestion or missing data error, 4 one or more
+trials failed.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ import sys
 from pathlib import Path
 
 from . import data, evaluation, sentiment
-from .config import RunConfig, echo_config, load_config
+from .config import RESUMABLE_KEYS, RunConfig, echo_config, echo_differences, load_config
 from .errors import ConfigError, IngestError, SentarlError
 
 log = logging.getLogger("sentarl")
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_INGEST = 3
 EXIT_TRIALS = 4
@@ -128,7 +130,16 @@ def cmd_run(config: RunConfig, workers: int | None, resume: bool,
                        for name in sorted(config.assets)}
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    echo_config(config, out / "config.echo.json")
+    echo = out / "config.echo.json"
+    if resume and echo.exists():
+        # journal rows are reused only under the config that made them
+        differing = echo_differences(config, echo)
+        if differing:
+            raise ConfigError(
+                f"--resume: the config differs from the run's echo {echo} in "
+                f"{', '.join(differing)} (only {' and '.join(RESUMABLE_KEYS)} may "
+                f"change); rerun without --resume to start over")
+    echo_config(config, echo)
     if not resume:
         for stale in (out / "results.journal.csv", out / "results.csv"):
             stale.unlink(missing_ok=True)
@@ -257,6 +268,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:  # anything the handlers above do not map
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        log.debug("traceback of the internal error", exc_info=True)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

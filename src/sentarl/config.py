@@ -298,3 +298,30 @@ def echo_config(config: RunConfig, path: str | Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(config_to_json(config), indent=2) + "\n",
                     encoding="utf-8")
+
+
+#: Echo keys that may change between a run and its resume.
+RESUMABLE_KEYS = ("output_dir", "workers")
+
+
+def echo_differences(config: RunConfig, path: str | Path) -> list[str]:
+    """Dotted keys where the config echo at `path` differs from `config`,
+    leaving out RESUMABLE_KEYS; a ConfigError if the echo cannot be read."""
+    try:
+        old = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read the config echo {path}: {exc}") from exc
+    new = json.loads(json.dumps(config_to_json(config)))
+    if isinstance(old, dict):
+        for key in RESUMABLE_KEYS:
+            old.pop(key, None)
+            new.pop(key, None)
+    return _differences(old, new, "")
+
+
+def _differences(old: object, new: object, where: str) -> list[str]:
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [diff for key in sorted(set(old) | set(new))
+                for diff in _differences(old.get(key, _MISSING), new.get(key, _MISSING),
+                                         f"{where}.{key}" if where else key)]
+    return [] if old == new else [where or "<root>"]

@@ -168,9 +168,11 @@ class TradingEnv:
         if config.diff_stats is not None:
             mean, std = config.diff_stats
             state_diffs = (series.diffs - mean) / std
-        # Observations hold slices of these read-only views, never copies.
-        self._state_diffs, self._hours, self._sentiment = (
-            _read_only(a) for a in (state_diffs, series.hours, series.sentiment))
+        # Observations hold slices of these read-only reversed views, never
+        # copies; row `_end - t` of each holds grid index t's newest value.
+        self._end = len(series) - 1
+        self._diffs_rev, self._hours_rev, self._sentiment_rev = (
+            _read_only(a[::-1]) for a in (state_diffs, series.hours, series.sentiment))
         self.t = self.start_index
         self.last_action = Action.NEUTRAL
         self.psi = config.phi * float(series.prices[0])
@@ -191,22 +193,25 @@ class TradingEnv:
         self.cash = self.psi
         self._done = False
         self._started = True
-        steps = len(self.series) - 1 - self.start_index
         self._n = 0
-        self._actions = np.empty(steps, dtype=np.int64)
-        self._rewards = np.empty(steps)
-        self._costs = np.empty(steps)
+        self._actions = np.empty(self.steps, dtype=np.int64)
+        self._rewards = np.empty(self.steps)
+        self._costs = np.empty(self.steps)
         return self._observe()
 
+    @property
+    def steps(self) -> int:
+        """Steps in one episode."""
+        return self._end - self.start_index
+
     def _observe(self) -> MarketState:
-        t, cfg = self.t, self.config
-        # diffs[j] is z at grid index j + 1, so z_t lives at diffs[t - 1]
-        diffs_win = self._state_diffs[t - cfg.w: t][::-1]
-        hours_win = self._hours[t - cfg.w + 1: t + 1][::-1]
-        sent_win = None
-        if cfg.use_sentiment:
-            sent_win = self._sentiment[t - cfg.l + 1: t + 1][::-1]
-        return MarketState(diffs_win, hours_win, sent_win, self.last_action)
+        cfg = self.config
+        # diffs[j] is z at grid index j + 1, so the reversed diffs hold z_t
+        # (diffs[t - 1]) at the same row where the hours hold hours[t]
+        i = self._end - self.t
+        sent_win = self._sentiment_rev[i:i + cfg.l] if cfg.use_sentiment else None
+        return MarketState(self._diffs_rev[i:i + cfg.w], self._hours_rev[i:i + cfg.w],
+                           sent_win, self.last_action)
 
     @property
     def done(self) -> bool:
@@ -229,7 +234,8 @@ class TradingEnv:
             raise RuntimeError("call reset() before step()")
         if self._done:
             raise RuntimeError("step() called on a finished episode")
-        action = Action(int(action))
+        if not isinstance(action, Action):
+            action = Action(int(action))
         t = self.t
         phi = self.config.phi
         price = float(self.series.prices[t])
@@ -244,7 +250,7 @@ class TradingEnv:
 
         self.t = t + 1
         self.last_action = action
-        self._done = self.t == len(self.series) - 1
+        self._done = self.t == self._end
         next_state = self._observe()
         n = self._n
         self._actions[n] = action

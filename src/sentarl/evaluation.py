@@ -2,9 +2,11 @@
 
 A matrix run enumerates (asset, window, seed, tc, strategy) keys in one
 canonical sorted order, computes each trial deterministically, and journals
-finished rows to disk as they complete. The canonical results CSV is
-rewritten from the journal once nothing is pending, so an interrupted run
-resumed later produces byte-identical output.
+finished rows to disk as they complete. The attempted seed x tc trials of
+one (asset, window, strategy) train together in lockstep, each bit-identical
+to its own single run. The canonical results CSV is rewritten from the
+journal once nothing is pending, so an interrupted run resumed later
+produces byte-identical output.
 
 Buy-and-hold needs no seed and pays no transaction costs; it is computed
 once per (asset, window) and its row is replicated across the seed and tc
@@ -206,15 +208,25 @@ def _artifact_stem(key: TrialKey) -> str:
             f"_tc{repr(float(key.tc))}_{key.strategy}")
 
 
+def _trial_configs(key: TrialKey, env_config: EnvConfig,
+                   a2c_config: A2cConfig) -> tuple[EnvConfig, A2cConfig]:
+    return (dataclasses.replace(env_config, tc_rate=key.tc,
+                                use_sentiment=key.strategy == "sentarl"),
+            dataclasses.replace(a2c_config, seed=key.seed))
+
+
 def run_agent_trial(key: TrialKey, train_slice: AlignedSeries,
                     test_slice: AlignedSeries, env_config: EnvConfig,
                     a2c_config: A2cConfig,
-                    artifacts_dir: Path | None = None) -> TrialResult:
-    """Train on the train slice, evaluate the greedy policy on the test slice."""
-    env_cfg = dataclasses.replace(
-        env_config, tc_rate=key.tc, use_sentiment=key.strategy == "sentarl")
-    agent_cfg = dataclasses.replace(a2c_config, seed=key.seed)
-    agent: TrainedAgent = train(train_slice, env_cfg, agent_cfg)
+                    artifacts_dir: Path | None = None,
+                    agent: TrainedAgent | None = None) -> TrialResult:
+    """Train on the train slice, evaluate the greedy policy on the test slice.
+
+    An agent already trained for this key skips the training.
+    """
+    env_cfg, agent_cfg = _trial_configs(key, env_config, a2c_config)
+    if agent is None:
+        agent = train(train_slice, env_cfg, agent_cfg)
     test_env = TradingEnv(test_slice, env_cfg)
     episode = run_policy(test_env, greedy_policy(agent.policy_net))
     days = test_slice.trading_days()
@@ -230,15 +242,31 @@ def run_agent_trial(key: TrialKey, train_slice: AlignedSeries,
                        tr, _safe_ar(tr, days), episode.trade_count)
 
 
-def _trial_worker(args) -> tuple[str, TrialKey, object]:
-    """Pool entry point; exceptions become ('fail', key, message) records."""
-    key, train_slice, test_slice, env_cfg, a2c_cfg, artifacts_dir = args
+def _group_worker(args) -> list[tuple[str, TrialKey, object]]:
+    """Pool entry point: train one (asset, window, strategy) group's keys in
+    lockstep, then test each key. Returns one ('ok', key, result) or
+    ('fail', key, message) record per key.
+
+    If the lockstep training raises, each key is retrained alone, so every
+    key gets its own result or its own error.
+    """
+    keys, train_slice, test_slice, env_cfg, a2c_cfg, artifacts_dir = args
     try:
-        result = run_agent_trial(key, train_slice, test_slice, env_cfg, a2c_cfg,
-                                 artifacts_dir)
-        return ("ok", key, result)
-    except Exception as exc:  # per-trial isolation: the matrix continues
-        return ("fail", key, f"{type(exc).__name__}: {exc}")
+        env_cfgs, agent_cfgs = zip(*(_trial_configs(k, env_cfg, a2c_cfg) for k in keys))
+        agents = train(train_slice, env_cfgs, agent_cfgs)
+    except Exception as exc:
+        log.warning("lockstep training of %d trial(s) failed (%s: %s); "
+                    "training them one by one", len(keys), type(exc).__name__, exc)
+        agents = [None] * len(keys)
+    records = []
+    for key, agent in zip(keys, agents):
+        try:
+            result = run_agent_trial(key, train_slice, test_slice, env_cfg, a2c_cfg,
+                                     artifacts_dir, agent=agent)
+            records.append(("ok", key, result))
+        except Exception as exc:  # per-trial isolation: the matrix continues
+            records.append(("fail", key, f"{type(exc).__name__}: {exc}"))
+    return records
 
 
 # ---------------------------------------------------------------- matrix
@@ -389,37 +417,43 @@ def run_matrix(series_by_asset: Mapping[str, AlignedSeries],
         return TrialResult(key.asset, key.window, key.seed, key.tc,
                            key.strategy, tr, ar, trades)
 
-    def agent_args(key: TrialKey):
-        train_range, test_range = windows_by_asset[key.asset].windows[key.window]
-        series = series_by_asset[key.asset]
-        return (key, series.slice(*train_range), series.slice(*test_range),
+    # attempted agent keys grouped by (asset, window, strategy), in key order
+    groups: dict[tuple[str, int, str], list[TrialKey]] = {}
+    for key in attempt:
+        if key.strategy != "buy-and-hold":
+            groups.setdefault((key.asset, key.window, key.strategy), []).append(key)
+
+    def group_args(group: list[TrialKey]):
+        first = group[0]
+        train_range, test_range = windows_by_asset[first.asset].windows[first.window]
+        series = series_by_asset[first.asset]
+        return (group, series.slice(*train_range), series.slice(*test_range),
                 env_config, a2c_config, artifacts_dir)
 
+    def collect(records: list[tuple[str, TrialKey, object]]) -> None:
+        for status, key, payload in records:
+            if status == "ok":
+                record(payload)
+            else:
+                failures.append(TrialFailure(key, payload))
+
     try:
-        agent_keys = [k for k in attempt if k.strategy != "buy-and-hold"]
         for key in attempt:
             if key.strategy == "buy-and-hold":
                 try:
                     record(bh_result(key))
                 except Exception as exc:
                     failures.append(TrialFailure(key, f"{type(exc).__name__}: {exc}"))
-        if workers > 1 and len(agent_keys) > 1:
+        if workers > 1 and len(groups) > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_trial_worker, agent_args(k)) for k in agent_keys]
-                # journal each trial as it finishes, not behind a slower one
+                futures = [pool.submit(_group_worker, group_args(group))
+                           for group in groups.values()]
+                # journal each group as it finishes, not behind a slower one
                 for future in as_completed(futures):
-                    status, key, payload = future.result()
-                    if status == "ok":
-                        record(payload)
-                    else:
-                        failures.append(TrialFailure(key, payload))
+                    collect(future.result())
         else:
-            for key in agent_keys:
-                status, key, payload = _trial_worker(agent_args(key))
-                if status == "ok":
-                    record(payload)
-                else:
-                    failures.append(TrialFailure(key, payload))
+            for group in groups.values():
+                collect(_group_worker(group_args(group)))
     finally:
         if journal_fh is not None:
             journal_fh.close()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import hourly_stamps, write_news_csv, write_price_csv
-from sentarl import evaluation
+from sentarl import cli, evaluation
 from sentarl.cli import main
 from sentarl.config import load_config
 from sentarl.data import load_aligned
@@ -257,3 +257,52 @@ def test_output_root_env(tmp_path, monkeypatch):
     # absolute output dirs are untouched by the root override
     config = load_config(cfg)
     assert str(config.output_dir).startswith(str(root))
+
+
+def test_resume_rejects_a_changed_config(tmp_path, capsys):
+    cfg = make_workspace(tmp_path)
+    main(["ingest", "--config", str(cfg)])
+    assert main(["run", "--config", str(cfg), "--limit", "5"]) == 0
+    journal = tmp_path / "out" / "results.journal.csv"
+    rows = journal.read_bytes()
+    config = json.loads(cfg.read_text())
+    config["agent"]["lr_actor"] = 1e-3
+    cfg.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert "agent.lr_actor" in err and "config error" in err
+    # the rejected resume leaves the journal as it was and writes no results
+    assert journal.read_bytes() == rows
+    assert not (tmp_path / "out" / "results.csv").exists()
+    # starting over with the new config is allowed
+    assert main(["run", "--config", str(cfg)]) == 0
+
+
+def test_resume_allows_a_changed_worker_count(tmp_path):
+    cfg = make_workspace(tmp_path)
+    main(["ingest", "--config", str(cfg)])
+    assert main(["run", "--config", str(cfg), "--limit", "5"]) == 0
+    config = json.loads(cfg.read_text())
+    config["workers"] = 2
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--resume", "--workers", "1"]) == 0
+    assert (tmp_path / "out" / "results.csv").exists()
+
+
+def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, caplog,
+                                                   monkeypatch):
+    cfg = make_workspace(tmp_path)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("disk on fire")
+
+    monkeypatch.setattr(cli, "cmd_ingest", broken)
+    with caplog.at_level(logging.WARNING):
+        assert main(["ingest", "--config", str(cfg)]) == cli.EXIT_INTERNAL == 1
+    assert capsys.readouterr().err == "internal error: RuntimeError: disk on fire\n"
+    assert "Traceback" not in caplog.text
+    # at DEBUG the traceback is logged as well
+    with caplog.at_level(logging.DEBUG, logger="sentarl"):
+        assert main(["ingest", "--config", str(cfg)]) == 1
+    assert "Traceback" in caplog.text and "disk on fire" in caplog.text
