@@ -8,9 +8,10 @@ log-likelihood; advantages are constants during both steps.
 
 Training is a pure function of (series, env config, agent config, seed):
 one generator seeded per trial drives weight init and action sampling.
-Trials over one series that differ only in seed and cost rate can train in
-lockstep: their nets are stacked on a leading trial axis, they share the
-env clock, and every rollout array below carries that axis too.
+Trials over equal-length series (one series, or say the train slices of
+several windows) that differ only in seed and cost rate can train in
+lockstep: their nets and their env are stacked on a leading trial axis,
+they share the env clock, and every rollout array carries that axis too.
 """
 
 from __future__ import annotations
@@ -72,20 +73,19 @@ class A2cConfig:
 
 @dataclass
 class Transition:
-    """One step of one trial, or of K lockstep trials with a leading K axis
-    on every field but `done` (the trials share the env clock)."""
+    """One step of one trial; the update functions also take a Batch."""
 
-    state: np.ndarray               # flattened MarketState
-    action_index: int | np.ndarray  # 0=Short, 1=Neutral, 2=Long
-    reward: float | np.ndarray
-    next_state: np.ndarray          # observation after the step; bootstrap gated by done
+    state: np.ndarray        # flattened MarketState
+    action_index: int        # 0=Short, 1=Neutral, 2=Long
+    reward: float
+    next_state: np.ndarray   # observation after the step; bootstrap gated by done
     done: bool
-    log_prob: float | np.ndarray
+    log_prob: float
 
     def __post_init__(self) -> None:
-        if not np.logical_and.reduce(np.isfinite(self.reward), axis=None):
+        if not math.isfinite(self.reward):
             raise ValueError("reward must be finite")
-        if np.maximum.reduce(self.log_prob, axis=None) > 1e-12:
+        if self.log_prob > 1e-12:
             raise ValueError("log_prob must be <= 0")
 
 
@@ -114,11 +114,46 @@ def _entropy(probs: np.ndarray) -> np.ndarray:
     return -np.sum(probs * _safe_log(probs), axis=-1)
 
 
-def _rows(batch: Sequence[Transition], field_name: str) -> np.ndarray:
-    """One field of every transition as rows after any trial axis: states
-    as (..., n, d), the scalar fields as (..., n)."""
-    rows = np.array([getattr(t, field_name) for t in batch])
-    return np.ascontiguousarray(rows.swapaxes(0, -2 if field_name.endswith("state") else -1))
+@dataclass
+class Batch:
+    """One flush of rollout rows as arrays, any trial axis leading.
+
+    `states` is the value forward's input: rows [0, n) are the states and
+    rows [n, 2n) the next states. `actions`, `rewards` and `log_probs` hold
+    one entry per row, `dones` one flag per row (the trials share the clock).
+    critic_update records its TD residuals in `advantages`: they are the
+    actor's advantages, from the same forward as the critic's gradient.
+    """
+
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    dones: np.ndarray
+    log_probs: np.ndarray
+    advantages: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if not np.isfinite(self.rewards).all():
+            raise ValueError("reward must be finite")
+        if np.maximum.reduce(self.log_probs, axis=None) > 1e-12:
+            raise ValueError("log_prob must be <= 0")
+
+    def __len__(self) -> int:
+        return self.rewards.shape[-1]
+
+    @classmethod
+    def of(cls, batch: "Batch | Sequence[Transition]") -> "Batch":
+        """A list of transitions as one Batch (a Batch is returned as is)."""
+        if isinstance(batch, Batch):
+            return batch
+        if not batch:
+            raise ValueError("empty batch")
+
+        def rows(name: str) -> np.ndarray:
+            return np.array([getattr(t, name) for t in batch])
+
+        return cls(np.concatenate([rows("state"), rows("next_state")]),
+                   rows("action_index"), rows("reward"), rows("done"), rows("log_prob"))
 
 
 def _scalar(x: np.ndarray) -> float | np.ndarray:
@@ -126,49 +161,51 @@ def _scalar(x: np.ndarray) -> float | np.ndarray:
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _targets(batch: Sequence[Transition], value_net: Mlp, config: A2cConfig,
+def _targets(batch: Batch | Sequence[Transition], value_net: Mlp, config: A2cConfig,
              next_values: np.ndarray | None = None) -> np.ndarray:
     """TD targets from the pre-update critic; batch order is rollout order.
 
     next_values holds V(s') per transition when the caller has already run
     the critic on the next states; otherwise one forward computes them.
     """
+    batch = Batch.of(batch)
+    n = len(batch)
     if next_values is None:
-        next_values = forward(value_net, _rows(batch, "next_state"))[0][..., 0]
-    rewards = _rows(batch, "reward")
+        next_values = forward(value_net, batch.states[..., n:, :])[0][..., 0]
+    rewards = batch.rewards
     if config.use_n_step_returns:
-        ret = 0.0 if batch[-1].done else next_values[..., -1]
+        ret = 0.0 if batch.dones[-1] else next_values[..., -1]
         targets = np.empty(rewards.shape)
-        for i in reversed(range(len(batch))):
+        for i in reversed(range(n)):
             ret = rewards[..., i] + config.gamma * ret
             targets[..., i] = ret
         return targets
-    dones = np.array([t.done for t in batch])
-    return rewards + np.where(dones, 0.0, config.gamma * next_values)
+    return rewards + np.where(batch.dones, 0.0, config.gamma * next_values)
 
 
-def _td_residuals(batch: Sequence[Transition], value_net: Mlp,
+def _td_residuals(batch: Batch | Sequence[Transition], value_net: Mlp,
                   config: A2cConfig) -> tuple[np.ndarray, ForwardCache]:
     """target - V(s) per transition (the advantages), and the forward cache.
 
     One value forward runs over the stacked states and next states; cache
     rows [0, n) are the states.
     """
+    batch = Batch.of(batch)
     n = len(batch)
-    states = np.concatenate([_rows(batch, "state"), _rows(batch, "next_state")], axis=-2)
-    values, cache = forward(value_net, states)
+    values, cache = forward(value_net, batch.states)
     return (_targets(batch, value_net, config, values[..., n:, 0])
             - values[..., :n, 0]), cache
 
 
-def critic_update(batch: Sequence[Transition], value_net: Mlp, config: A2cConfig,
+def critic_update(batch: Batch | Sequence[Transition], value_net: Mlp, config: A2cConfig,
                   optimizer_state: RmspropState | None = None) -> float | np.ndarray:
     """One descent step on the mean squared TD residual; returns that loss
-    (per trial for lockstep trials)."""
-    if not batch:
-        raise ValueError("empty batch")
+    (per trial for lockstep trials). A Batch gets the residuals of the
+    pre-update critic as its advantages."""
+    batch = Batch.of(batch)
     n = len(batch)
     residuals, cache = _td_residuals(batch, value_net, config)
+    batch.advantages = residuals
     loss = np.mean(residuals * residuals, axis=-1)
     if not np.isfinite(loss).all():
         raise ValueError("non-finite critic loss")
@@ -182,7 +219,7 @@ def critic_update(batch: Sequence[Transition], value_net: Mlp, config: A2cConfig
     return _scalar(loss)
 
 
-def actor_update(batch: Sequence[Transition], policy_net: Mlp,
+def actor_update(batch: Batch | Sequence[Transition], policy_net: Mlp,
                  advantages: Sequence[float] | np.ndarray, config: A2cConfig,
                  optimizer_state: RmspropState | None = None) -> float | np.ndarray:
     """One ascent step on mean(A * ln pi) plus the entropy bonus.
@@ -190,13 +227,14 @@ def actor_update(batch: Sequence[Transition], policy_net: Mlp,
     Advantages are constants here (no gradient flows through them).
     Returns the conventional actor loss -mean(A * ln pi) for logging.
     """
-    adv = np.asarray(advantages, dtype=float)
-    if adv.shape[-1:] != (len(batch),):
-        raise ValueError("need one advantage per transition")
+    batch = Batch.of(batch)
     n = len(batch)
-    logits, cache = forward(policy_net, _rows(batch, "state"))
+    adv = np.asarray(advantages, dtype=float)
+    if adv.shape[-1:] != (n,):
+        raise ValueError("need one advantage per transition")
+    logits, cache = forward(policy_net, batch.states[..., :n, :])
     probs = softmax(logits)
-    taken = _rows(batch, "action_index")
+    taken = batch.actions
     onehot = taken[..., None] == np.arange(probs.shape[-1])
     log_taken = log_softmax(logits)[onehot].reshape(*taken.shape, 1)
     loss = -(adv[..., None, :] @ log_taken)[..., 0, 0] / n
@@ -258,7 +296,7 @@ def _weighted_mean(pairs: list[tuple[float, int]]) -> float:
     return math.fsum(v * n for v, n in pairs) / total
 
 
-def train(series: AlignedSeries, env_config, config,
+def train(series: AlignedSeries | Sequence[AlignedSeries], env_config, config,
           policy_net: Mlp | None = None, value_net: Mlp | None = None):
     """Run `episodes` full passes over the series and return the nets + log.
 
@@ -268,92 +306,99 @@ def train(series: AlignedSeries, env_config, config,
 
     Given equal-length sequences of env configs and agent configs instead,
     it trains one trial per pair in lockstep and returns a list with one
-    TrainedAgent per trial. The pairs may differ only in tc_rate and seed.
-    The trials share the env clock; their nets are stacked, so each
-    forward, backward and update serves all of them. Every trial keeps its
-    own generator and its own row counts, so it comes out bit-identical to
-    its own single call.
+    TrainedAgent per trial. `series` is then one series for every trial or
+    one equal-length series per trial (say, train slices of several windows
+    or assets). The agent configs may differ only in seed, the env configs
+    as a TradingEnv stack allows (series, tc_rate, diff_stats). The trials
+    share the env clock; their nets are stacked, so each forward, backward
+    and update serves all of them. Every trial keeps its own generator and
+    its own row counts, so it comes out bit-identical to its own single call.
     """
     group = not isinstance(config, A2cConfig)
     env_configs = list(env_config) if group else [env_config]
     configs = list(config) if group else [config]
     if not configs or len(env_configs) != len(configs):
         raise ValueError("need one env config per agent config")
-    base, env_base = configs[0], env_configs[0]
-    if any(replace(c, seed=base.seed) != base for c in configs) or any(
-            replace(e, tc_rate=env_base.tc_rate) != env_base for e in env_configs):
-        raise ValueError("lockstep trials may differ only in seed and tc_rate")
-    envs = [TradingEnv(series, c) for c in env_configs]
+    base = configs[0]
+    if any(replace(c, seed=base.seed) != base for c in configs):
+        raise ValueError("lockstep trials' agent configs may differ only in seed")
+    # a single trial runs as a stack of one
+    env = TradingEnv(series, env_configs)
+    trials = len(configs)
     rngs = [np.random.default_rng(c.seed) for c in configs]
     sampler = rngs if group else rngs[0]
-    dim = env_base.state_dim
+    dim = env_configs[0].state_dim
     if policy_net is None:
         policy_net = Mlp.create((dim, *base.hidden_sizes, 3), sampler, base.activation)
     if value_net is None:
         value_net = Mlp.create((dim, *base.hidden_sizes, 1), sampler, base.activation)
     if policy_net.input_size != dim or value_net.input_size != dim:
         raise ValueError(f"net input size does not match state dimension {dim}")
-    trials = len(configs) if group else None
-    if policy_net.trials != trials or value_net.trials != trials:
+    if (policy_net.trials, value_net.trials) != ((trials,) * 2 if group else (None, None)):
         raise ValueError("nets must be stacked once per lockstep trial")
-    for net in (policy_net, value_net):
+    # a single call trains its nets in place through stacks of one viewing them
+    policy, value = (policy_net, value_net) if group else (
+        Mlp.over(net.flat[None], net.layer_sizes, net.activation)
+        for net in (policy_net, value_net))
+    for net in (policy, value):
         net.grad = Gradients.zeros_like(net)
     policy_opt = value_opt = None
     if base.optimizer == "rmsprop":
-        policy_opt = RmspropState.create(policy_net)
-        value_opt = RmspropState.create(value_net)
+        policy_opt = RmspropState.create(policy)
+        value_opt = RmspropState.create(value)
 
-    def join(values: list) -> np.ndarray:
-        return np.array(values) if group else values[0]
-
-    steps = envs[0].steps
-    logs: list[list[EpisodeLog]] = [[] for _ in envs]
+    # Rollout buffers, one row per trial: row j + 1 of `states` is the
+    # observation after step j of the batch, which the env writes in place.
+    n_steps = base.n_steps
+    states = np.empty((trials, n_steps + 1, dim))
+    taken = np.empty((trials, n_steps), dtype=np.int64)
+    log_probs = np.empty((trials, n_steps))
+    probs = np.empty((trials, n_steps, 3))
+    entropies = np.empty((trials, env.steps))
+    psi = env.psi.tolist()
+    logs: list[list[EpisodeLog]] = [[] for _ in range(trials)]
     for episode in range(base.episodes):
-        state = join([env.reset().to_vector() for env in envs])
-        batch: list[Transition] = []
-        batch_probs: list[np.ndarray] = []
-        # one column per trial
-        rewards = np.empty((steps, len(envs)))
-        entropies = np.empty((steps, len(envs)))
+        env.reset(out=states[:, 0])
         actor_losses: list[tuple[np.ndarray, int]] = []
         critic_losses: list[tuple[np.ndarray, int]] = []
-        t = 0
+        t = j = 0
         done = False
         while not done:
-            logits, _ = forward(policy_net, state)
-            index, log_prob, probs = softmax_sample(logits, sampler)
-            outcomes = [env.step(action_from_index(i))
-                        for env, i in zip(envs, index.tolist() if group else [index])]
-            next_state = join([o.next_state.to_vector() for o in outcomes])
-            reward = join([o.reward for o in outcomes])
-            done = outcomes[0].done
-            batch.append(Transition(state, index, reward, next_state, done, log_prob))
-            batch_probs.append(probs)
-            rewards[t] = reward
+            if j == 0:
+                # each generator's variates up to the next flush, drawn in
+                # one call: the numbers one call per step would give
+                uniforms = np.stack([g.random(min(n_steps, env.steps - t)) for g in rngs],
+                                    axis=1)
+            logits, _ = forward(policy, states[:, j])
+            taken[:, j], log_probs[:, j], probs[:, j] = softmax_sample(logits, uniforms[j])
+            done = env.step(taken[:, j], out=states[:, j + 1]).done
+            j += 1
             t += 1
-            state = next_state
-            if len(batch) == base.n_steps or done:
-                entropies[t - len(batch):t] = _entropy(np.array(batch_probs)).reshape(
-                    len(batch), -1)
-                advs, _ = _td_residuals(batch, value_net, base)
-                c_loss = critic_update(batch, value_net, base, value_opt)
-                a_loss = actor_update(batch, policy_net, advs, base, policy_opt)
-                critic_losses.append((np.reshape(c_loss, -1), len(batch)))
-                actor_losses.append((np.reshape(a_loss, -1), len(batch)))
-                batch, batch_probs = [], []
-        # one contiguous row per trial, so each mean sums in the same order
-        entropy = np.ascontiguousarray(entropies.T).mean(axis=-1)
-        for k, env in enumerate(envs):
+            if j == n_steps or done:
+                dones = np.zeros(j, dtype=bool)
+                dones[-1] = done
+                batch = Batch(np.concatenate([states[:, :j], states[:, 1:j + 1]], axis=1),
+                              taken[:, :j], env.rewards[:, t - j:], dones, log_probs[:, :j])
+                entropies[:, t - j:t] = _entropy(probs[:, :j])
+                critic_losses.append((critic_update(batch, value, base, value_opt), j))
+                actor_losses.append((actor_update(batch, policy, batch.advantages, base,
+                                                  policy_opt), j))
+                states[:, 0] = states[:, j]
+                j = 0
+        # each trial's entropies are one contiguous row, so each mean sums
+        # in the same order
+        entropy = entropies.mean(axis=-1)
+        for k in range(trials):
             logs[k].append(EpisodeLog(
                 episode=episode,
-                train_tr=episode_return(rewards[:, k].tolist()) / env.psi,
+                train_tr=episode_return(env.rewards[k].tolist()) / psi[k],
                 actor_loss=_weighted_mean([(loss[k], n) for loss, n in actor_losses]),
                 critic_loss=_weighted_mean([(loss[k], n) for loss, n in critic_losses]),
                 policy_entropy=float(entropy[k]),
             ))
     if not group:
         return TrainedAgent(policy_net, value_net, logs[0])
-    return [TrainedAgent(policy_net.trial(k), value_net.trial(k), log)
+    return [TrainedAgent(policy.trial(k), value.trial(k), log)
             for k, log in enumerate(logs)]
 
 

@@ -295,11 +295,20 @@ def save_aligned(series: AlignedSeries, path: str | Path) -> None:
 
 
 def load_aligned(path: str | Path, asset: str | None = None) -> AlignedSeries:
-    """Read an aligned cache CSV back; the asset defaults to the file stem."""
+    """Read an aligned cache CSV back; the asset defaults to the file stem.
+
+    Every row is checked as the cache writes it: timestamps increase,
+    closes are finite and positive, the diff cell is empty on the first row
+    only and otherwise holds the exact close difference, tau lies in
+    [0, 1), sentiment is finite and has_news is 0 or 1. The first row that
+    fails is an IngestError naming its line.
+    """
     path = Path(path)
+    lines: list[int] = []
     stamps: list[np.datetime64] = []
     close: list[float] = []
     diffs: list[float] = []
+    has_diff: list[bool] = []
     tau: list[float] = []
     sentiment: list[float] = []
     has_news: list[bool] = []
@@ -310,22 +319,48 @@ def load_aligned(path: str | Path, asset: str | None = None) -> AlignedSeries:
             ts = parse_timestamp(row[0])
             stamps.append(np.datetime64(ts.replace(tzinfo=None), "s"))
             close.append(float(row[1]))
-            if row[2].strip():
+            has_diff.append(bool(row[2].strip()))
+            if has_diff[-1]:
                 diffs.append(float(row[2]))
             tau.append(float(row[3]))
             sentiment.append(float(row[4]))
-            has_news.append(row[5].strip() == "1")
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: bad row: {exc}") from None
+        flag = row[5].strip()
+        if flag not in ("0", "1"):
+            raise IngestError(f"{path}:{lineno}: has_news {row[5]!r} is not 0 or 1")
+        has_news.append(flag == "1")
+        lines.append(lineno)
     if not stamps:
         raise IngestError(f"{path}: cache holds no rows")
+    timestamps, prices, hours, sent = (np.array(a) for a in (stamps, close, tau, sentiment))
+    diff_cells = np.array(has_diff)
+    diff_of_row = np.full(len(lines), np.nan)
+    diff_of_row[diff_cells] = diffs
+    with np.errstate(invalid="ignore"):  # inf - inf where a close is infinite
+        steps = np.diff(prices, prepend=np.nan)
+    problems = (
+        (np.r_[False, timestamps[1:] <= timestamps[:-1]],
+         "timestamp does not follow the previous row's"),
+        (~(np.isfinite(prices) & (prices > 0)), "close is not a positive price"),
+        (diff_cells != (np.arange(len(lines)) > 0),
+         "the diff cell must be empty on the first row only"),
+        (diff_cells & (diff_of_row != steps), "diff is not the close difference"),
+        (~((hours >= 0.0) & (hours < 1.0)), "tau outside [0, 1)"),
+        (~np.isfinite(sent), "non-finite sentiment"),
+    )
+    failed = [(int(np.argmax(bad)), order) for order, (bad, _) in enumerate(problems)
+              if bad.any()]
+    if failed:
+        row_index, order = min(failed)
+        raise IngestError(f"{path}:{lines[row_index]}: {problems[order][1]}")
     name = asset if asset is not None else path.stem.split(".")[0]
     return AlignedSeries(
         asset=name,
-        timestamps=np.array(stamps),
-        prices=np.array(close),
+        timestamps=timestamps,
+        prices=prices,
         diffs=np.array(diffs),
-        hours=np.array(tau),
-        sentiment=np.array(sentiment),
+        hours=hours,
+        sentiment=sent,
         has_news=np.array(has_news),
     )

@@ -122,8 +122,11 @@ class MarketState:
 
 @dataclass
 class StepOutcome:
-    reward: float
-    next_state: MarketState
+    """One step's result; a stack's reward, next state and info values carry
+    the trial axis."""
+
+    reward: float | np.ndarray
+    next_state: MarketState | np.ndarray
     done: bool
     info: dict
 
@@ -146,116 +149,210 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return view
 
 
+def _rows(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays as the read-only rows of one (U, n) array; a view of the
+    array itself when there is only one, so a shared series is not copied."""
+    return _read_only(arrays[0][None] if len(arrays) == 1 else np.stack(arrays))
+
+
 class TradingEnv:
-    """Episode walker over one aligned series.
+    """Episode walker over one aligned series, or a lockstep stack of trials.
+
+    Given a sequence of K env configs (and one series shared by every
+    trial, or one series per trial), the env is a stack of K trials on one
+    clock, the way a stack of nets in `nn` carries a leading trial axis.
+    `step` then takes the K action indices (0=Short, 1=Neutral, 2=Long) and
+    computes each trial's reward, cost and cash with the single-trial
+    arithmetic, so every trial gets the bits its own env would give; `cash`,
+    `psi`, `last_action` and the rewards carry the trial axis, and each
+    observation is one (K, d) array. The trials may differ in series, tc_rate
+    and diff_stats, but not in episode length, w, l, phi, cost_mode or
+    use_sentiment.
 
     A single instance is not thread-safe (it owns a mutable clock), but
     instances over the same immutable series are independent.
     """
 
-    def __init__(self, series: AlignedSeries, config: EnvConfig):
-        min_len = max(config.w + 1, config.l) + 2
-        if len(series) < min_len:
+    def __init__(self, series: AlignedSeries | Sequence[AlignedSeries],
+                 config: EnvConfig | Sequence[EnvConfig]):
+        stacked = not isinstance(config, EnvConfig)
+        configs = tuple(config) if stacked else (config,)
+        series_list = ((series,) * len(configs) if isinstance(series, AlignedSeries)
+                       else tuple(series))
+        if not configs or len(series_list) != len(configs):
+            raise ValueError("need one env config per trial, and one series per "
+                             "trial or one shared series")
+        first = configs[0]
+        clock = (first.w, first.l, first.phi, first.cost_mode, first.use_sentiment)
+        if any((c.w, c.l, c.phi, c.cost_mode, c.use_sentiment) != clock for c in configs):
+            raise ValueError("lockstep trials must share w, l, phi, cost_mode "
+                             "and use_sentiment")
+        if len({len(s) for s in series_list}) != 1:
+            raise ValueError("lockstep trials need series of equal length")
+        min_len = max(first.w + 1, first.l) + 2
+        if len(series_list[0]) < min_len:
             raise ValueError(
-                f"series of length {len(series)} too short for windows; "
+                f"series of length {len(series_list[0])} too short for windows; "
                 f"need at least {min_len} points")
-        self.series = series
-        self.config = config
+        self.series = series_list if stacked else series
+        self.config = configs if stacked else config
+        self.trials = len(configs) if stacked else None
+        self._lead = (len(configs),) if stacked else ()
         # Start where every configured window is full. The sentiment clock is
         # honored even with use_sentiment off so ablation runs stay aligned.
-        self.start_index = max(config.w, config.l - 1)
-        state_diffs = series.diffs
-        if config.diff_stats is not None:
-            mean, std = config.diff_stats
-            state_diffs = (series.diffs - mean) / std
-        # Observations hold slices of these read-only reversed views, never
-        # copies; row `_end - t` of each holds grid index t's newest value.
-        self._end = len(series) - 1
+        self.start_index = max(first.w, first.l - 1)
+        self._w, self._l, self._phi = first.w, first.l, first.phi
+        self._use_sentiment, self._dim = first.use_sentiment, first.state_dim
+        self._proportional = first.cost_mode is CostMode.PROPORTIONAL
+        # Each distinct (series, diff_stats) is one row of the channel arrays
+        # below; _row picks every trial's row (an int when all share one).
+        rows: dict[tuple, int] = {}
+        distinct: list[tuple[AlignedSeries, tuple[float, float] | None]] = []
+        trial_rows = []
+        for s, c in zip(series_list, configs):
+            stats = None if c.diff_stats is None else tuple(c.diff_stats)
+            if (id(s), stats) not in rows:
+                rows[id(s), stats] = len(distinct)
+                distinct.append((s, stats))
+            trial_rows.append(rows[id(s), stats])
+        self._row = 0 if len(distinct) == 1 else np.array(trial_rows)
+        state_diffs = [s.diffs if stats is None else (s.diffs - stats[0]) / stats[1]
+                       for s, stats in distinct]
+        self._prices = _rows([s.prices for s, _ in distinct])
+        self._diffs = _rows([s.diffs for s, _ in distinct])
+        # Observations hold slices of these read-only reversed views; column
+        # `_end - t` of each holds grid index t's newest value.
+        self._end = len(series_list[0]) - 1
         self._diffs_rev, self._hours_rev, self._sentiment_rev = (
-            _read_only(a[::-1]) for a in (state_diffs, series.hours, series.sentiment))
+            _rows(arrays)[:, ::-1] for arrays in (
+                state_diffs, [s.hours for s, _ in distinct],
+                [s.sentiment for s, _ in distinct]))
+        psi = [c.phi * float(s.prices[0]) for s, c in zip(series_list, configs)]
+        tc = [c.tc_rate for c in configs]
+        self.psi = np.array(psi) if stacked else psi[0]
+        self._tc = np.array(tc) if stacked else tc[0]
         self.t = self.start_index
-        self.last_action = Action.NEUTRAL
-        self.psi = config.phi * float(series.prices[0])
+        self.last_action = self._neutral()
         self.cash = self.psi
         self._done = False
         self._started = False
         # Per-episode step records, preallocated by reset(); the equity curve
         # is built from them only when equity_curve() is called.
         self._n = 0
-        self._actions = np.empty(0, dtype=np.int64)
-        self._rewards = np.empty(0)
-        self._costs = np.empty(0)
+        self._actions = np.empty((*self._lead, 0), dtype=np.int64)
+        self._rewards = np.empty((*self._lead, 0))
+        self._costs = np.empty((*self._lead, 0))
 
-    def reset(self) -> MarketState:
-        """Rewind to t0 with a flat position and the full initial wealth."""
+    def _neutral(self) -> Action | np.ndarray:
+        return Action.NEUTRAL if self.trials is None else np.zeros(self._lead, dtype=np.int64)
+
+    def reset(self, out: np.ndarray | None = None) -> MarketState | np.ndarray:
+        """Rewind to t0 with a flat position and the full initial wealth.
+
+        A stack returns its (K, d) observation, written into `out` if given.
+        """
+        self._check_out(out)
         self.t = self.start_index
-        self.last_action = Action.NEUTRAL
-        self.cash = self.psi
+        self.last_action = self._neutral()
+        self.cash = self.psi if self.trials is None else self.psi.copy()
         self._done = False
         self._started = True
         self._n = 0
-        self._actions = np.empty(self.steps, dtype=np.int64)
-        self._rewards = np.empty(self.steps)
-        self._costs = np.empty(self.steps)
-        return self._observe()
+        self._actions = np.empty((*self._lead, self.steps), dtype=np.int64)
+        self._rewards = np.empty((*self._lead, self.steps))
+        self._costs = np.empty((*self._lead, self.steps))
+        return self._observe(out)
 
     @property
     def steps(self) -> int:
         """Steps in one episode."""
         return self._end - self.start_index
 
-    def _observe(self) -> MarketState:
-        cfg = self.config
+    def _observe(self, out: np.ndarray | None) -> MarketState | np.ndarray:
         # diffs[j] is z at grid index j + 1, so the reversed diffs hold z_t
-        # (diffs[t - 1]) at the same row where the hours hold hours[t]
+        # (diffs[t - 1]) at the same column where the hours hold hours[t]
         i = self._end - self.t
-        sent_win = self._sentiment_rev[i:i + cfg.l] if cfg.use_sentiment else None
-        return MarketState(self._diffs_rev[i:i + cfg.w], self._hours_rev[i:i + cfg.w],
-                           sent_win, self.last_action)
+        w, l, row = self._w, self._l, self._row
+        if self.trials is None:
+            sent_win = self._sentiment_rev[0, i:i + l] if self._use_sentiment else None
+            return MarketState(self._diffs_rev[0, i:i + w], self._hours_rev[0, i:i + w],
+                               sent_win, self.last_action)
+        if out is None:
+            out = np.empty((*self._lead, self._dim))
+        col = 0
+        if self._use_sentiment:
+            out[:, :l] = self._sentiment_rev[row, i:i + l]
+            col = l
+        out[:, col:col + w] = self._diffs_rev[row, i:i + w]
+        out[:, col + w:col + 2 * w] = self._hours_rev[row, i:i + w]
+        out[:, -1] = self.last_action
+        return out
+
+    def _check_out(self, out: np.ndarray | None) -> None:
+        if out is not None and out.shape != (*self._lead, self._dim):
+            raise ValueError(f"out has shape {out.shape}, want {(*self._lead, self._dim)}")
 
     @property
     def done(self) -> bool:
         return self._done
 
     @property
-    def wealth(self) -> float:
+    def rewards(self) -> np.ndarray:
+        """The current episode's rewards so far ((K, steps so far) for a stack)."""
+        return self._rewards[..., :self._n]
+
+    def _at(self, channel: np.ndarray, t: int) -> float | np.ndarray:
+        """Each trial's value of a (U, T) channel at grid index t."""
+        value = channel[:, t][self._row]
+        return float(value) if self.trials is None else value
+
+    @property
+    def wealth(self) -> float | np.ndarray:
         """Cash plus the current position marked at the clock's price."""
-        position = float(self.last_action) * self.config.phi
-        return self.cash + position * float(self.series.prices[self.t])
+        return self.cash + self.last_action * self._phi * self._at(self._prices, self.t)
 
-    def unit_cost(self, price: float) -> float:
-        if self.config.cost_mode is CostMode.PROPORTIONAL:
-            return self.config.tc_rate * price
-        return self.config.tc_rate
+    def unit_cost(self, price: float | np.ndarray) -> float | np.ndarray:
+        if self._proportional:
+            return self._tc * price
+        return self._tc
 
-    def step(self, action: Action | int) -> StepOutcome:
-        """Trade at the clock price, realize the next price difference."""
+    def step(self, action: Action | int | np.ndarray,
+             out: np.ndarray | None = None) -> StepOutcome:
+        """Trade at the clock price, realize the next price difference.
+
+        A stack takes the K action indices and writes the next observation
+        into `out` when given.
+        """
         if not self._started:
             raise RuntimeError("call reset() before step()")
         if self._done:
             raise RuntimeError("step() called on a finished episode")
-        if not isinstance(action, Action):
-            action = Action(int(action))
+        if self.trials is None:
+            if not isinstance(action, Action):
+                action = Action(int(action))
+        else:
+            action = np.asarray(action) - 1  # indices to action values
+            if action.shape != self._lead or np.abs(action).max() > 1:
+                raise ValueError(f"need {self.trials} action indices in 0..2, "
+                                 f"got {action + 1}")
+            self._check_out(out)
         t = self.t
-        phi = self.config.phi
-        price = float(self.series.prices[t])
-        switch = abs(int(action) - int(self.last_action))
-        cost = phi * self.unit_cost(price) * switch
-
-        delta_shares = (float(action) - float(self.last_action)) * phi
-        self.cash -= delta_shares * price + cost
-
-        diff = float(self.series.diffs[t])  # z_{t+1}
-        reward = phi * diff * float(action) - cost
+        phi = self._phi
+        price = self._at(self._prices, t)
+        diff = self._at(self._diffs, t)  # z_{t+1}
+        switch = action - self.last_action
+        cost = phi * self.unit_cost(price) * abs(switch)
+        self.cash -= switch * phi * price + cost
+        reward = phi * diff * action - cost
 
         self.t = t + 1
         self.last_action = action
         self._done = self.t == self._end
-        next_state = self._observe()
+        next_state = self._observe(out)
         n = self._n
-        self._actions[n] = action
-        self._rewards[n] = reward
-        self._costs[n] = cost
+        self._actions[..., n] = action
+        self._rewards[..., n] = reward
+        self._costs[..., n] = cost
         self._n = n + 1
         return StepOutcome(
             reward=reward,
@@ -269,7 +366,10 @@ class TradingEnv:
 
         cum_return of step i is ``(fsum(rewards[:i]) + rewards[i]) / psi``,
         so the export costs O(steps^2) additions; training never calls it.
+        A single env only.
         """
+        if self.trials is not None:
+            raise ValueError("equity_curve() is built for a single env, not a stack")
         rewards = self._rewards[:self._n].tolist()
         costs = self._costs[:self._n].tolist()
         actions = self._actions[:self._n].tolist()

@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ModelFormatError, NonFiniteGradientError
+from .files import atomic_open
 
 FORMAT_VERSION = 1
 ACTIVATIONS = ("tanh", "relu")
@@ -41,17 +42,25 @@ def _activate_grad(name: str, h: np.ndarray) -> np.ndarray:
     return h > 0.0
 
 
+def _segments(sizes: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(start, stop) of each array in a flat buffer laid out as
+    [W0, b0, W1, b1, ...]."""
+    bounds, start = [], 0
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        mid = start + n_in * n_out
+        bounds += [(start, mid), (mid, mid + n_out)]
+        start = mid + n_out
+    return bounds
+
+
 def _views(flat: np.ndarray, sizes: tuple[int, ...]) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer weight and bias views into a flat buffer laid out as
     [W0, b0, W1, b1, ...]; a leading trial axis carries through."""
     lead = flat.shape[:-1]
-    weights, biases = [], []
-    start = 0
-    for n_in, n_out in zip(sizes, sizes[1:]):
-        mid = start + n_in * n_out
-        weights.append(flat[..., start:mid].reshape(*lead, n_in, n_out))
-        biases.append(flat[..., mid:mid + n_out])
-        start = mid + n_out
+    bounds = _segments(sizes)
+    weights = [flat[..., a:b].reshape(*lead, n_in, n_out)
+               for (a, b), n_in, n_out in zip(bounds[0::2], sizes, sizes[1:])]
+    biases = [flat[..., a:b] for a, b in bounds[1::2]]
     return weights, biases
 
 
@@ -188,6 +197,7 @@ class Gradients:
         self.flat = flat
         self.layer_sizes = tuple(int(n) for n in sizes)
         self.weights, self.biases = _views(flat, self.layer_sizes)
+        self._squares: np.ndarray | None = None  # global_norm's reused scratch
 
     @classmethod
     def over(cls, flat: np.ndarray, layer_sizes: Sequence[int]) -> "Gradients":
@@ -214,11 +224,14 @@ class Gradients:
         Each array's squares are one pairwise sum per trial, added weights
         first, so a trial's norm is the same bits alone or in a stack.
         """
-        lead = self.flat.shape[:-1]
+        if self._squares is None:
+            self._squares = np.empty_like(self.flat)
+        squares = np.square(self.flat, out=self._squares)
+        bounds = _segments(self.layer_sizes)
         total = 0.0
-        for arr in (*self.weights, *self.biases):
-            total = total + np.add.reduce((arr * arr).reshape(*lead, -1), axis=-1)
-        return np.sqrt(total) if lead else math.sqrt(total)
+        for a, b in bounds[0::2] + bounds[1::2]:
+            total = total + np.add.reduce(squares[..., a:b], axis=-1)
+        return np.sqrt(total) if self.flat.ndim > 1 else math.sqrt(total)
 
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())
@@ -303,12 +316,14 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax_sample(logits: np.ndarray,
-                   rng: np.random.Generator | Sequence[np.random.Generator]):
+                   rng: np.random.Generator | Sequence[np.random.Generator] | np.ndarray):
     """Draw an index from softmax(logits) via one uniform variate.
 
     Returns (index, log-probability of that index, full distribution), the
     same values softmax() and log_softmax() give, from one exp pass. Given
-    (K, m) logits and K generators, row k draws from generator k and the
+    (K, m) logits, row k draws from generator k of a sequence of K, or takes
+    variate k of a (K,) array of uniforms already drawn from them (the same
+    numbers, when each generator drew its variates in one call); the
     indices and log-probabilities come back as (K,) arrays.
     """
     single = isinstance(rng, np.random.Generator)
@@ -316,7 +331,12 @@ def softmax_sample(logits: np.ndarray,
     e = np.exp(shifted)
     total = np.add.reduce(e, axis=-1, keepdims=True)
     probs = e / total
-    u = rng.random() if single else np.array([g.random() for g in rng])[:, None]
+    if single:
+        u = rng.random()
+    elif isinstance(rng, np.ndarray):
+        u = rng[:, None]
+    else:
+        u = np.array([g.random() for g in rng])[:, None]
     # searchsorted(cumsum, u, side="right") capped at the last index: the
     # count of the first m - 1 cumulative probabilities that are <= u
     index = np.add.reduce(np.add.accumulate(probs, axis=-1)[..., :-1] <= u, axis=-1)
@@ -449,9 +469,9 @@ def deserialize(data: bytes) -> Mlp:
 
 
 def save_model(net: Mlp, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(serialize(net))
+    """Write the serialized net atomically (old bytes or new, never a part)."""
+    with atomic_open(path, "wb") as fh:
+        fh.write(serialize(net))
 
 
 def load_model(path: str | Path) -> Mlp:

@@ -2,11 +2,16 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import hourly_stamps, write_news_csv, write_price_csv
+import sentarl
 from sentarl import cli, evaluation
 from sentarl.cli import main
 from sentarl.config import load_config
@@ -306,3 +311,22 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, caplog,
     with caplog.at_level(logging.DEBUG, logger="sentarl"):
         assert main(["ingest", "--config", str(cfg)]) == 1
     assert "Traceback" in caplog.text and "disk on fire" in caplog.text
+
+
+def test_run_progress_goes_to_stderr_unless_quiet(tmp_path):
+    cfg = make_workspace(tmp_path, seeds=[0])
+    assert main(["ingest", "--config", str(cfg)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(sentarl.__file__).resolve().parents[1]))
+    runs = {}
+    for flags in ([], ["--quiet"]):
+        proc = subprocess.run([sys.executable, "-m", "sentarl.cli", *flags, "run",
+                               "--config", str(cfg)], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs[bool(flags)] = (proc.stderr, (tmp_path / "out" / "results.csv").read_bytes())
+    loud, quiet = runs[False], runs[True]
+    # one line per pool task: one lockstep chunk per learning strategy
+    assert loud[0].count("INFO sentarl.evaluation: progress: ") == 2
+    assert "progress: 6/6 keys done (0 failed)" in loud[0]
+    assert "progress" not in quiet[0]
+    assert loud[1] == quiet[1]

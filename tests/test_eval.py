@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from conftest import random_walk_series
-from sentarl import evaluation
+from sentarl import evaluation, nn
 from sentarl.a2c import A2cConfig
 from sentarl.env import EnvConfig
+from sentarl.nn import Mlp, load_model, save_model
 from sentarl.errors import IngestError
 from sentarl.evaluation import (RESULTS_HEADER, MatrixResult, TrialKey,
                                 TrialResult, WindowSpec, annualized_return,
@@ -367,3 +368,57 @@ def test_report_files(tmp_path):
     scatter = (tmp_path / "scatter.csv").read_text().splitlines()
     assert scatter[0] == "asset,coverage,corr_shift0,tr_diff"
     assert scatter[1].endswith(",")     # no ablation rows, tr_diff undefined
+
+
+# ---------------------------------------------------------------- atomic outputs
+
+
+class Unprintable:
+    """A cell whose text conversion fails, so a CSV write raises midway."""
+
+    def __str__(self):
+        raise RuntimeError("write failed midway")
+
+
+def assert_untouched(directory, name, old):
+    assert (directory / name).read_bytes() == old
+    assert sorted(p.name for p in directory.iterdir() if p.name.endswith(".tmp")) == []
+
+
+def test_results_write_that_raises_midway_keeps_the_old_bytes(tmp_path):
+    good = [result_row(TrialResult("B", 0, 0, 0.0, "sentarl", 0.3, 0.9, 1))]
+    write_results_csv(good, tmp_path / "results.csv")
+    old = (tmp_path / "results.csv").read_bytes()
+    # sorted first, so the header is out and the old rows are not
+    bad = good + [["A", "1", "0", "0.0", "sentarl", Unprintable(), "", "2"]]
+    with pytest.raises(RuntimeError, match="midway"):
+        write_results_csv(bad, tmp_path / "results.csv")
+    assert_untouched(tmp_path, "results.csv", old)
+
+
+def test_report_write_that_raises_midway_keeps_the_old_bytes(tmp_path, monkeypatch):
+    results = [plain_result("A", 0, 0, 0.0, "sentarl", 0.1, ar=0.6, trades=4),
+               plain_result("A", 0, 1, 0.0, "sentarl", 0.2, ar=0.9, trades=6)]
+    report(results, out_dir=tmp_path)
+    old = {name: (tmp_path / name).read_bytes()
+           for name in ("overall.csv", "sharpe_by_asset.csv", "scatter.csv")}
+    monkeypatch.setattr(evaluation, "_cell", lambda value: Unprintable())
+    with pytest.raises(RuntimeError, match="midway"):
+        report(results, out_dir=tmp_path)
+    for name, data in old.items():
+        assert_untouched(tmp_path, name, data)
+
+
+def test_model_write_that_raises_keeps_the_old_bytes(tmp_path, monkeypatch):
+    net = Mlp.create((3, 2), np.random.default_rng(0))
+    save_model(net, tmp_path / "m.json")
+    old = (tmp_path / "m.json").read_bytes()
+
+    def failing(net):
+        raise RuntimeError("write failed midway")
+
+    monkeypatch.setattr(nn, "serialize", failing)
+    with pytest.raises(RuntimeError, match="midway"):
+        save_model(Mlp.create((3, 2), np.random.default_rng(1)), tmp_path / "m.json")
+    assert_untouched(tmp_path, "m.json", old)
+    assert np.array_equal(load_model(tmp_path / "m.json").flat, net.flat)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from conftest import random_walk_series
 from sentarl import a2c, evaluation
 from sentarl.a2c import A2cConfig, greedy_policy, train
-from sentarl.env import EnvConfig, TradingEnv, run_policy
+from sentarl.env import EnvConfig, TradingEnv, action_from_index, run_policy
 from sentarl.errors import NonFiniteGradientError
 from sentarl.evaluation import TrialKey, WindowSpec, result_row, run_matrix
 from sentarl.nn import (ACTIVATIONS, Gradients, Mlp, RmspropState, apply_update,
@@ -109,6 +110,39 @@ def test_stacked_softmax_sample_matches_each_row():
             i, lp, p = softmax_sample(logits[k], single_rngs[k])
             assert (index[k], log_prob[k]) == (i, lp)
             assert np.array_equal(probs[k], p)
+
+
+def test_softmax_sample_takes_variates_drawn_in_one_call_per_generator():
+    logits = np.random.default_rng(2).normal(size=(5, 3)) * 3.0
+    rngs = [np.random.default_rng(s) for s in range(5)]
+    # 200 variates per generator in one call, as train draws them
+    uniforms = np.stack([np.random.default_rng(s).random(200) for s in range(5)], axis=1)
+    for step in range(200):
+        index, log_prob, probs = softmax_sample(logits, rngs)
+        drawn = softmax_sample(logits, uniforms[step])
+        assert np.array_equal(index, drawn[0]) and np.array_equal(log_prob, drawn[1])
+        assert np.array_equal(probs, drawn[2])
+
+
+def test_train_draws_each_trials_variates_in_rollout_order(monkeypatch):
+    # train draws each generator's variates a flush at a time; the blocks
+    # must cover each episode's steps exactly, as one draw per step would
+    draws = {}
+
+    class Recording(np.random.Generator):
+        def random(self, size=None, dtype=np.float64, out=None):
+            draws.setdefault(id(self), []).append(size)
+            return super().random(size, dtype, out)
+
+    series = random_walk_series(40, seed=8)  # 36 steps per episode at w=3
+    env_cfg = EnvConfig(w=3, l=2)
+    monkeypatch.setattr(a2c.np.random, "default_rng",
+                        lambda seed: Recording(np.random.PCG64(seed)))
+    train(series, [env_cfg] * 2, [A2cConfig(episodes=2, n_steps=5, seed=s,
+                                            hidden_sizes=(5,)) for s in (0, 1)])
+    assert len(draws) == 2
+    for sizes in draws.values():
+        assert sizes == ([5] * 7 + [1]) * 2
 
 
 # ------------------------------------------------ lockstep train() vs single runs
@@ -225,8 +259,172 @@ def test_group_training_fault_leaves_other_rows_identical(tmp_path, monkeypatch,
     assert {f.key for f in out.failures} == {
         TrialKey("AAA", w, 1, 0.0025, "sentarl") for w in (0, 1)}
     assert all("FloatingPointError: injected fault" in f.error for f in out.failures)
-    # each window's sentarl group was retrained one trial at a time
-    assert group_sizes == [4, 4, 1, 1, 1, 1, 4, 4, 1, 1, 1, 1]
+    # the sentarl chunk was retrained one trial at a time
+    assert group_sizes == [8, 8, 1, 1, 1, 1, 1, 1, 1, 1]
     assert len(out.results) == 24 - 2
     for r in out.results:
         assert result_row(r) == clean[r.key]
+
+
+# ------------------------------------------------ stacked env vs single envs
+
+
+@pytest.mark.parametrize("cost_mode", ["proportional", "fixed-per-unit"])
+@pytest.mark.parametrize("use_sentiment", [True, False])
+def test_env_stack_matches_single_envs(cost_mode, use_sentiment):
+    series = random_walk_series(90, seed=21)
+    windows = [series.slice(0, 40), series.slice(25, 65), series.slice(50, 90)]
+    # (series, tc_rate, diff_stats): trials on three windows, one window twice
+    trials = [(windows[0], 0.0, None), (windows[0], 0.0025, (0.1, 2.0)),
+              (windows[1], 0.01, None), (windows[2], 0.0025, (0.0, 0.5))]
+    cfgs = [EnvConfig(w=4, l=3, phi=1.5, tc_rate=tc, cost_mode=cost_mode,
+                      use_sentiment=use_sentiment, diff_stats=stats)
+            for _, tc, stats in trials]
+    stack = TradingEnv([s for s, _, _ in trials], cfgs)
+    singles = [TradingEnv(s, c) for (s, _, _), c in zip(trials, cfgs)]
+    assert stack.trials == 4 and stack.steps == singles[0].steps
+    assert stack.psi.tolist() == [e.psi for e in singles]
+    buf = np.full((4, cfgs[0].state_dim), np.nan)
+    assert stack.reset(out=buf) is buf
+    assert np.array_equal(buf, [e.reset().to_vector() for e in singles])
+    # each trial's price-diff window is its own series, scaled by its own stats
+    t0, col = stack.start_index, 3 if use_sentiment else 0
+    for k, (s, _, stats) in enumerate(trials):
+        newest_first = s.diffs[t0 - 4:t0][::-1]
+        want = newest_first if stats is None else (newest_first - stats[0]) / stats[1]
+        assert np.array_equal(buf[k, col:col + 4], want)
+    rng = np.random.default_rng(3)
+    while not stack.done:
+        index = rng.integers(0, 3, size=4)
+        out = stack.step(index, out=buf)
+        outs = [e.step(action_from_index(i)) for e, i in zip(singles, index)]
+        assert out.next_state is buf
+        assert np.array_equal(buf, [o.next_state.to_vector() for o in outs])
+        assert out.reward.tolist() == [o.reward for o in outs]
+        assert out.info["cost_paid"].tolist() == [o.info["cost_paid"] for o in outs]
+        assert [out.done] * 4 == [o.done for o in outs]
+        assert stack.cash.tolist() == [e.cash for e in singles]
+        assert stack.wealth.tolist() == [e.wealth for e in singles]
+        assert stack.last_action.tolist() == [int(e.last_action) for e in singles]
+    assert all(e.done for e in singles)
+    for k, env in enumerate(singles):
+        assert stack.rewards[k].tolist() == [p.reward for p in env.equity_curve()]
+        # double-entry wealth equals psi plus the summed rewards, per trial
+        assert stack.wealth[k] == pytest.approx(stack.psi[k] + math.fsum(stack.rewards[k]),
+                                                rel=1e-9)
+    # without `out`, a stack returns a new observation array
+    first = stack.reset()
+    assert first is not buf
+    assert np.array_equal(first, [e.reset().to_vector() for e in singles])
+
+
+def test_env_stack_rejects_trials_that_cannot_share_a_clock():
+    series = random_walk_series(60, seed=2)
+    base = EnvConfig(w=3, l=2)
+    for series_arg, cfgs, message in (
+            ([series.slice(0, 30), series.slice(0, 31)], [base, base], "equal length"),
+            (series, [base, dataclasses.replace(base, w=4)], "share"),
+            (series, [base, dataclasses.replace(base, l=3)], "share"),
+            (series, [base, dataclasses.replace(base, phi=2.0)], "share"),
+            (series, [base, dataclasses.replace(base, cost_mode="fixed-per-unit")], "share"),
+            (series, [base, dataclasses.replace(base, use_sentiment=False)], "share"),
+            ([series], [base, base], "one series per trial"),
+            (series, [], "one env config per trial")):
+        with pytest.raises(ValueError, match=message):
+            TradingEnv(series_arg, cfgs)
+
+    stack = TradingEnv(series, [base, dataclasses.replace(base, tc_rate=0.01)])
+    with pytest.raises(RuntimeError, match="reset"):
+        stack.step([1, 1])
+    stack.reset()
+    for bad in ([1], [1, 1, 1], [0, 3], [-1, 1]):
+        with pytest.raises(ValueError, match="action"):
+            stack.step(bad)
+    with pytest.raises(ValueError, match="out"):
+        stack.step([1, 1], out=np.empty((2, base.state_dim + 1)))
+    assert stack.t == stack.start_index  # rejected steps leave the clock alone
+    while not stack.done:
+        stack.step([2, 0])
+    with pytest.raises(RuntimeError, match="finished"):
+        stack.step([1, 1])
+
+
+# ------------------------------------------------ chunks across windows and assets
+
+
+def test_lockstep_training_across_windows_and_assets_is_bit_identical():
+    a = random_walk_series(100, seed=41, asset="AAA")
+    b = random_walk_series(100, seed=42, asset="BBB", base=50.0)
+    slices = {("AAA", 0): (a.slice(0, 40), a.slice(40, 60)),
+              ("AAA", 1): (a.slice(20, 60), a.slice(60, 80)),
+              ("BBB", 0): (b.slice(30, 70), b.slice(70, 90))}
+    trials = [("AAA", 0, 0, 0.0), ("AAA", 0, 1, 0.0025), ("AAA", 1, 0, 0.0),
+              ("BBB", 0, 2, 0.0025), ("BBB", 0, 0, 0.0)]
+    base = A2cConfig(episodes=2, hidden_sizes=(8, 6), n_steps=4, entropy_coef=0.1)
+    env_cfgs = [EnvConfig(w=4, l=3, tc_rate=tc) for *_, tc in trials]
+    cfgs = [dataclasses.replace(base, seed=seed) for _, _, seed, _ in trials]
+    grouped = train([slices[asset, w][0] for asset, w, _, _ in trials], env_cfgs, cfgs)
+    for (asset, w, _, _), env_cfg, cfg, agent in zip(trials, env_cfgs, cfgs, grouped):
+        train_slice, test_slice = slices[asset, w]
+        alone = train(train_slice, env_cfg, cfg)
+        assert np.array_equal(agent.policy_net.flat, alone.policy_net.flat)
+        assert np.array_equal(agent.value_net.flat, alone.value_net.flat)
+        assert [vars(e) for e in agent.log] == [vars(e) for e in alone.log]
+        test_trs = [run_policy(TradingEnv(test_slice, env_cfg),
+                               greedy_policy(x.policy_net)).total_return
+                    for x in (agent, alone)]
+        assert test_trs[0] == test_trs[1]
+
+
+def test_lockstep_chunks_cut_each_strategy_in_key_order():
+    keys = evaluation.enumerate_keys(["BBB", "AAA"], 5, [0, 1], [0.0],
+                                     evaluation.STRATEGIES)
+    chunks = evaluation.lockstep_chunks(keys)
+    assert [len(c) for c in chunks] == [8, 8, 4, 8, 8, 4]
+    for strategy, group in (("no-sentiment", chunks[:3]), ("sentarl", chunks[3:])):
+        assert [k for c in group for k in c] == [k for k in keys if k.strategy == strategy]
+    # the second chunk holds AAA's last window and BBB's first three
+    assert sorted({(k.asset, k.window) for k in chunks[1]}) == [
+        ("AAA", 4), ("BBB", 0), ("BBB", 1), ("BBB", 2)]
+    # the paper's matrix: 20 assets x 5 windows x 5 seeds x 2 costs per strategy
+    paper = evaluation.enumerate_keys([f"A{i:02d}" for i in range(20)], 5, range(5),
+                                      [0.0, 0.0025], evaluation.STRATEGIES)
+    assert len(evaluation.lockstep_chunks(paper)) == 250
+
+
+def two_asset_matrix(out_dir, **kwargs):
+    series = {"AAA": random_walk_series(80, seed=31, asset="AAA"),
+              "BBB": random_walk_series(80, seed=32, asset="BBB", base=60.0)}
+    # 12 agent keys per strategy: a chunk of 8 over AAA's three windows and
+    # BBB's first, then a chunk of 4
+    defaults = dict(window_spec=WindowSpec(train_len=30, test_len=10, stride=10, count=3),
+                    seeds=[0, 1], tc_rates=[0.0025], strategies=list(evaluation.STRATEGIES),
+                    env_config=EnvConfig(w=3, l=2),
+                    a2c_config=A2cConfig(episodes=2, hidden_sizes=(4,)), out_dir=out_dir)
+    defaults.update(kwargs)
+    return run_matrix(series, **defaults)
+
+
+def test_cross_window_chunks_give_the_same_bytes_for_any_workers_and_limit(tmp_path):
+    two_asset_matrix(tmp_path / "w1")
+    straight = (tmp_path / "w1" / "results.csv").read_bytes()
+    two_asset_matrix(tmp_path / "w2", workers=2)
+    assert (tmp_path / "w2" / "results.csv").read_bytes() == straight
+    out = tmp_path / "split"
+    for limit, workers in ((5, 1), (9, 2), (13, 1), (None, 2)):
+        two_asset_matrix(out, limit=limit, workers=workers)
+    assert (out / "results.csv").read_bytes() == straight
+
+
+def test_run_matrix_logs_progress_per_task_without_changing_bytes(tmp_path, caplog):
+    with caplog.at_level(logging.WARNING):
+        matrix(tmp_path / "quiet")
+    assert "progress:" not in caplog.text
+    with caplog.at_level(logging.INFO):
+        matrix(tmp_path / "loud", workers=2)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("progress:")]
+    assert len(lines) == 2  # one per pool task: one chunk per strategy
+    assert lines[-1].startswith("progress: 24/24 keys done (0 failed), ")
+    assert "trials/h, ETA 0 s" in lines[-1]
+    assert ((tmp_path / "loud" / "results.csv").read_bytes()
+            == (tmp_path / "quiet" / "results.csv").read_bytes())
