@@ -16,7 +16,6 @@ they share the env clock, and every rollout array carries that axis too.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -26,6 +25,7 @@ import numpy as np
 
 from .data import AlignedSeries
 from .env import Action, MarketState, TradingEnv, action_from_index, episode_return
+from .files import write_csv
 from .nn import (ACTIVATIONS, ForwardCache, Gradients, Mlp, RmspropState,
                  apply_update, backward, forward, log_softmax, softmax, softmax_sample)
 
@@ -403,13 +403,7 @@ def train(series: AlignedSeries | Sequence[AlignedSeries], env_config, config,
 
 
 def write_training_log(log: Sequence[EpisodeLog], path: str | Path) -> None:
-    """CSV: episode,train_tr,actor_loss,critic_loss,policy_entropy."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode", "train_tr", "actor_loss",
-                         "critic_loss", "policy_entropy"])
-        for row in log:
-            writer.writerow([row.episode, repr(row.train_tr), repr(row.actor_loss),
-                             repr(row.critic_loss), repr(row.policy_entropy)])
+    """CSV, written atomically: episode,train_tr,actor_loss,critic_loss,policy_entropy."""
+    write_csv(path, ["episode", "train_tr", "actor_loss", "critic_loss", "policy_entropy"],
+              ([row.episode, repr(row.train_tr), repr(row.actor_loss),
+                repr(row.critic_loss), repr(row.policy_entropy)] for row in log))

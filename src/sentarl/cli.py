@@ -129,7 +129,6 @@ def cmd_run(config: RunConfig, workers: int | None, resume: bool,
     series_by_asset = {name: _load_cache(config, name)
                        for name in sorted(config.assets)}
     out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     echo = out / "config.echo.json"
     if resume and echo.exists():
         # journal rows are reused only under the config that made them

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from .a2c import A2cConfig
 from .env import EnvConfig
 from .errors import ConfigError
 from .evaluation import STRATEGIES, WindowSpec
+from .files import atomic_open
 from .sentiment import FillPolicy, Grouping
 
 #: Relative output dirs resolve under this root when the variable is set.
@@ -78,6 +80,8 @@ def _number(value: object, where: str, lo: float | None = None,
             hi: float | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN, inf, huge ints
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     if lo is not None and value < lo:
         raise ConfigError(f"{where}: {value} is below the minimum {lo}")
     if hi is not None and value > hi:
@@ -90,6 +94,12 @@ def _integer(value: object, where: str, lo: int | None = None) -> int:
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     if lo is not None and value < lo:
         raise ConfigError(f"{where}: {value} is below the minimum {lo}")
+    return value
+
+
+def _boolean(value: object, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: expected true or false, got {value!r}")
     return value
 
 
@@ -210,7 +220,8 @@ def load_config(path: str | Path, check_paths: bool = True) -> RunConfig:
             max_grad_norm=None if max_norm_raw is None
             else _number(max_norm_raw, "agent.max_grad_norm"),
             optimizer=_string(agent_sec.take("optimizer", "sgd"), "agent.optimizer"),
-            use_n_step_returns=bool(agent_sec.take("use_n_step_returns", False)),
+            use_n_step_returns=_boolean(agent_sec.take("use_n_step_returns", False),
+                                        "agent.use_n_step_returns"),
         )
     except ValueError as exc:
         raise ConfigError(f"agent: {exc}") from exc
@@ -293,11 +304,10 @@ def config_to_json(config: RunConfig) -> dict:
 
 
 def echo_config(config: RunConfig, path: str | Path) -> None:
-    """Write the resolved config next to the run outputs for provenance."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(config_to_json(config), indent=2) + "\n",
-                    encoding="utf-8")
+    """Write the resolved config next to the run outputs for provenance,
+    atomically: a killed run leaves the old echo or the new one."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(config_to_json(config), indent=2) + "\n")
 
 
 #: Echo keys that may change between a run and its resume.

@@ -9,16 +9,16 @@ instants and no gap filling or resampling is performed.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import IngestError
+from .files import read_rows, write_csv
 
 if TYPE_CHECKING:
     from .sentiment import FillPolicy
@@ -62,26 +62,6 @@ def truncate_to_hour(ts: datetime) -> datetime:
     return ts.replace(minute=0, second=0, microsecond=0)
 
 
-def _read_rows(path: str | Path, expected_header: list[str]) -> Iterable[tuple[int, list[str]]]:
-    path = Path(path)
-    if not path.exists():
-        raise IngestError(f"{path}: file does not exist")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}:1: empty file, expected header "
-                              f"{','.join(expected_header)}") from None
-        if [h.strip() for h in header] != expected_header:
-            raise IngestError(
-                f"{path}:1: bad header {header!r}, expected {','.join(expected_header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            yield lineno, row
-
-
 def load_prices(path: str | Path) -> list[PriceRecord]:
     """Load and validate an hourly price CSV.
 
@@ -91,7 +71,7 @@ def load_prices(path: str | Path) -> list[PriceRecord]:
     path = Path(path)
     records: list[PriceRecord] = []
     prev: datetime | None = None
-    for lineno, row in _read_rows(path, PRICE_HEADER):
+    for lineno, row in read_rows(path, PRICE_HEADER):
         if len(row) != 2:
             raise IngestError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
         try:
@@ -119,7 +99,7 @@ def load_headlines(path: str | Path) -> list[HeadlineRecord]:
     """Load a headline CSV; an empty score cell means "score via scorer"."""
     path = Path(path)
     records: list[HeadlineRecord] = []
-    for lineno, row in _read_rows(path, NEWS_HEADER):
+    for lineno, row in read_rows(path, NEWS_HEADER):
         if len(row) != 3:
             raise IngestError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
         try:
@@ -275,23 +255,16 @@ def coverage(series: AlignedSeries) -> float:
 
 
 def save_aligned(series: AlignedSeries, path: str | Path) -> None:
-    """Write the aligned cache CSV (column layout in CACHE_HEADER)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CACHE_HEADER)
-        stamps = np.datetime_as_string(series.timestamps, unit="s")
-        for i in range(len(series)):
-            diff = repr(float(series.diffs[i - 1])) if i > 0 else ""
-            writer.writerow([
-                stamps[i] + "Z",
-                repr(float(series.prices[i])),
-                diff,
-                repr(float(series.hours[i])),
-                repr(float(series.sentiment[i])),
-                "1" if series.has_news[i] else "0",
-            ])
+    """Write the aligned cache CSV (column layout in CACHE_HEADER), atomically."""
+    stamps = np.datetime_as_string(series.timestamps, unit="s")
+    write_csv(path, CACHE_HEADER, ([
+        stamps[i] + "Z",
+        repr(float(series.prices[i])),
+        repr(float(series.diffs[i - 1])) if i > 0 else "",
+        repr(float(series.hours[i])),
+        repr(float(series.sentiment[i])),
+        "1" if series.has_news[i] else "0",
+    ] for i in range(len(series))))
 
 
 def load_aligned(path: str | Path, asset: str | None = None) -> AlignedSeries:
@@ -312,7 +285,7 @@ def load_aligned(path: str | Path, asset: str | None = None) -> AlignedSeries:
     tau: list[float] = []
     sentiment: list[float] = []
     has_news: list[bool] = []
-    for lineno, row in _read_rows(path, CACHE_HEADER):
+    for lineno, row in read_rows(path, CACHE_HEADER):
         if len(row) != 6:
             raise IngestError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
         try:

@@ -14,7 +14,6 @@ tautology.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass, field
@@ -24,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import AlignedSeries
+from .files import write_csv
 
 
 class Action(enum.IntEnum):
@@ -452,18 +452,7 @@ def run_policy(env: TradingEnv, policy: Policy) -> EpisodeResult:
 
 
 def write_equity_csv(equity: Sequence[EquityPoint], path: str | Path) -> None:
-    """Emit ``t,timestamp,action,reward,cost,cum_return`` rows."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "timestamp", "action", "reward", "cost", "cum_return"])
-        for p in equity:
-            writer.writerow([
-                p.t,
-                np.datetime_as_string(p.timestamp, unit="s") + "Z",
-                p.action,
-                repr(p.reward),
-                repr(p.cost),
-                repr(p.cum_return),
-            ])
+    """Emit ``t,timestamp,action,reward,cost,cum_return`` rows atomically."""
+    write_csv(path, ["t", "timestamp", "action", "reward", "cost", "cum_return"],
+              ([p.t, np.datetime_as_string(p.timestamp, unit="s") + "Z", p.action,
+                repr(p.reward), repr(p.cost), repr(p.cum_return)] for p in equity))

@@ -5,11 +5,12 @@ class SentarlError(Exception):
     """Base class for errors raised by this package."""
 
 
-class IngestError(SentarlError):
+class IngestError(SentarlError, ValueError):
     """A data file could not be parsed or failed validation.
 
     Messages include the offending file and, where applicable, the
-    1-based line number.
+    1-based line number. Like a parse error from ``json``, it is also a
+    ValueError.
     """
 
 

@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import logging
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
@@ -31,7 +32,7 @@ from .a2c import A2cConfig, TrainedAgent, greedy_policy, train, write_training_l
 from .data import AlignedSeries, coverage
 from .env import EnvConfig, TradingEnv, baseline_policy, run_policy, write_equity_csv
 from .errors import IngestError
-from .files import atomic_open
+from .files import read_rows, write_csv
 from .nn import save_model
 from .sentiment import series_pulse
 
@@ -235,7 +236,6 @@ def run_agent_trial(key: TrialKey, train_slice: AlignedSeries,
     tr = episode.total_return
     if artifacts_dir is not None:
         stem = _artifact_stem(key)
-        artifacts_dir.mkdir(parents=True, exist_ok=True)
         save_model(agent.policy_net, artifacts_dir / f"{stem}.policy.json")
         save_model(agent.value_net, artifacts_dir / f"{stem}.value.json")
         write_training_log(agent.log, artifacts_dir / f"{stem}.train.csv")
@@ -310,20 +310,15 @@ def enumerate_keys(assets: Iterable[str], window_count: int, seeds: Iterable[int
     return keys
 
 
-def _parse_results(path: Path, text: str) -> list[tuple[TrialResult, list[str]]]:
-    """(result, raw row) per data row; a malformed row is an IngestError
-    naming path:line."""
-    reader = csv.reader(text.splitlines(keepends=True))
-    header = next(reader, None)
-    if header != RESULTS_HEADER:
-        raise ValueError(f"{path}: unexpected header {header}")
+def _parse_results(path: Path) -> list[tuple[TrialResult, list[str]]]:
+    """(result, raw row) per data row; a wrong header or a malformed row is
+    an IngestError naming path:line."""
     parsed = []
-    for row in reader:
+    for lineno, row in read_rows(path, RESULTS_HEADER):
         try:
             parsed.append((parse_result_row(row), row))
         except ValueError as exc:
-            raise IngestError(f"{path}:{reader.line_num}: malformed row "
-                              f"{row!r}: {exc}") from exc
+            raise IngestError(f"{path}:{lineno}: malformed row {row!r}: {exc}") from exc
     return parsed
 
 
@@ -338,21 +333,18 @@ def _read_journal(path: Path) -> dict[TrialKey, list[str]]:
     if not path.exists():
         return {}
     data = path.read_bytes()
-    if data and not data.endswith(b"\n"):
-        keep = data.rfind(b"\n") + 1
+    keep = data.rfind(b"\n") + 1
+    if keep < len(data):
         log.warning("%s:%d: dropping torn last line %r", path,
                     data.count(b"\n") + 1, data[keep:].decode("utf-8", "replace"))
-        with path.open("r+b") as fh:
-            fh.truncate(keep)
-        data = data[:keep]
-    if not data:
+        os.truncate(path, keep)
+    if keep == 0:
         return {}
-    return {result.key: row for result, row in _parse_results(path, data.decode("utf-8"))}
+    return {result.key: row for result, row in _parse_results(path)}
 
 
 def read_results_csv(path: str | Path) -> list[TrialResult]:
-    path = Path(path)
-    return [result for result, _ in _parse_results(path, path.read_text(encoding="utf-8"))]
+    return [result for result, _ in _parse_results(Path(path))]
 
 
 def write_results_csv(rows: Iterable[Sequence[str]], path: Path) -> None:
@@ -360,10 +352,7 @@ def write_results_csv(rows: Iterable[Sequence[str]], path: Path) -> None:
     atomically."""
     ordered = sorted(rows, key=lambda r: (r[0], int(r[1]), int(r[2]),
                                           float(r[3]), r[4]))
-    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_HEADER)
-        writer.writerows(ordered)
+    write_csv(path, RESULTS_HEADER, ordered)
 
 
 def run_matrix(series_by_asset: Mapping[str, AlignedSeries],
@@ -643,27 +632,17 @@ def _cell(value: float | None) -> str:
 
 
 def _write_report(bundle: ReportBundle, out_dir: Path) -> None:
-    with atomic_open(out_dir / "overall.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "tc", "mean_tr", "mean_ar", "sharpe"])
-        for row in bundle.overall:
-            writer.writerow([row.strategy,
-                             "-" if row.tc is None else repr(float(row.tc)),
-                             repr(float(row.mean_tr)), _cell(row.mean_ar),
-                             _cell(row.sharpe)])
+    write_csv(out_dir / "overall.csv", ["strategy", "tc", "mean_tr", "mean_ar", "sharpe"],
+              ([row.strategy, "-" if row.tc is None else repr(float(row.tc)),
+                repr(float(row.mean_tr)), _cell(row.mean_ar), _cell(row.sharpe)]
+               for row in bundle.overall))
     strategies = sorted({s for row in bundle.by_asset
                          for s in row.sharpe_by_strategy})
-    with atomic_open(out_dir / "sharpe_by_asset.csv", "w", newline="",
-                     encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["asset", "tc", *[f"sr_{s}" for s in strategies], "best"])
-        for row in bundle.by_asset:
-            writer.writerow([row.asset, repr(float(row.tc)),
-                             *[_cell(row.sharpe_by_strategy.get(s)) for s in strategies],
-                             row.best or ""])
-    with atomic_open(out_dir / "scatter.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["asset", "coverage", "corr_shift0", "tr_diff"])
-        for row in bundle.scatter:
-            writer.writerow([row.asset, repr(float(row.coverage)),
-                             _cell(row.corr_shift0), _cell(row.tr_diff)])
+    write_csv(out_dir / "sharpe_by_asset.csv",
+              ["asset", "tc", *[f"sr_{s}" for s in strategies], "best"],
+              ([row.asset, repr(float(row.tc)),
+                *[_cell(row.sharpe_by_strategy.get(s)) for s in strategies], row.best or ""]
+               for row in bundle.by_asset))
+    write_csv(out_dir / "scatter.csv", ["asset", "coverage", "corr_shift0", "tr_diff"],
+              ([row.asset, repr(float(row.coverage)), _cell(row.corr_shift0),
+                _cell(row.tr_diff)] for row in bundle.scatter))

@@ -1,11 +1,34 @@
-"""Whole-file writes that replace their target atomically."""
+"""The one file policy: CSV tables are read with their header checked and
+every write replaces its target atomically."""
 
 from __future__ import annotations
 
+import csv
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator, Sequence
+
+from .errors import IngestError
+
+
+def read_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, row) for each non-blank data row of a UTF-8
+    CSV whose first row must be `header`; a missing file, an empty one or
+    a wrong header is an IngestError naming path:line."""
+    path = Path(path)
+    if not path.exists():
+        raise IngestError(f"{path}: file does not exist")
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found is None:
+            raise IngestError(f"{path}:1: empty file, expected header {','.join(header)}")
+        if [h.strip() for h in found] != list(header):
+            raise IngestError(f"{path}:1: bad header {found!r}, expected {','.join(header)}")
+        for lineno, row in enumerate(reader, start=2):
+            if row:
+                yield lineno, row
 
 
 @contextmanager
@@ -27,3 +50,12 @@ def atomic_open(path: str | Path, mode: str = "w", **kwargs) -> Iterator[IO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path: str | Path, header: Sequence[str],
+              rows: Iterable[Sequence[object]]) -> None:
+    """Write `header` then `rows` as a UTF-8 CSV (CRLF line ends), atomically."""
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -9,7 +9,6 @@ configured scorer. The bundled lexicon is a small baseline stand-in.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 import re
@@ -23,6 +22,7 @@ from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 import numpy as np
 
 from .errors import IngestError
+from .files import read_rows, write_csv
 
 if TYPE_CHECKING:
     from .data import AlignedSeries, HeadlineRecord
@@ -94,27 +94,17 @@ class LexiconScorer:
 
 def load_lexicon(path: str | Path) -> dict[str, float]:
     """Read a ``word,weight`` CSV with weights in [-1, 1]."""
-    path = Path(path)
-    if not path.exists():
-        raise IngestError(f"{path}: file does not exist")
     lexicon: dict[str, float] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["word", "weight"]:
-            raise IngestError(f"{path}:1: bad header, expected word,weight")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise IngestError(f"{path}:{lineno}: expected 2 fields")
-            try:
-                weight = float(row[1])
-            except ValueError:
-                raise IngestError(f"{path}:{lineno}: bad weight {row[1]!r}") from None
-            if not -1.0 <= weight <= 1.0:
-                raise IngestError(f"{path}:{lineno}: weight {weight} outside [-1, 1]")
-            lexicon[row[0].strip().lower()] = weight
+    for lineno, row in read_rows(path, ["word", "weight"]):
+        if len(row) != 2:
+            raise IngestError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
+        try:
+            weight = float(row[1])
+        except ValueError:
+            raise IngestError(f"{path}:{lineno}: bad weight {row[1]!r}") from None
+        if not -1.0 <= weight <= 1.0:
+            raise IngestError(f"{path}:{lineno}: weight {weight} outside [-1, 1]")
+        lexicon[row[0].strip().lower()] = weight
     if not lexicon:
         raise IngestError(f"{path}: lexicon holds no words")
     return lexicon
@@ -266,11 +256,8 @@ def series_pulse(series: "AlignedSeries", shifts: Sequence[int] = range(-10, 4))
 
 
 def write_pulse_csv(pulse: CorrelationPulse, path: str | Path) -> None:
-    """Emit ``shift,correlation`` rows; undefined values become empty cells."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["shift", "correlation"])
-        for shift, corr in zip(pulse.shifts, pulse.correlations):
-            writer.writerow([shift, "" if corr is None else repr(corr)])
+    """Emit ``shift,correlation`` rows atomically; undefined values become
+    empty cells."""
+    write_csv(path, ["shift", "correlation"],
+              ([shift, "" if corr is None else repr(corr)]
+               for shift, corr in zip(pulse.shifts, pulse.correlations)))

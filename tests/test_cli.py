@@ -117,6 +117,25 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where, value", [
+    ("agent.entropy_coef", float("nan")),
+    ("agent.max_grad_norm", float("nan")),
+    ("env.phi", float("inf")),
+    pytest.param("env.phi", 10**400, id="env.phi-10**400"),
+    ("tc_rates", [float("nan")]),
+    ("agent.lr_actor", float("inf")),
+    ("agent.use_n_step_returns", "false"),
+])
+def test_config_rejects_non_finite_numbers_and_non_booleans(tmp_path, capsys, where, value):
+    cfg = make_workspace(tmp_path)
+    config = json.loads(cfg.read_text())
+    section, _, key = where.rpartition(".")
+    (config.setdefault(section, {}) if section else config)[key] = value
+    cfg.write_text(json.dumps(config))  # NaN and Infinity, as Python's json writes them
+    assert main(["ingest", "--config", str(cfg)]) == 2
+    assert f"config error: {where}" in capsys.readouterr().err
+
+
 def test_corr_pulse_defaults(tmp_path, capsys):
     cfg = make_workspace(tmp_path)
     main(["ingest", "--config", str(cfg)])
@@ -251,6 +270,23 @@ def test_run_resume_repairs_torn_journal_and_rejects_malformed_rows(tmp_path, ca
 def test_report_missing_results_exits_3(tmp_path, capsys):
     assert main(["report", "--results", str(tmp_path)]) == 3
     assert "no results file" in capsys.readouterr().err
+
+
+def test_report_wrong_results_header_exits_3_naming_line_1(tmp_path, capsys):
+    (tmp_path / "results.csv").write_text("x,y\n1,2\n")
+    assert main(["report", "--results", str(tmp_path)]) == 3
+    assert "results.csv:1: bad header" in capsys.readouterr().err
+
+
+def test_resume_wrong_journal_header_exits_3_naming_line_1(tmp_path, capsys):
+    cfg = make_workspace(tmp_path)
+    main(["ingest", "--config", str(cfg)])
+    assert main(["run", "--config", str(cfg), "--limit", "5"]) == 0
+    journal = tmp_path / "out" / "results.journal.csv"
+    journal.write_bytes(journal.read_bytes().replace(b"trade_count", b"trades", 1))
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--resume"]) == 3
+    assert "results.journal.csv:1: bad header" in capsys.readouterr().err
 
 
 def test_output_root_env(tmp_path, monkeypatch):

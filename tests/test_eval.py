@@ -1,17 +1,23 @@
 """Rolling windows, metrics, matrix runs with resume, and report aggregation."""
 
+import ast
 import csv
+import json
 import logging
 import multiprocessing
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_walk_series
-from sentarl import evaluation, nn
-from sentarl.a2c import A2cConfig
-from sentarl.env import EnvConfig
+import sentarl
+from sentarl import config, evaluation, nn
+from sentarl.a2c import A2cConfig, EpisodeLog, write_training_log
+from sentarl.data import save_aligned
+from sentarl.env import EnvConfig, EquityPoint, write_equity_csv
+from sentarl.sentiment import CorrelationPulse, write_pulse_csv
 from sentarl.nn import Mlp, load_model, save_model
 from sentarl.errors import IngestError
 from sentarl.evaluation import (RESULTS_HEADER, MatrixResult, TrialKey,
@@ -374,10 +380,13 @@ def test_report_files(tmp_path):
 
 
 class Unprintable:
-    """A cell whose text conversion fails, so a CSV write raises midway."""
+    """A cell whose text or float conversion fails, so a CSV write raises
+    midway."""
 
     def __str__(self):
         raise RuntimeError("write failed midway")
+
+    __float__ = __str__
 
 
 def assert_untouched(directory, name, old):
@@ -422,3 +431,99 @@ def test_model_write_that_raises_keeps_the_old_bytes(tmp_path, monkeypatch):
         save_model(Mlp.create((3, 2), np.random.default_rng(1)), tmp_path / "m.json")
     assert_untouched(tmp_path, "m.json", old)
     assert np.array_equal(load_model(tmp_path / "m.json").flat, net.flat)
+
+
+def test_cache_write_that_raises_midway_keeps_the_old_bytes(tmp_path):
+    series = random_walk_series(10)
+    save_aligned(series, tmp_path / "A.aligned.csv")
+    old = (tmp_path / "A.aligned.csv").read_bytes()
+    series.prices = np.array([*series.prices[:4], Unprintable(), *series.prices[5:]],
+                             dtype=object)
+    with pytest.raises(RuntimeError, match="midway"):
+        save_aligned(series, tmp_path / "A.aligned.csv")
+    assert_untouched(tmp_path, "A.aligned.csv", old)
+
+
+def test_pulse_write_that_raises_midway_keeps_the_old_bytes(tmp_path):
+    write_pulse_csv(CorrelationPulse([-1, 0, 1], [0.5, None, -0.25]), tmp_path / "A.pulse.csv")
+    old = (tmp_path / "A.pulse.csv").read_bytes()
+    with pytest.raises(RuntimeError, match="midway"):
+        write_pulse_csv(CorrelationPulse([-1, Unprintable(), 1], [0.5, None, -0.25]),
+                        tmp_path / "A.pulse.csv")
+    assert_untouched(tmp_path, "A.pulse.csv", old)
+
+
+def test_training_log_write_that_raises_midway_keeps_the_old_bytes(tmp_path):
+    log = [EpisodeLog(0, 0.1, -0.2, 0.3, 1.05), EpisodeLog(1, 0.2, -0.1, 0.2, 1.01)]
+    write_training_log(log, tmp_path / "k.train.csv")
+    old = (tmp_path / "k.train.csv").read_bytes()
+    with pytest.raises(RuntimeError, match="midway"):
+        write_training_log([log[0], EpisodeLog(Unprintable(), 0.2, -0.1, 0.2, 1.01)],
+                           tmp_path / "k.train.csv")
+    assert_untouched(tmp_path, "k.train.csv", old)
+
+
+def test_equity_write_that_raises_midway_keeps_the_old_bytes(tmp_path):
+    stamp = np.datetime64("2021-01-04T00:00:00", "s")
+    curve = [EquityPoint(t, stamp + t * 3600, 1, 0.5 * t, 0.0, 0.01 * t) for t in range(3)]
+    write_equity_csv(curve, tmp_path / "k.equity.csv")
+    old = (tmp_path / "k.equity.csv").read_bytes()
+    curve[2] = EquityPoint(Unprintable(), stamp, 1, 0.0, 0.0, 0.0)
+    with pytest.raises(RuntimeError, match="midway"):
+        write_equity_csv(curve, tmp_path / "k.equity.csv")
+    assert_untouched(tmp_path, "k.equity.csv", old)
+
+
+def test_config_echo_write_that_raises_midway_keeps_the_old_bytes(tmp_path, monkeypatch):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"assets": {"AAA": {"prices": "p.csv"}},
+                                "output_dir": str(tmp_path)}))
+    run_config = config.load_config(path, check_paths=False)
+    config.echo_config(run_config, tmp_path / "config.echo.json")
+    old = (tmp_path / "config.echo.json").read_bytes()
+    # a lone surrogate cannot be encoded, so the write itself fails
+    monkeypatch.setattr(config.json, "dumps", lambda obj, **kwargs: '{"torn": "\ud800"}')
+    with pytest.raises(UnicodeEncodeError):
+        config.echo_config(run_config, tmp_path / "config.echo.json")
+    assert_untouched(tmp_path, "config.echo.json", old)
+
+
+def _file_writes(tree):
+    """(line, mode) of each call that writes a file or builds a CSV writer;
+    the mode is "?" where it is not a string literal."""
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("write_text", "write_bytes"):
+            yield call.lineno, name
+        elif name == "writer":
+            yield call.lineno, "csv.writer"
+        elif name == "open":
+            position = 0 if isinstance(func, ast.Attribute) else 1  # Path.open or open
+            modes = call.args[position:position + 1]
+            modes += [kw.value for kw in call.keywords if kw.arg == "mode"]
+            for node in modes:
+                literal = isinstance(node, ast.Constant) and isinstance(node.value, str)
+                mode = node.value if literal else "?"
+                if set(mode) & set("wxa+?"):
+                    yield call.lineno, mode
+
+
+def test_only_the_files_module_writes_files():
+    """Every write goes through sentarl.files, atomically; the one
+    exception is the journal, which run_matrix appends to."""
+    offenders = []
+    for source in sorted(Path(sentarl.__file__).parent.glob("*.py")):
+        if source.name == "files.py":
+            continue
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        journal = [node for node in ast.walk(tree) if source.name == "evaluation.py"
+                   and isinstance(node, ast.FunctionDef) and node.name == "run_matrix"]
+        for line, mode in _file_writes(tree):
+            appends = mode in ("a", "csv.writer") and any(
+                f.lineno <= line <= f.end_lineno for f in journal)
+            if not appends:
+                offenders.append(f"{source.name}:{line} {mode}")
+    assert offenders == []
