@@ -2,7 +2,7 @@
 
 from .a2c import (A2cConfig, EpisodeLog, TrainedAgent, Transition, act_greedy,
                   act_sample, actor_update, advantage, critic_update,
-                  greedy_policy, train)
+                  greedy_episodes, greedy_policy, train)
 from .data import (AlignedSeries, HeadlineRecord, PriceRecord, align,
                    compute_diffs, coverage, load_aligned, load_headlines,
                    load_prices, save_aligned)

@@ -24,7 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .data import AlignedSeries
-from .env import Action, MarketState, TradingEnv, action_from_index, episode_return
+from .env import (Action, EpisodeResult, MarketState, TradingEnv, action_from_index,
+                  episode_return)
 from .files import write_csv
 from .nn import (ACTIVATIONS, ForwardCache, Gradients, Mlp, RmspropState,
                  apply_update, backward, forward, log_softmax, softmax, softmax_sample)
@@ -255,22 +256,31 @@ def act_sample(state: MarketState, policy_net: Mlp,
     return action_from_index(index)
 
 
-#: Greedy tie-break preference: Neutral, then Long, then Short.
-_GREEDY_ORDER = (1, 2, 0)
+#: Greedy tie-break preference: Neutral, then Long, then Short. An argmax
+#: over the probabilities taken in this order picks the first best one.
+_GREEDY_ORDER = np.array([1, 2, 0])
 
 
 def act_greedy(state: MarketState, policy_net: Mlp) -> Action:
-    logits, _ = forward(policy_net, state.to_vector())
-    probs = softmax(logits)
-    best = float(np.max(probs))
-    for index in _GREEDY_ORDER:
-        if probs[index] == best:
-            return action_from_index(index)
-    raise AssertionError("unreachable: max must be attained")
+    probs = softmax(forward(policy_net, state.to_vector())[0])
+    return action_from_index(_GREEDY_ORDER[np.argmax(probs[_GREEDY_ORDER])])
 
 
 def greedy_policy(policy_net: Mlp):
     return lambda state: act_greedy(state, policy_net)
+
+
+def greedy_episodes(env: TradingEnv, policy: Mlp) -> list[EpisodeResult]:
+    """Run a stacked env to its end, trial k acting greedily under net k of
+    the stack `policy`. Trial k's result has the bits of
+    ``run_policy(TradingEnv(series_k, config_k), greedy_policy(net_k))``."""
+    obs = env.reset()
+    for _ in range(env.steps):
+        probs = softmax(forward(policy, obs)[0])
+        env.step(_GREEDY_ORDER[np.argmax(probs[:, _GREEDY_ORDER], axis=-1)], out=obs)
+    return [EpisodeResult(env.rewards[k].tolist(), env.actions[k].tolist(),
+                          float(env.psi[k]), env.equity_curve(k))
+            for k in range(env.trials)]
 
 
 @dataclass

@@ -21,6 +21,7 @@ from pathlib import Path
 from . import data, evaluation, sentiment
 from .config import RESUMABLE_KEYS, RunConfig, echo_config, echo_differences, load_config
 from .errors import ConfigError, IngestError, SentarlError
+from .files import run_lock
 
 log = logging.getLogger("sentarl")
 
@@ -126,52 +127,53 @@ def _print_overall(bundle: evaluation.ReportBundle) -> None:
 
 def cmd_run(config: RunConfig, workers: int | None, resume: bool,
             limit: int | None) -> int:
-    series_by_asset = {name: _load_cache(config, name)
-                       for name in sorted(config.assets)}
-    out = config.output_dir
-    echo = out / "config.echo.json"
-    if resume and echo.exists():
-        # journal rows are reused only under the config that made them
-        differing = echo_differences(config, echo)
-        if differing:
-            raise ConfigError(
-                f"--resume: the config differs from the run's echo {echo} in "
-                f"{', '.join(differing)} (only {' and '.join(RESUMABLE_KEYS)} may "
-                f"change); rerun without --resume to start over")
-    echo_config(config, echo)
-    if not resume:
-        for stale in (out / "results.journal.csv", out / "results.csv"):
-            stale.unlink(missing_ok=True)
-    matrix = evaluation.run_matrix(
-        series_by_asset,
-        config.windows,
-        seeds=config.seeds,
-        tc_rates=config.tc_rates,
-        strategies=config.strategies,
-        env_config=config.env,
-        a2c_config=config.agent,
-        out_dir=out,
-        workers=workers if workers is not None else config.workers,
-        limit=limit,
-        artifacts=True,
-    )
-    if matrix.failures:
-        for failure in matrix.failures:
-            k = failure.key
-            print(f"FAILED {k.asset} window={k.window} seed={k.seed} "
-                  f"tc={k.tc} {k.strategy}: {failure.error}", file=sys.stderr)
-        print(f"{len(matrix.failures)} trial(s) failed; "
-              f"rerun with --resume to retry", file=sys.stderr)
-        return EXIT_TRIALS
-    if matrix.pending:
-        print(f"{matrix.pending} trial(s) still pending (limit reached); "
-              f"rerun with --resume to continue")
+    with run_lock(config.output_dir):
+        series_by_asset = {name: _load_cache(config, name)
+                           for name in sorted(config.assets)}
+        out = config.output_dir
+        echo = out / "config.echo.json"
+        if resume and echo.exists():
+            # journal rows are reused only under the config that made them
+            differing = echo_differences(config, echo)
+            if differing:
+                raise ConfigError(
+                    f"--resume: the config differs from the run's echo {echo} in "
+                    f"{', '.join(differing)} (only {' and '.join(RESUMABLE_KEYS)} may "
+                    f"change); rerun without --resume to start over")
+        echo_config(config, echo)
+        if not resume:
+            for stale in (out / "results.journal.csv", out / "results.csv"):
+                stale.unlink(missing_ok=True)
+        matrix = evaluation.run_matrix(
+            series_by_asset,
+            config.windows,
+            seeds=config.seeds,
+            tc_rates=config.tc_rates,
+            strategies=config.strategies,
+            env_config=config.env,
+            a2c_config=config.agent,
+            out_dir=out,
+            workers=workers if workers is not None else config.workers,
+            limit=limit,
+            artifacts=True,
+        )
+        if matrix.failures:
+            for failure in matrix.failures:
+                k = failure.key
+                print(f"FAILED {k.asset} window={k.window} seed={k.seed} "
+                      f"tc={k.tc} {k.strategy}: {failure.error}", file=sys.stderr)
+            print(f"{len(matrix.failures)} trial(s) failed; "
+                  f"rerun with --resume to retry", file=sys.stderr)
+            return EXIT_TRIALS
+        if matrix.pending:
+            print(f"{matrix.pending} trial(s) still pending (limit reached); "
+                  f"rerun with --resume to continue")
+            return EXIT_OK
+        bundle = evaluation.report(matrix.results, series_by_asset,
+                                   out_dir=out / "report")
+        print(f"{len(matrix.results)} trials complete; results in {out / 'results.csv'}")
+        _print_overall(bundle)
         return EXIT_OK
-    bundle = evaluation.report(matrix.results, series_by_asset,
-                               out_dir=out / "report")
-    print(f"{len(matrix.results)} trials complete; results in {out / 'results.csv'}")
-    _print_overall(bundle)
-    return EXIT_OK
 
 
 def cmd_report(results_dir: Path, shift: int) -> int:

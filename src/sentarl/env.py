@@ -301,6 +301,11 @@ class TradingEnv:
         """The current episode's rewards so far ((K, steps so far) for a stack)."""
         return self._rewards[..., :self._n]
 
+    @property
+    def actions(self) -> np.ndarray:
+        """The current episode's action values so far, shaped like `rewards`."""
+        return self._actions[..., :self._n]
+
     def _at(self, channel: np.ndarray, t: int) -> float | np.ndarray:
         """Each trial's value of a (U, T) channel at grid index t."""
         value = channel[:, t][self._row]
@@ -361,22 +366,24 @@ class TradingEnv:
             info={"price": price, "diff": diff, "cost_paid": cost},
         )
 
-    def equity_curve(self) -> list[EquityPoint]:
-        """The current episode's steps so far, built at the time of the call.
+    def equity_curve(self, trial: int | None = None) -> list[EquityPoint]:
+        """The current episode's steps so far, built at the time of the call;
+        a stack builds the curve of trial index `trial`.
 
         cum_return of step i is ``(fsum(rewards[:i]) + rewards[i]) / psi``,
         so the export costs O(steps^2) additions; training never calls it.
-        A single env only.
         """
-        if self.trials is not None:
-            raise ValueError("equity_curve() is built for a single env, not a stack")
-        rewards = self._rewards[:self._n].tolist()
-        costs = self._costs[:self._n].tolist()
-        actions = self._actions[:self._n].tolist()
+        if (trial is None) != (self.trials is None):
+            raise ValueError("equity_curve() takes a trial index on a stack only")
+        series, psi, row = ((self.series, self.psi, ()) if trial is None else
+                             (self.series[trial], float(self.psi[trial]), (trial,)))
+        rewards = self._rewards[row][:self._n].tolist()
+        costs = self._costs[row][:self._n].tolist()
+        actions = self._actions[row][:self._n].tolist()
         t0 = self.start_index
-        return [EquityPoint(t=t0 + i, timestamp=self.series.timestamps[t0 + i],
+        return [EquityPoint(t=t0 + i, timestamp=series.timestamps[t0 + i],
                             action=actions[i], reward=r, cost=costs[i],
-                            cum_return=(math.fsum(rewards[:i]) + r) / self.psi)
+                            cum_return=(math.fsum(rewards[:i]) + r) / psi)
                 for i, r in enumerate(rewards)]
 
 
@@ -392,13 +399,11 @@ def baseline_policy(kind: str, seed: int | None = None) -> Policy:
     """Deterministic (or seeded-random) reference policies.
 
     Kinds: ``buy-and-hold`` (Long every step; run it with tc_rate forced to
-    0 since holding has no transactions), ``always-short``,
-    ``always-neutral``, and ``random``.
+    0 since holding has no transactions), ``always-neutral``, and
+    ``random``.
     """
     if kind == "buy-and-hold":
         return lambda state: Action.LONG
-    if kind == "always-short":
-        return lambda state: Action.SHORT
     if kind == "always-neutral":
         return lambda state: Action.NEUTRAL
     if kind == "random":
@@ -438,21 +443,16 @@ class EpisodeResult:
 def run_policy(env: TradingEnv, policy: Policy) -> EpisodeResult:
     """Reset the environment and drive it to the end with the policy."""
     state = env.reset()
-    rewards: list[float] = []
-    actions: list[int] = []
-    done = False
-    while not done:
-        action = policy(state)
-        outcome = env.step(action)
-        rewards.append(outcome.reward)
-        actions.append(int(action))
-        state = outcome.next_state
-        done = outcome.done
-    return EpisodeResult(rewards, actions, env.psi, env.equity_curve())
+    while not env.done:
+        state = env.step(policy(state)).next_state
+    return EpisodeResult(env.rewards.tolist(), env.actions.tolist(), env.psi,
+                         env.equity_curve())
 
 
 def write_equity_csv(equity: Sequence[EquityPoint], path: str | Path) -> None:
     """Emit ``t,timestamp,action,reward,cost,cum_return`` rows atomically."""
+    stamps = np.datetime_as_string(
+        np.array([p.timestamp for p in equity], dtype="datetime64[s]"), unit="s")
     write_csv(path, ["t", "timestamp", "action", "reward", "cost", "cum_return"],
-              ([p.t, np.datetime_as_string(p.timestamp, unit="s") + "Z", p.action,
-                repr(p.reward), repr(p.cost), repr(p.cum_return)] for p in equity))
+              ([p.t, stamp + "Z", p.action, repr(p.reward), repr(p.cost),
+                repr(p.cum_return)] for p, stamp in zip(equity, stamps)))

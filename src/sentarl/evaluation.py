@@ -28,12 +28,14 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .a2c import A2cConfig, TrainedAgent, greedy_policy, train, write_training_log
+from .a2c import (A2cConfig, TrainedAgent, greedy_episodes, greedy_policy, train,
+                  write_training_log)
 from .data import AlignedSeries, coverage
-from .env import EnvConfig, TradingEnv, baseline_policy, run_policy, write_equity_csv
+from .env import (EnvConfig, EpisodeResult, TradingEnv, baseline_policy, run_policy,
+                  write_equity_csv)
 from .errors import IngestError
 from .files import read_rows, write_csv
-from .nn import save_model
+from .nn import Mlp, save_model
 from .sentiment import series_pulse
 
 log = logging.getLogger(__name__)
@@ -222,16 +224,18 @@ def run_agent_trial(key: TrialKey, train_slice: AlignedSeries,
                     test_slice: AlignedSeries, env_config: EnvConfig,
                     a2c_config: A2cConfig,
                     artifacts_dir: Path | None = None,
-                    agent: TrainedAgent | None = None) -> TrialResult:
+                    agent: TrainedAgent | None = None,
+                    episode: EpisodeResult | None = None) -> TrialResult:
     """Train on the train slice, evaluate the greedy policy on the test slice.
 
-    An agent already trained for this key skips the training.
+    An agent already trained for this key skips the training, and its
+    greedy test episode, if already run, the test.
     """
     env_cfg, agent_cfg = _trial_configs(key, env_config, a2c_config)
     if agent is None:
         agent = train(train_slice, env_cfg, agent_cfg)
-    test_env = TradingEnv(test_slice, env_cfg)
-    episode = run_policy(test_env, greedy_policy(agent.policy_net))
+    if episode is None:
+        episode = run_policy(TradingEnv(test_slice, env_cfg), greedy_policy(agent.policy_net))
     days = test_slice.trading_days()
     tr = episode.total_return
     if artifacts_dir is not None:
@@ -266,28 +270,33 @@ def lockstep_chunks(keys: Iterable[TrialKey]) -> list[list[TrialKey]]:
 
 
 def _chunk_worker(args) -> list[tuple[str, TrialKey, object]]:
-    """Pool entry point: train one chunk's keys in lockstep, then test each
-    key. Returns one ('ok', key, result) or ('fail', key, message) record
-    per key.
+    """Pool entry point: train one chunk's keys in lockstep, run their
+    greedy test episodes as one stack, then finish each key. Returns one
+    ('ok', key, result) or ('fail', key, message) record per key.
 
     `slices` maps each (asset, window) of the chunk to its (train, test)
-    slices, so each is pickled once. If the lockstep training raises, each
-    key is retrained alone, so every key gets its own result or its own
-    error.
+    slices, so each is pickled once. If the lockstep training (or the
+    stacked test) raises, each key is retrained (or tested) alone, so every
+    key gets its own result or its own error.
     """
     keys, slices, env_cfg, a2c_cfg, artifacts_dir = args
+    agents = episodes = [None] * len(keys)
     try:
         env_cfgs, agent_cfgs = zip(*(_trial_configs(k, env_cfg, a2c_cfg) for k in keys))
         agents = train([slices[k.asset, k.window][0] for k in keys], env_cfgs, agent_cfgs)
+        test_env = TradingEnv([slices[k.asset, k.window][1] for k in keys], env_cfgs)
+        episodes = greedy_episodes(test_env, Mlp.stack([a.policy_net for a in agents]))
     except Exception as exc:
-        log.warning("lockstep training of %d trial(s) failed (%s: %s); "
-                    "training them one by one", len(keys), type(exc).__name__, exc)
-        agents = [None] * len(keys)
+        stage, redo = (("lockstep training", "training") if agents[0] is None
+                       else ("stacked test episodes", "testing"))
+        log.warning("%s of %d trial(s) failed (%s: %s); %s them one by one",
+                    stage, len(keys), type(exc).__name__, exc, redo)
     records = []
-    for key, agent in zip(keys, agents):
+    for key, agent, episode in zip(keys, agents, episodes):
         try:
             result = run_agent_trial(key, *slices[key.asset, key.window], env_cfg,
-                                     a2c_cfg, artifacts_dir, agent=agent)
+                                     a2c_cfg, artifacts_dir, agent=agent,
+                                     episode=episode)
             records.append(("ok", key, result))
         except Exception as exc:  # per-trial isolation: the matrix continues
             records.append(("fail", key, f"{type(exc).__name__}: {exc}"))

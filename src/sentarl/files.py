@@ -1,15 +1,16 @@
-"""The one file policy: CSV tables are read with their header checked and
-every write replaces its target atomically."""
+"""The one file policy: CSV tables are read with their header checked, every
+write replaces its target atomically, and one run holds an output directory."""
 
 from __future__ import annotations
 
 import csv
+import fcntl
 import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
-from .errors import IngestError
+from .errors import ConfigError, IngestError
 
 
 def read_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
@@ -59,3 +60,29 @@ def write_csv(path: str | Path, header: Sequence[str],
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+@contextmanager
+def run_lock(directory: str | Path) -> Iterator[None]:
+    """Hold `<directory>/.sentarl.lock` for the block, with this pid written
+    in it; the kernel drops the lock if the process dies. Once it is held,
+    each `.<name>.<pid>.tmp` under `directory` whose pid is dead is removed.
+    A lock another process holds is a ConfigError naming that pid."""
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    with open(Path(directory) / ".sentarl.lock", "a+", encoding="ascii") as fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            fh.seek(0)
+            raise ConfigError(f"{directory} is in use by another sentarl run "
+                              f"(pid {fh.read().strip() or '?'})") from None
+        fh.truncate(0)
+        print(os.getpid(), file=fh, flush=True)
+        for tmp in Path(directory).rglob(".*.tmp"):
+            try:
+                os.kill(int(tmp.name.split(".")[-2]), 0)
+            except (ProcessLookupError, OverflowError):
+                tmp.unlink(missing_ok=True)
+            except (PermissionError, ValueError):  # another user's live pid, or no pid
+                pass
+        yield

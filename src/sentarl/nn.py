@@ -14,6 +14,7 @@ reduction and elementwise op computes slice by slice).
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import ModelFormatError, NonFiniteGradientError
 from .files import atomic_open
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 ACTIVATIONS = ("tanh", "relu")
 
 
@@ -434,19 +435,29 @@ def fd_gradients(net: Mlp, x: np.ndarray, loss_weights: np.ndarray,
     return grads
 
 
+def _encode(array: np.ndarray) -> str:
+    return base64.b64encode(np.asarray(array, "<f8").tobytes()).decode("ascii")
+
+
+def _decode(text: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
+
+
 def serialize(net: Mlp) -> bytes:
-    """Versioned JSON container with full float64 round-trip fidelity."""
+    """Versioned JSON container holding each array's "<f8" bytes in base64."""
     payload = {
         "format_version": FORMAT_VERSION,
         "layer_sizes": list(net.layer_sizes),
         "activation": net.activation,
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
+        "dtype": "<f8",
+        "weights": [_encode(w) for w in net.weights],
+        "biases": [_encode(b) for b in net.biases],
     }
     return json.dumps(payload).encode("utf-8")
 
 
 def deserialize(data: bytes) -> Mlp:
+    """A net from a version 2 container, or a version 1 one (float lists)."""
     try:
         payload = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -454,16 +465,24 @@ def deserialize(data: bytes) -> Mlp:
     if not isinstance(payload, dict):
         raise ModelFormatError("model container must be a JSON object")
     version = payload.get("format_version")
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise ModelFormatError(f"unsupported format_version {version!r}, "
-                               f"expected {FORMAT_VERSION}")
+                               f"expected 1 or {FORMAT_VERSION}")
     for key in ("layer_sizes", "activation", "weights", "biases"):
         if key not in payload:
             raise ModelFormatError(f"model container missing key {key!r}")
     try:
-        weights = [np.asarray(w, dtype=float) for w in payload["weights"]]
-        biases = [np.asarray(b, dtype=float) for b in payload["biases"]]
-        return Mlp(tuple(payload["layer_sizes"]), weights, biases, payload["activation"])
+        sizes = tuple(payload["layer_sizes"])
+        if version == 1:
+            weights = [np.asarray(w, dtype=float) for w in payload["weights"]]
+            biases = [np.asarray(b, dtype=float) for b in payload["biases"]]
+        elif payload.get("dtype") != "<f8":
+            raise ValueError(f"dtype {payload.get('dtype')!r} is not '<f8'")
+        else:
+            weights = [_decode(w).reshape(shape) for w, shape
+                       in zip(payload["weights"], zip(sizes, sizes[1:]), strict=True)]
+            biases = [_decode(b) for b in payload["biases"]]
+        return Mlp(sizes, weights, biases, payload["activation"])
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"invalid model parameters: {exc}") from exc
 

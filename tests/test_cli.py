@@ -1,5 +1,6 @@
 """End-to-end command tests driven through main(argv) in process."""
 
+import fcntl
 import json
 import logging
 import os
@@ -366,3 +367,49 @@ def test_run_progress_goes_to_stderr_unless_quiet(tmp_path):
     assert "progress: 6/6 keys done (0 failed)" in loud[0]
     assert "progress" not in quiet[0]
     assert loud[1] == quiet[1]
+
+
+def test_run_refuses_an_output_dir_another_run_holds(tmp_path, capsys):
+    cfg = make_workspace(tmp_path)
+    main(["ingest", "--config", str(cfg)])
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--limit", "5"]) == 0
+    before = {name: (out / name).read_bytes()
+              for name in ("results.journal.csv", "config.echo.json")}
+    # a second open file description of the lock file holds the lock, as
+    # another process would; a run needs it exclusively, so a shared hold
+    # refuses it too
+    for mode in (fcntl.LOCK_EX, fcntl.LOCK_SH):
+        with open(out / ".sentarl.lock", "a+") as holder:
+            fcntl.flock(holder, mode | fcntl.LOCK_NB)
+            holder.truncate(0)
+            holder.write("4242\n")
+            holder.flush()
+            capsys.readouterr()
+            assert main(["run", "--config", str(cfg), "--resume"]) == 2
+            assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error: ") == 2 and "pid 4242" in err
+    assert {name: (out / name).read_bytes() for name in before} == before
+    assert not (out / "results.csv").exists()
+    # once released, the run goes ahead and leaves its own pid in the file
+    assert main(["run", "--config", str(cfg), "--resume"]) == 0
+    assert (out / "results.csv").exists()
+    assert (out / ".sentarl.lock").read_text() == f"{os.getpid()}\n"
+
+
+def test_run_sweeps_the_temp_files_of_dead_writers(tmp_path):
+    cfg = make_workspace(tmp_path, seeds=[0])
+    main(["ingest", "--config", str(cfg)])
+    dead = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                          capture_output=True, text=True, check=True).stdout.strip()
+    artifacts = tmp_path / "out" / "artifacts"
+    artifacts.mkdir(parents=True)
+    stale = artifacts / f".AAA_w0.equity.csv.{dead}.tmp"
+    live = artifacts / f".AAA_w1.equity.csv.{os.getpid()}.tmp"
+    other = tmp_path / "out" / ".notes.tmp"
+    for path in (stale, live, other):
+        path.write_text("partial")
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert not stale.exists()
+    assert live.exists() and other.exists()

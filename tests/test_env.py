@@ -243,6 +243,28 @@ def test_equity_csv_export(tmp_path):
     assert float(last[-1]) == pytest.approx(result.total_return, rel=1e-12)
 
 
+@pytest.mark.parametrize("unit", ["s", "ms", "ns"])
+def test_equity_csv_timestamps_match_the_per_row_conversion(tmp_path, unit):
+    from sentarl.env import EquityPoint
+    # whole seconds, then fractional ones (truncated to the second), before
+    # and after the epoch
+    stamps = [np.datetime64("2021-01-04T00:00:00", unit) + np.timedelta64(i, "h")
+              for i in range(3)]
+    if unit != "s":
+        stamps += [np.datetime64("2021-01-04T10:11:12.999", unit),
+                   np.datetime64("1969-12-31T23:59:59.5", unit)]
+    curve = [EquityPoint(i, ts, (-1, 0, 1)[i % 3], 0.1 * i, 0.003 * i, -0.02 * i)
+             for i, ts in enumerate(stamps)]
+    path = tmp_path / "equity.csv"
+    write_equity_csv(curve, path)
+    rows = ["t,timestamp,action,reward,cost,cum_return"] + [
+        f"{p.t},{np.datetime_as_string(p.timestamp, unit='s')}Z,{p.action},"
+        f"{p.reward!r},{p.cost!r},{p.cum_return!r}" for p in curve]
+    assert path.read_bytes() == "".join(r + "\r\n" for r in rows).encode()
+    write_equity_csv([], path)
+    assert path.read_bytes() == b"t,timestamp,action,reward,cost,cum_return\r\n"
+
+
 def test_equity_curve_built_at_export():
     series = random_walk_series(60, seed=18)
     env = TradingEnv(series, EnvConfig(w=3, l=2, tc_rate=0.0025))

@@ -286,6 +286,23 @@ def test_run_matrix_journals_in_completion_order(tmp_path, monkeypatch):
     assert agent_keys[0] != slow
 
 
+def test_agent_test_episodes_never_run_one_by_one(monkeypatch):
+    """Agent keys test in stacked episodes; run_policy serves only the one
+    buy-and-hold episode per (asset, window)."""
+    real = evaluation.run_policy
+    calls = []
+
+    def counting(env, policy):
+        calls.append(env.config)
+        return real(env, policy)
+
+    monkeypatch.setattr(evaluation, "run_policy", counting)
+    out = small_matrix(tc_rates=[0.0, 0.0025])
+    assert not out.failures and len(out.results) == 2 * 2 * 2 * 3
+    assert len(calls) == SMALL_WINDOWS.count
+    assert all(c.tc_rate == 0.0 and not c.use_sentiment for c in calls)
+
+
 def test_run_matrix_artifacts(tmp_path):
     small_matrix(out_dir=tmp_path, seeds=[0], artifacts=True)
     stems = {p.name for p in (tmp_path / "artifacts").iterdir()}

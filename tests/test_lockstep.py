@@ -9,8 +9,8 @@ import pytest
 
 from conftest import random_walk_series
 from sentarl import a2c, evaluation
-from sentarl.a2c import A2cConfig, greedy_policy, train
-from sentarl.env import EnvConfig, TradingEnv, action_from_index, run_policy
+from sentarl.a2c import A2cConfig, greedy_episodes, greedy_policy, train
+from sentarl.env import Action, EnvConfig, TradingEnv, action_from_index, run_policy
 from sentarl.errors import NonFiniteGradientError
 from sentarl.evaluation import TrialKey, WindowSpec, result_row, run_matrix
 from sentarl.nn import (ACTIVATIONS, Gradients, Mlp, RmspropState, apply_update,
@@ -316,6 +316,85 @@ def test_env_stack_matches_single_envs(cost_mode, use_sentiment):
     first = stack.reset()
     assert first is not buf
     assert np.array_equal(first, [e.reset().to_vector() for e in singles])
+
+
+# ------------------------------------------------ stacked greedy test episodes
+
+
+def tie_net(dim, biases):
+    """A net with zero weights and the given output biases: every state
+    gets the same probabilities."""
+    net = Mlp.create((dim, 5, 3), np.random.default_rng(0))
+    net.flat[:] = 0.0
+    net.biases[-1][:] = biases
+    return net
+
+
+@pytest.mark.parametrize("cost_mode", ["proportional", "fixed-per-unit"])
+@pytest.mark.parametrize("use_sentiment", [True, False])
+def test_greedy_episodes_match_single_greedy_runs(cost_mode, use_sentiment):
+    series = random_walk_series(120, seed=23)
+    windows = [series.slice(0, 40), series.slice(40, 80), series.slice(80, 120)]
+    trials = [(windows[0], 0.0), (windows[1], 0.0025), (windows[2], 0.01),
+              (windows[0], 0.0025), (windows[1], 0.0), (windows[2], 0.0025)]
+    cfgs = [EnvConfig(w=4, l=3, tc_rate=tc, cost_mode=cost_mode,
+                      use_sentiment=use_sentiment) for _, tc in trials]
+    dim = cfgs[0].state_dim
+    nets = [Mlp.create((dim, 5, 3), np.random.default_rng(s)) for s in range(4)]
+    # all three tied: Neutral wins; Long and Short tied above Neutral: Long wins
+    nets += [tie_net(dim, [0.0, 0.0, 0.0]), tie_net(dim, [1.0, 0.0, 1.0])]
+    got = greedy_episodes(TradingEnv([s for s, _ in trials], cfgs), Mlp.stack(nets))
+    assert len(got) == len(trials)
+    for (s, _), cfg, net, episode in zip(trials, cfgs, nets, got):
+        want = run_policy(TradingEnv(s, cfg), greedy_policy(net))
+        # repr compares bits and types (a numpy float would print differently)
+        assert repr(episode.rewards) == repr(want.rewards)
+        assert episode.actions == want.actions
+        assert repr(episode.psi) == repr(want.psi)
+        assert episode.trade_count == want.trade_count
+        assert repr(episode.total_return) == repr(want.total_return)
+        assert repr(episode.equity) == repr(want.equity)
+    assert set(got[4].actions) == {0} and got[4].trade_count == 0
+    assert set(got[5].actions) == {1} and got[5].trade_count == 1
+    # the random nets do not all hold one position
+    assert len({a for episode in got[:4] for a in episode.actions}) > 1
+
+
+def test_equity_curve_takes_a_trial_index_on_a_stack_only():
+    series = random_walk_series(40, seed=5)
+    cfg = EnvConfig(w=3, l=2)
+    stack, single = TradingEnv(series, [cfg, cfg]), TradingEnv(series, cfg)
+    stack.reset()
+    single.reset()
+    stack.step([2, 0])
+    single.step(Action.LONG)
+    assert stack.actions.tolist() == [[1], [-1]] and single.actions.tolist() == [1]
+    assert repr(stack.equity_curve(0)) == repr(single.equity_curve())
+    for env, bad in ((stack, None), (single, 0)):
+        with pytest.raises(ValueError, match="trial index"):
+            env.equity_curve(bad)
+
+
+def test_stacked_test_fault_falls_back_to_single_tests(tmp_path, monkeypatch, caplog):
+    matrix(tmp_path / "stacked", artifacts=True)
+    stacked_sizes = []
+
+    def failing(env, policy):
+        stacked_sizes.append(env.trials)
+        raise FloatingPointError("injected fault")
+
+    monkeypatch.setattr(evaluation, "greedy_episodes", failing)
+    with caplog.at_level(logging.WARNING):
+        out = matrix(tmp_path / "single", artifacts=True)
+    assert "testing them one by one" in caplog.text
+    assert stacked_sizes == [8, 8] and not out.failures
+    # the single test episodes write the same results and artifacts
+    files = {run: {p.relative_to(tmp_path / run): p.read_bytes()
+                   for p in (tmp_path / run).rglob("*") if p.is_file()
+                   and p.name != "results.journal.csv"}
+             for run in ("stacked", "single")}
+    assert len(files["single"]) == 1 + 4 * 16
+    assert files["single"] == files["stacked"]
 
 
 def test_env_stack_rejects_trials_that_cannot_share_a_clock():

@@ -318,6 +318,34 @@ def test_deserialize_rejects_bad_version_and_missing_keys():
         deserialize(b"[1, 2, 3]")
 
 
+def test_serialize_writes_version_2_and_still_reads_version_1():
+    net = Mlp.create([5, 4, 3], np.random.default_rng(14))
+    payload = json.loads(serialize(net))
+    assert payload["format_version"] == 2 and payload["dtype"] == "<f8"
+    assert all(isinstance(a, str) for a in payload["weights"] + payload["biases"])
+    v1 = {"format_version": 1, "layer_sizes": [5, 4, 3], "activation": "tanh",
+          "weights": [w.tolist() for w in net.weights],
+          "biases": [b.tolist() for b in net.biases]}
+    assert np.array_equal(deserialize(json.dumps(v1).encode()).flat, net.flat)
+
+
+def test_deserialize_rejects_bad_base64_and_wrong_byte_counts():
+    net = Mlp.create([3, 4, 2], np.random.default_rng(15))
+    payload = json.loads(serialize(net))
+    bad_weights = [("!" + payload["weights"][0][1:], payload["weights"][1]),
+                   (payload["weights"][0][:-4], payload["weights"][1]),
+                   (payload["weights"][1], payload["weights"][0]),
+                   (payload["weights"][0],),
+                   (*payload["weights"], payload["weights"][1])]
+    for weights in bad_weights:
+        with pytest.raises(ModelFormatError, match="invalid model parameters"):
+            deserialize(json.dumps(dict(payload, weights=list(weights))).encode())
+    with pytest.raises(ModelFormatError, match="invalid model parameters"):
+        deserialize(json.dumps(dict(payload, biases=payload["biases"][::-1])).encode())
+    with pytest.raises(ModelFormatError, match="dtype"):
+        deserialize(json.dumps(dict(payload, dtype=">f8")).encode())
+
+
 def test_deserialize_rejects_shape_mismatch():
     net = Mlp.create([3, 2], np.random.default_rng(12))
     payload = json.loads(serialize(net))
