@@ -61,11 +61,12 @@ def _ingest_asset(config: RunConfig, name: str) -> data.AlignedSeries:
 
 def cmd_ingest(config: RunConfig, asset: str | None) -> int:
     names = [asset] if asset else sorted(config.assets)
-    for name in names:
-        if name not in config.assets:
-            raise ConfigError(f"asset {name!r} is not in the config "
-                              f"(have: {sorted(config.assets)})")
-        _ingest_asset(config, name)
+    with run_lock(config.output_dir):  # a run may be reading the caches
+        for name in names:
+            if name not in config.assets:
+                raise ConfigError(f"asset {name!r} is not in the config "
+                                  f"(have: {sorted(config.assets)})")
+            _ingest_asset(config, name)
     return EXIT_OK
 
 
@@ -142,8 +143,7 @@ def cmd_run(config: RunConfig, workers: int | None, resume: bool,
                     f"change); rerun without --resume to start over")
         echo_config(config, echo)
         if not resume:
-            for stale in (out / "results.journal.csv", out / "results.csv"):
-                stale.unlink(missing_ok=True)
+            evaluation.remove_outputs(out)
         matrix = evaluation.run_matrix(
             series_by_asset,
             config.windows,

@@ -178,9 +178,12 @@ def load_config(path: str | Path, check_paths: bool = True) -> RunConfig:
 
     try:
         grouping = Grouping.parse(_string(top.take("grouping", "min"), "grouping"))
+    except ValueError as exc:
+        raise ConfigError(f"grouping: {exc}") from exc
+    try:
         fill = FillPolicy.parse(_string(top.take("fill", "neutral-zero"), "fill"))
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"fill: {exc}") from exc
 
     env_sec = _Section(top.take("env", {}), "env")
     try:

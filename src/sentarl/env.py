@@ -83,8 +83,12 @@ class EnvConfig:
             raise ValueError("phi must be positive")
         if self.tc_rate < 0:
             raise ValueError("tc_rate must be non-negative")
-        if self.diff_stats is not None and self.diff_stats[1] <= 0:
-            raise ValueError("diff_stats std must be positive")
+        if self.diff_stats is not None:
+            stats = tuple(map(float, self.diff_stats))
+            if len(stats) != 2 or not all(map(math.isfinite, stats)) or stats[1] <= 0:
+                raise ValueError("diff_stats must be two finite numbers (mean, std) "
+                                 f"with std > 0, got {self.diff_stats!r}")
+            object.__setattr__(self, "diff_stats", stats)
 
     @property
     def state_dim(self) -> int:
@@ -143,16 +147,11 @@ class EquityPoint:
     cum_return: float
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    view = array.view()
-    view.flags.writeable = False
-    return view
-
-
 def _rows(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays as the read-only rows of one (U, n) array; a view of the
-    array itself when there is only one, so a shared series is not copied."""
-    return _read_only(arrays[0][None] if len(arrays) == 1 else np.stack(arrays))
+    """The arrays as the read-only rows of one (K, n) array."""
+    rows = np.stack(arrays)
+    rows.flags.writeable = False
+    return rows
 
 
 class TradingEnv:
@@ -204,29 +203,19 @@ class TradingEnv:
         self._w, self._l, self._phi = first.w, first.l, first.phi
         self._use_sentiment, self._dim = first.use_sentiment, first.state_dim
         self._proportional = first.cost_mode is CostMode.PROPORTIONAL
-        # Each distinct (series, diff_stats) is one row of the channel arrays
-        # below; _row picks every trial's row (an int when all share one).
-        rows: dict[tuple, int] = {}
-        distinct: list[tuple[AlignedSeries, tuple[float, float] | None]] = []
-        trial_rows = []
-        for s, c in zip(series_list, configs):
-            stats = None if c.diff_stats is None else tuple(c.diff_stats)
-            if (id(s), stats) not in rows:
-                rows[id(s), stats] = len(distinct)
-                distinct.append((s, stats))
-            trial_rows.append(rows[id(s), stats])
-        self._row = 0 if len(distinct) == 1 else np.array(trial_rows)
-        state_diffs = [s.diffs if stats is None else (s.diffs - stats[0]) / stats[1]
-                       for s, stats in distinct]
-        self._prices = _rows([s.prices for s, _ in distinct])
-        self._diffs = _rows([s.diffs for s, _ in distinct])
+        # Each channel holds one row per trial; its diff_stats scale its state diffs.
+        self._prices = _rows([s.prices for s in series_list])
+        self._diffs = _rows([s.diffs for s in series_list])
+        state_diffs = [s.diffs if c.diff_stats is None
+                       else (s.diffs - c.diff_stats[0]) / c.diff_stats[1]
+                       for s, c in zip(series_list, configs)]
         # Observations hold slices of these read-only reversed views; column
         # `_end - t` of each holds grid index t's newest value.
         self._end = len(series_list[0]) - 1
         self._diffs_rev, self._hours_rev, self._sentiment_rev = (
             _rows(arrays)[:, ::-1] for arrays in (
-                state_diffs, [s.hours for s, _ in distinct],
-                [s.sentiment for s, _ in distinct]))
+                state_diffs, [s.hours for s in series_list],
+                [s.sentiment for s in series_list]))
         psi = [c.phi * float(s.prices[0]) for s, c in zip(series_list, configs)]
         tc = [c.tc_rate for c in configs]
         self.psi = np.array(psi) if stacked else psi[0]
@@ -272,7 +261,7 @@ class TradingEnv:
         # diffs[j] is z at grid index j + 1, so the reversed diffs hold z_t
         # (diffs[t - 1]) at the same column where the hours hold hours[t]
         i = self._end - self.t
-        w, l, row = self._w, self._l, self._row
+        w, l = self._w, self._l
         if self.trials is None:
             sent_win = self._sentiment_rev[0, i:i + l] if self._use_sentiment else None
             return MarketState(self._diffs_rev[0, i:i + w], self._hours_rev[0, i:i + w],
@@ -281,10 +270,10 @@ class TradingEnv:
             out = np.empty((*self._lead, self._dim))
         col = 0
         if self._use_sentiment:
-            out[:, :l] = self._sentiment_rev[row, i:i + l]
+            out[:, :l] = self._sentiment_rev[:, i:i + l]
             col = l
-        out[:, col:col + w] = self._diffs_rev[row, i:i + w]
-        out[:, col + w:col + 2 * w] = self._hours_rev[row, i:i + w]
+        out[:, col:col + w] = self._diffs_rev[:, i:i + w]
+        out[:, col + w:col + 2 * w] = self._hours_rev[:, i:i + w]
         out[:, -1] = self.last_action
         return out
 
@@ -307,9 +296,8 @@ class TradingEnv:
         return self._actions[..., :self._n]
 
     def _at(self, channel: np.ndarray, t: int) -> float | np.ndarray:
-        """Each trial's value of a (U, T) channel at grid index t."""
-        value = channel[:, t][self._row]
-        return float(value) if self.trials is None else value
+        """Each trial's value of a (K, T) channel at grid index t."""
+        return float(channel[0, t]) if self.trials is None else channel[:, t]
 
     @property
     def wealth(self) -> float | np.ndarray:

@@ -42,6 +42,9 @@ log = logging.getLogger(__name__)
 
 STRATEGIES = ("buy-and-hold", "no-sentiment", "sentarl")
 RESULTS_HEADER = ["asset", "window", "seed", "tc", "strategy", "tr", "ar", "trade_count"]
+#: The files a run writes under artifacts/ (one per suffix per trial) and report/.
+ARTIFACT_SUFFIXES = (".policy.json", ".value.json", ".train.csv", ".equity.csv")
+REPORT_FILES = ("overall.csv", "sharpe_by_asset.csv", "scatter.csv")
 
 
 # ---------------------------------------------------------------- windows
@@ -208,11 +211,6 @@ def run_buy_and_hold(test_slice: AlignedSeries, env_config: EnvConfig) -> tuple[
     return result.total_return, _safe_ar(result.total_return, days), result.trade_count
 
 
-def _artifact_stem(key: TrialKey) -> str:
-    return (f"{key.asset}_w{key.window}_s{key.seed}"
-            f"_tc{repr(float(key.tc))}_{key.strategy}")
-
-
 def _trial_configs(key: TrialKey, env_config: EnvConfig,
                    a2c_config: A2cConfig) -> tuple[EnvConfig, A2cConfig]:
     return (dataclasses.replace(env_config, tc_rate=key.tc,
@@ -239,11 +237,13 @@ def run_agent_trial(key: TrialKey, train_slice: AlignedSeries,
     days = test_slice.trading_days()
     tr = episode.total_return
     if artifacts_dir is not None:
-        stem = _artifact_stem(key)
-        save_model(agent.policy_net, artifacts_dir / f"{stem}.policy.json")
-        save_model(agent.value_net, artifacts_dir / f"{stem}.value.json")
-        write_training_log(agent.log, artifacts_dir / f"{stem}.train.csv")
-        write_equity_csv(episode.equity, artifacts_dir / f"{stem}.equity.csv")
+        stem = f"{key.asset}_w{key.window}_s{key.seed}_tc{float(key.tc)!r}_{key.strategy}"
+        policy, value, train_log, equity = (artifacts_dir / f"{stem}{suffix}"
+                                            for suffix in ARTIFACT_SUFFIXES)
+        save_model(agent.policy_net, policy)
+        save_model(agent.value_net, value)
+        write_training_log(agent.log, train_log)
+        write_equity_csv(episode.equity, equity)
     return TrialResult(key.asset, key.window, key.seed, key.tc, key.strategy,
                        tr, _safe_ar(tr, days), episode.trade_count)
 
@@ -362,6 +362,14 @@ def write_results_csv(rows: Iterable[Sequence[str]], path: Path) -> None:
     ordered = sorted(rows, key=lambda r: (r[0], int(r[1]), int(r[2]),
                                           float(r[3]), r[4]))
     write_csv(path, RESULTS_HEADER, ordered)
+
+
+def remove_outputs(out_dir: Path) -> None:
+    """Delete the files an earlier run wrote into out_dir, and no other file."""
+    artifacts = [p for s in ARTIFACT_SUFFIXES for p in (out_dir / "artifacts").glob(f"*{s}")]
+    for path in [out_dir / "results.journal.csv", out_dir / "results.csv", *artifacts,
+                 *(out_dir / "report" / name for name in REPORT_FILES)]:
+        path.unlink(missing_ok=True)
 
 
 def run_matrix(series_by_asset: Mapping[str, AlignedSeries],
@@ -641,17 +649,18 @@ def _cell(value: float | None) -> str:
 
 
 def _write_report(bundle: ReportBundle, out_dir: Path) -> None:
-    write_csv(out_dir / "overall.csv", ["strategy", "tc", "mean_tr", "mean_ar", "sharpe"],
+    overall, by_asset, scatter = (out_dir / name for name in REPORT_FILES)
+    write_csv(overall, ["strategy", "tc", "mean_tr", "mean_ar", "sharpe"],
               ([row.strategy, "-" if row.tc is None else repr(float(row.tc)),
                 repr(float(row.mean_tr)), _cell(row.mean_ar), _cell(row.sharpe)]
                for row in bundle.overall))
     strategies = sorted({s for row in bundle.by_asset
                          for s in row.sharpe_by_strategy})
-    write_csv(out_dir / "sharpe_by_asset.csv",
+    write_csv(by_asset,
               ["asset", "tc", *[f"sr_{s}" for s in strategies], "best"],
               ([row.asset, repr(float(row.tc)),
                 *[_cell(row.sharpe_by_strategy.get(s)) for s in strategies], row.best or ""]
                for row in bundle.by_asset))
-    write_csv(out_dir / "scatter.csv", ["asset", "coverage", "corr_shift0", "tr_diff"],
+    write_csv(scatter, ["asset", "coverage", "corr_shift0", "tr_diff"],
               ([row.asset, repr(float(row.coverage)), _cell(row.corr_shift0),
                 _cell(row.tr_diff)] for row in bundle.scatter))

@@ -137,6 +137,40 @@ def test_config_rejects_non_finite_numbers_and_non_booleans(tmp_path, capsys, wh
     assert f"config error: {where}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where, value, message", [
+    ("env", [20], "env: expected an object"),
+    ("assets.AAA", {"news": "news_AAA.csv"}, "assets.AAA: missing required key 'prices'"),
+    ("assets", {}, "assets: at least one asset is required"),
+    ("assets", {"A B": {"prices": "prices_AAA.csv"}}, "assets: invalid asset name 'A B'"),
+    ("assets.AAA.prices", "missing.csv", "assets.AAA.prices: file not found"),
+    ("lexicon", "missing.csv", "lexicon: file not found"),
+    ("env.w", 2.5, "env.w: expected an integer"),
+    ("env.w", 0, "env.w: 0 is below the minimum 1"),
+    ("agent.gamma", 1.5, "agent.gamma: 1.5 exceeds the maximum 1.0"),
+    ("agent.activation", 3, "agent.activation: expected a string"),
+    ("agent.hidden_sizes", 64, "agent.hidden_sizes: expected a list"),
+    ("tc_rates", [], "tc_rates: expected a non-empty list"),
+    ("seeds", [], "seeds: expected a non-empty list"),
+    ("strategies", [], "strategies: expected a non-empty list"),
+    ("strategies", ["sentarl", "momentum"], "strategies: unknown ['momentum']"),
+    ("windows.stride", 5, "windows: stride must be >= test_len"),
+    ("grouping", "median", "grouping: unknown grouping method 'median'"),
+    ("fill", "backfill", "fill: unknown fill policy 'backfill'"),
+])
+def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, where, value, message):
+    cfg = make_workspace(tmp_path)
+    config = json.loads(cfg.read_text())
+    *path, key = where.split(".")
+    node = config
+    for part in path:
+        node = node.setdefault(part, {})
+    node[key] = value
+    cfg.write_text(json.dumps(config))
+    assert main(["ingest", "--config", str(cfg)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "caches").exists()
+
+
 def test_corr_pulse_defaults(tmp_path, capsys):
     cfg = make_workspace(tmp_path)
     main(["ingest", "--config", str(cfg)])
@@ -413,3 +447,58 @@ def test_run_sweeps_the_temp_files_of_dead_writers(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 0
     assert not stale.exists()
     assert live.exists() and other.exists()
+
+
+def test_ingest_refuses_an_output_dir_another_run_holds(tmp_path, capsys):
+    cfg = make_workspace(tmp_path)
+    assert main(["ingest", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    cache = out / "caches" / "AAA.aligned.csv"
+    before = cache.read_bytes()
+    # new prices, so an ingest that went ahead would change the cache
+    prices = tmp_path / "prices_AAA.csv"
+    lines = prices.read_text().splitlines()
+    prices.write_text("\n".join([*lines[:-1], lines[-1].rsplit(",", 1)[0] + ",123.0"]) + "\n")
+    with open(out / ".sentarl.lock", "a+") as holder:
+        fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        holder.truncate(0)
+        holder.write("4242\n")
+        holder.flush()
+        capsys.readouterr()
+        assert main(["ingest", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: " in err and "pid 4242" in err
+    assert cache.read_bytes() == before
+    assert main(["ingest", "--config", str(cfg)]) == 0
+    assert cache.read_bytes() != before
+
+
+def test_fresh_run_removes_the_outputs_of_an_earlier_run(tmp_path):
+    cfg = make_workspace(tmp_path)  # seeds 0 and 1
+    main(["ingest", "--config", str(cfg)])
+    out = tmp_path / "out"
+    artifacts, report = out / "artifacts", out / "report"
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert any("_s1_" in p.name for p in artifacts.iterdir())
+    # files sentarl does not write stay where they are
+    foreign = [artifacts / "notes.txt", artifacts / "AAA.policy.json.bak",
+               report / "mine.csv", out / "notes.txt"]
+    for path in foreign:
+        path.write_text("keep")
+    config = json.loads(cfg.read_text())
+    config["seeds"] = [0]
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg)]) == 0
+    straight = {p.name: p.read_bytes() for p in artifacts.iterdir() if "_s0_" in p.name}
+    assert not [p.name for p in artifacts.iterdir() if "_s1_" in p.name]
+    assert len(straight) == 4 * 4  # 2 windows x 2 learning strategies x 4 files
+    assert all(path.read_text() == "keep" for path in foreign)
+    # a capped fresh run clears the old report; --resume keeps the first call's files
+    assert main(["run", "--config", str(cfg), "--limit", "3"]) == 0
+    assert not [name for name in evaluation.REPORT_FILES if (report / name).exists()]
+    first = {p.name: p.stat().st_ino for p in artifacts.iterdir() if "_s0_" in p.name}
+    assert len(first) == 2 * 4
+    assert main(["run", "--config", str(cfg), "--resume"]) == 0
+    assert {p.name: p.stat().st_ino for p in artifacts.iterdir() if p.name in first} == first
+    assert {p.name: p.read_bytes() for p in artifacts.iterdir() if "_s0_" in p.name} == straight
+    assert all(path.read_text() == "keep" for path in foreign)

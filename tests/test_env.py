@@ -311,3 +311,16 @@ def test_env_config_validation():
     with pytest.raises(ValueError):
         EnvConfig(cost_mode="percentage")
     assert EnvConfig(cost_mode=CostMode.FIXED_PER_UNIT).cost_mode is CostMode.FIXED_PER_UNIT
+
+
+@pytest.mark.parametrize("stats", [(0.0,), (0.0, 1.0, 2.0), (math.nan, 1.0), (0.0, math.nan),
+                                   (0.0, math.inf), (-math.inf, 1.0), (0.0, 0.0),
+                                   (0.0, -1.0)])
+def test_env_config_rejects_bad_diff_stats(stats):
+    with pytest.raises(ValueError, match="diff_stats"):
+        EnvConfig(diff_stats=stats)
+
+
+def test_env_config_stores_diff_stats_as_float_tuple():
+    stats = EnvConfig(diff_stats=[1, np.float64(2.5)]).diff_stats
+    assert stats == (1.0, 2.5) and all(type(v) is float for v in stats)
