@@ -27,8 +27,8 @@ from .data import AlignedSeries
 from .env import (Action, EpisodeResult, MarketState, TradingEnv, action_from_index,
                   episode_return)
 from .files import write_csv
-from .nn import (ACTIVATIONS, ForwardCache, Gradients, Mlp, RmspropState,
-                 apply_update, backward, forward, log_softmax, softmax, softmax_sample)
+from .nn import (ACTIVATIONS, ForwardCache, Gradients, Mlp, RmspropState, apply_update,
+                 backward, forward, log_softmax, softmax, softmax_draw, softmax_sample)
 
 OPTIMIZERS = ("sgd", "rmsprop")
 
@@ -120,10 +120,12 @@ class Batch:
     """One flush of rollout rows as arrays, any trial axis leading.
 
     `states` is the value forward's input: rows [0, n) are the states and
-    rows [n, 2n) the next states. `actions`, `rewards` and `log_probs` hold
-    one entry per row, `dones` one flag per row (the trials share the clock).
-    critic_update records its TD residuals in `advantages`: they are the
-    actor's advantages, from the same forward as the critic's gradient.
+    the last n rows the next states (2n rows, or n + 1 from a rollout).
+    `actions`, `rewards` and `log_probs` hold one entry per step, `dones`
+    one flag per step (the trials share the clock). critic_update records
+    its TD residuals in `advantages`: they are the actor's advantages, from
+    the same forward as the critic's gradient. A rollout's `policy_forward`
+    holds the policy's logits and forward cache of the n states.
     """
 
     states: np.ndarray
@@ -132,6 +134,7 @@ class Batch:
     dones: np.ndarray
     log_probs: np.ndarray
     advantages: np.ndarray | None = None
+    policy_forward: tuple[np.ndarray, ForwardCache] | None = None
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.rewards).all():
@@ -172,7 +175,7 @@ def _targets(batch: Batch | Sequence[Transition], value_net: Mlp, config: A2cCon
     batch = Batch.of(batch)
     n = len(batch)
     if next_values is None:
-        next_values = forward(value_net, batch.states[..., n:, :])[0][..., 0]
+        next_values = forward(value_net, batch.states[..., -n:, :])[0][..., 0]
     rewards = batch.rewards
     if config.use_n_step_returns:
         ret = 0.0 if batch.dones[-1] else next_values[..., -1]
@@ -188,13 +191,13 @@ def _td_residuals(batch: Batch | Sequence[Transition], value_net: Mlp,
                   config: A2cConfig) -> tuple[np.ndarray, ForwardCache]:
     """target - V(s) per transition (the advantages), and the forward cache.
 
-    One value forward runs over the stacked states and next states; cache
-    rows [0, n) are the states.
+    One value forward runs over the batch's distinct states and next
+    states; cache rows [0, n) are the states.
     """
     batch = Batch.of(batch)
     n = len(batch)
     values, cache = forward(value_net, batch.states)
-    return (_targets(batch, value_net, config, values[..., n:, 0])
+    return (_targets(batch, value_net, config, values[..., -n:, 0])
             - values[..., :n, 0]), cache
 
 
@@ -210,11 +213,10 @@ def critic_update(batch: Batch | Sequence[Transition], value_net: Mlp, config: A
     loss = np.mean(residuals * residuals, axis=-1)
     if not np.isfinite(loss).all():
         raise ValueError("non-finite critic loss")
-    # ascent direction of -MSE: d(-L)/d(out) = 2 * residual / n; next-state
-    # rows of the stacked forward carry no gradient
-    out_grad = np.zeros((*residuals.shape[:-1], 2 * n, 1))
-    out_grad[..., :n, 0] = 2.0 * residuals / n
-    grads = backward(value_net, cache, out_grad, out=value_net.grad)
+    # ascent direction of -MSE: d(-L)/d(out) = 2 * residual / n, back through
+    # the state rows only (the next states carry no gradient)
+    states = ForwardCache(cache.layer_sizes, [h[..., :n, :] for h in cache.inputs], False)
+    grads = backward(value_net, states, (2.0 * residuals / n)[..., None], out=value_net.grad)
     apply_update(value_net, grads, config.lr_critic,
                  optimizer_state=optimizer_state, clip_norm=config.max_grad_norm)
     return _scalar(loss)
@@ -225,7 +227,8 @@ def actor_update(batch: Batch | Sequence[Transition], policy_net: Mlp,
                  optimizer_state: RmspropState | None = None) -> float | np.ndarray:
     """One ascent step on mean(A * ln pi) plus the entropy bonus.
 
-    Advantages are constants here (no gradient flows through them).
+    Advantages are constants here (no gradient flows through them). A
+    batch's `policy_forward`, when set, stands in for the policy forward.
     Returns the conventional actor loss -mean(A * ln pi) for logging.
     """
     batch = Batch.of(batch)
@@ -233,7 +236,7 @@ def actor_update(batch: Batch | Sequence[Transition], policy_net: Mlp,
     adv = np.asarray(advantages, dtype=float)
     if adv.shape[-1:] != (n,):
         raise ValueError("need one advantage per transition")
-    logits, cache = forward(policy_net, batch.states[..., :n, :])
+    logits, cache = batch.policy_forward or forward(policy_net, batch.states[..., :n, :])
     probs = softmax(logits)
     taken = batch.actions
     onehot = taken[..., None] == np.arange(probs.shape[-1])
@@ -306,6 +309,45 @@ def _weighted_mean(pairs: list[tuple[float, int]]) -> float:
     return math.fsum(v * n for v, n in pairs) / total
 
 
+def _rollout(env: TradingEnv, policy: Mlp, uniforms: np.ndarray,
+             states: np.ndarray) -> tuple[Batch, np.ndarray]:
+    """Step a stacked env through a flush of m steps, one per column of the
+    (K, m) uniforms, writing its m + 1 observations into `states`.
+
+    Only the last action in a state is endogenous, and the policy is fixed
+    within a flush: one forward over the m states, each with each previous
+    action, gives a (K, m, 3, 3) logits table, and step j draws from row
+    (j, previous action) by softmax_sample's rule. The env takes the m
+    actions as one block. Returns the flush's Batch, its policy_forward the
+    taken table rows, and those rows' probabilities.
+    """
+    trials, m = uniforms.shape
+    obs = env.observe(states[:, :m + 1])
+    candidates = np.repeat(obs[:, :m, None], 3, axis=2)
+    candidates[..., -1] = (-1.0, 0.0, 1.0)  # the previous actions, in index order
+    logits, cache = forward(policy, candidates.reshape(trials, 3 * m, -1))
+    draws, log_probs, probs = softmax_draw(logits.reshape(trials, m, 3, 3),
+                                           uniforms[..., None])
+    # each trial's previous action index, then its m draws, one lookup each
+    chain = [[prev] for prev in (env.last_action + 1).tolist()]
+    for path, table in zip(chain, draws.tolist()):
+        for row in table:
+            path.append(row[path[-1]])
+    chain = np.array(chain)
+    actions = chain[:, 1:]
+    env.step(actions)
+    obs[:, 1:, -1] = actions - 1
+    # the taken (step, previous action) rows of the table
+    picked = (np.arange(trials)[:, None], np.arange(m), chain[:, :-1])
+    dones = np.zeros(m, dtype=bool)
+    dones[-1] = env.done
+    taken = ForwardCache(cache.layer_sizes, [h.reshape(trials, m, 3, -1)[picked]
+                                             for h in cache.inputs], False)
+    return (Batch(obs, actions, env.rewards[:, -m:], dones, log_probs[(*picked, actions)],
+                  policy_forward=(logits.reshape(trials, m, 3, 3)[picked], taken)),
+            probs[picked])
+
+
 def train(series: AlignedSeries | Sequence[AlignedSeries], env_config, config,
           policy_net: Mlp | None = None, value_net: Mlp | None = None):
     """Run `episodes` full passes over the series and return the nets + log.
@@ -357,13 +399,9 @@ def train(series: AlignedSeries | Sequence[AlignedSeries], env_config, config,
         policy_opt = RmspropState.create(policy)
         value_opt = RmspropState.create(value)
 
-    # Rollout buffers, one row per trial: row j + 1 of `states` is the
-    # observation after step j of the batch, which the env writes in place.
+    # one row per trial: a flush of m steps reads its m + 1 observations here
     n_steps = base.n_steps
     states = np.empty((trials, n_steps + 1, dim))
-    taken = np.empty((trials, n_steps), dtype=np.int64)
-    log_probs = np.empty((trials, n_steps))
-    probs = np.empty((trials, n_steps, 3))
     entropies = np.empty((trials, env.steps))
     psi = env.psi.tolist()
     logs: list[list[EpisodeLog]] = [[] for _ in range(trials)]
@@ -371,30 +409,16 @@ def train(series: AlignedSeries | Sequence[AlignedSeries], env_config, config,
         env.reset(out=states[:, 0])
         actor_losses: list[tuple[np.ndarray, int]] = []
         critic_losses: list[tuple[np.ndarray, int]] = []
-        t = j = 0
-        done = False
-        while not done:
-            if j == 0:
-                # each generator's variates up to the next flush, drawn in
-                # one call: the numbers one call per step would give
-                uniforms = np.stack([g.random(min(n_steps, env.steps - t)) for g in rngs],
-                                    axis=1)
-            logits, _ = forward(policy, states[:, j])
-            taken[:, j], log_probs[:, j], probs[:, j] = softmax_sample(logits, uniforms[j])
-            done = env.step(taken[:, j], out=states[:, j + 1]).done
-            j += 1
-            t += 1
-            if j == n_steps or done:
-                dones = np.zeros(j, dtype=bool)
-                dones[-1] = done
-                batch = Batch(np.concatenate([states[:, :j], states[:, 1:j + 1]], axis=1),
-                              taken[:, :j], env.rewards[:, t - j:], dones, log_probs[:, :j])
-                entropies[:, t - j:t] = _entropy(probs[:, :j])
-                critic_losses.append((critic_update(batch, value, base, value_opt), j))
-                actor_losses.append((actor_update(batch, policy, batch.advantages, base,
-                                                  policy_opt), j))
-                states[:, 0] = states[:, j]
-                j = 0
+        for t in range(0, env.steps, n_steps):
+            m = min(n_steps, env.steps - t)
+            # each generator's variates for the flush, drawn in one call:
+            # the numbers one call per step would give
+            batch, probs = _rollout(env, policy, np.stack([g.random(m) for g in rngs]),
+                                    states)
+            entropies[:, t:t + m] = _entropy(probs)
+            critic_losses.append((critic_update(batch, value, base, value_opt), m))
+            actor_losses.append((actor_update(batch, policy, batch.advantages, base,
+                                              policy_opt), m))
         # each trial's entropies are one contiguous row, so each mean sums
         # in the same order
         entropy = entropies.mean(axis=-1)

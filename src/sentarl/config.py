@@ -109,6 +109,16 @@ def _string(value: object, where: str) -> str:
     return value
 
 
+def _build(cls, section: str, fields: dict):
+    """cls(**fields), each field checked alone first so its error names its key."""
+    for key, value in fields.items():
+        try:
+            cls(**{key: value})
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{key}: {exc}") from exc
+    return cls(**fields)
+
+
 def resolve_output_dir(raw: str) -> Path:
     """Apply the output-root override to relative paths; absolute paths win.
 
@@ -186,15 +196,12 @@ def load_config(path: str | Path, check_paths: bool = True) -> RunConfig:
         raise ConfigError(f"fill: {exc}") from exc
 
     env_sec = _Section(top.take("env", {}), "env")
-    try:
-        env = EnvConfig(
-            w=_integer(env_sec.take("w", 20), "env.w", lo=1),
-            l=_integer(env_sec.take("l", 5), "env.l", lo=0),
-            phi=_number(env_sec.take("phi", 1.0), "env.phi"),
-            cost_mode=_string(env_sec.take("cost_mode", "proportional"), "env.cost_mode"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"env: {exc}") from exc
+    env = _build(EnvConfig, "env", dict(
+        w=_integer(env_sec.take("w", 20), "env.w", lo=1),
+        l=_integer(env_sec.take("l", 5), "env.l", lo=0),
+        phi=_number(env_sec.take("phi", 1.0), "env.phi"),
+        cost_mode=_string(env_sec.take("cost_mode", "proportional"), "env.cost_mode"),
+    ))
     env_sec.finish()
 
     tc_raw = top.take("tc_rates", [0.0, 0.0025])
@@ -208,26 +215,23 @@ def load_config(path: str | Path, check_paths: bool = True) -> RunConfig:
     if not isinstance(hidden_raw, list):
         raise ConfigError("agent.hidden_sizes: expected a list")
     max_norm_raw = agent_sec.take("max_grad_norm", None)
-    try:
-        agent = A2cConfig(
-            gamma=_number(agent_sec.take("gamma", 0.99), "agent.gamma", lo=0.0, hi=1.0),
-            lr_actor=_number(agent_sec.take("lr_actor", 7e-4), "agent.lr_actor"),
-            lr_critic=_number(agent_sec.take("lr_critic", 7e-4), "agent.lr_critic"),
-            n_steps=_integer(agent_sec.take("n_steps", 5), "agent.n_steps", lo=1),
-            episodes=_integer(agent_sec.take("episodes", 100), "agent.episodes", lo=1),
-            entropy_coef=_number(agent_sec.take("entropy_coef", 0.0),
-                                 "agent.entropy_coef", lo=0.0),
-            hidden_sizes=tuple(_integer(h, f"agent.hidden_sizes[{i}]", lo=1)
-                               for i, h in enumerate(hidden_raw)),
-            activation=_string(agent_sec.take("activation", "tanh"), "agent.activation"),
-            max_grad_norm=None if max_norm_raw is None
-            else _number(max_norm_raw, "agent.max_grad_norm"),
-            optimizer=_string(agent_sec.take("optimizer", "sgd"), "agent.optimizer"),
-            use_n_step_returns=_boolean(agent_sec.take("use_n_step_returns", False),
-                                        "agent.use_n_step_returns"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"agent: {exc}") from exc
+    agent = _build(A2cConfig, "agent", dict(
+        gamma=_number(agent_sec.take("gamma", 0.99), "agent.gamma", lo=0.0, hi=1.0),
+        lr_actor=_number(agent_sec.take("lr_actor", 7e-4), "agent.lr_actor"),
+        lr_critic=_number(agent_sec.take("lr_critic", 7e-4), "agent.lr_critic"),
+        n_steps=_integer(agent_sec.take("n_steps", 5), "agent.n_steps", lo=1),
+        episodes=_integer(agent_sec.take("episodes", 100), "agent.episodes", lo=1),
+        entropy_coef=_number(agent_sec.take("entropy_coef", 0.0),
+                             "agent.entropy_coef", lo=0.0),
+        hidden_sizes=tuple(_integer(h, f"agent.hidden_sizes[{i}]", lo=1)
+                           for i, h in enumerate(hidden_raw)),
+        activation=_string(agent_sec.take("activation", "tanh"), "agent.activation"),
+        max_grad_norm=None if max_norm_raw is None
+        else _number(max_norm_raw, "agent.max_grad_norm"),
+        optimizer=_string(agent_sec.take("optimizer", "sgd"), "agent.optimizer"),
+        use_n_step_returns=_boolean(agent_sec.take("use_n_step_returns", False),
+                                    "agent.use_n_step_returns"),
+    ))
     agent_sec.finish()
 
     seeds_raw = top.take("seeds", [0, 1, 2, 3, 4])

@@ -200,7 +200,7 @@ class TradingEnv:
         # Start where every configured window is full. The sentiment clock is
         # honored even with use_sentiment off so ablation runs stay aligned.
         self.start_index = max(first.w, first.l - 1)
-        self._w, self._l, self._phi = first.w, first.l, first.phi
+        w, l, self._phi = first.w, first.l, first.phi
         self._use_sentiment, self._dim = first.use_sentiment, first.state_dim
         self._proportional = first.cost_mode is CostMode.PROPORTIONAL
         # Each channel holds one row per trial; its diff_stats scale its state diffs.
@@ -209,17 +209,20 @@ class TradingEnv:
         state_diffs = [s.diffs if c.diff_stats is None
                        else (s.diffs - c.diff_stats[0]) / c.diff_stats[1]
                        for s, c in zip(series_list, configs)]
-        # Observations hold slices of these read-only reversed views; column
-        # `_end - t` of each holds grid index t's newest value.
+        # Observation windows, in state-vector order: read-only sliding views,
+        # newest value first, of which row t - lag is grid index t's window
+        # (diffs[j] is z at grid index j + 1). No window is copied up front.
         self._end = len(series_list[0]) - 1
-        self._diffs_rev, self._hours_rev, self._sentiment_rev = (
-            _rows(arrays)[:, ::-1] for arrays in (
-                state_diffs, [s.hours for s in series_list],
-                [s.sentiment for s in series_list]))
+        channels = [(state_diffs, w, w), ([s.hours for s in series_list], w, w - 1)]
+        if self._use_sentiment:
+            channels.insert(0, ([s.sentiment for s in series_list], l, l - 1))
+        self._windows = [(np.lib.stride_tricks.sliding_window_view(
+            _rows(arrays), size, axis=-1)[..., ::-1], lag) for arrays, size, lag in channels]
         psi = [c.phi * float(s.prices[0]) for s, c in zip(series_list, configs)]
         tc = [c.tc_rate for c in configs]
         self.psi = np.array(psi) if stacked else psi[0]
-        self._tc = np.array(tc) if stacked else tc[0]
+        # a column, so that a stack's cost rates broadcast over a block of steps
+        self._tc = np.array(tc)[:, None] if stacked else tc[0]
         self.t = self.start_index
         self.last_action = self._neutral()
         self.cash = self.psi
@@ -258,23 +261,29 @@ class TradingEnv:
         return self._end - self.start_index
 
     def _observe(self, out: np.ndarray | None) -> MarketState | np.ndarray:
-        # diffs[j] is z at grid index j + 1, so the reversed diffs hold z_t
-        # (diffs[t - 1]) at the same column where the hours hold hours[t]
-        i = self._end - self.t
-        w, l = self._w, self._l
         if self.trials is None:
-            sent_win = self._sentiment_rev[0, i:i + l] if self._use_sentiment else None
-            return MarketState(self._diffs_rev[0, i:i + w], self._hours_rev[0, i:i + w],
-                               sent_win, self.last_action)
+            windows = [window[0, self.t - lag] for window, lag in self._windows]
+            sent_win = windows.pop(0) if self._use_sentiment else None
+            return MarketState(*windows, sent_win, self.last_action)
         if out is None:
             out = np.empty((*self._lead, self._dim))
+        self.observe(out[:, None])
+        return out
+
+    def observe(self, out: np.ndarray) -> np.ndarray:
+        """A stack's observations of the next r clock ticks (t, t + 1, ...),
+        each with the current last action, written into the (K, r, d) array
+        `out` and returned. A flush of m steps reads its m + 1 rows this way."""
+        rows = out.shape[1] if out.ndim == 3 else 0
+        if out.shape != (*self._lead, rows, self._dim) or not 0 < rows <= self._end - self.t + 1:
+            raise ValueError(f"out has shape {out.shape}, want (K, r, {self._dim}) with "
+                             f"1 <= r <= {self._end - self.t + 1} on a stack of K")
         col = 0
-        if self._use_sentiment:
-            out[:, :l] = self._sentiment_rev[:, i:i + l]
-            col = l
-        out[:, col:col + w] = self._diffs_rev[:, i:i + w]
-        out[:, col + w:col + 2 * w] = self._hours_rev[:, i:i + w]
-        out[:, -1] = self.last_action
+        for window, lag in self._windows:
+            size = window.shape[-1]
+            out[:, :, col:col + size] = window[:, self.t - lag:self.t - lag + rows]
+            col += size
+        out[:, :, -1] = self.last_action[:, None]
         return out
 
     def _check_out(self, out: np.ndarray | None) -> None:
@@ -295,14 +304,11 @@ class TradingEnv:
         """The current episode's action values so far, shaped like `rewards`."""
         return self._actions[..., :self._n]
 
-    def _at(self, channel: np.ndarray, t: int) -> float | np.ndarray:
-        """Each trial's value of a (K, T) channel at grid index t."""
-        return float(channel[0, t]) if self.trials is None else channel[:, t]
-
     @property
     def wealth(self) -> float | np.ndarray:
         """Cash plus the current position marked at the clock's price."""
-        return self.cash + self.last_action * self._phi * self._at(self._prices, self.t)
+        price = self._prices[:, self.t] if self.trials else float(self._prices[0, self.t])
+        return self.cash + self.last_action * self._phi * price
 
     def unit_cost(self, price: float | np.ndarray) -> float | np.ndarray:
         if self._proportional:
@@ -313,43 +319,55 @@ class TradingEnv:
              out: np.ndarray | None = None) -> StepOutcome:
         """Trade at the clock price, realize the next price difference.
 
-        A stack takes the K action indices and writes the next observation
-        into `out` when given.
+        A stack takes the K action indices, or a (K, m) block of them that
+        steps m ticks in one pass (the reward and info values then carry
+        the block's step axis), and writes the observation after its last
+        step into `out` when given; next_state is `out`, or None without it.
+        A block is checked whole before the clock moves.
         """
         if not self._started:
             raise RuntimeError("call reset() before step()")
         if self._done:
             raise RuntimeError("step() called on a finished episode")
+        t, phi = self.t, self._phi
         if self.trials is None:
-            if not isinstance(action, Action):
-                action = Action(int(action))
+            block = action if isinstance(action, Action) else Action(int(action))
+            price, diff, m = float(self._prices[0, t]), float(self._diffs[0, t]), 1
+            switch = block - self.last_action
         else:
-            action = np.asarray(action) - 1  # indices to action values
-            if action.shape != self._lead or np.abs(action).max() > 1:
-                raise ValueError(f"need {self.trials} action indices in 0..2, "
-                                 f"got {action + 1}")
+            values = np.asarray(action) - 1  # indices to action values
+            block = values[:, None] if values.ndim == 1 else values
+            m = block.shape[-1] if block.ndim == 2 else 0
+            if (block.shape[:1] != self._lead or not 0 < m <= self._end - t
+                    or np.abs(block).max() > 1):
+                raise ValueError(f"need {self.trials} action indices in 0..2, or a (K, m) "
+                                 f"block of them with m <= {self._end - t}, got {values + 1}")
             self._check_out(out)
-        t = self.t
-        phi = self._phi
-        price = self._at(self._prices, t)
-        diff = self._at(self._diffs, t)  # z_{t+1}
-        switch = action - self.last_action
+            price, diff = self._prices[:, t:t + m], self._diffs[:, t:t + m]
+            switch = block - np.concatenate([self.last_action[:, None], block[:, :-1]], axis=1)
+        # diff is z_{t+1}: the step trades at price p_t and holds over z_{t+1}
         cost = phi * self.unit_cost(price) * abs(switch)
-        self.cash -= switch * phi * price + cost
-        reward = phi * diff * action - cost
+        flow = switch * phi * price + cost
+        if self.trials is None:
+            self.cash -= flow
+        else:  # each step's flow subtracted in turn, left to right
+            self.cash = np.add.accumulate(np.concatenate([self.cash[:, None], -flow], axis=1),
+                                          axis=1)[:, -1]
+        reward = phi * diff * block - cost
 
-        self.t = t + 1
-        self.last_action = action
-        self._done = self.t == self._end
-        next_state = self._observe(out)
         n = self._n
-        self._actions[..., n] = action
-        self._rewards[..., n] = reward
-        self._costs[..., n] = cost
-        self._n = n + 1
+        self.t = t + m
+        self.last_action = block if self.trials is None else block[:, -1]
+        self._done = self.t == self._end
+        self._actions[..., n:n + m] = block
+        self._rewards[..., n:n + m] = reward
+        self._costs[..., n:n + m] = cost
+        self._n = n + m
+        if self.trials and values.ndim == 1:  # a (K,) call reports its one step
+            reward, price, diff, cost = (a[:, 0] for a in (reward, price, diff, cost))
         return StepOutcome(
             reward=reward,
-            next_state=next_state,
+            next_state=None if self.trials and out is None else self._observe(out),
             done=self._done,
             info={"price": price, "diff": diff, "cost_paid": cost},
         )

@@ -249,10 +249,10 @@ def run_agent_trial(key: TrialKey, train_slice: AlignedSeries,
 
 
 #: Most trials one lockstep task stacks. Training one 3,377-step episode
-#: with 64-64 nets took 0.162 / 0.118 / 0.089 s per trial at K = 4 / 8 / 16
-#: (best of 9, 2-vCPU host). Past 8 the gain per trial shrinks while a
-#: chunk's memory, its share of the pool and the retraining after a fault
-#: keep growing with K.
+#: with 64-64 nets took 244 / 108 / 86 / 70 / 62 ms per trial at K = 1 / 4
+#: / 8 / 16 / 32 (best of 5, 2-vCPU host). Past 8 the gain per trial
+#: shrinks while a chunk's memory, its share of the pool and the
+#: retraining after a fault keep growing with K.
 LOCKSTEP_CAP = 8
 
 

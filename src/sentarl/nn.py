@@ -31,9 +31,10 @@ ACTIVATIONS = ("tanh", "relu")
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
+    """The activation of z, computed in z's own buffer."""
     if name == "tanh":
-        return np.tanh(z)
-    return np.maximum(z, 0.0)
+        return np.tanh(z, out=z)
+    return np.maximum(z, 0.0, out=z)
 
 
 def _activate_grad(name: str, h: np.ndarray) -> np.ndarray:
@@ -198,7 +199,6 @@ class Gradients:
         self.flat = flat
         self.layer_sizes = tuple(int(n) for n in sizes)
         self.weights, self.biases = _views(flat, self.layer_sizes)
-        self._squares: np.ndarray | None = None  # global_norm's reused scratch
 
     @classmethod
     def over(cls, flat: np.ndarray, layer_sizes: Sequence[int]) -> "Gradients":
@@ -222,17 +222,12 @@ class Gradients:
     def global_norm(self) -> float | np.ndarray:
         """√(Σ g²) over all parameters; one norm per trial for a stack.
 
-        Each array's squares are one pairwise sum per trial, added weights
-        first, so a trial's norm is the same bits alone or in a stack.
+        Σ g² is one (1, P) @ (P, 1) product per trial: the same call for a
+        trial alone or in a stack, so its norm is the same bits either way.
         """
-        if self._squares is None:
-            self._squares = np.empty_like(self.flat)
-        squares = np.square(self.flat, out=self._squares)
-        bounds = _segments(self.layer_sizes)
-        total = 0.0
-        for a, b in bounds[0::2] + bounds[1::2]:
-            total = total + np.add.reduce(squares[..., a:b], axis=-1)
-        return np.sqrt(total) if self.flat.ndim > 1 else math.sqrt(total)
+        flat = self.flat
+        total = (flat[..., None, :] @ flat[..., :, None])[..., 0, 0]
+        return np.sqrt(total) if flat.ndim > 1 else math.sqrt(total)
 
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())
@@ -258,7 +253,8 @@ def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     inputs = []
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         inputs.append(h)
-        z = h @ w + (b[..., None, :] if lead else b)
+        z = h @ w
+        z += b[..., None, :] if lead else b
         h = _activate(net.activation, z) if i < last else z
     return (h[..., 0, :] if row else h), ForwardCache(net.layer_sizes, inputs, row)
 
@@ -290,9 +286,10 @@ def backward(net: Mlp, cache: ForwardCache, output_grad: np.ndarray,
     for i in reversed(range(len(net.weights))):
         h = cache.inputs[i]
         np.matmul(h.swapaxes(-1, -2), delta, out=out.weights[i])
-        np.sum(delta, axis=-2, out=out.biases[i])
+        np.add.reduce(delta, axis=-2, out=out.biases[i])
         if i > 0:
-            delta = (delta @ net.weights[i].swapaxes(-1, -2)) * _activate_grad(net.activation, h)
+            delta = delta @ net.weights[i].swapaxes(-1, -2)
+            delta *= _activate_grad(net.activation, h)
     return out
 
 
@@ -328,24 +325,25 @@ def softmax_sample(logits: np.ndarray,
     indices and log-probabilities come back as (K,) arrays.
     """
     single = isinstance(rng, np.random.Generator)
+    u = (rng.random() if single else rng if isinstance(rng, np.ndarray)
+         else np.array([g.random() for g in rng]))
+    index, log_probs, probs = softmax_draw(logits, u)
+    log_prob = np.take_along_axis(log_probs, index[..., None], axis=-1)[..., 0]
+    if single:
+        return int(index), float(log_prob), probs
+    return index, log_prob, probs
+
+
+def softmax_draw(logits: np.ndarray, uniforms: float | np.ndarray):
+    """(index, log_softmax, softmax) over any leading axes, with one uniform
+    u per row: index = searchsorted(cumsum(probs), u, side="right") capped
+    at the last index, the count of the first m - 1 cumulative probs <= u."""
     shifted = _shifted(logits)
     e = np.exp(shifted)
     total = np.add.reduce(e, axis=-1, keepdims=True)
     probs = e / total
-    if single:
-        u = rng.random()
-    elif isinstance(rng, np.ndarray):
-        u = rng[:, None]
-    else:
-        u = np.array([g.random() for g in rng])[:, None]
-    # searchsorted(cumsum, u, side="right") capped at the last index: the
-    # count of the first m - 1 cumulative probabilities that are <= u
-    index = np.add.reduce(np.add.accumulate(probs, axis=-1)[..., :-1] <= u, axis=-1)
-    rows = () if single else (np.arange(len(index)),)
-    log_prob = shifted[(*rows, index)] - np.log(total[..., 0])
-    if single:
-        return int(index), float(log_prob), probs
-    return index, log_prob, probs
+    below = np.add.accumulate(probs, axis=-1)[..., :-1] <= np.asarray(uniforms)[..., None]
+    return np.add.reduce(below, axis=-1), shifted - np.log(total), probs
 
 
 @dataclass
@@ -435,8 +433,11 @@ def fd_gradients(net: Mlp, x: np.ndarray, loss_weights: np.ndarray,
     return grads
 
 
-def _encode(array: np.ndarray) -> str:
-    return base64.b64encode(np.asarray(array, "<f8").tobytes()).decode("ascii")
+def _encode(arrays: Sequence[np.ndarray]) -> bytes:
+    """json.dumps of the list of each array's "<f8" bytes in base64 (which
+    needs no escaping), without json scanning the text."""
+    return b'["' + b'", "'.join(base64.b64encode(np.asarray(a, "<f8").tobytes())
+                                for a in arrays) + b'"]'
 
 
 def _decode(text: str) -> np.ndarray:
@@ -444,16 +445,16 @@ def _decode(text: str) -> np.ndarray:
 
 
 def serialize(net: Mlp) -> bytes:
-    """Versioned JSON container holding each array's "<f8" bytes in base64."""
-    payload = {
+    """Versioned JSON container holding each array's "<f8" bytes in base64:
+    the bytes of json.dumps over the whole payload."""
+    header = json.dumps({
         "format_version": FORMAT_VERSION,
         "layer_sizes": list(net.layer_sizes),
         "activation": net.activation,
         "dtype": "<f8",
-        "weights": [_encode(w) for w in net.weights],
-        "biases": [_encode(b) for b in net.biases],
-    }
-    return json.dumps(payload).encode("utf-8")
+    })
+    return b"".join([header[:-1].encode("utf-8"), b', "weights": ', _encode(net.weights),
+                     b', "biases": ', _encode(net.biases), b"}"])
 
 
 def deserialize(data: bytes) -> Mlp:

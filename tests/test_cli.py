@@ -171,6 +171,24 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, where, value,
     assert not (tmp_path / "out" / "caches").exists()
 
 
+@pytest.mark.parametrize("where, value, message", [
+    ("env.cost_mode", "x", "env.cost_mode: unknown cost mode 'x'"),
+    ("agent.optimizer", "adamw", "agent.optimizer: unknown optimizer 'adamw'"),
+    ("agent.activation", "relu6", "agent.activation: unknown activation 'relu6'"),
+    ("env.phi", 0.0, "env.phi: phi must be positive"),
+    ("agent.lr_critic", 0.0, "agent.lr_critic: learning rates must be positive"),
+    ("agent.max_grad_norm", -1.0, "agent.max_grad_norm: max_grad_norm must be positive"),
+])
+def test_config_value_errors_name_their_dotted_key(tmp_path, capsys, where, value, message):
+    cfg = make_workspace(tmp_path)
+    config = json.loads(cfg.read_text())
+    section, key = where.split(".")
+    config.setdefault(section, {})[key] = value
+    cfg.write_text(json.dumps(config))
+    assert main(["ingest", "--config", str(cfg)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_corr_pulse_defaults(tmp_path, capsys):
     cfg = make_workspace(tmp_path)
     main(["ingest", "--config", str(cfg)])

@@ -7,14 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_walk_series
+from conftest import random_walk_series, rel_err
 from sentarl import a2c, evaluation
 from sentarl.a2c import A2cConfig, greedy_episodes, greedy_policy, train
 from sentarl.env import Action, EnvConfig, TradingEnv, action_from_index, run_policy
 from sentarl.errors import NonFiniteGradientError
 from sentarl.evaluation import TrialKey, WindowSpec, result_row, run_matrix
 from sentarl.nn import (ACTIVATIONS, Gradients, Mlp, RmspropState, apply_update,
-                        backward, forward, softmax_sample)
+                        backward, forward, softmax, softmax_sample)
 
 # ------------------------------------------------ stacked nn primitives
 
@@ -507,3 +507,165 @@ def test_run_matrix_logs_progress_per_task_without_changing_bytes(tmp_path, capl
     assert "trials/h, ETA 0 s" in lines[-1]
     assert ((tmp_path / "loud" / "results.csv").read_bytes()
             == (tmp_path / "quiet" / "results.csv").read_bytes())
+
+
+# ------------------------------------------------ flush-level rollout
+
+
+def block_trials(cost_mode, use_sentiment):
+    series = random_walk_series(90, seed=21)
+    windows = [series.slice(0, 40), series.slice(25, 65)]
+    trials = [(windows[0], 0.0, None), (windows[0], 0.0025, (0.1, 2.0)),
+              (windows[1], 0.01, (0.0, 0.5))]
+    cfgs = [EnvConfig(w=4, l=3, phi=1.5, tc_rate=tc, cost_mode=cost_mode,
+                      use_sentiment=use_sentiment, diff_stats=stats)
+            for _, tc, stats in trials]
+    return [s for s, _, _ in trials], cfgs
+
+
+@pytest.mark.parametrize("cost_mode", ["proportional", "fixed-per-unit"])
+@pytest.mark.parametrize("use_sentiment", [True, False])
+@pytest.mark.parametrize("m", [1, 2, 5, "rest"])
+def test_block_step_equals_one_step_calls(m, cost_mode, use_sentiment):
+    series, cfgs = block_trials(cost_mode, use_sentiment)
+    block_env, step_env = TradingEnv(series, cfgs), TradingEnv(series, cfgs)
+    dim = cfgs[0].state_dim
+    block_obs, step_obs = np.full((3, dim), np.nan), step_env.reset()
+    block_env.reset(out=block_obs)
+    size = block_env.steps if m == "rest" else m
+    rng = np.random.default_rng(4)
+    while not block_env.done:
+        n = min(size, block_env.steps - block_env.t + block_env.start_index)
+        block = rng.integers(0, 3, size=(3, n))
+        # the flush's rows: ticks t .. t + n, with the last action before the block
+        rows = block_env.observe(np.empty((3, n + 1, dim)))
+        out = block_env.step(block, out=block_obs)
+        outs = []
+        for j in range(n):
+            assert np.array_equal(rows[:, j, :-1], step_obs[:, :-1])
+            outs.append(step_env.step(block[:, j], out=step_obs))
+        assert np.array_equal(rows[:, n, :-1], step_obs[:, :-1])
+        assert out.next_state is block_obs and np.array_equal(block_obs, step_obs)
+        assert out.reward.shape == (3, n) and out.done == outs[-1].done
+        for j, o in enumerate(outs):
+            assert out.reward[:, j].tolist() == o.reward.tolist()
+            assert out.info["cost_paid"][:, j].tolist() == o.info["cost_paid"].tolist()
+            assert out.info["price"][:, j].tolist() == o.info["price"].tolist()
+        assert block_env.cash.tolist() == step_env.cash.tolist()
+        assert block_env.wealth.tolist() == step_env.wealth.tolist()
+        assert block_env.last_action.tolist() == step_env.last_action.tolist()
+        assert block_env.t == step_env.t
+    assert step_env.done
+    assert block_env.rewards.tolist() == step_env.rewards.tolist()
+    assert block_env.actions.tolist() == step_env.actions.tolist()
+    for k in range(3):
+        assert repr(block_env.equity_curve(k)) == repr(step_env.equity_curve(k))
+
+
+def test_block_step_rejects_bad_blocks_before_the_clock_moves():
+    series, cfgs = block_trials("proportional", True)
+    env = TradingEnv(series, cfgs)
+    env.reset()
+    env.step(np.full((3, 4), 2))
+    before = (env.t, env.cash.tolist(), env.rewards.tolist(), env.last_action.tolist())
+    left = env.steps - 4
+    for bad in (np.ones((3, left + 1), dtype=int), np.ones((3, 0), dtype=int),
+                [[1, 3], [1, 1], [1, 1]], [[1, -1], [1, 1], [1, 1]], np.ones((2, 2), dtype=int),
+                np.ones((3, 2, 1), dtype=int)):
+        with pytest.raises(ValueError, match="action"):
+            env.step(bad)
+        assert (env.t, env.cash.tolist(), env.rewards.tolist(),
+                env.last_action.tolist()) == before
+    for bad_rows in (0, left + 2):
+        with pytest.raises(ValueError, match="out has shape"):
+            env.observe(np.empty((3, bad_rows, cfgs[0].state_dim)))
+    env.step(np.ones((3, left), dtype=int))  # exactly the rest of the episode
+    assert env.done and env.rewards.shape == (3, env.steps)
+
+
+def per_step_flush(env, policy, uniforms, obs):
+    """One flush the per-step way: a forward on the real state, then
+    softmax_sample with the same uniform, then a one-step env.step."""
+    logits, log_probs, probs, actions = [], [], [], []
+    for u in uniforms.T:
+        out, _ = forward(policy, obs)
+        index, log_prob, p = softmax_sample(out, u)
+        env.step(index, out=obs)
+        for seq, value in zip((logits, log_probs, probs, actions), (out, log_prob, p, index)):
+            seq.append(value)
+    return [np.stack(seq, axis=1) for seq in (logits, log_probs, probs, actions)]
+
+
+@pytest.mark.parametrize("use_sentiment", [True, False])
+@pytest.mark.parametrize("seed", range(5))
+def test_rollout_table_matches_a_per_step_reference(seed, use_sentiment):
+    series = random_walk_series(72, seed=5)
+    cfgs = [EnvConfig(w=4, l=3, tc_rate=tc, use_sentiment=use_sentiment)
+            for tc in (0.0, 0.0025, 0.01)]
+    # nets after a few episodes of training, so the draws are not near uniform
+    agents = train(series, cfgs, [A2cConfig(episodes=3, hidden_sizes=(8, 6), lr_actor=0.05,
+                                            seed=seed * 3 + k) for k in range(3)])
+    policy = Mlp.stack([agent.policy_net for agent in agents])
+    table_env, step_env = TradingEnv(series, cfgs), TradingEnv(series, cfgs)
+    states = np.empty((3, 6, cfgs[0].state_dim))
+    table_env.reset(out=states[:, 0])
+    obs = step_env.reset()
+    rngs = [np.random.default_rng(100 + seed * 3 + k) for k in range(3)]
+    flips = 0
+    for t in range(0, table_env.steps, 5):
+        uniforms = np.stack([g.random(min(5, table_env.steps - t)) for g in rngs])
+        m = uniforms.shape[1]
+        first = obs.copy()
+        batch, probs = a2c._rollout(table_env, policy, uniforms, states)
+        logits, log_probs, step_probs, actions = per_step_flush(step_env, policy, uniforms, obs)
+        flips += int(np.count_nonzero(batch.actions != actions))
+        assert rel_err([batch.policy_forward[0], batch.log_probs, probs],
+                       [logits, log_probs, step_probs]) <= 1e-12
+        assert np.array_equal(softmax(batch.policy_forward[0]), probs)
+        # the observations, rewards and dones are the per-step ones, bit for bit
+        assert np.array_equal(batch.states[:, 0], first)
+        assert np.array_equal(batch.states[:, m], obs)
+        assert batch.rewards.tolist() == step_env.rewards[:, t:t + m].tolist()
+        assert batch.dones.tolist() == [False] * (m - 1) + [step_env.done]
+        # the actor's cache rows are the taken states' forward
+        _, cache = forward(policy, batch.states[:, :m])
+        assert np.array_equal(batch.policy_forward[1].inputs[0], cache.inputs[0])
+        assert rel_err(batch.policy_forward[1].inputs[1:], cache.inputs[1:]) <= 1e-12
+    print(f"[rollout] seed {seed}, sentiment {use_sentiment}: {flips} CDF-boundary flips")
+    assert flips == 0
+    assert table_env.actions.tolist() == step_env.actions.tolist()
+
+
+def test_train_runs_one_policy_and_one_value_forward_per_flush(monkeypatch):
+    series = random_walk_series(40, seed=8)  # 36 steps per episode at w=3
+    calls = {1: 0, 3: 0}
+    real = a2c.forward
+
+    def counting(net, x):
+        calls[net.output_size] += 1
+        return real(net, x)
+
+    def no_per_step_draws(*args):
+        raise AssertionError("train drew an action through softmax_sample")
+
+    monkeypatch.setattr(a2c, "forward", counting)
+    monkeypatch.setattr(a2c, "softmax_sample", no_per_step_draws)
+    cfg = EnvConfig(w=3, l=2)
+    train(series, [cfg] * 2, [A2cConfig(episodes=2, n_steps=5, seed=s, hidden_sizes=(5,))
+                              for s in (0, 1)])
+    assert calls == {3: 2 * 8, 1: 2 * 8}  # ceil(36 / 5) flushes per episode
+    calls.update({1: 0, 3: 0})
+    train(series, cfg, A2cConfig(episodes=1, n_steps=36, hidden_sizes=(5,)))
+    assert calls == {3: 1, 1: 1}
+
+
+def test_global_norm_is_one_product_per_trial_alone_or_stacked():
+    rng = np.random.default_rng(6)
+    for sizes in ((46, 64, 64, 3), (7, 1), (5, 3, 2)):
+        stack, singles = stack_and_singles(5, sizes)
+        stack.flat[:] = rng.normal(size=stack.flat.shape) * 10.0 ** rng.integers(-3, 4, (5, 1))
+        norms = Gradients.over(stack.flat, sizes).global_norm()
+        for k in range(5):
+            alone = Gradients.over(stack.flat[k].copy(), sizes).global_norm()
+            assert isinstance(alone, float) and alone == norms[k]
+            assert alone == pytest.approx(math.sqrt(math.fsum(stack.flat[k] ** 2)), rel=1e-12)

@@ -1,5 +1,6 @@
 """Network math: forward/backward against closed forms and finite differences."""
 
+import base64
 import json
 
 import numpy as np
@@ -286,6 +287,21 @@ def test_serialize_round_trip_bit_exact():
     assert all(np.array_equal(a, b) for a, b in zip(clone.biases, net.biases))
     x = np.random.default_rng(7).normal(size=4)
     assert np.array_equal(forward(net, x)[0], forward(clone, x)[0])
+
+
+def test_serialize_gives_the_bytes_of_json_dumps_over_the_payload():
+    def encode(array):
+        return base64.b64encode(np.asarray(array, "<f8").tobytes()).decode("ascii")
+
+    stack = Mlp.create([5, 4, 3], [np.random.default_rng(s) for s in range(3)])
+    for net in (Mlp.create([46, 64, 64, 3], np.random.default_rng(1)),
+                Mlp.create([3, 2], np.random.default_rng(2), activation="relu"),
+                stack.trial(1), stack.trial(2)):
+        payload = {"format_version": 2, "layer_sizes": list(net.layer_sizes),
+                   "activation": net.activation, "dtype": "<f8",
+                   "weights": [encode(w) for w in net.weights],
+                   "biases": [encode(b) for b in net.biases]}
+        assert serialize(net) == json.dumps(payload).encode("utf-8")
 
 
 def test_save_load_model(tmp_path):
