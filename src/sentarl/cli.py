@@ -19,7 +19,8 @@ import sys
 from pathlib import Path
 
 from . import data, evaluation, sentiment
-from .config import RESUMABLE_KEYS, RunConfig, echo_config, echo_differences, load_config
+from .config import (RESUMABLE_KEYS, RunConfig, _integer, echo_config, echo_differences,
+                     load_config)
 from .errors import ConfigError, IngestError, SentarlError
 from .files import run_lock
 
@@ -98,17 +99,12 @@ def cmd_train(config: RunConfig, asset: str, window: int, seed: int,
     if strategy not in ("sentarl", "no-sentiment"):
         raise ConfigError("train runs a learning trial: "
                           "--strategy must be sentarl or no-sentiment")
-    series = _load_cache(config, asset)
-    windows = evaluation.make_windows(
-        len(series), config.windows.train_len, config.windows.test_len,
-        config.windows.stride, config.windows.count)
-    if not 0 <= window < len(windows):
-        raise ConfigError(f"--window must be in [0, {len(windows) - 1}]")
+    slices = evaluation.window_slices(_load_cache(config, asset), config.windows)
+    if not 0 <= window < len(slices):
+        raise ConfigError(f"--window must be in [0, {len(slices) - 1}]")
     key = evaluation.TrialKey(asset, window, seed, tc, strategy)
-    train_range, test_range = windows.windows[window]
     result = evaluation.run_agent_trial(
-        key, series.slice(*train_range), series.slice(*test_range),
-        config.env, config.agent,
+        key, *slices[window], config.env, config.agent,
         artifacts_dir=config.output_dir / "debug")
     ar = "undefined" if result.ar is None else f"{result.ar:.6f}"
     print(f"{asset} window={window} seed={seed} tc={tc} {strategy}: "
@@ -128,6 +124,9 @@ def _print_overall(bundle: evaluation.ReportBundle) -> None:
 
 def cmd_run(config: RunConfig, workers: int | None, resume: bool,
             limit: int | None) -> int:
+    for flag, value, lo in (("--limit", limit, 0), ("--workers", workers, 1)):
+        if value is not None:  # before anything is written: a typo keeps the old outputs
+            _integer(value, flag, lo=lo)
     with run_lock(config.output_dir):
         series_by_asset = {name: _load_cache(config, name)
                            for name in sorted(config.assets)}
@@ -210,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corr-pulse", help="sentiment/price-diff correlation profile")
     p.add_argument("--config", required=True)
     p.add_argument("--asset", required=True)
-    p.add_argument("--min-shift", type=int, default=-10)
-    p.add_argument("--max-shift", type=int, default=3)
+    p.add_argument("--min-shift", type=int, default=sentiment.PULSE_SHIFTS[0])
+    p.add_argument("--max-shift", type=int, default=sentiment.PULSE_SHIFTS[-1])
 
     p = sub.add_parser("train", help="run a single debug trial")
     p.add_argument("--config", required=True)

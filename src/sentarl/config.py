@@ -9,11 +9,13 @@ here so later stages can assume a valid config.
 
 from __future__ import annotations
 
+import enum
 import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .a2c import A2cConfig
@@ -109,14 +111,68 @@ def _string(value: object, where: str) -> str:
     return value
 
 
-def _build(cls, section: str, fields: dict):
-    """cls(**fields), each field checked alone first so its error names its key."""
-    for key, value in fields.items():
-        try:
-            cls(**{key: value})
-        except ValueError as exc:
-            raise ConfigError(f"{section}.{key}: {exc}") from exc
-    return cls(**fields)
+def _list(value: object, where: str, item, nonempty: bool = True) -> tuple:
+    if not isinstance(value, list) or (nonempty and not value):
+        raise ConfigError(f"{where}: expected a {'non-empty list' if nonempty else 'list'}")
+    return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+
+#: Each dataclass section: its class, whether each value is also checked
+#: alone by the class, and its keys in file order with the check each value
+#: passes. A missing key takes its dataclass field's default.
+_SECTIONS = {
+    "env": (EnvConfig, True, {
+        "w": partial(_integer, lo=1),
+        "l": partial(_integer, lo=0),
+        "phi": _number,
+        "cost_mode": _string,
+    }),
+    "agent": (A2cConfig, True, {
+        "gamma": partial(_number, lo=0.0, hi=1.0),
+        "lr_actor": _number,
+        "lr_critic": _number,
+        "n_steps": partial(_integer, lo=1),
+        "episodes": partial(_integer, lo=1),
+        "entropy_coef": partial(_number, lo=0.0),
+        "hidden_sizes": partial(_list, item=partial(_integer, lo=1), nonempty=False),
+        "activation": _string,
+        "max_grad_norm": lambda v, where: None if v is None else _number(v, where),
+        "optimizer": _string,
+        "use_n_step_returns": _boolean,
+    }),
+    # each key is checked positive here, so WindowSpec can only reject the
+    # stride rule, which spans keys and so names the section
+    "windows": (WindowSpec, False, {
+        key: partial(_integer, lo=1) for key in ("train_len", "test_len", "stride", "count")
+    }),
+}
+
+
+def _parse_section(top: _Section, name: str):
+    """Build one dataclass section; a value that fails alone is named by its
+    dotted key, a rule across keys by the section."""
+    cls, alone, checks = _SECTIONS[name]
+    section = _Section(top.take(name, {}), name)
+    fields = {key: check(section.take(key), f"{name}.{key}")
+              for key, check in checks.items() if key in section.data}
+    if alone:
+        for key, value in fields.items():
+            try:
+                cls(**{key: value})
+            except ValueError as exc:
+                raise ConfigError(f"{name}.{key}: {exc}") from exc
+    try:
+        built = cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+    section.finish()
+    return built
+
+
+def _echo_section(name: str, section: object) -> dict:
+    values = {key: getattr(section, key) for key in _SECTIONS[name][2]}
+    return {key: v.value if isinstance(v, enum.Enum) else list(v) if isinstance(v, tuple) else v
+            for key, v in values.items()}
 
 
 def resolve_output_dir(raw: str) -> Path:
@@ -195,67 +251,13 @@ def load_config(path: str | Path, check_paths: bool = True) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"fill: {exc}") from exc
 
-    env_sec = _Section(top.take("env", {}), "env")
-    env = _build(EnvConfig, "env", dict(
-        w=_integer(env_sec.take("w", 20), "env.w", lo=1),
-        l=_integer(env_sec.take("l", 5), "env.l", lo=0),
-        phi=_number(env_sec.take("phi", 1.0), "env.phi"),
-        cost_mode=_string(env_sec.take("cost_mode", "proportional"), "env.cost_mode"),
-    ))
-    env_sec.finish()
-
-    tc_raw = top.take("tc_rates", [0.0, 0.0025])
-    if not isinstance(tc_raw, list) or not tc_raw:
-        raise ConfigError("tc_rates: expected a non-empty list")
-    tc_rates = tuple(_number(v, f"tc_rates[{i}]", lo=0.0)
-                     for i, v in enumerate(tc_raw))
-
-    agent_sec = _Section(top.take("agent", {}), "agent")
-    hidden_raw = agent_sec.take("hidden_sizes", [64, 64])
-    if not isinstance(hidden_raw, list):
-        raise ConfigError("agent.hidden_sizes: expected a list")
-    max_norm_raw = agent_sec.take("max_grad_norm", None)
-    agent = _build(A2cConfig, "agent", dict(
-        gamma=_number(agent_sec.take("gamma", 0.99), "agent.gamma", lo=0.0, hi=1.0),
-        lr_actor=_number(agent_sec.take("lr_actor", 7e-4), "agent.lr_actor"),
-        lr_critic=_number(agent_sec.take("lr_critic", 7e-4), "agent.lr_critic"),
-        n_steps=_integer(agent_sec.take("n_steps", 5), "agent.n_steps", lo=1),
-        episodes=_integer(agent_sec.take("episodes", 100), "agent.episodes", lo=1),
-        entropy_coef=_number(agent_sec.take("entropy_coef", 0.0),
-                             "agent.entropy_coef", lo=0.0),
-        hidden_sizes=tuple(_integer(h, f"agent.hidden_sizes[{i}]", lo=1)
-                           for i, h in enumerate(hidden_raw)),
-        activation=_string(agent_sec.take("activation", "tanh"), "agent.activation"),
-        max_grad_norm=None if max_norm_raw is None
-        else _number(max_norm_raw, "agent.max_grad_norm"),
-        optimizer=_string(agent_sec.take("optimizer", "sgd"), "agent.optimizer"),
-        use_n_step_returns=_boolean(agent_sec.take("use_n_step_returns", False),
-                                    "agent.use_n_step_returns"),
-    ))
-    agent_sec.finish()
-
-    seeds_raw = top.take("seeds", [0, 1, 2, 3, 4])
-    if not isinstance(seeds_raw, list) or not seeds_raw:
-        raise ConfigError("seeds: expected a non-empty list")
-    seeds = tuple(_integer(s, f"seeds[{i}]") for i, s in enumerate(seeds_raw))
-
-    win_sec = _Section(top.take("windows", {}), "windows")
-    try:
-        windows = WindowSpec(
-            train_len=_integer(win_sec.take("train_len", 3377), "windows.train_len", lo=1),
-            test_len=_integer(win_sec.take("test_len", 374), "windows.test_len", lo=1),
-            stride=_integer(win_sec.take("stride", 374), "windows.stride", lo=1),
-            count=_integer(win_sec.take("count", 5), "windows.count", lo=1),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"windows: {exc}") from exc
-    win_sec.finish()
-
-    strategies_raw = top.take("strategies", list(STRATEGIES))
-    if not isinstance(strategies_raw, list) or not strategies_raw:
-        raise ConfigError("strategies: expected a non-empty list")
-    strategies = tuple(_string(s, f"strategies[{i}]")
-                       for i, s in enumerate(strategies_raw))
+    env = _parse_section(top, "env")
+    tc_rates = _list(top.take("tc_rates", [0.0, 0.0025]), "tc_rates",
+                     partial(_number, lo=0.0))
+    agent = _parse_section(top, "agent")
+    seeds = _list(top.take("seeds", [0, 1, 2, 3, 4]), "seeds", _integer)
+    windows = _parse_section(top, "windows")
+    strategies = _list(top.take("strategies", list(STRATEGIES)), "strategies", _string)
     unknown = set(strategies) - set(STRATEGIES)
     if unknown:
         raise ConfigError(f"strategies: unknown {sorted(unknown)}; "
@@ -283,27 +285,11 @@ def config_to_json(config: RunConfig) -> dict:
         "lexicon": None if config.lexicon is None else str(config.lexicon),
         "grouping": config.grouping.value,
         "fill": config.fill.value,
-        "env": {"w": config.env.w, "l": config.env.l, "phi": config.env.phi,
-                "cost_mode": config.env.cost_mode.value},
+        "env": _echo_section("env", config.env),
         "tc_rates": list(config.tc_rates),
-        "agent": {
-            "gamma": config.agent.gamma,
-            "lr_actor": config.agent.lr_actor,
-            "lr_critic": config.agent.lr_critic,
-            "n_steps": config.agent.n_steps,
-            "episodes": config.agent.episodes,
-            "entropy_coef": config.agent.entropy_coef,
-            "hidden_sizes": list(config.agent.hidden_sizes),
-            "activation": config.agent.activation,
-            "max_grad_norm": config.agent.max_grad_norm,
-            "optimizer": config.agent.optimizer,
-            "use_n_step_returns": config.agent.use_n_step_returns,
-        },
+        "agent": _echo_section("agent", config.agent),
         "seeds": list(config.seeds),
-        "windows": {"train_len": config.windows.train_len,
-                    "test_len": config.windows.test_len,
-                    "stride": config.windows.stride,
-                    "count": config.windows.count},
+        "windows": _echo_section("windows", config.windows),
         "strategies": list(config.strategies),
         "output_dir": str(config.output_dir),
         "workers": config.workers,

@@ -81,24 +81,28 @@ class RollingWindows:
         return len(self.windows)
 
 
-def make_windows(length: int, train_len: int = 3377, test_len: int = 374,
-                 stride: int = 374, count: int = 5) -> RollingWindows:
+def make_windows(length: int, **shape: int) -> RollingWindows:
     """Forward-rolled train/test splits anchored so the last test ends at T.
 
-    Each train range immediately precedes its test range; successive splits
+    `shape` holds WindowSpec fields; a missing one takes its default. Each
+    train range immediately precedes its test range; successive splits
     shift by `stride`. Data before the first train range is unused.
     """
-    spec = WindowSpec(train_len, test_len, stride, count)
+    spec = WindowSpec(**shape)
     if length < spec.span:
-        raise ValueError(f"series of length {length} cannot fit {count} windows "
+        raise ValueError(f"series of length {length} cannot fit {spec.count} windows "
                          f"spanning {spec.span} points")
-    anchor = length - spec.span
-    pairs = []
-    for j in range(count):
-        train_start = anchor + j * stride
-        train_end = train_start + train_len
-        pairs.append(((train_start, train_end), (train_end, train_end + test_len)))
-    return RollingWindows(tuple(pairs), spec)
+    first_end = length - spec.span + spec.train_len  # of the first train range
+    train_ends = range(first_end, first_end + spec.count * spec.stride, spec.stride)
+    return RollingWindows(tuple(((end - spec.train_len, end), (end, end + spec.test_len))
+                                for end in train_ends), spec)
+
+
+def window_slices(series: AlignedSeries,
+                  spec: WindowSpec) -> list[tuple[AlignedSeries, AlignedSeries]]:
+    """The (train, test) slices of each of the series' windows, in order."""
+    rolling = make_windows(len(series), **dataclasses.asdict(spec))
+    return [(series.slice(*train), series.slice(*test)) for train, test in rolling.windows]
 
 
 # ---------------------------------------------------------------- metrics
@@ -397,11 +401,8 @@ def run_matrix(series_by_asset: Mapping[str, AlignedSeries],
     if unknown:
         raise ValueError(f"unknown strategies: {sorted(unknown)}")
 
-    windows_by_asset = {
-        asset: make_windows(len(series), window_spec.train_len, window_spec.test_len,
-                            window_spec.stride, window_spec.count)
-        for asset, series in series_by_asset.items()
-    }
+    slices = {(asset, window): pair for asset, series in series_by_asset.items()
+              for window, pair in enumerate(window_slices(series, window_spec))}
     keys = enumerate_keys(series_by_asset, window_spec.count, seeds, tc_rates,
                           strategies)
 
@@ -441,9 +442,7 @@ def run_matrix(series_by_asset: Mapping[str, AlignedSeries],
     def bh_result(key: TrialKey) -> TrialResult:
         cache_key = (key.asset, key.window)
         if cache_key not in bh_cache:
-            (_, test_range) = windows_by_asset[key.asset].windows[key.window]
-            test_slice = series_by_asset[key.asset].slice(*test_range)
-            bh_cache[cache_key] = run_buy_and_hold(test_slice, env_config)
+            bh_cache[cache_key] = run_buy_and_hold(slices[cache_key][1], env_config)
         tr, ar, trades = bh_cache[cache_key]
         return TrialResult(key.asset, key.window, key.seed, key.tc,
                            key.strategy, tr, ar, trades)
@@ -452,14 +451,8 @@ def run_matrix(series_by_asset: Mapping[str, AlignedSeries],
     agent_total = sum(len(chunk) for chunk in chunks)
 
     def chunk_args(chunk: list[TrialKey]):
-        slices = {}
-        for key in chunk:
-            if (key.asset, key.window) not in slices:
-                train_range, test_range = windows_by_asset[key.asset].windows[key.window]
-                series = series_by_asset[key.asset]
-                slices[key.asset, key.window] = (series.slice(*train_range),
-                                                 series.slice(*test_range))
-        return chunk, slices, env_config, a2c_config, artifacts_dir
+        chunk_slices = {(k.asset, k.window): slices[k.asset, k.window] for k in chunk}
+        return chunk, chunk_slices, env_config, a2c_config, artifacts_dir
 
     def collect(records: list[tuple[str, TrialKey, object]]) -> None:
         nonlocal agent_done
@@ -567,15 +560,14 @@ def _dedupe_bh(results: Sequence[TrialResult]) -> list[TrialResult]:
 def report(results: Sequence[TrialResult],
            series_by_asset: Mapping[str, AlignedSeries] | None = None,
            out_dir: str | Path | None = None,
-           scatter_shift: int = 0,
-           scatter_tc: float | None = None) -> ReportBundle:
+           scatter_shift: int = 0) -> ReportBundle:
     """Aggregate trial results into the three summary artifacts.
 
     Overall table: strategy x tc with mean TR, mean AR (average of per-trial
     ARs), and SR over trial TRs. Per-asset table: SR per strategy with the
     best defined SR marked. Scatter data: per asset, news coverage, pulse
     correlation at `scatter_shift`, and the sentiment-minus-ablation mean TR
-    difference (optionally restricted to one tc).
+    difference over every tc.
     """
     if not results:
         raise ValueError("no results to report")
@@ -624,12 +616,9 @@ def report(results: Sequence[TrialResult],
             series = series_by_asset.get(asset)
             if series is None:
                 continue
-            sent = [r.tr for r in agents if r.asset == asset
-                    and r.strategy == "sentarl"
-                    and (scatter_tc is None or r.tc == scatter_tc)]
-            abl = [r.tr for r in agents if r.asset == asset
-                   and r.strategy == "no-sentiment"
-                   and (scatter_tc is None or r.tc == scatter_tc)]
+            sent = [r.tr for r in agents if r.asset == asset and r.strategy == "sentarl"]
+            abl = [r.tr for r in agents
+                   if r.asset == asset and r.strategy == "no-sentiment"]
             tr_diff = None
             if sent and abl:
                 tr_diff = float(np.mean(sent)) - float(np.mean(abl))

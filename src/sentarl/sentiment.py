@@ -28,6 +28,8 @@ if TYPE_CHECKING:
     from .data import AlignedSeries, HeadlineRecord
 
 _WORD_RE = re.compile(r"[a-z']+")
+#: The correlation pulse's default shifts, -10 through +3.
+PULSE_SHIFTS = range(-10, 4)
 
 
 class SentimentScorer(Protocol):
@@ -216,16 +218,18 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float | None:
     y = np.asarray(y, dtype=np.float64)
     xc = x - x.mean()
     yc = y - y.mean()
-    denom = math.sqrt(float(np.dot(xc, xc)) * float(np.dot(yc, yc)))
+    # einsum, not np.dot: BLAS may split a long dot product across threads,
+    # which would make the last bits depend on the thread count
+    denom = math.sqrt(float(np.einsum("i,i->", xc, xc)) * float(np.einsum("i,i->", yc, yc)))
     if denom == 0.0:
         return None
-    return float(np.dot(xc, yc) / denom)
+    return float(np.einsum("i,i->", xc, yc) / denom)
 
 
 def correlation_pulse(
     sentiment: np.ndarray,
     diffs: np.ndarray,
-    shifts: Sequence[int] = range(-10, 4),
+    shifts: Sequence[int] = PULSE_SHIFTS,
 ) -> CorrelationPulse:
     """Correlate sentiment[t] against diffs[t+k] for each shift k.
 
@@ -246,7 +250,7 @@ def correlation_pulse(
     return CorrelationPulse(shift_list, correlations)
 
 
-def series_pulse(series: "AlignedSeries", shifts: Sequence[int] = range(-10, 4)) -> CorrelationPulse:
+def series_pulse(series: "AlignedSeries", shifts: Sequence[int] = PULSE_SHIFTS) -> CorrelationPulse:
     """Pulse for one aligned series.
 
     The grid's first row has no price difference, so e is taken from index 1

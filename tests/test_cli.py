@@ -14,9 +14,12 @@ import pytest
 from conftest import hourly_stamps, write_news_csv, write_price_csv
 import sentarl
 from sentarl import cli, evaluation
+from sentarl.a2c import A2cConfig
 from sentarl.cli import main
-from sentarl.config import load_config
+from sentarl.config import config_to_json, load_config
 from sentarl.data import load_aligned
+from sentarl.env import EnvConfig
+from sentarl.evaluation import WindowSpec
 
 
 def make_workspace(tmp_path, n=60, news=True, **overrides):
@@ -86,6 +89,50 @@ def test_ingest_headline_scoring(tmp_path):
     assert series.sentiment[9] < 0.0
 
 
+def test_ingest_scores_unscored_headlines_with_a_configured_lexicon(tmp_path):
+    (tmp_path / "lex.csv").write_text("word,weight\nzorp,0.8\nBlarg,-0.6\n")
+    cfg = make_workspace(tmp_path, news=False, lexicon="lex.csv")
+    stamps = hourly_stamps(60)
+    write_news_csv(tmp_path / "news_AAA.csv",
+                   [(stamps[3].replace(":00:00Z", ":30:00Z"), "zorp profit", ""),
+                    (stamps[9].replace(":00:00Z", ":30:00Z"), "blarg soars", ""),
+                    (stamps[12].replace(":00:00Z", ":30:00Z"), "zorp", "-0.25")])
+    config = json.loads(cfg.read_text())
+    config["assets"]["AAA"]["news"] = "news_AAA.csv"
+    cfg.write_text(json.dumps(config))
+    assert main(["ingest", "--config", str(cfg)]) == 0
+    series = load_aligned(tmp_path / "out" / "caches" / "AAA.aligned.csv", asset="AAA")
+    # only the configured lexicon's words count; a precomputed score still wins
+    assert series.sentiment[3] == 0.8 and series.sentiment[9] == -0.6
+    assert series.sentiment[12] == -0.25
+    assert np.count_nonzero(series.sentiment) == 3
+
+
+@pytest.mark.parametrize("text, message", [
+    ("word,weight\nzorp\n", "lex.csv:2: expected 2 fields, got 1"),
+    ("word,weight\nzorp,0.5\nblarg,lots\n", "lex.csv:3: bad weight 'lots'"),
+    ("word,weight\nzorp,1.5\n", "lex.csv:2: weight 1.5 outside [-1, 1]"),
+    ("word,weight\n", "lex.csv: lexicon holds no words"),
+    ("word,score\nzorp,0.5\n", "lex.csv:1: bad header"),
+])
+def test_ingest_malformed_lexicon_exits_3_naming_the_line(tmp_path, capsys, text, message):
+    (tmp_path / "lex.csv").write_text(text)
+    cfg = make_workspace(tmp_path, lexicon="lex.csv")
+    assert main(["ingest", "--config", str(cfg)]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "caches" / "AAA.aligned.csv").exists()
+
+
+def test_ingest_with_a_missing_news_file_zeroes_sentiment(tmp_path, caplog):
+    cfg = make_workspace(tmp_path)
+    (tmp_path / "news_AAA.csv").unlink()
+    with caplog.at_level(logging.WARNING):
+        assert main(["ingest", "--config", str(cfg)]) == 0
+    assert "news_AAA.csv not found; sentiment channel is all zeros" in caplog.text
+    series = load_aligned(tmp_path / "out" / "caches" / "AAA.aligned.csv", asset="AAA")
+    assert len(series) == 60 and np.all(series.sentiment == 0.0)
+
+
 def test_ingest_corrupt_price_exits_3(tmp_path, capsys):
     cfg = make_workspace(tmp_path)
     prices_path = tmp_path / "prices_AAA.csv"
@@ -116,6 +163,28 @@ def test_config_errors_exit_2(tmp_path, capsys):
     bad.write_text("{не json")
     assert main(["ingest", "--config", str(bad)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_config_defaults_are_the_dataclass_defaults(tmp_path):
+    (tmp_path / "p.csv").write_text("")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"assets": {"AAA": {"prices": "p.csv"}}}))
+    config = load_config(path)
+    assert config.env == EnvConfig()
+    assert config.agent == A2cConfig()
+    assert config.windows == WindowSpec()
+    echo = config_to_json(config)
+    assert echo["env"] == {"w": 20, "l": 5, "phi": 1.0, "cost_mode": "proportional"}
+    assert echo["agent"] == {
+        "gamma": 0.99, "lr_actor": 7e-4, "lr_critic": 7e-4, "n_steps": 5,
+        "episodes": 100, "entropy_coef": 0.0, "hidden_sizes": [64, 64],
+        "activation": "tanh", "max_grad_norm": None, "optimizer": "sgd",
+        "use_n_step_returns": False}
+    assert echo["windows"] == {"train_len": 3377, "test_len": 374, "stride": 374,
+                               "count": 5}
+    # the echo lists each section's every key, and parses back to the same config
+    path.write_text(json.dumps(echo))
+    assert load_config(path) == config
 
 
 @pytest.mark.parametrize("where, value", [
@@ -257,6 +326,24 @@ def test_run_end_to_end(tmp_path, capsys):
 
     assert main(["report", "--results", str(out_dir)]) == 0
     assert "mean_tr=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value", [("--limit", "-1"), ("--workers", "-3"),
+                                         ("--workers", "0")])
+def test_run_rejects_a_bad_flag_before_writing(tmp_path, capsys, flag, value):
+    cfg = make_workspace(tmp_path)
+    main(["ingest", "--config", str(cfg)])
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert out / "results.csv" in before
+    config = json.loads(cfg.read_text())
+    config["seeds"] = [0]  # a run that went ahead would write other results
+    cfg.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), flag, value]) == 2
+    assert f"config error: {flag}: {value} is below the minimum" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
 def test_run_determinism_and_resume(tmp_path, capsys):

@@ -1,11 +1,16 @@
 """Scoring, grouping, fill policies, and the correlation pulse."""
 
+import os
+import subprocess
+import sys
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import build_series, random_walk_series
+import sentarl
 from sentarl.data import HeadlineRecord
 from sentarl.errors import IngestError
 from sentarl.sentiment import (CorrelationPulse, FillPolicy, Grouping,
@@ -170,6 +175,22 @@ def test_correlation_pulse_default_range_rows():
     pulse = correlation_pulse(x, rng.normal(0, 1, 80))
     assert len(pulse.shifts) == 14
     assert pulse.shifts[0] == -10 and pulse.shifts[-1] == 3
+
+
+def test_correlation_pulse_does_not_depend_on_the_blas_thread_count():
+    # BLAS may split a long dot product across threads; the pulse must not
+    code = ("import numpy as np; from sentarl.sentiment import correlation_pulse; "
+            "rng = np.random.default_rng(31); e = rng.normal(0, 1, 20000); "
+            "print(repr(correlation_pulse(e, e + rng.normal(0, 30, 20000)).correlations))")
+    src = str(Path(sentarl.__file__).resolve().parents[1])
+    pulses = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        pulses.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                     capture_output=True, text=True, timeout=60).stdout)
+    assert pulses[0] == pulses[1]
+    assert pulses[0].count(",") == 13
 
 
 def test_correlation_pulse_short_overlap_rejected():
