@@ -24,11 +24,10 @@ from typing import Sequence
 import numpy as np
 
 from .data import AlignedSeries
-from .env import (Action, EpisodeResult, MarketState, TradingEnv, action_from_index,
-                  episode_return)
+from .env import EpisodeResult, TradingEnv, episode_return
 from .files import write_csv
 from .nn import (ACTIVATIONS, ForwardCache, Gradients, Mlp, RmspropState, apply_update,
-                 backward, forward, log_softmax, softmax, softmax_draw, softmax_sample)
+                 backward, forward, log_softmax, softmax, softmax_draw)
 
 OPTIMIZERS = ("sgd", "rmsprop")
 
@@ -72,39 +71,6 @@ class A2cConfig:
             raise ValueError("max_grad_norm must be positive when set")
 
 
-@dataclass
-class Transition:
-    """One step of one trial; the update functions also take a Batch."""
-
-    state: np.ndarray        # flattened MarketState
-    action_index: int        # 0=Short, 1=Neutral, 2=Long
-    reward: float
-    next_state: np.ndarray   # observation after the step; bootstrap gated by done
-    done: bool
-    log_prob: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.reward):
-            raise ValueError("reward must be finite")
-        if self.log_prob > 1e-12:
-            raise ValueError("log_prob must be <= 0")
-
-
-def value_of(net: Mlp, state: np.ndarray) -> float:
-    out, _ = forward(net, state)
-    return float(out[0])
-
-
-def advantage(transition: Transition, value_net: Mlp, gamma: float) -> float:
-    """A = R + gamma * V(s') * [not done] - V(s); terminal bootstraps with 0.
-
-    The per-sample reference for the batched flush, which gets the same
-    quantity from one stacked forward (see _td_residuals).
-    """
-    bootstrap = 0.0 if transition.done else gamma * value_of(value_net, transition.next_state)
-    return transition.reward + bootstrap - value_of(value_net, transition.state)
-
-
 def _safe_log(probs: np.ndarray) -> np.ndarray:
     # p -> 0 contributes 0 to entropy terms; avoid log(0) from underflowed probs
     return np.log(np.where(probs > 0, probs, 1.0))
@@ -145,34 +111,19 @@ class Batch:
     def __len__(self) -> int:
         return self.rewards.shape[-1]
 
-    @classmethod
-    def of(cls, batch: "Batch | Sequence[Transition]") -> "Batch":
-        """A list of transitions as one Batch (a Batch is returned as is)."""
-        if isinstance(batch, Batch):
-            return batch
-        if not batch:
-            raise ValueError("empty batch")
-
-        def rows(name: str) -> np.ndarray:
-            return np.array([getattr(t, name) for t in batch])
-
-        return cls(np.concatenate([rows("state"), rows("next_state")]),
-                   rows("action_index"), rows("reward"), rows("done"), rows("log_prob"))
-
 
 def _scalar(x: np.ndarray) -> float | np.ndarray:
     """A float for a single trial, the (K,) array for a stack."""
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _targets(batch: Batch | Sequence[Transition], value_net: Mlp, config: A2cConfig,
+def _targets(batch: Batch, value_net: Mlp, config: A2cConfig,
              next_values: np.ndarray | None = None) -> np.ndarray:
     """TD targets from the pre-update critic; batch order is rollout order.
 
     next_values holds V(s') per transition when the caller has already run
     the critic on the next states; otherwise one forward computes them.
     """
-    batch = Batch.of(batch)
     n = len(batch)
     if next_values is None:
         next_values = forward(value_net, batch.states[..., -n:, :])[0][..., 0]
@@ -187,26 +138,24 @@ def _targets(batch: Batch | Sequence[Transition], value_net: Mlp, config: A2cCon
     return rewards + np.where(batch.dones, 0.0, config.gamma * next_values)
 
 
-def _td_residuals(batch: Batch | Sequence[Transition], value_net: Mlp,
+def _td_residuals(batch: Batch, value_net: Mlp,
                   config: A2cConfig) -> tuple[np.ndarray, ForwardCache]:
     """target - V(s) per transition (the advantages), and the forward cache.
 
     One value forward runs over the batch's distinct states and next
     states; cache rows [0, n) are the states.
     """
-    batch = Batch.of(batch)
     n = len(batch)
     values, cache = forward(value_net, batch.states)
     return (_targets(batch, value_net, config, values[..., -n:, 0])
             - values[..., :n, 0]), cache
 
 
-def critic_update(batch: Batch | Sequence[Transition], value_net: Mlp, config: A2cConfig,
+def critic_update(batch: Batch, value_net: Mlp, config: A2cConfig,
                   optimizer_state: RmspropState | None = None) -> float | np.ndarray:
     """One descent step on the mean squared TD residual; returns that loss
-    (per trial for lockstep trials). A Batch gets the residuals of the
+    (per trial for lockstep trials). The batch gets the residuals of the
     pre-update critic as its advantages."""
-    batch = Batch.of(batch)
     n = len(batch)
     residuals, cache = _td_residuals(batch, value_net, config)
     batch.advantages = residuals
@@ -222,7 +171,7 @@ def critic_update(batch: Batch | Sequence[Transition], value_net: Mlp, config: A
     return _scalar(loss)
 
 
-def actor_update(batch: Batch | Sequence[Transition], policy_net: Mlp,
+def actor_update(batch: Batch, policy_net: Mlp,
                  advantages: Sequence[float] | np.ndarray, config: A2cConfig,
                  optimizer_state: RmspropState | None = None) -> float | np.ndarray:
     """One ascent step on mean(A * ln pi) plus the entropy bonus.
@@ -231,7 +180,6 @@ def actor_update(batch: Batch | Sequence[Transition], policy_net: Mlp,
     batch's `policy_forward`, when set, stands in for the policy forward.
     Returns the conventional actor loss -mean(A * ln pi) for logging.
     """
-    batch = Batch.of(batch)
     n = len(batch)
     adv = np.asarray(advantages, dtype=float)
     if adv.shape[-1:] != (n,):
@@ -252,31 +200,16 @@ def actor_update(batch: Batch | Sequence[Transition], policy_net: Mlp,
     return _scalar(loss)
 
 
-def act_sample(state: MarketState, policy_net: Mlp,
-               rng: np.random.Generator) -> Action:
-    logits, _ = forward(policy_net, state.to_vector())
-    index, _, _ = softmax_sample(logits, rng)
-    return action_from_index(index)
-
-
 #: Greedy tie-break preference: Neutral, then Long, then Short. An argmax
 #: over the probabilities taken in this order picks the first best one.
 _GREEDY_ORDER = np.array([1, 2, 0])
 
 
-def act_greedy(state: MarketState, policy_net: Mlp) -> Action:
-    probs = softmax(forward(policy_net, state.to_vector())[0])
-    return action_from_index(_GREEDY_ORDER[np.argmax(probs[_GREEDY_ORDER])])
-
-
-def greedy_policy(policy_net: Mlp):
-    return lambda state: act_greedy(state, policy_net)
-
-
 def greedy_episodes(env: TradingEnv, policy: Mlp) -> list[EpisodeResult]:
     """Run a stacked env to its end, trial k acting greedily under net k of
-    the stack `policy`. Trial k's result has the bits of
-    ``run_policy(TradingEnv(series_k, config_k), greedy_policy(net_k))``."""
+    the stack `policy`; ties break Neutral, then Long, then Short. Trial k's
+    result has the bits of its own stack of one, and of the per-step greedy
+    reference run in `tests/reference.py`."""
     obs = env.reset()
     for _ in range(env.steps):
         probs = softmax(forward(policy, obs)[0])
@@ -317,7 +250,7 @@ def _rollout(env: TradingEnv, policy: Mlp, uniforms: np.ndarray,
     Only the last action in a state is endogenous, and the policy is fixed
     within a flush: one forward over the m states, each with each previous
     action, gives a (K, m, 3, 3) logits table, and step j draws from row
-    (j, previous action) by softmax_sample's rule. The env takes the m
+    (j, previous action) by softmax_draw's rule. The env takes the m
     actions as one block. Returns the flush's Batch, its policy_forward the
     taken table rows, and those rows' probabilities.
     """

@@ -19,8 +19,8 @@ import sys
 from pathlib import Path
 
 from . import data, evaluation, sentiment
-from .config import (RESUMABLE_KEYS, RunConfig, _integer, echo_config, echo_differences,
-                     load_config)
+from .config import (RESUMABLE_KEYS, RunConfig, _integer, _number, echo_config,
+                     echo_differences, load_config)
 from .errors import ConfigError, IngestError, SentarlError
 from .files import run_lock
 
@@ -96,6 +96,7 @@ def cmd_corr_pulse(config: RunConfig, asset: str, min_shift: int,
 
 def cmd_train(config: RunConfig, asset: str, window: int, seed: int,
               tc: float, strategy: str) -> int:
+    _number(tc, "--tc", lo=0)  # before the cache is read or anything written
     if strategy not in ("sentarl", "no-sentiment"):
         raise ConfigError("train runs a learning trial: "
                           "--strategy must be sentarl or no-sentiment")

@@ -18,7 +18,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,14 +34,6 @@ class Action(enum.IntEnum):
 
 #: Network output index order; index = action value + 1.
 ACTIONS = (Action.SHORT, Action.NEUTRAL, Action.LONG)
-
-
-def action_from_index(index: int) -> Action:
-    return ACTIONS[index]
-
-
-def action_index(action: Action | int) -> int:
-    return int(action) + 1
 
 
 class CostMode(enum.Enum):
@@ -96,41 +88,11 @@ class EnvConfig:
 
 
 @dataclass
-class MarketState:
-    """Agent observation: sentiment window (optional) followed by the
-    price-diff window, hour window, and the previous action.
-
-    The windows may be read-only views into the series; the flat vector is
-    built once, and to_vector() returns that same array on every call.
-    """
-
-    diffs_window: np.ndarray
-    hours_window: np.ndarray
-    sentiment_window: np.ndarray | None
-    last_action: Action
-    _vector: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        parts = [self.diffs_window, self.hours_window, [float(self.last_action)]]
-        if self.sentiment_window is not None:
-            parts.insert(0, self.sentiment_window)
-        self._vector = np.concatenate(parts)
-
-    def to_vector(self) -> np.ndarray:
-        return self._vector
-
-    @property
-    def dimension(self) -> int:
-        return len(self._vector)
-
-
-@dataclass
 class StepOutcome:
-    """One step's result; a stack's reward, next state and info values carry
-    the trial axis."""
+    """One step's result; the reward and info values carry the trial axis."""
 
-    reward: float | np.ndarray
-    next_state: MarketState | np.ndarray
+    reward: np.ndarray
+    next_state: np.ndarray | None
     done: bool
     info: dict
 
@@ -155,27 +117,29 @@ def _rows(arrays: list[np.ndarray]) -> np.ndarray:
 
 
 class TradingEnv:
-    """Episode walker over one aligned series, or a lockstep stack of trials.
+    """A lockstep stack of K trials over aligned series, on one clock.
 
-    Given a sequence of K env configs (and one series shared by every
-    trial, or one series per trial), the env is a stack of K trials on one
-    clock, the way a stack of nets in `nn` carries a leading trial axis.
-    `step` then takes the K action indices (0=Short, 1=Neutral, 2=Long) and
-    computes each trial's reward, cost and cash with the single-trial
-    arithmetic, so every trial gets the bits its own env would give; `cash`,
-    `psi`, `last_action` and the rewards carry the trial axis, and each
-    observation is one (K, d) array. The trials may differ in series, tc_rate
-    and diff_stats, but not in episode length, w, l, phi, cost_mode or
-    use_sentiment.
+    Given a sequence of K env configs, and one series shared by every trial
+    or one series per trial, the env walks the trials the way a stack of
+    nets in `nn` carries a leading trial axis: `step` takes the K action
+    indices (0=Short, 1=Neutral, 2=Long) and computes each trial's reward,
+    cost and cash with the same arithmetic, so every trial gets the bits a
+    stack of one would give it. `cash`, `psi`, `last_action` and the
+    rewards carry the trial axis, and each observation is one (K, d) array.
+    The trials may differ in series, tc_rate and diff_stats, but not in
+    episode length, w, l, phi, cost_mode or use_sentiment. A single trial
+    is a stack of one; `tests/reference.py` holds its per-step reference.
 
     A single instance is not thread-safe (it owns a mutable clock), but
     instances over the same immutable series are independent.
     """
 
     def __init__(self, series: AlignedSeries | Sequence[AlignedSeries],
-                 config: EnvConfig | Sequence[EnvConfig]):
-        stacked = not isinstance(config, EnvConfig)
-        configs = tuple(config) if stacked else (config,)
+                 configs: Sequence[EnvConfig]):
+        if isinstance(configs, EnvConfig):
+            raise ValueError("TradingEnv takes a list of env configs, one per trial; "
+                             "a single trial is TradingEnv(series, [config])")
+        configs = tuple(configs)
         series_list = ((series,) * len(configs) if isinstance(series, AlignedSeries)
                        else tuple(series))
         if not configs or len(series_list) != len(configs):
@@ -193,10 +157,9 @@ class TradingEnv:
             raise ValueError(
                 f"series of length {len(series_list[0])} too short for windows; "
                 f"need at least {min_len} points")
-        self.series = series_list if stacked else series
-        self.config = configs if stacked else config
-        self.trials = len(configs) if stacked else None
-        self._lead = (len(configs),) if stacked else ()
+        self.series = series_list
+        self.config = configs
+        self.trials = len(configs)
         # Start where every configured window is full. The sentiment clock is
         # honored even with use_sentiment off so ablation runs stay aligned.
         self.start_index = max(first.w, first.l - 1)
@@ -218,41 +181,36 @@ class TradingEnv:
             channels.insert(0, ([s.sentiment for s in series_list], l, l - 1))
         self._windows = [(np.lib.stride_tricks.sliding_window_view(
             _rows(arrays), size, axis=-1)[..., ::-1], lag) for arrays, size, lag in channels]
-        psi = [c.phi * float(s.prices[0]) for s, c in zip(series_list, configs)]
-        tc = [c.tc_rate for c in configs]
-        self.psi = np.array(psi) if stacked else psi[0]
-        # a column, so that a stack's cost rates broadcast over a block of steps
-        self._tc = np.array(tc)[:, None] if stacked else tc[0]
+        self.psi = np.array([c.phi * float(s.prices[0]) for s, c in zip(series_list, configs)])
+        # a column, so that the cost rates broadcast over a block of steps
+        self._tc = np.array([c.tc_rate for c in configs])[:, None]
         self.t = self.start_index
-        self.last_action = self._neutral()
+        self.last_action = np.zeros(self.trials, dtype=np.int64)
         self.cash = self.psi
         self._done = False
         self._started = False
         # Per-episode step records, preallocated by reset(); the equity curve
         # is built from them only when equity_curve() is called.
         self._n = 0
-        self._actions = np.empty((*self._lead, 0), dtype=np.int64)
-        self._rewards = np.empty((*self._lead, 0))
-        self._costs = np.empty((*self._lead, 0))
+        self._actions = np.empty((self.trials, 0), dtype=np.int64)
+        self._rewards = np.empty((self.trials, 0))
+        self._costs = np.empty((self.trials, 0))
 
-    def _neutral(self) -> Action | np.ndarray:
-        return Action.NEUTRAL if self.trials is None else np.zeros(self._lead, dtype=np.int64)
-
-    def reset(self, out: np.ndarray | None = None) -> MarketState | np.ndarray:
-        """Rewind to t0 with a flat position and the full initial wealth.
-
-        A stack returns its (K, d) observation, written into `out` if given.
-        """
+    def reset(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Rewind to t0 with a flat position and the full initial wealth;
+        return the (K, d) observation, written into `out` if given."""
         self._check_out(out)
         self.t = self.start_index
-        self.last_action = self._neutral()
-        self.cash = self.psi if self.trials is None else self.psi.copy()
+        self.last_action = np.zeros(self.trials, dtype=np.int64)
+        self.cash = self.psi.copy()
         self._done = False
         self._started = True
         self._n = 0
-        self._actions = np.empty((*self._lead, self.steps), dtype=np.int64)
-        self._rewards = np.empty((*self._lead, self.steps))
-        self._costs = np.empty((*self._lead, self.steps))
+        self._actions = np.empty((self.trials, self.steps), dtype=np.int64)
+        self._rewards = np.empty((self.trials, self.steps))
+        self._costs = np.empty((self.trials, self.steps))
+        if out is None:
+            out = np.empty((self.trials, self._dim))
         return self._observe(out)
 
     @property
@@ -260,22 +218,16 @@ class TradingEnv:
         """Steps in one episode."""
         return self._end - self.start_index
 
-    def _observe(self, out: np.ndarray | None) -> MarketState | np.ndarray:
-        if self.trials is None:
-            windows = [window[0, self.t - lag] for window, lag in self._windows]
-            sent_win = windows.pop(0) if self._use_sentiment else None
-            return MarketState(*windows, sent_win, self.last_action)
-        if out is None:
-            out = np.empty((*self._lead, self._dim))
+    def _observe(self, out: np.ndarray) -> np.ndarray:
         self.observe(out[:, None])
         return out
 
     def observe(self, out: np.ndarray) -> np.ndarray:
-        """A stack's observations of the next r clock ticks (t, t + 1, ...),
-        each with the current last action, written into the (K, r, d) array
-        `out` and returned. A flush of m steps reads its m + 1 rows this way."""
+        """The observations of the next r clock ticks (t, t + 1, ...), each
+        with the current last action, written into the (K, r, d) array `out`
+        and returned. A flush of m steps reads its m + 1 rows this way."""
         rows = out.shape[1] if out.ndim == 3 else 0
-        if out.shape != (*self._lead, rows, self._dim) or not 0 < rows <= self._end - self.t + 1:
+        if out.shape != (self.trials, rows, self._dim) or not 0 < rows <= self._end - self.t + 1:
             raise ValueError(f"out has shape {out.shape}, want (K, r, {self._dim}) with "
                              f"1 <= r <= {self._end - self.t + 1} on a stack of K")
         col = 0
@@ -287,8 +239,8 @@ class TradingEnv:
         return out
 
     def _check_out(self, out: np.ndarray | None) -> None:
-        if out is not None and out.shape != (*self._lead, self._dim):
-            raise ValueError(f"out has shape {out.shape}, want {(*self._lead, self._dim)}")
+        if out is not None and out.shape != (self.trials, self._dim):
+            raise ValueError(f"out has shape {out.shape}, want {(self.trials, self._dim)}")
 
     @property
     def done(self) -> bool:
@@ -296,96 +248,86 @@ class TradingEnv:
 
     @property
     def rewards(self) -> np.ndarray:
-        """The current episode's rewards so far ((K, steps so far) for a stack)."""
-        return self._rewards[..., :self._n]
+        """The current episode's (K, steps so far) rewards."""
+        return self._rewards[:, :self._n]
 
     @property
     def actions(self) -> np.ndarray:
         """The current episode's action values so far, shaped like `rewards`."""
-        return self._actions[..., :self._n]
+        return self._actions[:, :self._n]
 
     @property
-    def wealth(self) -> float | np.ndarray:
+    def wealth(self) -> np.ndarray:
         """Cash plus the current position marked at the clock's price."""
-        price = self._prices[:, self.t] if self.trials else float(self._prices[0, self.t])
-        return self.cash + self.last_action * self._phi * price
+        return self.cash + self.last_action * self._phi * self._prices[:, self.t]
 
-    def unit_cost(self, price: float | np.ndarray) -> float | np.ndarray:
+    def unit_cost(self, price: np.ndarray) -> np.ndarray:
         if self._proportional:
             return self._tc * price
         return self._tc
 
-    def step(self, action: Action | int | np.ndarray,
-             out: np.ndarray | None = None) -> StepOutcome:
+    def step(self, action: np.ndarray, out: np.ndarray | None = None) -> StepOutcome:
         """Trade at the clock price, realize the next price difference.
 
-        A stack takes the K action indices, or a (K, m) block of them that
-        steps m ticks in one pass (the reward and info values then carry
-        the block's step axis), and writes the observation after its last
-        step into `out` when given; next_state is `out`, or None without it.
-        A block is checked whole before the clock moves.
+        Takes the K action indices, or a (K, m) block of them that steps m
+        ticks in one pass (the reward and info values then carry the
+        block's step axis), and writes the observation after its last step
+        into `out` when given; next_state is `out`, or None without it. A
+        block is checked whole before the clock moves.
         """
         if not self._started:
             raise RuntimeError("call reset() before step()")
         if self._done:
             raise RuntimeError("step() called on a finished episode")
         t, phi = self.t, self._phi
-        if self.trials is None:
-            block = action if isinstance(action, Action) else Action(int(action))
-            price, diff, m = float(self._prices[0, t]), float(self._diffs[0, t]), 1
-            switch = block - self.last_action
-        else:
-            values = np.asarray(action) - 1  # indices to action values
-            block = values[:, None] if values.ndim == 1 else values
-            m = block.shape[-1] if block.ndim == 2 else 0
-            if (block.shape[:1] != self._lead or not 0 < m <= self._end - t
-                    or np.abs(block).max() > 1):
-                raise ValueError(f"need {self.trials} action indices in 0..2, or a (K, m) "
-                                 f"block of them with m <= {self._end - t}, got {values + 1}")
-            self._check_out(out)
-            price, diff = self._prices[:, t:t + m], self._diffs[:, t:t + m]
-            switch = block - np.concatenate([self.last_action[:, None], block[:, :-1]], axis=1)
+        values = np.asarray(action) - 1  # indices to action values
+        block = values[:, None] if values.ndim == 1 else values
+        m = block.shape[-1] if block.ndim == 2 else 0
+        if (block.shape[:1] != (self.trials,) or not 0 < m <= self._end - t
+                or np.abs(block).max() > 1):
+            raise ValueError(f"need {self.trials} action indices in 0..2, or a (K, m) "
+                             f"block of them with m <= {self._end - t}, got {values + 1}")
+        self._check_out(out)
         # diff is z_{t+1}: the step trades at price p_t and holds over z_{t+1}
+        price, diff = self._prices[:, t:t + m], self._diffs[:, t:t + m]
+        switch = block - np.concatenate([self.last_action[:, None], block[:, :-1]], axis=1)
         cost = phi * self.unit_cost(price) * abs(switch)
         flow = switch * phi * price + cost
-        if self.trials is None:
-            self.cash -= flow
-        else:  # each step's flow subtracted in turn, left to right
-            self.cash = np.add.accumulate(np.concatenate([self.cash[:, None], -flow], axis=1),
-                                          axis=1)[:, -1]
+        # each step's flow subtracted in turn, left to right
+        self.cash = np.add.accumulate(np.concatenate([self.cash[:, None], -flow], axis=1),
+                                      axis=1)[:, -1]
         reward = phi * diff * block - cost
 
         n = self._n
         self.t = t + m
-        self.last_action = block if self.trials is None else block[:, -1]
+        self.last_action = block[:, -1]
         self._done = self.t == self._end
-        self._actions[..., n:n + m] = block
-        self._rewards[..., n:n + m] = reward
-        self._costs[..., n:n + m] = cost
+        self._actions[:, n:n + m] = block
+        self._rewards[:, n:n + m] = reward
+        self._costs[:, n:n + m] = cost
         self._n = n + m
-        if self.trials and values.ndim == 1:  # a (K,) call reports its one step
+        if values.ndim == 1:  # a (K,) call reports its one step
             reward, price, diff, cost = (a[:, 0] for a in (reward, price, diff, cost))
         return StepOutcome(
             reward=reward,
-            next_state=None if self.trials and out is None else self._observe(out),
+            next_state=None if out is None else self._observe(out),
             done=self._done,
             info={"price": price, "diff": diff, "cost_paid": cost},
         )
 
-    def equity_curve(self, trial: int | None = None) -> list[EquityPoint]:
-        """The current episode's steps so far, built at the time of the call;
-        a stack builds the curve of trial index `trial`.
+    def equity_curve(self, trial: int) -> list[EquityPoint]:
+        """Trial index `trial`'s steps so far this episode, built at the
+        time of the call.
 
         cum_return of step i is ``(fsum(rewards[:i]) + rewards[i]) / psi``,
         so the export costs O(steps^2) additions; training never calls it.
         """
-        if (trial is None) != (self.trials is None):
-            raise ValueError("equity_curve() takes a trial index on a stack only")
-        series, psi, row = ((self.series, self.psi, ()) if trial is None else
-                             (self.series[trial], float(self.psi[trial]), (trial,)))
-        rewards = self._rewards[row][:self._n].tolist()
-        costs = self._costs[row][:self._n].tolist()
-        actions = self._actions[row][:self._n].tolist()
+        if trial is None or not 0 <= trial < self.trials:
+            raise ValueError(f"equity_curve() takes a trial index in [0, {self.trials})")
+        series, psi = self.series[trial], float(self.psi[trial])
+        rewards = self._rewards[trial, :self._n].tolist()
+        costs = self._costs[trial, :self._n].tolist()
+        actions = self._actions[trial, :self._n].tolist()
         t0 = self.start_index
         return [EquityPoint(t=t0 + i, timestamp=series.timestamps[t0 + i],
                             action=actions[i], reward=r, cost=costs[i],
@@ -396,26 +338,6 @@ class TradingEnv:
 def episode_return(rewards: Sequence[float]) -> float:
     """Compensated sum of step rewards (0 for an empty episode)."""
     return math.fsum(rewards)
-
-
-Policy = Callable[[MarketState], Action]
-
-
-def baseline_policy(kind: str, seed: int | None = None) -> Policy:
-    """Deterministic (or seeded-random) reference policies.
-
-    Kinds: ``buy-and-hold`` (Long every step; run it with tc_rate forced to
-    0 since holding has no transactions), ``always-neutral``, and
-    ``random``.
-    """
-    if kind == "buy-and-hold":
-        return lambda state: Action.LONG
-    if kind == "always-neutral":
-        return lambda state: Action.NEUTRAL
-    if kind == "random":
-        rng = np.random.default_rng(seed)
-        return lambda state: ACTIONS[int(rng.integers(0, 3))]
-    raise ValueError(f"unknown baseline policy {kind!r}")
 
 
 @dataclass
@@ -444,15 +366,6 @@ class EpisodeResult:
                 count += 1
             prev = a
         return count
-
-
-def run_policy(env: TradingEnv, policy: Policy) -> EpisodeResult:
-    """Reset the environment and drive it to the end with the policy."""
-    state = env.reset()
-    while not env.done:
-        state = env.step(policy(state)).next_state
-    return EpisodeResult(env.rewards.tolist(), env.actions.tolist(), env.psi,
-                         env.equity_curve())
 
 
 def write_equity_csv(equity: Sequence[EquityPoint], path: str | Path) -> None:

@@ -28,11 +28,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .a2c import (A2cConfig, TrainedAgent, greedy_episodes, greedy_policy, train,
-                  write_training_log)
+from .a2c import A2cConfig, TrainedAgent, greedy_episodes, train, write_training_log
 from .data import AlignedSeries, coverage
-from .env import (EnvConfig, EpisodeResult, TradingEnv, baseline_policy, run_policy,
-                  write_equity_csv)
+from .env import EnvConfig, EpisodeResult, TradingEnv, write_equity_csv
 from .errors import IngestError
 from .files import read_rows, write_csv
 from .nn import Mlp, save_model
@@ -207,12 +205,16 @@ def _safe_ar(tr: float, days: int) -> float | None:
 
 
 def run_buy_and_hold(test_slice: AlignedSeries, env_config: EnvConfig) -> tuple[float, float | None, int]:
-    """(TR, AR, trade_count) for holding Long across the test segment, no TC."""
-    cfg = dataclasses.replace(env_config, tc_rate=0.0, use_sentiment=False)
-    env = TradingEnv(test_slice, cfg)
-    result = run_policy(env, baseline_policy("buy-and-hold"))
-    days = test_slice.trading_days()
-    return result.total_return, _safe_ar(result.total_return, days), result.trade_count
+    """(TR, AR, trade_count) for holding Long across the test segment, no TC.
+
+    Holding Long from t0 earns phi * z_{t+1} each step, so TR is the
+    compensated sum of those rewards over psi = phi * p_0, with one trade.
+    The env is built for its start index and its length check only.
+    """
+    t0 = TradingEnv(test_slice, [env_config]).start_index
+    phi = env_config.phi
+    tr = math.fsum(phi * test_slice.diffs[t0:]) / (phi * float(test_slice.prices[0]))
+    return tr, _safe_ar(tr, test_slice.trading_days()), 1
 
 
 def _trial_configs(key: TrialKey, env_config: EnvConfig,
@@ -231,13 +233,15 @@ def run_agent_trial(key: TrialKey, train_slice: AlignedSeries,
     """Train on the train slice, evaluate the greedy policy on the test slice.
 
     An agent already trained for this key skips the training, and its
-    greedy test episode, if already run, the test.
+    greedy test episode, if already run, the test; otherwise the test runs
+    as a stack of one.
     """
     env_cfg, agent_cfg = _trial_configs(key, env_config, a2c_config)
     if agent is None:
         agent = train(train_slice, env_cfg, agent_cfg)
     if episode is None:
-        episode = run_policy(TradingEnv(test_slice, env_cfg), greedy_policy(agent.policy_net))
+        episode = greedy_episodes(TradingEnv(test_slice, [env_cfg]),
+                                  Mlp.stack([agent.policy_net]))[0]
     days = test_slice.trading_days()
     tr = episode.total_return
     if artifacts_dir is not None:
@@ -280,8 +284,8 @@ def _chunk_worker(args) -> list[tuple[str, TrialKey, object]]:
 
     `slices` maps each (asset, window) of the chunk to its (train, test)
     slices, so each is pickled once. If the lockstep training (or the
-    stacked test) raises, each key is retrained (or tested) alone, so every
-    key gets its own result or its own error.
+    stacked test) raises, each key is retrained alone (or tested as a stack
+    of one), so every key gets its own result or its own error.
     """
     keys, slices, env_cfg, a2c_cfg, artifacts_dir = args
     agents = episodes = [None] * len(keys)
@@ -397,6 +401,8 @@ def run_matrix(series_by_asset: Mapping[str, AlignedSeries],
     """
     if not series_by_asset or not seeds or not tc_rates or not strategies:
         raise ValueError("assets, seeds, tc_rates, and strategies must be non-empty")
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     unknown = set(strategies) - set(STRATEGIES)
     if unknown:
         raise ValueError(f"unknown strategies: {sorted(unknown)}")

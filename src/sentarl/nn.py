@@ -313,27 +313,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax_sample(logits: np.ndarray,
-                   rng: np.random.Generator | Sequence[np.random.Generator] | np.ndarray):
-    """Draw an index from softmax(logits) via one uniform variate.
-
-    Returns (index, log-probability of that index, full distribution), the
-    same values softmax() and log_softmax() give, from one exp pass. Given
-    (K, m) logits, row k draws from generator k of a sequence of K, or takes
-    variate k of a (K,) array of uniforms already drawn from them (the same
-    numbers, when each generator drew its variates in one call); the
-    indices and log-probabilities come back as (K,) arrays.
-    """
-    single = isinstance(rng, np.random.Generator)
-    u = (rng.random() if single else rng if isinstance(rng, np.ndarray)
-         else np.array([g.random() for g in rng]))
-    index, log_probs, probs = softmax_draw(logits, u)
-    log_prob = np.take_along_axis(log_probs, index[..., None], axis=-1)[..., 0]
-    if single:
-        return int(index), float(log_prob), probs
-    return index, log_prob, probs
-
-
 def softmax_draw(logits: np.ndarray, uniforms: float | np.ndarray):
     """(index, log_softmax, softmax) over any leading axes, with one uniform
     u per row: index = searchsorted(cumsum(probs), u, side="right") capped

@@ -184,15 +184,6 @@ def fill_gaps(
     return out
 
 
-def sentiment_window(series: "AlignedSeries", t: int, l: int) -> np.ndarray:
-    """Look-back window [e_t, ..., e_{t-l+1}], newest first (0-based t)."""
-    if l < 1:
-        raise ValueError("window size must be >= 1")
-    if t - l + 1 < 0 or t >= len(series):
-        raise ValueError(f"insufficient history for window of {l} ending at index {t}")
-    return series.sentiment[t - l + 1: t + 1][::-1].copy()
-
-
 @dataclass
 class CorrelationPulse:
     """Pearson correlation of sentiment against shifted price differences.

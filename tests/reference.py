@@ -1,0 +1,302 @@
+"""Per-trial reference implementations, kept as test oracles.
+
+The library runs every trial through a `TradingEnv` stack and every learner
+flush through a `Batch`. The code here is the per-trial, per-step path
+those replaced: a single-trial env whose observations are `MarketState`
+objects and whose arithmetic is plain Python floats, the per-sample
+advantage and action choices, and one-draw sampling. The parity tests
+check the stacked library against it bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
+
+import numpy as np
+
+from sentarl.a2c import Batch
+from sentarl.data import AlignedSeries
+from sentarl.env import (ACTIONS, Action, CostMode, EnvConfig, EpisodeResult, EquityPoint,
+                         StepOutcome)
+from sentarl.nn import Mlp, forward, softmax, softmax_draw
+
+# ---------------------------------------------------------------- env
+
+
+def action_from_index(index: int) -> Action:
+    return ACTIONS[index]
+
+
+def action_index(action: Action | int) -> int:
+    return int(action) + 1
+
+
+@dataclass
+class MarketState:
+    """Agent observation: sentiment window (optional) followed by the
+    price-diff window, hour window, and the previous action.
+
+    The windows may be read-only views into the series; the flat vector is
+    built once, and to_vector() returns that same array on every call.
+    """
+
+    diffs_window: np.ndarray
+    hours_window: np.ndarray
+    sentiment_window: np.ndarray | None
+    last_action: Action
+    _vector: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        parts = [self.diffs_window, self.hours_window, [float(self.last_action)]]
+        if self.sentiment_window is not None:
+            parts.insert(0, self.sentiment_window)
+        self._vector = np.concatenate(parts)
+
+    def to_vector(self) -> np.ndarray:
+        return self._vector
+
+    @property
+    def dimension(self) -> int:
+        return len(self._vector)
+
+
+class TrialEnv:
+    """Episode walker over one aligned series, one trial, one step a call.
+
+    `step` takes an Action (or its value) and returns the reward as a
+    float and the next observation as a MarketState.
+    """
+
+    def __init__(self, series: AlignedSeries, config: EnvConfig):
+        min_len = max(config.w + 1, config.l) + 2
+        if len(series) < min_len:
+            raise ValueError(f"series of length {len(series)} too short for windows; "
+                             f"need at least {min_len} points")
+        self.series, self.config = series, config
+        self.start_index = max(config.w, config.l - 1)
+        self._end = len(series) - 1
+        self._phi = config.phi
+        self._proportional = config.cost_mode is CostMode.PROPORTIONAL
+        diffs = (series.diffs if config.diff_stats is None
+                 else (series.diffs - config.diff_stats[0]) / config.diff_stats[1])
+        # (read-only sliding view, newest first, lag): row t - lag is t's window
+        channels = [(diffs, config.w, config.w), (series.hours, config.w, config.w - 1)]
+        if config.use_sentiment:
+            channels.insert(0, (series.sentiment, config.l, config.l - 1))
+        self._windows = [(np.lib.stride_tricks.sliding_window_view(values, size)[:, ::-1], lag)
+                         for values, size, lag in channels]
+        self.psi = config.phi * float(series.prices[0])
+        self.t = self.start_index
+        self.last_action = Action.NEUTRAL
+        self.cash = self.psi
+        self._done = False
+        self._started = False
+        self._n = 0
+        self._actions = np.empty(0, dtype=np.int64)
+        self._rewards = np.empty(0)
+        self._costs = np.empty(0)
+
+    def reset(self) -> MarketState:
+        """Rewind to t0 with a flat position and the full initial wealth."""
+        self.t = self.start_index
+        self.last_action = Action.NEUTRAL
+        self.cash = self.psi
+        self._done = False
+        self._started = True
+        self._n = 0
+        self._actions = np.empty(self.steps, dtype=np.int64)
+        self._rewards = np.empty(self.steps)
+        self._costs = np.empty(self.steps)
+        return self._observe()
+
+    @property
+    def steps(self) -> int:
+        return self._end - self.start_index
+
+    def _observe(self) -> MarketState:
+        windows = [window[self.t - lag] for window, lag in self._windows]
+        sent_win = windows.pop(0) if self.config.use_sentiment else None
+        return MarketState(*windows, sent_win, self.last_action)
+
+    @property
+    def done(self) -> bool:
+        return self._done
+
+    @property
+    def rewards(self) -> np.ndarray:
+        return self._rewards[:self._n]
+
+    @property
+    def actions(self) -> np.ndarray:
+        return self._actions[:self._n]
+
+    @property
+    def wealth(self) -> float:
+        price = float(self.series.prices[self.t])
+        return self.cash + self.last_action * self._phi * price
+
+    def unit_cost(self, price: float) -> float:
+        if self._proportional:
+            return self.config.tc_rate * price
+        return self.config.tc_rate
+
+    def step(self, action: Action | int) -> StepOutcome:
+        if not self._started:
+            raise RuntimeError("call reset() before step()")
+        if self._done:
+            raise RuntimeError("step() called on a finished episode")
+        action = action if isinstance(action, Action) else Action(int(action))
+        phi = self._phi
+        # diff is z_{t+1}: the step trades at price p_t and holds over z_{t+1}
+        price, diff = float(self.series.prices[self.t]), float(self.series.diffs[self.t])
+        switch = action - self.last_action
+        cost = phi * self.unit_cost(price) * abs(switch)
+        flow = switch * phi * price + cost
+        self.cash -= flow
+        reward = phi * diff * action - cost
+        self._actions[self._n] = action
+        self._rewards[self._n] = reward
+        self._costs[self._n] = cost
+        self._n += 1
+        self.t += 1
+        self.last_action = action
+        self._done = self.t == self._end
+        return StepOutcome(reward=reward, next_state=self._observe(), done=self._done,
+                           info={"price": price, "diff": diff, "cost_paid": cost})
+
+    def equity_curve(self, trial: int | None = None) -> list[EquityPoint]:
+        """The episode's steps so far; cum_return of step i is
+        ``(fsum(rewards[:i]) + rewards[i]) / psi``."""
+        if trial is not None:
+            raise ValueError("equity_curve() takes a trial index on a stack only")
+        rewards, costs = self.rewards.tolist(), self._costs[:self._n].tolist()
+        actions = self.actions.tolist()
+        t0 = self.start_index
+        return [EquityPoint(t=t0 + i, timestamp=self.series.timestamps[t0 + i],
+                            action=actions[i], reward=r, cost=costs[i],
+                            cum_return=(math.fsum(rewards[:i]) + r) / self.psi)
+                for i, r in enumerate(rewards)]
+
+
+Policy = Callable[[MarketState], Action]
+
+
+def baseline_policy(kind: str, seed: int | None = None) -> Policy:
+    """Deterministic (or seeded-random) reference policies.
+
+    Kinds: ``buy-and-hold`` (Long every step; run it with tc_rate 0 since
+    holding has no transactions), ``always-neutral``, and ``random``.
+    """
+    if kind == "buy-and-hold":
+        return lambda state: Action.LONG
+    if kind == "always-neutral":
+        return lambda state: Action.NEUTRAL
+    if kind == "random":
+        rng = np.random.default_rng(seed)
+        return lambda state: ACTIONS[int(rng.integers(0, 3))]
+    raise ValueError(f"unknown baseline policy {kind!r}")
+
+
+def run_policy(env: TrialEnv, policy: Policy) -> EpisodeResult:
+    """Reset the environment and drive it to the end with the policy."""
+    state = env.reset()
+    while not env.done:
+        state = env.step(policy(state)).next_state
+    return EpisodeResult(env.rewards.tolist(), env.actions.tolist(), env.psi,
+                         env.equity_curve())
+
+
+# ---------------------------------------------------------------- learner
+
+
+@dataclass
+class Transition:
+    """One step of one trial."""
+
+    state: np.ndarray        # flattened MarketState
+    action_index: int        # 0=Short, 1=Neutral, 2=Long
+    reward: float
+    next_state: np.ndarray   # observation after the step; bootstrap gated by done
+    done: bool
+    log_prob: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.reward):
+            raise ValueError("reward must be finite")
+        if self.log_prob > 1e-12:
+            raise ValueError("log_prob must be <= 0")
+
+
+def batch_of(transitions: Sequence[Transition]) -> Batch:
+    """A list of transitions as one Batch: the n states, then the n next
+    states, as its 2n state rows."""
+    if not transitions:
+        raise ValueError("empty batch")
+
+    def rows(name: str) -> np.ndarray:
+        return np.array([getattr(t, name) for t in transitions])
+
+    return Batch(np.concatenate([rows("state"), rows("next_state")]),
+                 rows("action_index"), rows("reward"), rows("done"), rows("log_prob"))
+
+
+def value_of(net: Mlp, state: np.ndarray) -> float:
+    out, _ = forward(net, state)
+    return float(out[0])
+
+
+def advantage(transition: Transition, value_net: Mlp, gamma: float) -> float:
+    """A = R + gamma * V(s') * [not done] - V(s); terminal bootstraps with 0."""
+    bootstrap = 0.0 if transition.done else gamma * value_of(value_net, transition.next_state)
+    return transition.reward + bootstrap - value_of(value_net, transition.state)
+
+
+def softmax_sample(logits: np.ndarray,
+                   rng: np.random.Generator | Sequence[np.random.Generator] | np.ndarray):
+    """Draw an index from softmax(logits) via one uniform variate.
+
+    Returns (index, log-probability of that index, full distribution). Given
+    (K, m) logits, row k draws from generator k of a sequence of K, or takes
+    variate k of a (K,) array of uniforms already drawn from them.
+    """
+    single = isinstance(rng, np.random.Generator)
+    u = (rng.random() if single else rng if isinstance(rng, np.ndarray)
+         else np.array([g.random() for g in rng]))
+    index, log_probs, probs = softmax_draw(logits, u)
+    log_prob = np.take_along_axis(log_probs, index[..., None], axis=-1)[..., 0]
+    if single:
+        return int(index), float(log_prob), probs
+    return index, log_prob, probs
+
+
+def act_sample(state: MarketState, policy_net: Mlp, rng: np.random.Generator) -> Action:
+    logits, _ = forward(policy_net, state.to_vector())
+    index, _, _ = softmax_sample(logits, rng)
+    return action_from_index(index)
+
+
+#: Greedy tie-break preference: Neutral, then Long, then Short.
+_GREEDY_ORDER = np.array([1, 2, 0])
+
+
+def act_greedy(state: MarketState, policy_net: Mlp) -> Action:
+    probs = softmax(forward(policy_net, state.to_vector())[0])
+    return action_from_index(_GREEDY_ORDER[np.argmax(probs[_GREEDY_ORDER])])
+
+
+def greedy_policy(policy_net: Mlp) -> Policy:
+    return lambda state: act_greedy(state, policy_net)
+
+
+# ---------------------------------------------------------------- sentiment
+
+
+def sentiment_window(series: AlignedSeries, t: int, l: int) -> np.ndarray:
+    """Look-back window [e_t, ..., e_{t-l+1}], newest first (0-based t)."""
+    if l < 1:
+        raise ValueError("window size must be >= 1")
+    if t - l + 1 < 0 or t >= len(series):
+        raise ValueError(f"insufficient history for window of {l} ending at index {t}")
+    return series.sentiment[t - l + 1: t + 1][::-1].copy()

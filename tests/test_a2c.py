@@ -5,11 +5,11 @@ import pytest
 
 from conftest import random_walk_series, rel_err
 from sentarl import a2c
-from sentarl.a2c import (A2cConfig, TrainedAgent, Transition, _targets,
-                         act_greedy, act_sample, actor_update, advantage,
-                         critic_update, greedy_policy, train, value_of,
-                         write_training_log)
-from sentarl.env import Action, EnvConfig, MarketState
+from reference import (MarketState, Transition, act_greedy, act_sample, advantage, batch_of,
+                       greedy_policy, value_of)
+from sentarl.a2c import (A2cConfig, TrainedAgent, _targets, actor_update, critic_update,
+                         train, write_training_log)
+from sentarl.env import Action, EnvConfig
 from sentarl.nn import (Gradients, Mlp, RmspropState, apply_update, backward,
                         forward, log_softmax, softmax)
 
@@ -68,7 +68,7 @@ def test_critic_fixed_point_when_residuals_vanish():
     net = Mlp((1, 1), [np.array([[0.0]])], [np.array([0.3])])
     batch = [transition(s, 0.0, s + 1) for s in (0.0, 1.0, 2.0)]
     cfg = A2cConfig(gamma=1.0)
-    loss = critic_update(batch, net, cfg)
+    loss = critic_update(batch_of(batch), net, cfg)
     assert loss == 0.0
     assert net.weights[0][0, 0] == 0.0
     assert net.biases[0][0] == 0.3
@@ -78,18 +78,18 @@ def test_critic_step_moves_toward_target():
     net = value_net_zero()
     batch = [transition(1.0, 1.0, 0.0, done=True)]
     cfg = A2cConfig(lr_critic=0.1)
-    loss = critic_update(batch, net, cfg)
+    loss = critic_update(batch_of(batch), net, cfg)
     assert loss == pytest.approx(1.0)
     # residual 2/n through the linear net: w and b each move by lr * 2
     assert net.weights[0][0, 0] == pytest.approx(0.2)
     assert net.biases[0][0] == pytest.approx(0.2)
     assert value_of(net, np.array([1.0])) == pytest.approx(0.4)
-    assert critic_update(batch, net, cfg) < loss
+    assert critic_update(batch_of(batch), net, cfg) < loss
 
 
 def test_critic_empty_batch():
     with pytest.raises(ValueError, match="empty"):
-        critic_update([], value_net_zero(), A2cConfig())
+        critic_update(batch_of([]), value_net_zero(), A2cConfig())
 
 
 def test_critic_loss_nonnegative():
@@ -97,24 +97,24 @@ def test_critic_loss_nonnegative():
     net = Mlp.create([1, 4, 1], rng)
     batch = [transition(rng.normal(), rng.normal(), rng.normal(),
                         done=bool(rng.integers(2))) for _ in range(8)]
-    assert critic_update(batch, net, A2cConfig()) >= 0.0
+    assert critic_update(batch_of(batch), net, A2cConfig()) >= 0.0
 
 
 def test_n_step_targets():
     net = Mlp((1, 1), [np.array([[0.0]])], [np.array([4.0])])  # V == 4
     batch = [transition(0.0, 1.0, 0.0), transition(0.0, 2.0, 0.0)]
     cfg = A2cConfig(gamma=0.5, use_n_step_returns=True)
-    assert _targets(batch, net, cfg).tolist() == [3.0, 4.0]
+    assert _targets(batch_of(batch), net, cfg).tolist() == [3.0, 4.0]
     # terminal tail drops the bootstrap
     batch[-1].done = True
-    assert _targets(batch, net, cfg).tolist() == [2.0, 2.0]
+    assert _targets(batch_of(batch), net, cfg).tolist() == [2.0, 2.0]
 
 
 def test_actor_zero_advantage_fixed_point():
     net = policy_net_with_bias([0.2, -0.1, 0.4])
     before = net.copy()
     batch = [transition(1.0, 0.0, 1.0, action_index=2)]
-    loss = actor_update(batch, net, [0.0], A2cConfig())
+    loss = actor_update(batch_of(batch), net, [0.0], A2cConfig())
     assert loss == 0.0
     assert np.array_equal(net.weights[0], before.weights[0])
     assert np.array_equal(net.biases[0], before.biases[0])
@@ -124,7 +124,7 @@ def test_actor_step_follows_advantage_sign():
     batch = [transition(1.0, 0.0, 1.0, action_index=2)]
     for adv, compare in ((1.0, np.greater), (-1.0, np.less)):
         net = policy_net_with_bias([0.0, 0.0, 0.0])
-        actor_update(batch, net, [adv], A2cConfig(lr_actor=0.05))
+        actor_update(batch_of(batch), net, [adv], A2cConfig(lr_actor=0.05))
         logits, _ = forward(net, np.array([1.0]))
         assert compare(softmax(logits)[2], 1 / 3)
 
@@ -132,7 +132,7 @@ def test_actor_step_follows_advantage_sign():
 def test_actor_logged_loss_value():
     net = policy_net_with_bias([0.0, 0.0, 0.0])
     batch = [transition(1.0, 0.0, 1.0, action_index=2)]
-    loss = actor_update(batch, net, [2.0], A2cConfig())
+    loss = actor_update(batch_of(batch), net, [2.0], A2cConfig())
     assert loss == pytest.approx(2.0 * np.log(3.0))
 
 
@@ -140,7 +140,7 @@ def test_actor_advantage_length_check():
     net = policy_net_with_bias([0.0, 0.0, 0.0])
     batch = [transition(1.0, 0.0, 1.0)]
     with pytest.raises(ValueError, match="advantage"):
-        actor_update(batch, net, [1.0, 2.0], A2cConfig())
+        actor_update(batch_of(batch), net, [1.0, 2.0], A2cConfig())
 
 
 def test_entropy_bonus_flattens_policy():
@@ -150,7 +150,7 @@ def test_entropy_bonus_flattens_policy():
         return -float(np.sum(probs * np.log(probs)))
     before = entropy()
     batch = [transition(1.0, 0.0, 1.0, action_index=0)]
-    actor_update(batch, net, [0.0], A2cConfig(entropy_coef=0.5, lr_actor=0.5))
+    actor_update(batch_of(batch), net, [0.0], A2cConfig(entropy_coef=0.5, lr_actor=0.5))
     assert entropy() > before
 
 
@@ -226,9 +226,9 @@ def test_batched_flush_matches_per_sample_oracle(n_step, done_last, entropy_coef
     for n in (5, 5, 3):  # successive flushes, so optimizer state carries over
         batch = random_batch(rng, n, dim, done_last)
         before = params(value.copy()) + params(policy.copy())
-        advs, _ = a2c._td_residuals(batch, value, cfg)
-        c_loss = critic_update(batch, value, cfg, opts[0])
-        a_loss = actor_update(batch, policy, advs, cfg, opts[1])
+        advs, _ = a2c._td_residuals(batch_of(batch), value, cfg)
+        c_loss = critic_update(batch_of(batch), value, cfg, opts[0])
+        a_loss = actor_update(batch_of(batch), policy, advs, cfg, opts[1])
         ref_c_loss, ref_advs = oracle_critic_update(batch, value_ref, cfg, opts[2])
         ref_a_loss = oracle_actor_update(batch, policy_ref, ref_advs, cfg, opts[3])
         assert rel_err([advs], [ref_advs]) <= 1e-12

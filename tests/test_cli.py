@@ -306,6 +306,17 @@ def test_train_command(tmp_path, capsys):
     assert "--window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-0.5", "nan"])
+def test_train_rejects_a_bad_tc_naming_the_flag(tmp_path, capsys, value):
+    cfg = make_workspace(tmp_path)
+    main(["ingest", "--config", str(cfg)])
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--asset", "AAA", "--window", "0",
+                 "--tc", value]) == 2
+    assert "config error: --tc: " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "debug").exists()
+
+
 def test_run_end_to_end(tmp_path, capsys):
     cfg = make_workspace(tmp_path)
     main(["ingest", "--config", str(cfg)])

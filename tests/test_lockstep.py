@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import random_walk_series, rel_err
+from reference import TrialEnv, action_from_index, greedy_policy, run_policy, softmax_sample
 from sentarl import a2c, evaluation
-from sentarl.a2c import A2cConfig, greedy_episodes, greedy_policy, train
-from sentarl.env import Action, EnvConfig, TradingEnv, action_from_index, run_policy
+from sentarl.a2c import A2cConfig, greedy_episodes, train
+from sentarl.env import Action, EnvConfig, TradingEnv
 from sentarl.errors import NonFiniteGradientError
 from sentarl.evaluation import TrialKey, WindowSpec, result_row, run_matrix
 from sentarl.nn import (ACTIVATIONS, Gradients, Mlp, RmspropState, apply_update,
-                        backward, forward, softmax, softmax_sample)
+                        backward, forward, softmax)
 
 # ------------------------------------------------ stacked nn primitives
 
@@ -189,7 +190,7 @@ def test_lockstep_training_is_bit_identical_to_single_runs(case, use_sentiment,
         assert np.array_equal(agent.policy_net.flat, alone.policy_net.flat)
         assert np.array_equal(agent.value_net.flat, alone.value_net.flat)
         assert [vars(e) for e in agent.log] == [vars(e) for e in alone.log]
-        test_trs = [run_policy(TradingEnv(test_slice, env_cfg),
+        test_trs = [run_policy(TrialEnv(test_slice, env_cfg),
                                greedy_policy(a.policy_net)).total_return
                     for a in (agent, alone)]
         assert test_trs[0] == test_trs[1]
@@ -281,7 +282,7 @@ def test_env_stack_matches_single_envs(cost_mode, use_sentiment):
                       use_sentiment=use_sentiment, diff_stats=stats)
             for _, tc, stats in trials]
     stack = TradingEnv([s for s, _, _ in trials], cfgs)
-    singles = [TradingEnv(s, c) for (s, _, _), c in zip(trials, cfgs)]
+    singles = [TrialEnv(s, c) for (s, _, _), c in zip(trials, cfgs)]
     assert stack.trials == 4 and stack.steps == singles[0].steps
     assert stack.psi.tolist() == [e.psi for e in singles]
     buf = np.full((4, cfgs[0].state_dim), np.nan)
@@ -346,7 +347,7 @@ def test_greedy_episodes_match_single_greedy_runs(cost_mode, use_sentiment):
     got = greedy_episodes(TradingEnv([s for s, _ in trials], cfgs), Mlp.stack(nets))
     assert len(got) == len(trials)
     for (s, _), cfg, net, episode in zip(trials, cfgs, nets, got):
-        want = run_policy(TradingEnv(s, cfg), greedy_policy(net))
+        want = run_policy(TrialEnv(s, cfg), greedy_policy(net))
         # repr compares bits and types (a numpy float would print differently)
         assert repr(episode.rewards) == repr(want.rewards)
         assert episode.actions == want.actions
@@ -363,7 +364,7 @@ def test_greedy_episodes_match_single_greedy_runs(cost_mode, use_sentiment):
 def test_equity_curve_takes_a_trial_index_on_a_stack_only():
     series = random_walk_series(40, seed=5)
     cfg = EnvConfig(w=3, l=2)
-    stack, single = TradingEnv(series, [cfg, cfg]), TradingEnv(series, cfg)
+    stack, single = TradingEnv(series, [cfg, cfg]), TrialEnv(series, cfg)
     stack.reset()
     single.reset()
     stack.step([2, 0])
@@ -378,10 +379,13 @@ def test_equity_curve_takes_a_trial_index_on_a_stack_only():
 def test_stacked_test_fault_falls_back_to_single_tests(tmp_path, monkeypatch, caplog):
     matrix(tmp_path / "stacked", artifacts=True)
     stacked_sizes = []
+    real = evaluation.greedy_episodes
 
     def failing(env, policy):
-        stacked_sizes.append(env.trials)
-        raise FloatingPointError("injected fault")
+        if env.trials > 1:
+            stacked_sizes.append(env.trials)
+            raise FloatingPointError("injected fault")
+        return real(env, policy)
 
     monkeypatch.setattr(evaluation, "greedy_episodes", failing)
     with caplog.at_level(logging.WARNING):
@@ -408,7 +412,9 @@ def test_env_stack_rejects_trials_that_cannot_share_a_clock():
             (series, [base, dataclasses.replace(base, cost_mode="fixed-per-unit")], "share"),
             (series, [base, dataclasses.replace(base, use_sentiment=False)], "share"),
             ([series], [base, base], "one series per trial"),
-            (series, [], "one env config per trial")):
+            (series, [], "one env config per trial"),
+            (series.slice(0, 5), [base], "too short"),
+            (series, base, "list")):
         with pytest.raises(ValueError, match=message):
             TradingEnv(series_arg, cfgs)
 
@@ -449,7 +455,7 @@ def test_lockstep_training_across_windows_and_assets_is_bit_identical():
         assert np.array_equal(agent.policy_net.flat, alone.policy_net.flat)
         assert np.array_equal(agent.value_net.flat, alone.value_net.flat)
         assert [vars(e) for e in agent.log] == [vars(e) for e in alone.log]
-        test_trs = [run_policy(TradingEnv(test_slice, env_cfg),
+        test_trs = [run_policy(TrialEnv(test_slice, env_cfg),
                                greedy_policy(x.policy_net)).total_return
                     for x in (agent, alone)]
         assert test_trs[0] == test_trs[1]
@@ -645,11 +651,8 @@ def test_train_runs_one_policy_and_one_value_forward_per_flush(monkeypatch):
         calls[net.output_size] += 1
         return real(net, x)
 
-    def no_per_step_draws(*args):
-        raise AssertionError("train drew an action through softmax_sample")
-
     monkeypatch.setattr(a2c, "forward", counting)
-    monkeypatch.setattr(a2c, "softmax_sample", no_per_step_draws)
+    assert not hasattr(a2c, "softmax_sample")
     cfg = EnvConfig(w=3, l=2)
     train(series, [cfg] * 2, [A2cConfig(episodes=2, n_steps=5, seed=s, hidden_sizes=(5,))
                               for s in (0, 1)])

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
+from reference import softmax_sample
 from sentarl.errors import ModelFormatError, NonFiniteGradientError
 from sentarl.nn import (ACTIVATIONS, Gradients, Mlp, RmspropState, apply_update,
                         backward, deserialize, fd_gradients, forward, load_model,
-                        log_softmax, save_model, serialize, softmax, softmax_sample)
+                        log_softmax, save_model, serialize, softmax)
 
 
 def linear_net(weight_rows, bias, activation="tanh"):

