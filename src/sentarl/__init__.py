@@ -5,13 +5,13 @@ from .a2c import (A2cConfig, Batch, EpisodeLog, TrainedAgent, actor_update,
 from .data import (AlignedSeries, HeadlineRecord, PriceRecord, align,
                    compute_diffs, coverage, load_aligned, load_headlines,
                    load_prices, save_aligned)
-from .env import (ACTIONS, Action, CostMode, EnvConfig, EpisodeResult,
-                  StepOutcome, TradingEnv, episode_return)
+from .env import (Action, CostMode, EnvConfig, EpisodeResult, StepOutcome,
+                  TradingEnv, episode_return, total_return)
 from .errors import (ConfigError, IngestError, ModelFormatError,
                      NonFiniteGradientError, SentarlError)
 from .evaluation import (MatrixResult, RollingWindows, TrialKey, TrialResult,
                          WindowSpec, annualized_return, make_windows, report,
-                         run_matrix, sharpe, total_return)
+                         run_matrix, sharpe)
 from .nn import (Gradients, Mlp, apply_update, backward, deserialize, forward,
                  load_model, save_model, serialize, softmax, softmax_draw)
 from .sentiment import (CorrelationPulse, FillPolicy, Grouping, LexiconScorer,

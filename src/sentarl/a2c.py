@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import AlignedSeries
-from .env import EpisodeResult, TradingEnv, episode_return
+from .env import EpisodeResult, TradingEnv, total_return
 from .files import write_csv
 from .nn import (ACTIVATIONS, ForwardCache, Gradients, Mlp, RmspropState, apply_update,
                  backward, forward, log_softmax, softmax, softmax_draw)
@@ -69,6 +69,8 @@ class A2cConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.max_grad_norm is not None and self.max_grad_norm <= 0:
             raise ValueError("max_grad_norm must be positive when set")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def _safe_log(probs: np.ndarray) -> np.ndarray:
@@ -358,7 +360,7 @@ def train(series: AlignedSeries | Sequence[AlignedSeries], env_config, config,
         for k in range(trials):
             logs[k].append(EpisodeLog(
                 episode=episode,
-                train_tr=episode_return(env.rewards[k].tolist()) / psi[k],
+                train_tr=total_return(env.rewards[k].tolist(), psi[k]),
                 actor_loss=_weighted_mean([(loss[k], n) for loss, n in actor_losses]),
                 critic_loss=_weighted_mean([(loss[k], n) for loss, n in critic_losses]),
                 policy_entropy=float(entropy[k]),

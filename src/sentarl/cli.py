@@ -96,7 +96,8 @@ def cmd_corr_pulse(config: RunConfig, asset: str, min_shift: int,
 
 def cmd_train(config: RunConfig, asset: str, window: int, seed: int,
               tc: float, strategy: str) -> int:
-    _number(tc, "--tc", lo=0)  # before the cache is read or anything written
+    _number(tc, "--tc", lo=0)  # both before the cache is read or anything written
+    _integer(seed, "--seed", lo=0)
     if strategy not in ("sentarl", "no-sentiment"):
         raise ConfigError("train runs a learning trial: "
                           "--strategy must be sentarl or no-sentiment")
@@ -155,7 +156,6 @@ def cmd_run(config: RunConfig, workers: int | None, resume: bool,
             out_dir=out,
             workers=workers if workers is not None else config.workers,
             limit=limit,
-            artifacts=True,
         )
         if matrix.failures:
             for failure in matrix.failures:
@@ -181,12 +181,8 @@ def cmd_report(results_dir: Path, shift: int) -> int:
     if not results_path.exists():
         raise IngestError(f"no results file at {results_path}")
     results = evaluation.read_results_csv(results_path)
-    series_by_asset = {}
-    cache_dir = results_dir / "caches"
-    if cache_dir.is_dir():
-        for cache in sorted(cache_dir.glob("*.aligned.csv")):
-            name = cache.name.removesuffix(".aligned.csv")
-            series_by_asset[name] = data.load_aligned(cache, asset=name)
+    caches = sorted((results_dir / data.CACHE_DIR).glob(f"*{data.CACHE_SUFFIX}"))
+    series_by_asset = {series.asset: series for series in map(data.load_aligned, caches)}
     bundle = evaluation.report(results, series_by_asset or None,
                                out_dir=results_dir / "report",
                                scatter_shift=shift)

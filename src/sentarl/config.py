@@ -19,6 +19,7 @@ from functools import partial
 from pathlib import Path
 
 from .a2c import A2cConfig
+from .data import CACHE_DIR, CACHE_SUFFIX
 from .env import EnvConfig
 from .errors import ConfigError
 from .evaluation import STRATEGIES, WindowSpec
@@ -54,7 +55,7 @@ class RunConfig:
     workers: int
 
     def cache_path(self, asset: str) -> Path:
-        return self.output_dir / "caches" / f"{asset}.aligned.csv"
+        return self.output_dir / CACHE_DIR / f"{asset}{CACHE_SUFFIX}"
 
 
 class _Section:
@@ -243,11 +244,11 @@ def load_config(path: str | Path, check_paths: bool = True) -> RunConfig:
         raise ConfigError(f"lexicon: file not found: {lexicon}")
 
     try:
-        grouping = Grouping.parse(_string(top.take("grouping", "min"), "grouping"))
+        grouping = Grouping(_string(top.take("grouping", "min"), "grouping"))
     except ValueError as exc:
         raise ConfigError(f"grouping: {exc}") from exc
     try:
-        fill = FillPolicy.parse(_string(top.take("fill", "neutral-zero"), "fill"))
+        fill = FillPolicy(_string(top.take("fill", "neutral-zero"), "fill"))
     except ValueError as exc:
         raise ConfigError(f"fill: {exc}") from exc
 
@@ -255,7 +256,8 @@ def load_config(path: str | Path, check_paths: bool = True) -> RunConfig:
     tc_rates = _list(top.take("tc_rates", [0.0, 0.0025]), "tc_rates",
                      partial(_number, lo=0.0))
     agent = _parse_section(top, "agent")
-    seeds = _list(top.take("seeds", [0, 1, 2, 3, 4]), "seeds", _integer)
+    seeds = _list(top.take("seeds", [0, 1, 2, 3, 4]), "seeds",
+                  partial(_integer, lo=0))
     windows = _parse_section(top, "windows")
     strategies = _list(top.take("strategies", list(STRATEGIES)), "strategies", _string)
     unknown = set(strategies) - set(STRATEGIES)

@@ -28,6 +28,8 @@ logger = logging.getLogger(__name__)
 PRICE_HEADER = ["timestamp", "close"]
 NEWS_HEADER = ["timestamp", "headline", "score"]
 CACHE_HEADER = ["timestamp", "close", "diff", "tau", "sentiment", "has_news"]
+#: An asset's aligned cache is <output dir>/CACHE_DIR/<asset>CACHE_SUFFIX.
+CACHE_DIR, CACHE_SUFFIX = "caches", ".aligned.csv"
 
 
 @dataclass(frozen=True)
@@ -268,7 +270,8 @@ def save_aligned(series: AlignedSeries, path: str | Path) -> None:
 
 
 def load_aligned(path: str | Path, asset: str | None = None) -> AlignedSeries:
-    """Read an aligned cache CSV back; the asset defaults to the file stem.
+    """Read an aligned cache CSV back; the asset defaults to the file name
+    without CACHE_SUFFIX, or else to its stem up to the first '.'.
 
     Every row is checked as the cache writes it: timestamps increase,
     closes are finite and positive, the diff cell is empty on the first row
@@ -327,9 +330,11 @@ def load_aligned(path: str | Path, asset: str | None = None) -> AlignedSeries:
     if failed:
         row_index, order = min(failed)
         raise IngestError(f"{path}:{lines[row_index]}: {problems[order][1]}")
-    name = asset if asset is not None else path.stem.split(".")[0]
+    if asset is None:
+        asset = (path.name.removesuffix(CACHE_SUFFIX) if path.name.endswith(CACHE_SUFFIX)
+                 else path.stem.split(".")[0])
     return AlignedSeries(
-        asset=name,
+        asset=asset,
         timestamps=timestamps,
         prices=prices,
         diffs=np.array(diffs),

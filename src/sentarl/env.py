@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import AlignedSeries
+from .errors import Choice
 from .files import write_csv
 
 
@@ -32,25 +33,11 @@ class Action(enum.IntEnum):
     LONG = 1
 
 
-#: Network output index order; index = action value + 1.
-ACTIONS = (Action.SHORT, Action.NEUTRAL, Action.LONG)
-
-
-class CostMode(enum.Enum):
+class CostMode(Choice, noun="cost mode"):
     """How the per-unit switching cost c_t is derived from tc_rate."""
 
     PROPORTIONAL = "proportional"      # c_t = tc_rate * p_t
     FIXED_PER_UNIT = "fixed-per-unit"  # c_t = tc_rate (a currency constant)
-
-    @classmethod
-    def parse(cls, value: "CostMode | str") -> "CostMode":
-        if isinstance(value, CostMode):
-            return value
-        try:
-            return cls(value)
-        except ValueError:
-            raise ValueError(f"unknown cost mode {value!r}; "
-                             f"expected one of {[m.value for m in cls]}") from None
 
 
 @dataclass(frozen=True)
@@ -66,7 +53,7 @@ class EnvConfig:
     diff_stats: tuple[float, float] | None = None  # optional (mean, std) z-scoring of state diffs
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cost_mode", CostMode.parse(self.cost_mode))
+        object.__setattr__(self, "cost_mode", CostMode(self.cost_mode))
         if self.w < 1:
             raise ValueError("w must be >= 1")
         if self.l < 0:
@@ -158,7 +145,6 @@ class TradingEnv:
                 f"series of length {len(series_list[0])} too short for windows; "
                 f"need at least {min_len} points")
         self.series = series_list
-        self.config = configs
         self.trials = len(configs)
         # Start where every configured window is full. The sentiment clock is
         # honored even with use_sentiment off so ablation runs stay aligned.
@@ -340,6 +326,13 @@ def episode_return(rewards: Sequence[float]) -> float:
     return math.fsum(rewards)
 
 
+def total_return(rewards: Sequence[float], psi: float) -> float:
+    """Sum of per-step profits over the initial wealth."""
+    if psi <= 0:
+        raise ValueError("psi must be positive")
+    return math.fsum(rewards) / psi
+
+
 @dataclass
 class EpisodeResult:
     """Replay record of one full pass over a series."""
@@ -355,7 +348,7 @@ class EpisodeResult:
 
     @property
     def total_return(self) -> float:
-        return self.total_reward / self.psi
+        return total_return(self.rewards, self.psi)
 
     @property
     def trade_count(self) -> int:

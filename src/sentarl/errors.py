@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the base of its enums."""
+
+import enum
 
 
 class SentarlError(Exception):
@@ -26,3 +28,19 @@ class ModelFormatError(SentarlError):
 class NonFiniteGradientError(SentarlError):
     """A parameter update was rejected because the gradients contained
     NaN or infinity."""
+
+
+class Choice(enum.Enum):
+    """A closed set of named options, each subclass naming its noun:
+    ``class Grouping(Choice, noun="grouping method")``. Calling the class
+    on a member returns it; on an unknown value it raises a ValueError
+    that lists the valid values."""
+
+    def __init_subclass__(cls, noun: str, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._noun = noun
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"unknown {cls._noun} {value!r}; "
+                         f"expected one of {[m.value for m in cls]}")

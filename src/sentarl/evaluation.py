@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import logging
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -30,7 +29,7 @@ import numpy as np
 
 from .a2c import A2cConfig, TrainedAgent, greedy_episodes, train, write_training_log
 from .data import AlignedSeries, coverage
-from .env import EnvConfig, EpisodeResult, TradingEnv, write_equity_csv
+from .env import EnvConfig, EpisodeResult, TradingEnv, total_return, write_equity_csv
 from .errors import IngestError
 from .files import read_rows, write_csv
 from .nn import Mlp, save_model
@@ -106,13 +105,6 @@ def window_slices(series: AlignedSeries,
 # ---------------------------------------------------------------- metrics
 
 
-def total_return(rewards: Sequence[float], psi: float) -> float:
-    """Sum of per-step profits over the initial wealth."""
-    if psi <= 0:
-        raise ValueError("psi must be positive")
-    return math.fsum(rewards) / psi
-
-
 def annualized_return(tr: float, trading_days: int) -> float:
     """(1 + TR)^(365/D) - 1.
 
@@ -173,7 +165,11 @@ class TrialResult:
 @dataclass
 class TrialFailure:
     key: TrialKey
-    error: str
+    error: str             # "<exception type>: <message>"
+
+    @classmethod
+    def of(cls, key: TrialKey, exc: Exception) -> "TrialFailure":
+        return cls(key, f"{type(exc).__name__}: {exc}")
 
 
 @dataclass
@@ -207,13 +203,12 @@ def _safe_ar(tr: float, days: int) -> float | None:
 def run_buy_and_hold(test_slice: AlignedSeries, env_config: EnvConfig) -> tuple[float, float | None, int]:
     """(TR, AR, trade_count) for holding Long across the test segment, no TC.
 
-    Holding Long from t0 earns phi * z_{t+1} each step, so TR is the
-    compensated sum of those rewards over psi = phi * p_0, with one trade.
-    The env is built for its start index and its length check only.
+    Holding Long from t0 earns phi * z_{t+1} each step, so TR is the total
+    return of those rewards over the env's psi, with one trade. The env is
+    built for its start index, psi and length check only.
     """
-    t0 = TradingEnv(test_slice, [env_config]).start_index
-    phi = env_config.phi
-    tr = math.fsum(phi * test_slice.diffs[t0:]) / (phi * float(test_slice.prices[0]))
+    env = TradingEnv(test_slice, [env_config])
+    tr = total_return(env_config.phi * test_slice.diffs[env.start_index:], float(env.psi[0]))
     return tr, _safe_ar(tr, test_slice.trading_days()), 1
 
 
@@ -226,11 +221,11 @@ def _trial_configs(key: TrialKey, env_config: EnvConfig,
 
 def run_agent_trial(key: TrialKey, train_slice: AlignedSeries,
                     test_slice: AlignedSeries, env_config: EnvConfig,
-                    a2c_config: A2cConfig,
-                    artifacts_dir: Path | None = None,
+                    a2c_config: A2cConfig, artifacts_dir: Path,
                     agent: TrainedAgent | None = None,
                     episode: EpisodeResult | None = None) -> TrialResult:
-    """Train on the train slice, evaluate the greedy policy on the test slice.
+    """Train on the train slice, evaluate the greedy policy on the test slice,
+    and write the trial's ARTIFACT_SUFFIXES files into artifacts_dir.
 
     An agent already trained for this key skips the training, and its
     greedy test episode, if already run, the test; otherwise the test runs
@@ -244,16 +239,14 @@ def run_agent_trial(key: TrialKey, train_slice: AlignedSeries,
                                   Mlp.stack([agent.policy_net]))[0]
     days = test_slice.trading_days()
     tr = episode.total_return
-    if artifacts_dir is not None:
-        stem = f"{key.asset}_w{key.window}_s{key.seed}_tc{float(key.tc)!r}_{key.strategy}"
-        policy, value, train_log, equity = (artifacts_dir / f"{stem}{suffix}"
-                                            for suffix in ARTIFACT_SUFFIXES)
-        save_model(agent.policy_net, policy)
-        save_model(agent.value_net, value)
-        write_training_log(agent.log, train_log)
-        write_equity_csv(episode.equity, equity)
-    return TrialResult(key.asset, key.window, key.seed, key.tc, key.strategy,
-                       tr, _safe_ar(tr, days), episode.trade_count)
+    stem = f"{key.asset}_w{key.window}_s{key.seed}_tc{float(key.tc)!r}_{key.strategy}"
+    policy, value, train_log, equity = (artifacts_dir / f"{stem}{suffix}"
+                                        for suffix in ARTIFACT_SUFFIXES)
+    save_model(agent.policy_net, policy)
+    save_model(agent.value_net, value)
+    write_training_log(agent.log, train_log)
+    write_equity_csv(episode.equity, equity)
+    return TrialResult(*dataclasses.astuple(key), tr, _safe_ar(tr, days), episode.trade_count)
 
 
 #: Most trials one lockstep task stacks. Training one 3,377-step episode
@@ -277,17 +270,19 @@ def lockstep_chunks(keys: Iterable[TrialKey]) -> list[list[TrialKey]]:
             for i in range(0, len(group), LOCKSTEP_CAP)]
 
 
-def _chunk_worker(args) -> list[tuple[str, TrialKey, object]]:
+def _chunk_worker(keys: list[TrialKey],
+                  slices: Mapping[tuple[str, int], tuple[AlignedSeries, AlignedSeries]],
+                  env_cfg: EnvConfig, a2c_cfg: A2cConfig,
+                  artifacts_dir: Path) -> list[TrialResult | TrialFailure]:
     """Pool entry point: train one chunk's keys in lockstep, run their
-    greedy test episodes as one stack, then finish each key. Returns one
-    ('ok', key, result) or ('fail', key, message) record per key.
+    greedy test episodes as one stack, then finish each key. Returns each
+    key's result or failure, in key order.
 
     `slices` maps each (asset, window) of the chunk to its (train, test)
-    slices, so each is pickled once. If the lockstep training (or the
-    stacked test) raises, each key is retrained alone (or tested as a stack
-    of one), so every key gets its own result or its own error.
+    slices. If the lockstep training (or the stacked test) raises, each key
+    is retrained alone (or tested as a stack of one), so every key gets its
+    own result or its own error.
     """
-    keys, slices, env_cfg, a2c_cfg, artifacts_dir = args
     agents = episodes = [None] * len(keys)
     try:
         env_cfgs, agent_cfgs = zip(*(_trial_configs(k, env_cfg, a2c_cfg) for k in keys))
@@ -299,16 +294,15 @@ def _chunk_worker(args) -> list[tuple[str, TrialKey, object]]:
                        else ("stacked test episodes", "testing"))
         log.warning("%s of %d trial(s) failed (%s: %s); %s them one by one",
                     stage, len(keys), type(exc).__name__, exc, redo)
-    records = []
+    outcomes: list[TrialResult | TrialFailure] = []
     for key, agent, episode in zip(keys, agents, episodes):
         try:
-            result = run_agent_trial(key, *slices[key.asset, key.window], env_cfg,
-                                     a2c_cfg, artifacts_dir, agent=agent,
-                                     episode=episode)
-            records.append(("ok", key, result))
+            outcomes.append(run_agent_trial(key, *slices[key.asset, key.window], env_cfg,
+                                            a2c_cfg, artifacts_dir, agent=agent,
+                                            episode=episode))
         except Exception as exc:  # per-trial isolation: the matrix continues
-            records.append(("fail", key, f"{type(exc).__name__}: {exc}"))
-    return records
+            outcomes.append(TrialFailure.of(key, exc))
+    return outcomes
 
 
 # ---------------------------------------------------------------- matrix
@@ -367,9 +361,7 @@ def read_results_csv(path: str | Path) -> list[TrialResult]:
 def write_results_csv(rows: Iterable[Sequence[str]], path: Path) -> None:
     """Canonical results file: rows sorted by key, written verbatim and
     atomically."""
-    ordered = sorted(rows, key=lambda r: (r[0], int(r[1]), int(r[2]),
-                                          float(r[3]), r[4]))
-    write_csv(path, RESULTS_HEADER, ordered)
+    write_csv(path, RESULTS_HEADER, sorted(rows, key=lambda row: parse_result_row(row).key))
 
 
 def remove_outputs(out_dir: Path) -> None:
@@ -387,16 +379,16 @@ def run_matrix(series_by_asset: Mapping[str, AlignedSeries],
                strategies: Sequence[str],
                env_config: EnvConfig,
                a2c_config: A2cConfig,
-               out_dir: str | Path | None = None,
+               out_dir: str | Path,
                workers: int = 1,
-               limit: int | None = None,
-               artifacts: bool = False) -> MatrixResult:
-    """Run one trial per (asset, window, seed, tc, strategy) key.
+               limit: int | None = None) -> MatrixResult:
+    """Run one trial per (asset, window, seed, tc, strategy) key in out_dir.
 
-    With out_dir set, finished rows are appended to a journal immediately and
-    already-journaled keys are skipped, so a killed run picks up where it
-    left off; `limit` caps how many pending trials this call attempts (the
-    hook used to exercise interrupt/resume). The canonical sorted
+    Finished rows are appended to out_dir/results.journal.csv immediately
+    and already-journaled keys are skipped, so a killed run picks up where
+    it left off; `limit` caps how many pending trials this call attempts
+    (the hook used to exercise interrupt/resume). Each agent trial writes
+    its artifacts under out_dir/artifacts. The canonical sorted
     results.csv is (re)written only when nothing remains pending.
     """
     if not series_by_asset or not seeds or not tc_rates or not strategies:
@@ -412,94 +404,76 @@ def run_matrix(series_by_asset: Mapping[str, AlignedSeries],
     keys = enumerate_keys(series_by_asset, window_spec.count, seeds, tc_rates,
                           strategies)
 
-    out_path = Path(out_dir) if out_dir is not None else None
-    journal_path = out_path / "results.journal.csv" if out_path else None
-    done: dict[TrialKey, list[str]] = {}
-    if journal_path is not None:
-        key_set = set(keys)
-        done = {k: v for k, v in _read_journal(journal_path).items() if k in key_set}
-
+    out_dir = Path(out_dir)
+    artifacts_dir = out_dir / "artifacts"
+    journal_path = out_dir / "results.journal.csv"
+    key_set = set(keys)
+    done = {k: v for k, v in _read_journal(journal_path).items() if k in key_set}
     pending = [k for k in keys if k not in done]
     attempt = pending if limit is None else pending[:limit]
     skipped = len(pending) - len(attempt)
-
-    journal_fh = None
-    journal_writer = None
-    if journal_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
-        fresh = not journal_path.exists() or journal_path.stat().st_size == 0
-        journal_fh = journal_path.open("a", newline="", encoding="utf-8")
-        journal_writer = csv.writer(journal_fh)
-        if fresh:
-            journal_writer.writerow(RESULTS_HEADER)
-            journal_fh.flush()
-
-    artifacts_dir = out_path / "artifacts" if (out_path and artifacts) else None
     failures: list[TrialFailure] = []
-    bh_cache: dict[tuple[str, int], tuple[float, float | None, int]] = {}
-
-    def record(result: TrialResult) -> None:
-        row = result_row(result)
-        done[result.key] = row
-        if journal_writer is not None:
-            journal_writer.writerow(row)
-            journal_fh.flush()
-
-    def bh_result(key: TrialKey) -> TrialResult:
-        cache_key = (key.asset, key.window)
-        if cache_key not in bh_cache:
-            bh_cache[cache_key] = run_buy_and_hold(slices[cache_key][1], env_config)
-        tr, ar, trades = bh_cache[cache_key]
-        return TrialResult(key.asset, key.window, key.seed, key.tc,
-                           key.strategy, tr, ar, trades)
-
     chunks = lockstep_chunks(attempt)
     agent_total = sum(len(chunk) for chunk in chunks)
 
-    def chunk_args(chunk: list[TrialKey]):
-        chunk_slices = {(k.asset, k.window): slices[k.asset, k.window] for k in chunk}
-        return chunk, chunk_slices, env_config, a2c_config, artifacts_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    fresh = not journal_path.exists() or journal_path.stat().st_size == 0
+    with journal_path.open("a", newline="", encoding="utf-8") as journal_fh:
+        journal = csv.writer(journal_fh)
+        if fresh:
+            journal.writerow(RESULTS_HEADER)
+            journal_fh.flush()
 
-    def collect(records: list[tuple[str, TrialKey, object]]) -> None:
-        nonlocal agent_done
-        for status, key, payload in records:
-            if status == "ok":
-                record(payload)
-            else:
-                failures.append(TrialFailure(key, payload))
-        agent_done += len(records)
-        rate = agent_done / max(time.monotonic() - started, 1e-9)
-        log.info("progress: %d/%d keys done (%d failed), %.0f trials/h, ETA %.0f s",
-                 len(done), len(keys), len(failures), rate * 3600,
-                 (agent_total - agent_done) / rate)
+        def record(outcome: TrialResult | TrialFailure) -> None:
+            if isinstance(outcome, TrialFailure):
+                failures.append(outcome)
+                return
+            row = result_row(outcome)
+            done[outcome.key] = row
+            journal.writerow(row)
+            journal_fh.flush()
 
-    agent_done = 0
-    started = time.monotonic()
-    try:
+        def collect(outcomes: list[TrialResult | TrialFailure]) -> None:
+            nonlocal agent_done
+            for outcome in outcomes:
+                record(outcome)
+            agent_done += len(outcomes)
+            rate = agent_done / max(time.monotonic() - started, 1e-9)
+            log.info("progress: %d/%d keys done (%d failed), %.0f trials/h, ETA %.0f s",
+                     len(done), len(keys), len(failures), rate * 3600,
+                     (agent_total - agent_done) / rate)
+
+        agent_done = 0
+        started = time.monotonic()
+        # buy-and-hold runs once per (asset, window), its row copied to every key
+        bh: dict[tuple[str, int], tuple[float, float | None, int]] = {}
         for key in attempt:
             if key.strategy == "buy-and-hold":
+                where = key.asset, key.window
                 try:
-                    record(bh_result(key))
+                    if where not in bh:
+                        bh[where] = run_buy_and_hold(slices[where][1], env_config)
+                    record(TrialResult(*dataclasses.astuple(key), *bh[where]))
                 except Exception as exc:
-                    failures.append(TrialFailure(key, f"{type(exc).__name__}: {exc}"))
+                    record(TrialFailure.of(key, exc))
         if workers > 1 and len(chunks) > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_chunk_worker, chunk_args(chunk))
+                # each task pickles only its own chunk's slices
+                futures = [pool.submit(_chunk_worker, chunk,
+                                       {(k.asset, k.window): slices[k.asset, k.window]
+                                        for k in chunk},
+                                       env_config, a2c_config, artifacts_dir)
                            for chunk in chunks]
                 # journal each chunk as it finishes, not behind a slower one
                 for future in as_completed(futures):
                     collect(future.result())
         else:
             for chunk in chunks:
-                collect(_chunk_worker(chunk_args(chunk)))
-    finally:
-        if journal_fh is not None:
-            journal_fh.close()
+                collect(_chunk_worker(chunk, slices, env_config, a2c_config, artifacts_dir))
 
     failures.sort(key=lambda f: f.key)  # completion order varies between runs
-    still_pending = skipped + len(failures)
-    if out_path is not None and still_pending == 0 and len(done) == len(keys):
-        write_results_csv(done.values(), out_path / "results.csv")
+    if not skipped and not failures:
+        write_results_csv(done.values(), out_dir / "results.csv")
     if failures:
         log.warning("%d trial(s) failed; matrix continued", len(failures))
 

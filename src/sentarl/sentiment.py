@@ -9,7 +9,6 @@ configured scorer. The bundled lexicon is a small baseline stand-in.
 
 from __future__ import annotations
 
-import enum
 import math
 import re
 from collections import defaultdict
@@ -21,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .errors import IngestError
+from .errors import Choice, IngestError
 from .files import read_rows, write_csv
 
 if TYPE_CHECKING:
@@ -38,39 +37,19 @@ class SentimentScorer(Protocol):
     def score(self, headline: str) -> float: ...
 
 
-class Grouping(enum.Enum):
+class Grouping(Choice, noun="grouping method"):
     """How the scores of all headlines within one hour collapse to e_t."""
 
     MIN = "min"
     MEAN = "mean"
     MAX = "max"
 
-    @classmethod
-    def parse(cls, value: "Grouping | str") -> "Grouping":
-        if isinstance(value, Grouping):
-            return value
-        try:
-            return cls(value)
-        except ValueError:
-            raise ValueError(f"unknown grouping method {value!r}; "
-                             f"expected one of {[g.value for g in cls]}") from None
 
-
-class FillPolicy(enum.Enum):
+class FillPolicy(Choice, noun="fill policy"):
     """Value given to hours with no news."""
 
     NEUTRAL_ZERO = "neutral-zero"
     FORWARD_FILL = "forward-fill"
-
-    @classmethod
-    def parse(cls, value: "FillPolicy | str") -> "FillPolicy":
-        if isinstance(value, FillPolicy):
-            return value
-        try:
-            return cls(value)
-        except ValueError:
-            raise ValueError(f"unknown fill policy {value!r}; "
-                             f"expected one of {[p.value for p in cls]}") from None
 
 
 def lexicon_score(headline: str, lexicon: dict[str, float]) -> float:
@@ -120,7 +99,7 @@ def bundled_lexicon() -> dict[str, float]:
 
 def group_hourly(scores: Iterable[float], method: Grouping | str = Grouping.MIN) -> float:
     """Collapse one hour's scores with the chosen aggregate."""
-    method = Grouping.parse(method)
+    method = Grouping(method)
     values = [float(s) for s in scores]
     if not values:
         raise ValueError("empty score set; apply the fill policy instead")
@@ -172,7 +151,7 @@ def fill_gaps(
     neutral-zero writes 0.0; forward-fill repeats the last observed value
     (0.0 before any news has been seen).
     """
-    policy = FillPolicy.parse(policy)
+    policy = FillPolicy(policy)
     out: list[float] = []
     last = 0.0
     for value in grouped:

@@ -18,11 +18,14 @@ import numpy as np
 
 from sentarl.a2c import Batch
 from sentarl.data import AlignedSeries
-from sentarl.env import (ACTIONS, Action, CostMode, EnvConfig, EpisodeResult, EquityPoint,
+from sentarl.env import (Action, CostMode, EnvConfig, EpisodeResult, EquityPoint,
                          StepOutcome)
 from sentarl.nn import Mlp, forward, softmax, softmax_draw
 
 # ---------------------------------------------------------------- env
+
+#: Network output index order; index = action value + 1.
+ACTIONS = (Action.SHORT, Action.NEUTRAL, Action.LONG)
 
 
 def action_from_index(index: int) -> Action:

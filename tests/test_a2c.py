@@ -268,7 +268,7 @@ def test_config_validation():
     bad = [dict(gamma=1.5), dict(lr_actor=0.0), dict(lr_critic=-1.0),
            dict(n_steps=0), dict(episodes=0), dict(entropy_coef=-0.1),
            dict(hidden_sizes=(0,)), dict(activation="gelu"),
-           dict(optimizer="adam"), dict(max_grad_norm=0.0)]
+           dict(optimizer="adam"), dict(max_grad_norm=0.0), dict(seed=-1)]
     for kwargs in bad:
         with pytest.raises(ValueError):
             A2cConfig(**kwargs)

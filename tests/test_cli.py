@@ -225,6 +225,7 @@ def test_config_rejects_non_finite_numbers_and_non_booleans(tmp_path, capsys, wh
     ("windows.stride", 5, "windows: stride must be >= test_len"),
     ("grouping", "median", "grouping: unknown grouping method 'median'"),
     ("fill", "backfill", "fill: unknown fill policy 'backfill'"),
+    ("seeds", [-1], "seeds[0]: -1 is below the minimum 0"),
 ])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, where, value, message):
     cfg = make_workspace(tmp_path)
@@ -314,6 +315,15 @@ def test_train_rejects_a_bad_tc_naming_the_flag(tmp_path, capsys, value):
     assert main(["train", "--config", str(cfg), "--asset", "AAA", "--window", "0",
                  "--tc", value]) == 2
     assert "config error: --tc: " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "debug").exists()
+
+
+def test_train_rejects_a_negative_seed_naming_the_flag(tmp_path, capsys):
+    cfg = make_workspace(tmp_path)
+    main(["ingest", "--config", str(cfg)])
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--asset", "AAA", "--seed", "-1"]) == 2
+    assert "config error: --seed: -1 is below the minimum 0" in capsys.readouterr().err
     assert not (tmp_path / "out" / "debug").exists()
 
 

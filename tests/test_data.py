@@ -173,6 +173,15 @@ def test_cache_round_trip(tmp_path):
     assert np.array_equal(loaded.timestamps, series.timestamps)
 
 
+def test_cache_name_keeps_a_dotted_asset(tmp_path):
+    series = random_walk_series(30, seed=9, asset="AST.A")
+    path = tmp_path / "AST.A.aligned.csv"
+    save_aligned(series, path)
+    assert load_aligned(path).asset == "AST.A"
+    # without the cache suffix, the name is the stem up to its first '.'
+    assert load_aligned(path.rename(tmp_path / "AST.A.csv")).asset == "AST"
+
+
 def test_coverage_monotone():
     series = random_walk_series(30, seed=2)
     fewer = series.has_news.copy()

@@ -151,7 +151,7 @@ SMALL_ENV = EnvConfig(w=3, l=2)
 SMALL_AGENT = A2cConfig(episodes=2, hidden_sizes=(4,))
 
 
-def small_matrix(out_dir=None, **kwargs):
+def small_matrix(out_dir, **kwargs):
     series = {"AAA": random_walk_series(60, seed=31, asset="AAA")}
     defaults = dict(window_spec=SMALL_WINDOWS, seeds=[0, 1], tc_rates=[0.0],
                     strategies=list(evaluation.STRATEGIES), env_config=SMALL_ENV,
@@ -160,8 +160,8 @@ def small_matrix(out_dir=None, **kwargs):
     return run_matrix(series, **defaults)
 
 
-def test_run_matrix_cardinality_and_order():
-    out = small_matrix()
+def test_run_matrix_cardinality_and_order(tmp_path):
+    out = small_matrix(tmp_path)
     assert isinstance(out, MatrixResult)
     assert not out.failures and out.pending == 0
     assert len(out.results) == 2 * 2 * 1 * 3  # windows x seeds x tc x strategies
@@ -170,8 +170,8 @@ def test_run_matrix_cardinality_and_order():
     assert len(set(keys)) == len(keys)
 
 
-def test_run_matrix_replicates_benchmark():
-    out = small_matrix()
+def test_run_matrix_replicates_benchmark(tmp_path):
+    out = small_matrix(tmp_path)
     bh = [r for r in out.results if r.strategy == "buy-and-hold"]
     for window in (0, 1):
         rows = [r for r in bh if r.window == window]
@@ -179,13 +179,13 @@ def test_run_matrix_replicates_benchmark():
         assert len({(r.tr, r.ar, r.trade_count) for r in rows}) == 1
 
 
-def test_run_matrix_validation():
+def test_run_matrix_validation(tmp_path):
     with pytest.raises(ValueError, match="non-empty"):
-        small_matrix(seeds=[])
+        small_matrix(tmp_path, seeds=[])
     with pytest.raises(ValueError, match="unknown strategies"):
-        small_matrix(strategies=["sentarl", "oracle"])
+        small_matrix(tmp_path, strategies=["sentarl", "oracle"])
     with pytest.raises(ValueError, match="limit"):
-        small_matrix(limit=-1)
+        small_matrix(tmp_path, limit=-1)
 
 
 def test_run_matrix_limit_then_resume(tmp_path):
@@ -288,7 +288,7 @@ def test_run_matrix_journals_in_completion_order(tmp_path, monkeypatch):
     assert agent_keys[0] != slow
 
 
-def test_agent_test_episodes_never_run_one_by_one(monkeypatch):
+def test_agent_test_episodes_never_run_one_by_one(tmp_path, monkeypatch):
     """Agent keys test in stacked episodes, each stack as large as the
     chunk that trained it; buy-and-hold runs no episode."""
     real = evaluation.greedy_episodes
@@ -299,14 +299,14 @@ def test_agent_test_episodes_never_run_one_by_one(monkeypatch):
         return real(env, policy)
 
     monkeypatch.setattr(evaluation, "greedy_episodes", counting)
-    out = small_matrix(tc_rates=[0.0, 0.0025])
+    out = small_matrix(tmp_path, tc_rates=[0.0, 0.0025])
     assert not out.failures and len(out.results) == 2 * 2 * 2 * 3
     chunks = evaluation.lockstep_chunks(r.key for r in out.results)
     assert sorted(sizes) == sorted(len(chunk) for chunk in chunks) == [8, 8]
 
 
 def test_run_matrix_artifacts(tmp_path):
-    small_matrix(out_dir=tmp_path, seeds=[0], artifacts=True)
+    small_matrix(out_dir=tmp_path, seeds=[0])
     stems = {p.name for p in (tmp_path / "artifacts").iterdir()}
     assert "AAA_w0_s0_tc0.0_sentarl.policy.json" in stems
     assert "AAA_w0_s0_tc0.0_sentarl.equity.csv" in stems

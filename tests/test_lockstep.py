@@ -377,7 +377,7 @@ def test_equity_curve_takes_a_trial_index_on_a_stack_only():
 
 
 def test_stacked_test_fault_falls_back_to_single_tests(tmp_path, monkeypatch, caplog):
-    matrix(tmp_path / "stacked", artifacts=True)
+    matrix(tmp_path / "stacked")
     stacked_sizes = []
     real = evaluation.greedy_episodes
 
@@ -389,7 +389,7 @@ def test_stacked_test_fault_falls_back_to_single_tests(tmp_path, monkeypatch, ca
 
     monkeypatch.setattr(evaluation, "greedy_episodes", failing)
     with caplog.at_level(logging.WARNING):
-        out = matrix(tmp_path / "single", artifacts=True)
+        out = matrix(tmp_path / "single")
     assert "testing them one by one" in caplog.text
     assert stacked_sizes == [8, 8] and not out.failures
     # the single test episodes write the same results and artifacts

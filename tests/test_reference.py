@@ -2,6 +2,7 @@
 closed forms that replaced them agree with them bit for bit."""
 
 import dataclasses
+import inspect
 
 import pytest
 
@@ -9,19 +10,23 @@ from conftest import random_walk_series
 from reference import TrialEnv, baseline_policy, run_policy
 import sentarl
 from sentarl import a2c, env, nn, sentiment
-from sentarl.env import EnvConfig, TradingEnv
-from sentarl.evaluation import annualized_return, run_buy_and_hold
+from sentarl.env import CostMode, EnvConfig, TradingEnv
+from sentarl.evaluation import annualized_return, run_buy_and_hold, run_matrix
+from sentarl.sentiment import FillPolicy, Grouping
 
 MOVED = ("MarketState", "TrialEnv", "Policy", "baseline_policy", "run_policy",
          "action_from_index", "action_index", "Transition", "batch_of", "value_of",
          "advantage", "act_sample", "act_greedy", "greedy_policy", "softmax_sample",
-         "sentiment_window")
+         "sentiment_window", "ACTIONS")
 
 
 def test_the_library_keeps_one_path():
     for module in (sentarl, env, a2c, nn, sentiment):
         assert [name for name in MOVED if hasattr(module, name)] == [], module.__name__
     assert not hasattr(a2c.Batch, "of")
+    assert [choice for choice in (CostMode, Grouping, FillPolicy)
+            if hasattr(choice, "parse")] == []
+    assert "artifacts" not in inspect.signature(run_matrix).parameters
     with pytest.raises(ValueError, match="list"):
         TradingEnv(random_walk_series(30), EnvConfig())
 
