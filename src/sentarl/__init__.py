@@ -6,7 +6,7 @@ from .data import (AlignedSeries, HeadlineRecord, PriceRecord, align,
                    compute_diffs, coverage, load_aligned, load_headlines,
                    load_prices, save_aligned)
 from .env import (Action, CostMode, EnvConfig, EpisodeResult, StepOutcome,
-                  TradingEnv, episode_return, total_return)
+                  TradingEnv, total_return)
 from .errors import (ConfigError, IngestError, ModelFormatError,
                      NonFiniteGradientError, SentarlError)
 from .evaluation import (MatrixResult, RollingWindows, TrialKey, TrialResult,

@@ -51,7 +51,9 @@ def _ingest_asset(config: RunConfig, name: str) -> data.AlignedSeries:
     else:
         headlines = data.load_headlines(spec.news)
         scored = sentiment.score_headlines(headlines, _scorer(config))
+        del headlines  # one headline list alive at a time keeps the peak RSS down
         grouped = sentiment.group_by_hour(scored, config.grouping)
+        del scored
     series = data.align(prices, grouped, asset=name, fill=config.fill)
     cache = config.cache_path(name)
     data.save_aligned(series, cache)

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import IngestError
-from .files import read_rows, write_csv
+from .files import atomic_open, read_rows
 
 if TYPE_CHECKING:
     from .sentiment import FillPolicy
@@ -30,6 +30,13 @@ NEWS_HEADER = ["timestamp", "headline", "score"]
 CACHE_HEADER = ["timestamp", "close", "diff", "tau", "sentiment", "has_news"]
 #: An asset's aligned cache is <output dir>/CACHE_DIR/<asset>CACHE_SUFFIX.
 CACHE_DIR, CACHE_SUFFIX = "caches", ".aligned.csv"
+#: Rows the loaders parse, and the cache writer formats, at a time: enough
+#: to amortize the numpy calls, few enough that one block's strings stay
+#: small next to the arrays they become.
+READ_BLOCK, CACHE_BLOCK = 1024, 4096
+#: The Unix epoch, and the steps the columnar code counts from it in.
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+SECOND, HOUR = timedelta(seconds=1), timedelta(hours=1)
 
 
 @dataclass(frozen=True)
@@ -64,35 +71,119 @@ def truncate_to_hour(ts: datetime) -> datetime:
     return ts.replace(minute=0, second=0, microsecond=0)
 
 
+def epoch_seconds(stamps: Iterable[datetime]) -> np.ndarray:
+    """Whole seconds since the Unix epoch (floored) as int64; naive
+    datetimes are taken as UTC."""
+    return np.fromiter(
+        (((ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc)) - EPOCH) // SECOND
+         for ts in stamps), dtype=np.int64)
+
+
+def hour_stamp(hour: int) -> datetime:
+    """The UTC datetime that starts epoch hour `hour`."""
+    return EPOCH + HOUR * hour
+
+
+# The loaders below read a file a block of rows at a time and check each
+# block a column at a time. Each fault found is a (row index, message) pair;
+# the loader raises the one of the earliest row, a tie going to the check
+# listed first, which is the check a row-by-row reader would have failed
+# first.
+
+
+def _read_blocks(path: Path, header: Sequence[str]
+                 ) -> Iterator[tuple[list[int], list[Sequence[str]], list[tuple[int, str]]]]:
+    """(line numbers, cell columns, faults) for each READ_BLOCK rows of
+    `path`. A row whose field count is wrong ends the last block as its
+    fault, with its line last in the list."""
+    width = len(header)
+    lines: list[int] = []
+    rows: list[list[str]] = []
+    for lineno, row in read_rows(path, header):
+        lines.append(lineno)
+        if len(row) != width:
+            fault = (len(rows), f"expected {width} fields, got {len(row)}")
+            yield lines, _columns(rows, width), [fault]
+            return
+        rows.append(row)
+        if len(rows) == READ_BLOCK:
+            yield lines, _columns(rows, width), []
+            lines, rows = [], []
+    if rows:
+        yield lines, _columns(rows, width), []
+
+
+def _columns(rows: list[list[str]], width: int) -> list[Sequence[str]]:
+    return list(zip(*rows)) if rows else [()] * width
+
+
+def _parse_stamps(cells: Sequence[str]) -> tuple[list[datetime], ValueError | None]:
+    """parse_timestamp of each cell up to the first it rejects, and its error."""
+    out: list[datetime] = []
+    try:
+        for cell in cells:
+            out.append(parse_timestamp(cell))
+    except ValueError as exc:
+        return out, exc
+    return out, None
+
+
+def _parse_floats(cells: Sequence[str]) -> tuple[np.ndarray, ValueError | None]:
+    """The cells as float64, each parsed as float() parses it, up to the
+    first cell float() rejects, and its error."""
+    try:
+        return np.array(cells, dtype=np.float64), None
+    except ValueError:
+        for k, cell in enumerate(cells):
+            try:
+                float(cell)
+            except ValueError as exc:
+                return np.array(cells[:k], dtype=np.float64), exc
+        raise
+
+
+def _raise_first(path: Path, lines: Sequence[int], faults: list[tuple[int, str]]) -> None:
+    if faults:
+        row, message = min(faults, key=lambda fault: fault[0])
+        raise IngestError(f"{path}:{lines[row]}: {message}")
+
+
 def load_prices(path: str | Path) -> list[PriceRecord]:
     """Load and validate an hourly price CSV.
 
     Timestamps are truncated to the hour and must be strictly increasing;
-    closes must be positive. Errors report the offending line number.
+    closes must be finite and positive. Errors report the offending line
+    number.
     """
     path = Path(path)
     records: list[PriceRecord] = []
-    prev: datetime | None = None
-    for lineno, row in read_rows(path, PRICE_HEADER):
-        if len(row) != 2:
-            raise IngestError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-        try:
-            ts = truncate_to_hour(parse_timestamp(row[0]))
-        except ValueError as exc:
-            raise IngestError(f"{path}:{lineno}: bad timestamp {row[0]!r}: {exc}") from None
-        try:
-            close = float(row[1])
-        except ValueError:
-            raise IngestError(f"{path}:{lineno}: bad close {row[1]!r}") from None
-        if not np.isfinite(close) or close <= 0:
-            raise IngestError(f"{path}:{lineno}: non-positive price {row[1]}")
-        if prev is not None:
-            if ts == prev:
-                raise IngestError(f"{path}:{lineno}: duplicate timestamp {row[0]}")
-            if ts < prev:
-                raise IngestError(f"{path}:{lineno}: non-monotonic timestamp {row[0]}")
-        prev = ts
-        records.append(PriceRecord(ts, close))
+    last = np.array([np.iinfo(np.int64).min])  # the previous block's last hour
+    for lines, (stamp_cells, close_cells), faults in _read_blocks(path, PRICE_HEADER):
+        stamps, exc = _parse_stamps(stamp_cells)
+        if exc is not None:
+            cell = stamp_cells[len(stamps)]
+            faults.append((len(stamps), f"bad timestamp {cell!r}: {exc}"))
+        closes, exc = _parse_floats(close_cells)
+        if exc is not None:
+            faults.append((len(closes), f"bad close {close_cells[len(closes)]!r}"))
+        # the row checks below run on the rows before the first unreadable one
+        n = min([row for row, _ in faults], default=len(close_cells))
+        hours = epoch_seconds(stamps[:n]) // 3600
+        closes = closes[:n]
+        before = np.r_[last, hours][:n]  # each row's previous hour
+        for bad, message in (
+            (~np.isfinite(closes), "non-finite price {close}"),
+            (closes <= 0, "non-positive price {close}"),
+            (hours == before, "duplicate timestamp {stamp}"),
+            (hours < before, "non-monotonic timestamp {stamp}"),
+        ):
+            if bad.any():
+                row = int(np.argmax(bad))
+                faults.append((row, message.format(close=close_cells[row],
+                                                   stamp=stamp_cells[row])))
+        _raise_first(path, lines, faults)
+        records += [PriceRecord(hour_stamp(h), c) for h, c in zip(hours.tolist(), closes.tolist())]
+        last = hours[-1:]
     logger.info("loaded %d price records from %s", len(records), path)
     return records
 
@@ -101,22 +192,25 @@ def load_headlines(path: str | Path) -> list[HeadlineRecord]:
     """Load a headline CSV; an empty score cell means "score via scorer"."""
     path = Path(path)
     records: list[HeadlineRecord] = []
-    for lineno, row in read_rows(path, NEWS_HEADER):
-        if len(row) != 3:
-            raise IngestError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-        try:
-            ts = parse_timestamp(row[0])
-        except ValueError as exc:
-            raise IngestError(f"{path}:{lineno}: bad timestamp {row[0]!r}: {exc}") from None
-        score: float | None = None
-        if row[2].strip():
-            try:
-                score = float(row[2])
-            except ValueError:
-                raise IngestError(f"{path}:{lineno}: bad score {row[2]!r}") from None
-            if not -1.0 <= score <= 1.0:
-                raise IngestError(f"{path}:{lineno}: score {score} outside [-1, 1]")
-        records.append(HeadlineRecord(ts, row[1], score))
+    for lines, (stamp_cells, headlines, score_cells), faults in _read_blocks(path, NEWS_HEADER):
+        stamps, exc = _parse_stamps(stamp_cells)
+        if exc is not None:
+            cell = stamp_cells[len(stamps)]
+            faults.append((len(stamps), f"bad timestamp {cell!r}: {exc}"))
+        scored = np.flatnonzero([bool(cell.strip()) for cell in score_cells])
+        values, exc = _parse_floats([score_cells[i] for i in scored.tolist()])
+        if exc is not None:
+            row = int(scored[len(values)])
+            faults.append((row, f"bad score {score_cells[row]!r}"))
+        bad = ~((values >= -1.0) & (values <= 1.0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            faults.append((int(scored[k]), f"score {float(values[k])} outside [-1, 1]"))
+        _raise_first(path, lines, faults)
+        scores: list[float | None] = [None] * len(stamps)
+        for row, value in zip(scored.tolist(), values.tolist()):
+            scores[row] = value
+        records += [HeadlineRecord(*fields) for fields in zip(stamps, headlines, scores)]
     logger.info("loaded %d headline records from %s", len(records), path)
     return records
 
@@ -210,43 +304,42 @@ def align(
     """Place grouped per-hour sentiment onto the price grid.
 
     ``grouped`` holds (timestamp, value) pairs; timestamps are truncated to
-    the containing hour. Values whose hour is not on the price grid are
-    dropped with a logged count. Slots without news get the fill policy's
-    value and ``has_news = False``.
+    the containing UTC hour. Values whose hour is not on the price grid are
+    dropped with a logged count; of two values for one hour the later wins.
+    Slots without news get the fill policy's value and ``has_news = False``.
     """
-    from .sentiment import fill_gaps
+    from .sentiment import fill_hours
 
     if not prices:
         raise ValueError("empty price series")
-    ts = np.array([np.datetime64(p.timestamp.replace(tzinfo=None), "s") for p in prices])
+    seconds = epoch_seconds(p.timestamp for p in prices)
     close = np.array([p.close for p in prices], dtype=np.float64)
-    index = {t: i for i, t in enumerate(ts.astype("datetime64[h]"))}
+    grid = seconds // 3600
+    news = epoch_seconds(when for when, _ in grouped) // 3600
+    values = np.array([value for _, value in grouped], dtype=np.float64)
 
-    slots: list[float | None] = [None] * len(prices)
-    dropped = 0
-    for when, value in grouped:
-        if when.tzinfo is not None:
-            when = when.astimezone(timezone.utc)
-        hour = np.datetime64(truncate_to_hour(when).replace(tzinfo=None), "h")
-        i = index.get(hour)
-        if i is None:
-            dropped += 1
-            continue
-        slots[i] = float(value)
-    if dropped:
+    order = np.argsort(grid, kind="stable")
+    sorted_grid = grid[order]
+    # the last price row of each news hour, as a dict from hour to row would give
+    at = np.searchsorted(sorted_grid, news, side="right") - 1
+    hit = sorted_grid[np.maximum(at, 0)] == news
+    if not hit.all():
         logger.warning("%s: dropped %d grouped sentiment values with no price hour",
-                       asset or "series", dropped)
-
-    has_news = np.array([v is not None for v in slots], dtype=bool)
-    sentiment = np.asarray(fill_gaps(slots, fill), dtype=np.float64)
-    diffs = np.diff(close) if len(close) > 1 else np.empty(0)
+                       asset or "series", np.count_nonzero(~hit))
+    rows, values = order[at[hit]], values[hit]
+    last = len(rows) - 1 - np.unique(rows[::-1], return_index=True)[1]
+    has_news = np.zeros(len(prices), dtype=bool)
+    has_news[rows] = True
+    observed = np.zeros(len(prices))
+    observed[rows[last]] = values[last]
+    ts = seconds.astype("datetime64[s]")
     return AlignedSeries(
         asset=asset,
         timestamps=ts,
         prices=close,
-        diffs=diffs,
+        diffs=np.diff(close),
         hours=hour_fraction(ts),
-        sentiment=sentiment,
+        sentiment=fill_hours(observed, has_news, fill),
         has_news=has_news,
     )
 
@@ -257,16 +350,26 @@ def coverage(series: AlignedSeries) -> float:
 
 
 def save_aligned(series: AlignedSeries, path: str | Path) -> None:
-    """Write the aligned cache CSV (column layout in CACHE_HEADER), atomically."""
-    stamps = np.datetime_as_string(series.timestamps, unit="s")
-    write_csv(path, CACHE_HEADER, ([
-        stamps[i] + "Z",
-        repr(float(series.prices[i])),
-        repr(float(series.diffs[i - 1])) if i > 0 else "",
-        repr(float(series.hours[i])),
-        repr(float(series.sentiment[i])),
-        "1" if series.has_news[i] else "0",
-    ] for i in range(len(series))))
+    """Write the aligned cache CSV (column layout in CACHE_HEADER), atomically.
+
+    Floats are written with repr, so they round-trip bit-exactly. No cell
+    needs CSV quoting, so rows are joined directly, a block of rows at a
+    time, with the CRLF line ends of the csv module.
+    """
+    diffs = np.r_[np.nan, series.diffs]
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(CACHE_HEADER) + "\r\n")
+        for lo in range(0, len(series), CACHE_BLOCK):
+            block = slice(lo, lo + CACHE_BLOCK)
+            stamps = np.datetime_as_string(series.timestamps[block], unit="s", timezone="UTC")
+            prices, diff_cells, hours, sentiment = (
+                list(map(repr, column[block].astype(np.float64).tolist()))
+                for column in (series.prices, diffs, series.hours, series.sentiment))
+            if lo == 0:
+                diff_cells[0] = ""  # the first row has no difference
+            flags = series.has_news[block].astype(np.uint8).tolist()
+            fh.write("".join(map("{},{},{},{},{},{}\r\n".format, stamps.tolist(), prices,
+                                 diff_cells, hours, sentiment, flags)))
 
 
 def load_aligned(path: str | Path, asset: str | None = None) -> AlignedSeries:
@@ -276,60 +379,60 @@ def load_aligned(path: str | Path, asset: str | None = None) -> AlignedSeries:
     Every row is checked as the cache writes it: timestamps increase,
     closes are finite and positive, the diff cell is empty on the first row
     only and otherwise holds the exact close difference, tau lies in
-    [0, 1), sentiment is finite and has_news is 0 or 1. The first row that
-    fails is an IngestError naming its line.
+    [0, 1), sentiment is finite and has_news is 0 or 1. The first row with
+    a cell that does not parse is an IngestError naming its line; failing
+    that, so is the first row that fails a check.
     """
     path = Path(path)
     lines: list[int] = []
-    stamps: list[np.datetime64] = []
-    close: list[float] = []
-    diffs: list[float] = []
-    has_diff: list[bool] = []
-    tau: list[float] = []
-    sentiment: list[float] = []
-    has_news: list[bool] = []
-    for lineno, row in read_rows(path, CACHE_HEADER):
-        if len(row) != 6:
-            raise IngestError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
-        try:
-            ts = parse_timestamp(row[0])
-            stamps.append(np.datetime64(ts.replace(tzinfo=None), "s"))
-            close.append(float(row[1]))
-            has_diff.append(bool(row[2].strip()))
-            if has_diff[-1]:
-                diffs.append(float(row[2]))
-            tau.append(float(row[3]))
-            sentiment.append(float(row[4]))
-        except ValueError as exc:
-            raise IngestError(f"{path}:{lineno}: bad row: {exc}") from None
-        flag = row[5].strip()
-        if flag not in ("0", "1"):
-            raise IngestError(f"{path}:{lineno}: has_news {row[5]!r} is not 0 or 1")
-        has_news.append(flag == "1")
-        lines.append(lineno)
-    if not stamps:
+    blocks = []
+    for block_lines, columns, faults in _read_blocks(path, CACHE_HEADER):
+        stamp_cells, close_cells, diff_cells, tau_cells, sent_cells, flag_cells = columns
+        stamps, exc = _parse_stamps(stamp_cells)
+        if exc is not None:
+            faults.append((len(stamps), f"bad row: {exc}"))
+        diff_rows = np.flatnonzero([bool(cell.strip()) for cell in diff_cells])
+        every_row = np.arange(len(close_cells))
+        parsed = []
+        for rows, cells in ((every_row, close_cells),
+                            (diff_rows, [diff_cells[i] for i in diff_rows.tolist()]),
+                            (every_row, tau_cells), (every_row, sent_cells)):
+            values, exc = _parse_floats(cells)
+            if exc is not None:
+                faults.append((int(rows[len(values)]), f"bad row: {exc}"))
+            parsed.append(values)
+        flags = np.array([cell.strip() for cell in flag_cells], dtype=str)
+        has_news = flags == "1"
+        bad = ~has_news & (flags != "0")
+        if bad.any():
+            row = int(np.argmax(bad))
+            faults.append((row, f"has_news {flag_cells[row]!r} is not 0 or 1"))
+        # a cell that does not parse comes before any check across rows
+        _raise_first(path, block_lines, faults)
+        has_diff = np.zeros(len(block_lines), dtype=bool)
+        has_diff[diff_rows] = True
+        lines += block_lines
+        blocks.append((epoch_seconds(stamps), *parsed, has_diff, has_news))
+    if not lines:
         raise IngestError(f"{path}: cache holds no rows")
-    timestamps, prices, hours, sent = (np.array(a) for a in (stamps, close, tau, sentiment))
-    diff_cells = np.array(has_diff)
+    seconds, prices, diffs, hours, sent, has_diff, has_news = map(np.concatenate, zip(*blocks))
+    timestamps = seconds.astype("datetime64[s]")
     diff_of_row = np.full(len(lines), np.nan)
-    diff_of_row[diff_cells] = diffs
+    diff_of_row[has_diff] = diffs
     with np.errstate(invalid="ignore"):  # inf - inf where a close is infinite
         steps = np.diff(prices, prepend=np.nan)
     problems = (
         (np.r_[False, timestamps[1:] <= timestamps[:-1]],
          "timestamp does not follow the previous row's"),
         (~(np.isfinite(prices) & (prices > 0)), "close is not a positive price"),
-        (diff_cells != (np.arange(len(lines)) > 0),
+        (has_diff != (np.arange(len(lines)) > 0),
          "the diff cell must be empty on the first row only"),
-        (diff_cells & (diff_of_row != steps), "diff is not the close difference"),
+        (has_diff & (diff_of_row != steps), "diff is not the close difference"),
         (~((hours >= 0.0) & (hours < 1.0)), "tau outside [0, 1)"),
         (~np.isfinite(sent), "non-finite sentiment"),
     )
-    failed = [(int(np.argmax(bad)), order) for order, (bad, _) in enumerate(problems)
-              if bad.any()]
-    if failed:
-        row_index, order = min(failed)
-        raise IngestError(f"{path}:{lines[row_index]}: {problems[order][1]}")
+    _raise_first(path, lines, [(int(np.argmax(bad)), message)
+                               for bad, message in problems if bad.any()])
     if asset is None:
         asset = (path.name.removesuffix(CACHE_SUFFIX) if path.name.endswith(CACHE_SUFFIX)
                  else path.stem.split(".")[0])
@@ -337,8 +440,8 @@ def load_aligned(path: str | Path, asset: str | None = None) -> AlignedSeries:
         asset=asset,
         timestamps=timestamps,
         prices=prices,
-        diffs=np.array(diffs),
+        diffs=diffs,
         hours=hours,
         sentiment=sent,
-        has_news=np.array(has_news),
+        has_news=has_news,
     )

@@ -321,11 +321,6 @@ class TradingEnv:
                 for i, r in enumerate(rewards)]
 
 
-def episode_return(rewards: Sequence[float]) -> float:
-    """Compensated sum of step rewards (0 for an empty episode)."""
-    return math.fsum(rewards)
-
-
 def total_return(rewards: Sequence[float], psi: float) -> float:
     """Sum of per-step profits over the initial wealth."""
     if psi <= 0:
@@ -341,10 +336,6 @@ class EpisodeResult:
     actions: list[int]
     psi: float
     equity: list[EquityPoint] = field(default_factory=list)
-
-    @property
-    def total_reward(self) -> float:
-        return episode_return(self.rewards)
 
     @property
     def total_return(self) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime
 from importlib import resources
@@ -97,17 +96,21 @@ def bundled_lexicon() -> dict[str, float]:
         return load_lexicon(p)
 
 
+#: Each grouping method's aggregate of one hour's scores, in Python float
+#: arithmetic (np.minimum would pick -0.0 over 0.0 where min keeps the first).
+AGGREGATES = {
+    Grouping.MIN: min,
+    Grouping.MAX: max,
+    Grouping.MEAN: lambda values: sum(values) / len(values),
+}
+
+
 def group_hourly(scores: Iterable[float], method: Grouping | str = Grouping.MIN) -> float:
     """Collapse one hour's scores with the chosen aggregate."""
-    method = Grouping(method)
     values = [float(s) for s in scores]
     if not values:
         raise ValueError("empty score set; apply the fill policy instead")
-    if method is Grouping.MIN:
-        return min(values)
-    if method is Grouping.MAX:
-        return max(values)
-    return sum(values) / len(values)
+    return AGGREGATES[Grouping(method)](values)
 
 
 def score_headlines(
@@ -133,34 +136,50 @@ def group_by_hour(
     scored: Iterable[tuple[datetime, float]],
     method: Grouping | str = Grouping.MIN,
 ) -> list[tuple[datetime, float]]:
-    """Bucket scored headlines into their containing hour and aggregate."""
-    from .data import truncate_to_hour
+    """Bucket scored headlines into their containing UTC hour (naive
+    timestamps are UTC) and aggregate each bucket's scores in input order;
+    the buckets come back in time order, each stamped with its hour."""
+    from .data import epoch_seconds, hour_stamp
 
-    buckets: dict[datetime, list[float]] = defaultdict(list)
-    for when, value in scored:
-        buckets[truncate_to_hour(when)].append(value)
-    return [(hour, group_hourly(vals, method)) for hour, vals in sorted(buckets.items())]
+    aggregate = AGGREGATES[Grouping(method)]
+    pairs = list(scored)
+    if not pairs:
+        return []
+    hours = epoch_seconds(when for when, _ in pairs) // 3600
+    order = np.argsort(hours, kind="stable")
+    hours = hours[order]
+    values = np.array([value for _, value in pairs], dtype=np.float64)[order].tolist()
+    del pairs
+    starts = np.flatnonzero(np.r_[True, hours[1:] != hours[:-1]]).tolist()
+    return [(hour_stamp(hour), aggregate(values[lo:hi]))
+            for hour, lo, hi in zip(hours[starts].tolist(), starts, starts[1:] + [len(values)])]
+
+
+def fill_hours(values: np.ndarray, observed: np.ndarray,
+               policy: FillPolicy | str = FillPolicy.NEUTRAL_ZERO) -> np.ndarray:
+    """`values` where `observed`, and elsewhere the policy's value.
+
+    neutral-zero writes 0.0; forward-fill repeats the last observed value
+    (0.0 before any news has been seen).
+    """
+    policy = FillPolicy(policy)
+    values = np.where(observed, values, 0.0)
+    if policy is FillPolicy.FORWARD_FILL:
+        last = np.maximum.accumulate(np.where(observed, np.arange(len(values)), -1))
+        values = np.where(last >= 0, values[np.maximum(last, 0)], 0.0)
+    return values
 
 
 def fill_gaps(
     grouped: Sequence[float | None],
     policy: FillPolicy | str = FillPolicy.NEUTRAL_ZERO,
 ) -> list[float]:
-    """Replace missing hours per the policy; observed hours are untouched.
-
-    neutral-zero writes 0.0; forward-fill repeats the last observed value
-    (0.0 before any news has been seen).
-    """
-    policy = FillPolicy(policy)
-    out: list[float] = []
-    last = 0.0
-    for value in grouped:
-        if value is None:
-            out.append(last if policy is FillPolicy.FORWARD_FILL else 0.0)
-        else:
-            out.append(float(value))
-            last = float(value)
-    return out
+    """Replace missing (None) hours per the policy (see fill_hours);
+    observed hours are untouched."""
+    observed = np.array([value is not None for value in grouped], dtype=bool)
+    values = np.array([0.0 if value is None else float(value) for value in grouped],
+                      dtype=np.float64)
+    return fill_hours(values, observed, policy).tolist()
 
 
 @dataclass

@@ -202,13 +202,26 @@ def baseline_policy(kind: str, seed: int | None = None) -> Policy:
     raise ValueError(f"unknown baseline policy {kind!r}")
 
 
-def run_policy(env: TrialEnv, policy: Policy) -> EpisodeResult:
+def episode_return(rewards: Sequence[float]) -> float:
+    """Compensated sum of step rewards (0 for an empty episode)."""
+    return math.fsum(rewards)
+
+
+class ReplayResult(EpisodeResult):
+    """An EpisodeResult that also sums its rewards, unscaled by psi."""
+
+    @property
+    def total_reward(self) -> float:
+        return episode_return(self.rewards)
+
+
+def run_policy(env: TrialEnv, policy: Policy) -> ReplayResult:
     """Reset the environment and drive it to the end with the policy."""
     state = env.reset()
     while not env.done:
         state = env.step(policy(state)).next_state
-    return EpisodeResult(env.rewards.tolist(), env.actions.tolist(), env.psi,
-                         env.equity_curve())
+    return ReplayResult(env.rewards.tolist(), env.actions.tolist(), env.psi,
+                        env.equity_curve())
 
 
 # ---------------------------------------------------------------- learner

@@ -43,6 +43,15 @@ def test_load_prices_rejects_non_positive(tmp_path):
         load_prices(path)
 
 
+def test_load_prices_reports_a_non_finite_close(tmp_path):
+    path = tmp_path / "p.csv"
+    stamps = hourly_stamps(3)
+    for close in ("nan", "inf", "-inf"):
+        write_price_csv(path, [(stamps[0], "100.0"), (stamps[1], close), (stamps[2], "-1")])
+        with pytest.raises(IngestError, match=rf"p\.csv:3: non-finite price {close}$"):
+            load_prices(path)
+
+
 def test_load_prices_rejects_duplicates_and_disorder(tmp_path):
     stamps = hourly_stamps(3)
     path = tmp_path / "dup.csv"

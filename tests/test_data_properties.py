@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_series
+from sentarl import data as data_module
 from sentarl.data import load_aligned, load_headlines, load_prices, save_aligned
 from sentarl.errors import IngestError
 
@@ -25,6 +26,14 @@ scores = st.one_of(st.none(), st.floats(min_value=-1.0, max_value=1.0))
 headlines = st.text(st.characters(blacklist_categories=("Cs",)), max_size=30)
 
 
+@pytest.fixture(autouse=True)
+def small_blocks(monkeypatch):
+    """Blocks of 3 rows, so a generated file spans several blocks and a
+    fault can sit on either side of a block boundary."""
+    monkeypatch.setattr(data_module, "READ_BLOCK", 3)
+    monkeypatch.setattr(data_module, "CACHE_BLOCK", 3)
+
+
 def stamp(ts: datetime) -> str:
     return ts.strftime("%Y-%m-%dT%H:%M:%SZ")
 
@@ -36,10 +45,12 @@ def write_rows(path, header, rows):
         writer.writerows(rows)
 
 
-def assert_names_line(path, line, load):
+def assert_names_line(path, line, load, message=None):
     with pytest.raises(IngestError) as info:
         load(path)
     assert f"{path}:{line}:" in str(info.value)
+    if message is not None:
+        assert str(info.value) == f"{path}:{line}: {message}"
 
 
 @st.composite
@@ -62,6 +73,10 @@ def test_load_prices_round_trips(tmp_path, rows):
         (ts.replace(minute=0, second=0), c) for ts, c in rows]
 
 
+# what datetime.fromisoformat says of each bad timestamp cell
+BAD_STAMPS = {"": "Invalid isoformat string: ''",
+              "yesterday": "Invalid isoformat string: 'yesterday'",
+              "2021-13-01T00:00:00Z": "month must be in 1..12"}
 PRICE_FAULTS = ("extra field", "missing field", "bad timestamp", "bad close",
                 "non-positive close", "non-finite close", "repeated hour", "earlier hour")
 
@@ -75,23 +90,31 @@ def test_load_prices_names_the_malformed_line(tmp_path, fault, rows, data):
     row = cells[i]
     if fault == "extra field":
         row.append("1")
+        message = "expected 2 fields, got 3"
     elif fault == "missing field":
         row.pop()
+        message = "expected 2 fields, got 1"
     elif fault == "bad timestamp":
-        row[0] = data.draw(st.sampled_from(["", "yesterday", "2021-13-01T00:00:00Z"]))
+        row[0] = data.draw(st.sampled_from(sorted(BAD_STAMPS)))
+        message = f"bad timestamp {row[0]!r}: {BAD_STAMPS[row[0]]}"
     elif fault == "bad close":
         row[1] = data.draw(st.sampled_from(["", "abc", "1,5"]))
+        message = f"bad close {row[1]!r}"
     elif fault == "non-positive close":
         row[1] = repr(-data.draw(st.floats(0.0, 1e9)))
+        message = f"non-positive price {row[1]}"
     elif fault == "non-finite close":
         row[1] = data.draw(st.sampled_from(["nan", "inf", "-inf"]))
+        message = f"non-finite price {row[1]}"
     elif fault == "repeated hour":
         row[0] = cells[i - 1][0]
+        message = f"duplicate timestamp {row[0]}"
     else:
         row[0] = stamp(rows[i - 1][0] - timedelta(hours=1))
+        message = f"non-monotonic timestamp {row[0]}"
     path = tmp_path / "prices.csv"
     write_rows(path, ["timestamp", "close"], cells)
-    assert_names_line(path, i + 2, load_prices)
+    assert_names_line(path, i + 2, load_prices, message)
 
 
 @st.composite
@@ -125,18 +148,24 @@ def test_load_headlines_names_the_malformed_line(tmp_path, fault, rows, data):
     row = cells[i]
     if fault == "extra field":
         row.append("x")
+        message = "expected 3 fields, got 4"
     elif fault == "missing field":
         row.pop()
+        message = "expected 3 fields, got 2"
     elif fault == "bad timestamp":
         row[0] = "noon"
+        message = "bad timestamp 'noon': Invalid isoformat string: 'noon'"
     elif fault == "bad score":
         row[2] = data.draw(st.sampled_from(["high", "nan", "0.5.1"]))
+        message = ("score nan outside [-1, 1]" if row[2] == "nan"
+                   else f"bad score {row[2]!r}")
     else:
         row[2] = repr(data.draw(st.one_of(st.floats(1.0, 1e6, exclude_min=True),
                                           st.floats(-1e6, -1.0, exclude_max=True))))
+        message = f"score {row[2]} outside [-1, 1]"
     path = tmp_path / "news.csv"
     write_rows(path, ["timestamp", "headline", "score"], cells)
-    assert_names_line(path, i + 2, load_headlines)
+    assert_names_line(path, i + 2, load_headlines, message)
 
 
 @st.composite
@@ -164,6 +193,20 @@ CACHE_FAULTS = ("missing field", "bad timestamp", "earlier timestamp", "bad clos
                 "diff on first row", "tau out of range", "non-finite sentiment",
                 "bad has_news")
 
+CACHE_MESSAGES = {
+    "missing field": "expected 6 fields, got 5",
+    "bad timestamp": "bad row: day is out of range for month",
+    "earlier timestamp": "timestamp does not follow the previous row's",
+    "bad close": "bad row: could not convert string to float: 'close'",
+    "non-positive close": "close is not a positive price",
+    "infinite close": "close is not a positive price",
+    "missing diff": "the diff cell must be empty on the first row only",
+    "wrong diff": "diff is not the close difference",
+    "diff on first row": "the diff cell must be empty on the first row only",
+    "tau out of range": "tau outside [0, 1)",
+    "non-finite sentiment": "non-finite sentiment",
+}
+
 
 @pytest.mark.parametrize("fault", CACHE_FAULTS)
 @PER_FAULT
@@ -176,6 +219,7 @@ def test_load_aligned_names_the_malformed_line(tmp_path, fault, series, data):
     first = 0 if fault == "diff on first row" else 1
     i = data.draw(st.integers(first, len(cells) - 1))
     row = cells[i]
+    message = CACHE_MESSAGES.get(fault)
     if fault == "missing field":
         row.pop()
     elif fault == "bad timestamp":
@@ -200,5 +244,6 @@ def test_load_aligned_names_the_malformed_line(tmp_path, fault, series, data):
         row[4] = data.draw(st.sampled_from(["nan", "inf"]))
     else:
         row[5] = data.draw(st.sampled_from(["2", "yes", ""]))
+        message = f"has_news {row[5]!r} is not 0 or 1"
     write_rows(path, header, cells)
-    assert_names_line(path, i + 2, load_aligned)
+    assert_names_line(path, i + 2, load_aligned, message)

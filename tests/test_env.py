@@ -7,8 +7,9 @@ import pytest
 
 from conftest import build_series, random_walk_series
 from reference import TrialEnv as TradingEnv
-from reference import ACTIONS, action_from_index, action_index, baseline_policy, run_policy
-from sentarl.env import Action, CostMode, EnvConfig, episode_return, write_equity_csv
+from reference import (ACTIONS, action_from_index, action_index, baseline_policy,
+                       episode_return, run_policy)
+from sentarl.env import Action, CostMode, EnvConfig, write_equity_csv
 
 
 def test_action_encoding():

@@ -17,13 +17,14 @@ from sentarl.sentiment import FillPolicy, Grouping
 MOVED = ("MarketState", "TrialEnv", "Policy", "baseline_policy", "run_policy",
          "action_from_index", "action_index", "Transition", "batch_of", "value_of",
          "advantage", "act_sample", "act_greedy", "greedy_policy", "softmax_sample",
-         "sentiment_window", "ACTIONS")
+         "sentiment_window", "ACTIONS", "episode_return")
 
 
 def test_the_library_keeps_one_path():
     for module in (sentarl, env, a2c, nn, sentiment):
         assert [name for name in MOVED if hasattr(module, name)] == [], module.__name__
     assert not hasattr(a2c.Batch, "of")
+    assert not hasattr(env.EpisodeResult, "total_reward")
     assert [choice for choice in (CostMode, Grouping, FillPolicy)
             if hasattr(choice, "parse")] == []
     assert "artifacts" not in inspect.signature(run_matrix).parameters
