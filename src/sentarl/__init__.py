@@ -2,7 +2,7 @@
 
 from .a2c import (A2cConfig, Batch, EpisodeLog, TrainedAgent, actor_update,
                   critic_update, greedy_episodes, train)
-from .data import (AlignedSeries, HeadlineRecord, PriceRecord, align,
+from .data import (AlignedSeries, HeadlineTable, PriceTable, align,
                    compute_diffs, coverage, load_aligned, load_headlines,
                    load_prices, save_aligned)
 from .env import (Action, CostMode, EnvConfig, EpisodeResult, StepOutcome,

@@ -42,7 +42,7 @@ def _scorer(config: RunConfig) -> sentiment.LexiconScorer:
 def _ingest_asset(config: RunConfig, name: str) -> data.AlignedSeries:
     spec = config.assets[name]
     prices = data.load_prices(spec.prices)
-    grouped: list[tuple] = []
+    grouped = None
     if spec.news is None:
         log.warning("%s: no news file configured; sentiment channel is all zeros", name)
     elif not Path(spec.news).exists():
@@ -51,7 +51,7 @@ def _ingest_asset(config: RunConfig, name: str) -> data.AlignedSeries:
     else:
         headlines = data.load_headlines(spec.news)
         scored = sentiment.score_headlines(headlines, _scorer(config))
-        del headlines  # one headline list alive at a time keeps the peak RSS down
+        del headlines  # one headline table alive at a time keeps the peak RSS down
         grouped = sentiment.group_by_hour(scored, config.grouping)
         del scored
     series = data.align(prices, grouped, asset=name, fill=config.fill)

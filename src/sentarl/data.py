@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -34,26 +34,33 @@ CACHE_DIR, CACHE_SUFFIX = "caches", ".aligned.csv"
 #: to amortize the numpy calls, few enough that one block's strings stay
 #: small next to the arrays they become.
 READ_BLOCK, CACHE_BLOCK = 1024, 4096
-#: The Unix epoch, and the steps the columnar code counts from it in.
-EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-SECOND, HOUR = timedelta(seconds=1), timedelta(hours=1)
+#: The Unix epoch and one second, for the timestamps parse_timestamp reads.
+EPOCH, SECOND = datetime(1970, 1, 1, tzinfo=timezone.utc), timedelta(seconds=1)
 
 
-@dataclass(frozen=True)
-class PriceRecord:
-    """One hourly close, timestamp truncated to the hour (UTC)."""
+@dataclass(frozen=True, eq=False)
+class PriceTable:
+    """An hourly price file as columns, one entry per row."""
 
-    timestamp: datetime
-    close: float
+    hours: np.ndarray   # int64 hours since the Unix epoch, strictly increasing
+    closes: np.ndarray  # float64, finite and positive
+
+    def __len__(self) -> int:
+        return len(self.hours)
 
 
-@dataclass(frozen=True)
-class HeadlineRecord:
-    """One news headline with an optional precomputed sentiment score."""
+@dataclass(frozen=True, eq=False)
+class HeadlineTable:
+    """A headline file as columns, one entry per row, in file order."""
 
-    timestamp: datetime
-    headline: str
-    score: float | None = None
+    hours: np.ndarray   # int64 hours since the Unix epoch (the containing UTC hour)
+    texts: list[str]
+    scores: np.ndarray  # float64 in [-1, 1]; NaN where the score cell is empty
+    path: Path          # the file, and each row's line in it, for error messages
+    lines: np.ndarray   # int64
+
+    def __len__(self) -> int:
+        return len(self.hours)
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -67,21 +74,61 @@ def parse_timestamp(text: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def truncate_to_hour(ts: datetime) -> datetime:
-    return ts.replace(minute=0, second=0, microsecond=0)
+#: The canonical stamp YYYY-MM-DDTHH:MM:SSZ: the positions of its
+#: separators and their bytes, the positions of its digits, and the tens
+#: and units digit of its month, day, hour, minute and second, as indices
+#: into those digits.
+_SEPARATOR_AT, _SEPARATORS = [4, 7, 10, 13, 16, 19], np.frombuffer(b"--T::Z", np.uint8)
+_DIGITS = [i for i in range(20) if i not in _SEPARATOR_AT]
+_TENS, _UNITS = [4, 6, 8, 10, 12], [5, 7, 9, 11, 13]
 
 
-def epoch_seconds(stamps: Iterable[datetime]) -> np.ndarray:
-    """Whole seconds since the Unix epoch (floored) as int64; naive
-    datetimes are taken as UTC."""
-    return np.fromiter(
-        (((ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc)) - EPOCH) // SECOND
-         for ts in stamps), dtype=np.int64)
+def decode_timestamps(cells: Sequence[str]) -> tuple[np.ndarray, ValueError | None]:
+    """Whole seconds since the Unix epoch (floored), as int64, of each cell
+    up to the first one parse_timestamp rejects, and its error.
+
+    A block of cells that all read YYYY-MM-DDTHH:MM:SSZ, each field in its
+    range, is decoded by numpy digit arithmetic. Any other block goes
+    through parse_timestamp cell by cell, so every spelling it accepts is
+    accepted here, with the same value, and every rejection keeps its text.
+    """
+    seconds = _decode_canonical(cells)
+    if seconds is not None:
+        return seconds, None
+    out: list[int] = []
+    try:
+        for cell in cells:
+            out.append((parse_timestamp(cell) - EPOCH) // SECOND)
+    except ValueError as exc:
+        return np.array(out, dtype=np.int64), exc
+    return np.array(out, dtype=np.int64), None
 
 
-def hour_stamp(hour: int) -> datetime:
-    """The UTC datetime that starts epoch hour `hour`."""
-    return EPOCH + HOUR * hour
+def _decode_canonical(cells: Sequence[str]) -> np.ndarray | None:
+    """The epoch seconds of `cells` if every one is a canonical stamp with
+    every field in range, else None."""
+    text = "".join(cells)
+    # each cell's own length: a joined length alone lets a 19-character
+    # cell and a 21-character one pass as two of 20
+    if set(map(len, cells)) != {20} or not text.isascii():
+        return None
+    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(len(cells), 20)
+    digits = chars[:, _DIGITS] - np.uint8(ord("0"))  # a non-digit wraps past 9
+    if not ((digits <= 9).all() and (chars[:, _SEPARATOR_AT] == _SEPARATORS).all()):
+        return None
+    digits = digits.astype(np.int64)
+    year = digits[:, :4] @ np.array([1000, 100, 10, 1])
+    month, day, hour, minute, second = (digits[:, _TENS] * 10 + digits[:, _UNITS]).T
+    # the month's first day, and the day itself, which falls in another
+    # month when it is 0 or past the month's end
+    first = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    date = first.astype("datetime64[D]") + (day - 1)
+    in_range = ((year >= 1) & (month >= 1) & (month <= 12)
+                & (date.astype("datetime64[M]") == first)
+                & (hour <= 23) & (minute <= 59) & (second <= 59))
+    if not in_range.all():
+        return None
+    return date.astype(np.int64) * 86400 + hour * 3600 + minute * 60 + second
 
 
 # The loaders below read a file a block of rows at a time and check each
@@ -117,17 +164,6 @@ def _columns(rows: list[list[str]], width: int) -> list[Sequence[str]]:
     return list(zip(*rows)) if rows else [()] * width
 
 
-def _parse_stamps(cells: Sequence[str]) -> tuple[list[datetime], ValueError | None]:
-    """parse_timestamp of each cell up to the first it rejects, and its error."""
-    out: list[datetime] = []
-    try:
-        for cell in cells:
-            out.append(parse_timestamp(cell))
-    except ValueError as exc:
-        return out, exc
-    return out, None
-
-
 def _parse_floats(cells: Sequence[str]) -> tuple[np.ndarray, ValueError | None]:
     """The cells as float64, each parsed as float() parses it, up to the
     first cell float() rejects, and its error."""
@@ -148,7 +184,11 @@ def _raise_first(path: Path, lines: Sequence[int], faults: list[tuple[int, str]]
         raise IngestError(f"{path}:{lines[row]}: {message}")
 
 
-def load_prices(path: str | Path) -> list[PriceRecord]:
+def _joined(blocks: list[np.ndarray], dtype: type) -> np.ndarray:
+    return np.concatenate(blocks) if blocks else np.empty(0, dtype=dtype)
+
+
+def load_prices(path: str | Path) -> PriceTable:
     """Load and validate an hourly price CSV.
 
     Timestamps are truncated to the hour and must be strictly increasing;
@@ -156,19 +196,20 @@ def load_prices(path: str | Path) -> list[PriceRecord]:
     number.
     """
     path = Path(path)
-    records: list[PriceRecord] = []
+    hour_blocks: list[np.ndarray] = []
+    close_blocks: list[np.ndarray] = []
     last = np.array([np.iinfo(np.int64).min])  # the previous block's last hour
     for lines, (stamp_cells, close_cells), faults in _read_blocks(path, PRICE_HEADER):
-        stamps, exc = _parse_stamps(stamp_cells)
+        seconds, exc = decode_timestamps(stamp_cells)
         if exc is not None:
-            cell = stamp_cells[len(stamps)]
-            faults.append((len(stamps), f"bad timestamp {cell!r}: {exc}"))
+            cell = stamp_cells[len(seconds)]
+            faults.append((len(seconds), f"bad timestamp {cell!r}: {exc}"))
         closes, exc = _parse_floats(close_cells)
         if exc is not None:
             faults.append((len(closes), f"bad close {close_cells[len(closes)]!r}"))
         # the row checks below run on the rows before the first unreadable one
         n = min([row for row, _ in faults], default=len(close_cells))
-        hours = epoch_seconds(stamps[:n]) // 3600
+        hours = seconds[:n] // 3600
         closes = closes[:n]
         before = np.r_[last, hours][:n]  # each row's previous hour
         for bad, message in (
@@ -182,21 +223,26 @@ def load_prices(path: str | Path) -> list[PriceRecord]:
                 faults.append((row, message.format(close=close_cells[row],
                                                    stamp=stamp_cells[row])))
         _raise_first(path, lines, faults)
-        records += [PriceRecord(hour_stamp(h), c) for h, c in zip(hours.tolist(), closes.tolist())]
+        hour_blocks.append(hours)
+        close_blocks.append(closes)
         last = hours[-1:]
-    logger.info("loaded %d price records from %s", len(records), path)
-    return records
+    prices = PriceTable(_joined(hour_blocks, np.int64), _joined(close_blocks, np.float64))
+    logger.info("loaded %d price rows from %s", len(prices), path)
+    return prices
 
 
-def load_headlines(path: str | Path) -> list[HeadlineRecord]:
+def load_headlines(path: str | Path) -> HeadlineTable:
     """Load a headline CSV; an empty score cell means "score via scorer"."""
     path = Path(path)
-    records: list[HeadlineRecord] = []
+    hour_blocks: list[np.ndarray] = []
+    score_blocks: list[np.ndarray] = []
+    line_numbers: list[int] = []
+    texts: list[str] = []
     for lines, (stamp_cells, headlines, score_cells), faults in _read_blocks(path, NEWS_HEADER):
-        stamps, exc = _parse_stamps(stamp_cells)
+        seconds, exc = decode_timestamps(stamp_cells)
         if exc is not None:
-            cell = stamp_cells[len(stamps)]
-            faults.append((len(stamps), f"bad timestamp {cell!r}: {exc}"))
+            cell = stamp_cells[len(seconds)]
+            faults.append((len(seconds), f"bad timestamp {cell!r}: {exc}"))
         scored = np.flatnonzero([bool(cell.strip()) for cell in score_cells])
         values, exc = _parse_floats([score_cells[i] for i in scored.tolist()])
         if exc is not None:
@@ -207,12 +253,17 @@ def load_headlines(path: str | Path) -> list[HeadlineRecord]:
             k = int(np.argmax(bad))
             faults.append((int(scored[k]), f"score {float(values[k])} outside [-1, 1]"))
         _raise_first(path, lines, faults)
-        scores: list[float | None] = [None] * len(stamps)
-        for row, value in zip(scored.tolist(), values.tolist()):
-            scores[row] = value
-        records += [HeadlineRecord(*fields) for fields in zip(stamps, headlines, scores)]
-    logger.info("loaded %d headline records from %s", len(records), path)
-    return records
+        scores = np.full(len(seconds), np.nan)
+        scores[scored] = values
+        hour_blocks.append(seconds // 3600)
+        score_blocks.append(scores)
+        line_numbers += lines
+        texts += headlines
+    table = HeadlineTable(_joined(hour_blocks, np.int64), texts,
+                          _joined(score_blocks, np.float64), path,
+                          np.array(line_numbers, dtype=np.int64))
+    logger.info("loaded %d headline rows from %s", len(table), path)
+    return table
 
 
 def compute_diffs(prices: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -296,27 +347,25 @@ def hour_fraction(timestamps: np.ndarray) -> np.ndarray:
 
 
 def align(
-    prices: Sequence[PriceRecord],
-    grouped: Sequence[tuple[datetime, float]],
+    prices: PriceTable,
+    grouped: tuple[np.ndarray, np.ndarray] | None,
     asset: str = "",
     fill: "FillPolicy | str" = "neutral-zero",
 ) -> AlignedSeries:
     """Place grouped per-hour sentiment onto the price grid.
 
-    ``grouped`` holds (timestamp, value) pairs; timestamps are truncated to
-    the containing UTC hour. Values whose hour is not on the price grid are
-    dropped with a logged count; of two values for one hour the later wins.
-    Slots without news get the fill policy's value and ``has_news = False``.
+    ``grouped`` holds two equal-length columns, epoch hours and their
+    values, as group_by_hour returns them; None means no news. Values whose
+    hour is not on the price grid are dropped with a logged count; of two
+    values for one hour the later wins. Slots without news get the fill
+    policy's value and ``has_news = False``.
     """
     from .sentiment import fill_hours
 
-    if not prices:
+    if not len(prices):
         raise ValueError("empty price series")
-    seconds = epoch_seconds(p.timestamp for p in prices)
-    close = np.array([p.close for p in prices], dtype=np.float64)
-    grid = seconds // 3600
-    news = epoch_seconds(when for when, _ in grouped) // 3600
-    values = np.array([value for _, value in grouped], dtype=np.float64)
+    grid, close = prices.hours, prices.closes
+    news, values = grouped if grouped is not None else (grid[:0], close[:0])
 
     order = np.argsort(grid, kind="stable")
     sorted_grid = grid[order]
@@ -332,7 +381,7 @@ def align(
     has_news[rows] = True
     observed = np.zeros(len(prices))
     observed[rows[last]] = values[last]
-    ts = seconds.astype("datetime64[s]")
+    ts = (grid * 3600).astype("datetime64[s]")
     return AlignedSeries(
         asset=asset,
         timestamps=ts,
@@ -388,9 +437,9 @@ def load_aligned(path: str | Path, asset: str | None = None) -> AlignedSeries:
     blocks = []
     for block_lines, columns, faults in _read_blocks(path, CACHE_HEADER):
         stamp_cells, close_cells, diff_cells, tau_cells, sent_cells, flag_cells = columns
-        stamps, exc = _parse_stamps(stamp_cells)
+        seconds, exc = decode_timestamps(stamp_cells)
         if exc is not None:
-            faults.append((len(stamps), f"bad row: {exc}"))
+            faults.append((len(seconds), f"bad row: {exc}"))
         diff_rows = np.flatnonzero([bool(cell.strip()) for cell in diff_cells])
         every_row = np.arange(len(close_cells))
         parsed = []
@@ -412,7 +461,7 @@ def load_aligned(path: str | Path, asset: str | None = None) -> AlignedSeries:
         has_diff = np.zeros(len(block_lines), dtype=bool)
         has_diff[diff_rows] = True
         lines += block_lines
-        blocks.append((epoch_seconds(stamps), *parsed, has_diff, has_news))
+        blocks.append((seconds, *parsed, has_diff, has_news))
     if not lines:
         raise IngestError(f"{path}: cache holds no rows")
     seconds, prices, diffs, hours, sent, has_diff, has_news = map(np.concatenate, zip(*blocks))

@@ -20,7 +20,6 @@ import dataclasses
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -457,6 +456,9 @@ def run_matrix(series_by_asset: Mapping[str, AlignedSeries],
                 except Exception as exc:
                     record(TrialFailure.of(key, exc))
         if workers > 1 and len(chunks) > 1:
+            # imported here: every command imports this module, few start a pool
+            from concurrent.futures import ProcessPoolExecutor, as_completed
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 # each task pickles only its own chunk's slices
                 futures = [pool.submit(_chunk_worker, chunk,

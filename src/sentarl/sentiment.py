@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from datetime import datetime
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .errors import Choice, IngestError
 from .files import read_rows, write_csv
 
 if TYPE_CHECKING:
-    from .data import AlignedSeries, HeadlineRecord
+    from .data import AlignedSeries, HeadlineTable
 
 _WORD_RE = re.compile(r"[a-z']+")
 #: The correlation pulse's default shifts, -10 through +3.
@@ -105,54 +104,47 @@ AGGREGATES = {
 }
 
 
-def group_hourly(scores: Iterable[float], method: Grouping | str = Grouping.MIN) -> float:
-    """Collapse one hour's scores with the chosen aggregate."""
-    values = [float(s) for s in scores]
-    if not values:
-        raise ValueError("empty score set; apply the fill policy instead")
-    return AGGREGATES[Grouping(method)](values)
-
-
 def score_headlines(
-    records: Sequence["HeadlineRecord"],
+    headlines: "HeadlineTable",
     scorer: SentimentScorer | None = None,
-) -> list[tuple[datetime, float]]:
-    """Resolve each record to (timestamp, score); precomputed scores win."""
-    out: list[tuple[datetime, float]] = []
-    for rec in records:
-        if rec.score is not None:
-            value = rec.score
-        elif scorer is not None:
-            value = float(min(1.0, max(-1.0, scorer.score(rec.headline))))
-        else:
-            raise ValueError(
-                f"headline at {rec.timestamp.isoformat()} has no precomputed score "
-                "and no scorer is configured")
-        out.append((rec.timestamp, value))
-    return out
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each headline's (epoch hour, score) as two columns; precomputed
+    scores win, and the scorer is called only for the unscored rows. A
+    scorer's value is clamped to [-1, 1]; a NaN from it is an IngestError
+    naming the headline's line."""
+    scores = headlines.scores.copy()
+    todo = np.flatnonzero(np.isnan(scores))
+    if todo.size:
+        if scorer is None:
+            raise ValueError(f"{headlines.path}:{headlines.lines[todo[0]]}: headline has no "
+                             "precomputed score and no scorer is configured")
+        values = np.array([scorer.score(headlines.texts[i]) for i in todo.tolist()],
+                          dtype=np.float64)
+        nan = np.isnan(values)
+        if nan.any():
+            row = int(todo[np.argmax(nan)])
+            raise IngestError(f"{headlines.path}:{headlines.lines[row]}: the scorer gave "
+                              f"nan for {headlines.texts[row]!r}")
+        scores[todo] = np.clip(values, -1.0, 1.0)
+    return headlines.hours, scores
 
 
 def group_by_hour(
-    scored: Iterable[tuple[datetime, float]],
+    scored: tuple[np.ndarray, np.ndarray],
     method: Grouping | str = Grouping.MIN,
-) -> list[tuple[datetime, float]]:
-    """Bucket scored headlines into their containing UTC hour (naive
-    timestamps are UTC) and aggregate each bucket's scores in input order;
-    the buckets come back in time order, each stamped with its hour."""
-    from .data import epoch_seconds, hour_stamp
-
+) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse (epoch hour, score) columns to one value per hour: each
+    hour's scores are aggregated in input order, and the hours come back
+    in time order."""
     aggregate = AGGREGATES[Grouping(method)]
-    pairs = list(scored)
-    if not pairs:
-        return []
-    hours = epoch_seconds(when for when, _ in pairs) // 3600
+    hours, values = scored
     order = np.argsort(hours, kind="stable")
     hours = hours[order]
-    values = np.array([value for _, value in pairs], dtype=np.float64)[order].tolist()
-    del pairs
-    starts = np.flatnonzero(np.r_[True, hours[1:] != hours[:-1]]).tolist()
-    return [(hour_stamp(hour), aggregate(values[lo:hi]))
-            for hour, lo, hi in zip(hours[starts].tolist(), starts, starts[1:] + [len(values)])]
+    values = np.asarray(values, dtype=np.float64)[order].tolist()
+    starts = np.flatnonzero(np.diff(hours, prepend=hours[:1] - 1))  # each hour's first row
+    bounds = starts.tolist() + [len(values)]
+    return hours[starts], np.array([aggregate(values[lo:hi])
+                                    for lo, hi in zip(bounds, bounds[1:])], dtype=np.float64)
 
 
 def fill_hours(values: np.ndarray, observed: np.ndarray,
@@ -168,18 +160,6 @@ def fill_hours(values: np.ndarray, observed: np.ndarray,
         last = np.maximum.accumulate(np.where(observed, np.arange(len(values)), -1))
         values = np.where(last >= 0, values[np.maximum(last, 0)], 0.0)
     return values
-
-
-def fill_gaps(
-    grouped: Sequence[float | None],
-    policy: FillPolicy | str = FillPolicy.NEUTRAL_ZERO,
-) -> list[float]:
-    """Replace missing (None) hours per the policy (see fill_hours);
-    observed hours are untouched."""
-    observed = np.array([value is not None for value in grouped], dtype=bool)
-    values = np.array([0.0 if value is None else float(value) for value in grouped],
-                      dtype=np.float64)
-    return fill_hours(values, observed, policy).tolist()
 
 
 @dataclass

@@ -6,21 +6,30 @@ those replaced: a single-trial env whose observations are `MarketState`
 objects and whose arithmetic is plain Python floats, the per-sample
 advantage and action choices, and one-draw sampling. The parity tests
 check the stacked library against it bit for bit.
+
+The ingest section is the record form of the columnar loaders: one frozen
+record and one datetime per row, grouped and aligned through dicts keyed
+by hour. The ingest parity tests check the column chain against it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from sentarl.a2c import Batch
-from sentarl.data import AlignedSeries
+from sentarl.data import (EPOCH, NEWS_HEADER, PRICE_HEADER, SECOND, AlignedSeries,
+                          hour_fraction, parse_timestamp)
+from sentarl.files import read_rows
 from sentarl.env import (Action, CostMode, EnvConfig, EpisodeResult, EquityPoint,
                          StepOutcome)
 from sentarl.nn import Mlp, forward, softmax, softmax_draw
+from sentarl.sentiment import FillPolicy, Grouping
 
 # ---------------------------------------------------------------- env
 
@@ -316,3 +325,123 @@ def sentiment_window(series: AlignedSeries, t: int, l: int) -> np.ndarray:
     if t - l + 1 < 0 or t >= len(series):
         raise ValueError(f"insufficient history for window of {l} ending at index {t}")
     return series.sentiment[t - l + 1: t + 1][::-1].copy()
+
+
+def group_hourly(scores: Iterable[float], method: Grouping | str = Grouping.MIN) -> float:
+    """Collapse one hour's scores with the chosen aggregate."""
+    values = [float(s) for s in scores]
+    if not values:
+        raise ValueError("empty score set; apply the fill policy instead")
+    method = Grouping(method)
+    if method is Grouping.MIN:
+        return min(values)
+    if method is Grouping.MAX:
+        return max(values)
+    return sum(values) / len(values)
+
+
+def fill_gaps(
+    grouped: Sequence[float | None],
+    policy: FillPolicy | str = FillPolicy.NEUTRAL_ZERO,
+) -> list[float]:
+    """Replace missing (None) hours: neutral-zero writes 0.0, forward-fill
+    repeats the last observed value (0.0 before any); observed hours are
+    untouched."""
+    policy = FillPolicy(policy)
+    out: list[float] = []
+    last = 0.0
+    for value in grouped:
+        if value is not None:
+            last = float(value)
+            out.append(last)
+        else:
+            out.append(last if policy is FillPolicy.FORWARD_FILL else 0.0)
+    return out
+
+
+# ---------------------------------------------------------------- ingest
+
+HOUR = timedelta(hours=1)
+
+
+@dataclass(frozen=True)
+class PriceRecord:
+    """One hourly close, timestamp truncated to the hour (UTC)."""
+
+    timestamp: datetime
+    close: float
+
+
+@dataclass(frozen=True)
+class HeadlineRecord:
+    """One news headline with an optional precomputed sentiment score."""
+
+    timestamp: datetime
+    headline: str
+    score: float | None = None
+
+
+def truncate_to_hour(ts: datetime) -> datetime:
+    return ts.replace(minute=0, second=0, microsecond=0)
+
+
+def epoch_seconds(stamps: Iterable[datetime]) -> np.ndarray:
+    """Whole seconds since the Unix epoch (floored) as int64; naive
+    datetimes are taken as UTC."""
+    return np.fromiter(
+        (((ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc)) - EPOCH) // SECOND
+         for ts in stamps), dtype=np.int64)
+
+
+def hour_stamp(hour: int) -> datetime:
+    """The UTC datetime that starts epoch hour `hour`."""
+    return EPOCH + HOUR * hour
+
+
+def load_price_records(path: str | Path) -> list[PriceRecord]:
+    """The rows of a valid price CSV, one record each (no checks)."""
+    return [PriceRecord(truncate_to_hour(parse_timestamp(stamp)), float(close))
+            for _, (stamp, close) in read_rows(path, PRICE_HEADER)]
+
+
+def load_headline_records(path: str | Path) -> list[HeadlineRecord]:
+    """The rows of a valid headline CSV, one record each (no checks)."""
+    return [HeadlineRecord(parse_timestamp(stamp), headline,
+                           float(score) if score.strip() else None)
+            for _, (stamp, headline, score) in read_rows(path, NEWS_HEADER)]
+
+
+def score_records(records: Sequence[HeadlineRecord],
+                  scorer) -> list[tuple[datetime, float]]:
+    """Resolve each record to (timestamp, score); precomputed scores win."""
+    return [(rec.timestamp, rec.score if rec.score is not None
+             else float(min(1.0, max(-1.0, scorer.score(rec.headline)))))
+            for rec in records]
+
+
+def group_records(scored: Iterable[tuple[datetime, float]],
+                  method: Grouping | str = Grouping.MIN) -> list[tuple[datetime, float]]:
+    """Bucket (timestamp, score) pairs by their UTC hour, in input order,
+    and aggregate each bucket; the buckets come back in time order."""
+    buckets: dict[datetime, list[float]] = {}
+    for when, value in scored:
+        buckets.setdefault(truncate_to_hour(when), []).append(value)
+    return [(hour, group_hourly(buckets[hour], method)) for hour in sorted(buckets)]
+
+
+def align_records(prices: Sequence[PriceRecord], grouped: Sequence[tuple[datetime, float]],
+                  asset: str = "", fill: FillPolicy | str = FillPolicy.NEUTRAL_ZERO
+                  ) -> AlignedSeries:
+    """The price grid with each grouped value on its hour's row (the later
+    of two wins; off-grid hours are dropped), gaps filled by the policy."""
+    row_of = {p.timestamp: i for i, p in enumerate(prices)}
+    observed: list[float | None] = [None] * len(prices)
+    for when, value in grouped:
+        row = row_of.get(truncate_to_hour(when))
+        if row is not None:
+            observed[row] = value
+    close = np.array([p.close for p in prices], dtype=np.float64)
+    ts = epoch_seconds(p.timestamp for p in prices).astype("datetime64[s]")
+    return AlignedSeries(asset=asset, timestamps=ts, prices=close, diffs=np.diff(close),
+                         hours=hour_fraction(ts), sentiment=fill_gaps(observed, fill),
+                         has_news=[value is not None for value in observed])

@@ -1,14 +1,16 @@
 """Ingestion, alignment, and cache round-trip behavior."""
 
+import math
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
 from conftest import build_series, hourly_stamps, random_walk_series, write_price_csv
-from sentarl.data import (AlignedSeries, align, compute_diffs, coverage,
+from reference import epoch_seconds, truncate_to_hour
+from sentarl.data import (AlignedSeries, PriceTable, align, compute_diffs, coverage,
                           load_aligned, load_headlines, load_prices,
-                          parse_timestamp, save_aligned, truncate_to_hour)
+                          parse_timestamp, save_aligned)
 from sentarl.errors import IngestError
 from sentarl.sentiment import FillPolicy
 
@@ -31,8 +33,8 @@ def test_load_prices_two_rows(tmp_path):
     path = tmp_path / "p.csv"
     stamps = hourly_stamps(2)
     write_price_csv(path, [(stamps[0], "100.0"), (stamps[1], "101.5")])
-    records = load_prices(path)
-    assert [r.close for r in records] == [100.0, 101.5]
+    prices = load_prices(path)
+    assert prices.closes.tolist() == [100.0, 101.5]
 
 
 def test_load_prices_rejects_non_positive(tmp_path):
@@ -76,9 +78,9 @@ def test_load_headlines_score_validation(tmp_path):
     path.write_text("timestamp,headline,score\n"
                     "2021-01-04T00:10:00Z,all fine,0.5\n"
                     "2021-01-04T01:10:00Z,unscored,\n")
-    records = load_headlines(path)
-    assert records[0].score == 0.5
-    assert records[1].score is None
+    headlines = load_headlines(path)
+    assert headlines.scores[0] == 0.5
+    assert math.isnan(headlines.scores[1])  # no score
 
     bad = tmp_path / "bad.csv"
     bad.write_text("timestamp,headline,score\n2021-01-04T00:10:00Z,x,1.5\n")
@@ -106,7 +108,7 @@ def test_align_basic_and_coverage(tmp_path):
     write_price_csv(path, [(s, str(100 + i)) for i, s in enumerate(stamps)])
     prices = load_prices(path)
     # news only in the second hour; timestamp mid-hour truncates down
-    grouped = [(datetime(2021, 3, 1, 2, 37, tzinfo=timezone.utc), 0.5)]
+    grouped = hourly([datetime(2021, 3, 1, 2, 37, tzinfo=timezone.utc)], [0.5])
     series = align(prices, grouped, asset="A")
     assert series.has_news.tolist() == [False, True, False]
     assert series.sentiment.tolist() == [0.0, 0.5, 0.0]
@@ -115,21 +117,25 @@ def test_align_basic_and_coverage(tmp_path):
 
 def test_align_hour_fraction():
     stamps = hourly_stamps(1, start="2021-03-01T09:00:00")
-    series = align(load_prices_rows(stamps, ["100"]), [])
+    series = align(load_prices_rows(stamps, ["100"]), None)
     assert series.hours[0] == pytest.approx(9 / 24)
     assert series.hours[0] == pytest.approx(0.375)
 
 
 def load_prices_rows(stamps, closes):
-    from sentarl.data import PriceRecord
-    return [PriceRecord(truncate_to_hour(parse_timestamp(s)), float(c))
-            for s, c in zip(stamps, closes)]
+    hours = epoch_seconds(truncate_to_hour(parse_timestamp(s)) for s in stamps) // 3600
+    return PriceTable(hours, np.array([float(c) for c in closes]))
+
+
+def hourly(stamps, values):
+    """(epoch hour, value) columns, as group_by_hour returns them."""
+    return epoch_seconds(stamps) // 3600, np.array(values, dtype=np.float64)
 
 
 def test_align_forward_fill():
     stamps = hourly_stamps(4)
     prices = load_prices_rows(stamps, ["1", "2", "3", "4"])
-    grouped = [(parse_timestamp(stamps[1]), 0.5)]
+    grouped = hourly([parse_timestamp(stamps[1])], [0.5])
     series = align(prices, grouped, fill=FillPolicy.FORWARD_FILL)
     assert series.sentiment.tolist() == [0.0, 0.5, 0.5, 0.5]
     assert series.has_news.tolist() == [False, True, False, False]
@@ -139,13 +145,13 @@ def test_align_drops_off_grid_news():
     stamps = hourly_stamps(3)
     prices = load_prices_rows(stamps, ["1", "2", "3"])
     off_grid = datetime(2030, 1, 1, tzinfo=timezone.utc)
-    series = align(prices, [(off_grid, 0.9)])
+    series = align(prices, hourly([off_grid], [0.9]))
     assert not series.has_news.any()
 
 
 def test_align_empty_prices_rejected():
     with pytest.raises(ValueError):
-        align([], [])
+        align(load_prices_rows([], []), None)
 
 
 def test_aligned_series_invariants():

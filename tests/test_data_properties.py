@@ -11,9 +11,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_series
+from reference import (align_records, epoch_seconds, group_records, hour_stamp,
+                       load_headline_records, load_price_records, score_records,
+                       truncate_to_hour)
 from sentarl import data as data_module
-from sentarl.data import load_aligned, load_headlines, load_prices, save_aligned
+from sentarl.data import (align, decode_timestamps, load_aligned, load_headlines,
+                          load_prices, parse_timestamp, save_aligned)
 from sentarl.errors import IngestError
+from sentarl.sentiment import FillPolicy, Grouping, group_by_hour, score_headlines
 
 START = datetime(2021, 1, 4, tzinfo=timezone.utc)
 PROPERTY = settings(max_examples=25, deadline=None,
@@ -68,8 +73,8 @@ def price_rows(draw, min_size=1):
 def test_load_prices_round_trips(tmp_path, rows):
     path = tmp_path / "prices.csv"
     write_rows(path, ["timestamp", "close"], [(stamp(ts), repr(c)) for ts, c in rows])
-    records = load_prices(path)
-    assert [(r.timestamp, r.close) for r in records] == [
+    prices = load_prices(path)
+    assert [(hour_stamp(h), c) for h, c in zip(prices.hours.tolist(), prices.closes.tolist())] == [
         (ts.replace(minute=0, second=0), c) for ts, c in rows]
 
 
@@ -134,8 +139,16 @@ def headline_cells(rows):
 def test_load_headlines_round_trips(tmp_path, rows):
     path = tmp_path / "news.csv"
     write_rows(path, ["timestamp", "headline", "score"], headline_cells(rows))
-    records = load_headlines(path)
-    assert [(r.timestamp, r.headline, r.score) for r in records] == rows
+    table = load_headlines(path)
+    # the table keeps each headline's hour, and NaN for an empty score cell
+    assert [(hour_stamp(h), text, None if math.isnan(score) else score)
+            for h, text, score in zip(table.hours.tolist(), table.texts,
+                                      table.scores.tolist())] == [
+        (truncate_to_hour(ts), text, score) for ts, text, score in rows]
+    # and the whole seconds, through the decoder the loader uses
+    seconds, exc = decode_timestamps([stamp(ts) for ts, _, _ in rows])
+    assert exc is None
+    assert seconds.tolist() == epoch_seconds(ts for ts, _, _ in rows).tolist()
 
 
 @pytest.mark.parametrize("fault", ["extra field", "missing field", "bad timestamp",
@@ -247,3 +260,169 @@ def test_load_aligned_names_the_malformed_line(tmp_path, fault, series, data):
         message = f"has_news {row[5]!r} is not 0 or 1"
     write_rows(path, header, cells)
     assert_names_line(path, i + 2, load_aligned, message)
+
+
+# ------------------------------------------------------ timestamp decoder
+
+#: Cells at the edges of the canonical YYYY-MM-DDTHH:MM:SSZ form, and the
+#: other spellings parse_timestamp accepts or rejects.
+EDGE_STAMPS = (
+    "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z", "0000-06-01T00:00:00Z",
+    "1900-02-29T00:00:00Z", "2000-02-29T00:00:00Z", "2023-02-29T00:00:00Z",
+    "2024-02-29T23:00:00Z", "2021-04-31T00:00:00Z", "2021-04-30T00:00:00Z",
+    "2021-00-10T00:00:00Z", "2021-13-10T00:00:00Z", "2021-01-00T00:00:00Z",
+    "2021-01-01T24:00:00Z", "2021-01-01T00:60:00Z", "2021-01-01T00:00:60Z",
+    "202\u0661-01-01T00:00:00Z", "2021-01-01T00:00:0\u0661Z",
+    "2021-03-01T11:30:00+02:00", "2021-03-01T04:30:00.250-05:00", "2021-03-01 09:30:00",
+    "2021-03-01T09:30:00.999999Z", "1969-12-31T23:59:59.5Z", "2021-03-01t09:30:00z",
+    " 2021-03-01T09:30:00Z", "2021-03-01T09:30:00Z ", "", "2021",
+)
+#: A 19-character cell then a 21-character one: joined, they read as two
+#: canonical stamps.
+MISALIGNED = ["2021-01-01T00:00:00", "Z2021-01-01T00:00:00Z"]
+canonical_stamps = st.datetimes(min_value=datetime(1, 1, 1),
+                                max_value=datetime(9999, 12, 31, 23, 59, 59)).map(
+    lambda ts: f"{ts.year:04d}-{ts:%m-%dT%H:%M:%S}Z")
+stamp_blocks = st.lists(canonical_stamps, min_size=1, max_size=7) | st.lists(
+    canonical_stamps.map(lambda cell: [cell]) | st.sampled_from(EDGE_STAMPS).map(
+        lambda cell: [cell]) | st.just(MISALIGNED), min_size=1, max_size=5).map(
+    lambda units: [cell for unit in units for cell in unit])
+
+
+def reference_seconds(cells):
+    """parse_timestamp of each cell, floored to whole seconds, up to the
+    first cell it rejects, and that rejection's text."""
+    out = []
+    for cell in cells:
+        try:
+            out.append(int(epoch_seconds([parse_timestamp(cell)])[0]))
+        except ValueError as exc:
+            return out, str(exc)
+    return out, None
+
+
+REJECTED_STAMPS = [cell for cell in EDGE_STAMPS if reference_seconds([cell])[1] is not None]
+
+
+@settings(PROPERTY, max_examples=200)
+@given(cells=stamp_blocks)
+def test_decoder_matches_parse_timestamp(cells):
+    seconds, exc = decode_timestamps(cells)
+    assert seconds.dtype == np.int64
+    assert (seconds.tolist(), None if exc is None else str(exc)) == reference_seconds(cells)
+
+
+def test_canonical_blocks_skip_parse_timestamp(monkeypatch):
+    def refuse(text):
+        raise AssertionError(f"parse_timestamp({text!r}) on a canonical block")
+
+    cells = ["0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z", "2000-02-29T12:00:00Z",
+             "2024-02-29T00:00:00Z", "1969-12-31T23:59:59Z"]
+    want = reference_seconds(cells)
+    monkeypatch.setattr(data_module, "parse_timestamp", refuse)
+    seconds, exc = decode_timestamps(cells)
+    assert (seconds.tolist(), exc) == want
+
+
+@PROPERTY
+@given(cells=stamp_blocks)
+def test_load_headlines_decodes_as_parse_timestamp(tmp_path, cells):
+    path = tmp_path / "news.csv"
+    write_rows(path, ["timestamp", "headline", "score"], [[cell, "x", "0.5"] for cell in cells])
+    want, error = reference_seconds(cells)
+    if error is None:
+        assert load_headlines(path).hours.tolist() == [s // 3600 for s in want]
+    else:
+        bad = cells[len(want)]
+        assert_names_line(path, len(want) + 2, load_headlines, f"bad timestamp {bad!r}: {error}")
+
+
+@PROPERTY
+@given(n=st.integers(1, 8), data=st.data())
+def test_load_prices_names_a_rejected_stamp(tmp_path, n, data):
+    cells = [[stamp(START + timedelta(hours=h)), "1.5"] for h in range(n)]
+    i = data.draw(st.integers(0, n - 1))
+    bad = cells[i][0] = data.draw(st.sampled_from(REJECTED_STAMPS))
+    path = tmp_path / "prices.csv"
+    write_rows(path, ["timestamp", "close"], cells)
+    error = reference_seconds([bad])[1]
+    assert_names_line(path, i + 2, load_prices, f"bad timestamp {bad!r}: {error}")
+
+
+# ------------------------------------------- column chain against records
+
+
+def spelled(ts: datetime, form: int) -> str:
+    """`ts` (UTC) in one of the spellings the loaders accept."""
+    if form == 0:
+        return stamp(ts)
+    if form == 1:
+        return (ts + timedelta(hours=2)).strftime("%Y-%m-%dT%H:%M:%S+02:00")
+    if form == 2:
+        return ts.strftime("%Y-%m-%d %H:%M:%S")
+    return ts.strftime("%Y-%m-%dT%H:%M:%S.%fZ")
+
+
+class WordScorer:
+    """Scores a headline by its first word; unknown words score 2.0, which
+    clamps to 1."""
+
+    WEIGHTS = {"gain": 0.5, "loss": -0.75, "flat": 0.0, "sink": -0.0, "boom": math.inf}
+
+    def score(self, headline):
+        return self.WEIGHTS.get(headline.split(" ")[0], 2.0)
+
+
+WORDS = st.sampled_from([*WordScorer.WEIGHTS, "news"])
+#: mostly signed zeros, which only Python's min and max keep in input order
+SCORE_CELLS = st.sampled_from(["", "0.0", "-0.0", "0.0", "-0.0", "0.5", "-1"]) | st.floats(
+    -1.0, 1.0).map(repr)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(data=st.data(), grouping=st.sampled_from(list(Grouping)),
+       fill=st.sampled_from(list(FillPolicy)))
+def test_column_chain_matches_the_record_chain(tmp_path, data, grouping, fill):
+    forms = st.integers(0, 3)
+    rows = data.draw(price_rows())
+    # mostly canonical stamps, so that some blocks take the numpy path
+    price_cells = [[spelled(ts, data.draw(forms)) if data.draw(st.booleans()) else stamp(ts),
+                    repr(close)] for ts, close in rows]
+    news_cells = []
+    for _ in range(data.draw(st.integers(0, 12))):
+        # in a price row's hour or the hour before it, which may be off the grid
+        at = truncate_to_hour(rows[data.draw(st.integers(0, len(rows) - 1))][0]) + timedelta(
+            microseconds=data.draw(st.integers(-3_600_000_000, 3_599_999_999)))
+        news_cells.append([spelled(at, data.draw(forms)), data.draw(WORDS), data.draw(SCORE_CELLS)])
+    assert_chains_agree(tmp_path, price_cells, news_cells, grouping, fill)
+
+
+@pytest.mark.parametrize("grouping", list(Grouping))
+def test_column_chain_keeps_signed_zeros_in_input_order(tmp_path, grouping):
+    # Python's min and max keep the first of 0.0 and -0.0; numpy's do not
+    news_cells = [["2021-01-04T00:10:00Z", "news", "0.0"], ["2021-01-04T00:20:00Z", "sink", ""],
+                  ["2021-01-04T01:10:00Z", "news", "-0.0"], ["2021-01-04T01:50:00Z", "flat", ""]]
+    price_cells = [["2021-01-04T00:00:00Z", "1.0"], ["2021-01-04T01:00:00Z", "2.0"]]
+    got = assert_chains_agree(tmp_path, price_cells, news_cells, grouping, FillPolicy.NEUTRAL_ZERO)
+    assert np.signbit(got.sentiment).tolist() == [False, grouping is not Grouping.MEAN]
+
+
+def assert_chains_agree(tmp_path, price_cells, news_cells, grouping, fill):
+    """Ingest the cells through the column chain and through the record
+    chain of reference.py; the two series must hold the same bytes."""
+    prices, news = tmp_path / "prices.csv", tmp_path / "news.csv"
+    write_rows(prices, ["timestamp", "close"], price_cells)
+    write_rows(news, ["timestamp", "headline", "score"], news_cells)
+    scorer = WordScorer()
+    got = align(load_prices(prices),
+                group_by_hour(score_headlines(load_headlines(news), scorer), grouping),
+                asset="X", fill=fill)
+    want = align_records(load_price_records(prices),
+                         group_records(score_records(load_headline_records(news), scorer),
+                                       grouping),
+                         asset="X", fill=fill)
+    assert got.asset == want.asset
+    for name in ("timestamps", "prices", "diffs", "hours", "sentiment", "has_news"):
+        # bytes, so that -0.0 and 0.0 differ
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    return got

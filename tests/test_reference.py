@@ -9,7 +9,7 @@ import pytest
 from conftest import random_walk_series
 from reference import TrialEnv, baseline_policy, run_policy
 import sentarl
-from sentarl import a2c, env, nn, sentiment
+from sentarl import a2c, data, env, nn, sentiment
 from sentarl.env import CostMode, EnvConfig, TradingEnv
 from sentarl.evaluation import annualized_return, run_buy_and_hold, run_matrix
 from sentarl.sentiment import FillPolicy, Grouping
@@ -17,11 +17,12 @@ from sentarl.sentiment import FillPolicy, Grouping
 MOVED = ("MarketState", "TrialEnv", "Policy", "baseline_policy", "run_policy",
          "action_from_index", "action_index", "Transition", "batch_of", "value_of",
          "advantage", "act_sample", "act_greedy", "greedy_policy", "softmax_sample",
-         "sentiment_window", "ACTIONS", "episode_return")
+         "sentiment_window", "ACTIONS", "episode_return", "PriceRecord", "HeadlineRecord",
+         "truncate_to_hour", "epoch_seconds", "hour_stamp", "group_hourly", "fill_gaps")
 
 
 def test_the_library_keeps_one_path():
-    for module in (sentarl, env, a2c, nn, sentiment):
+    for module in (sentarl, env, a2c, nn, sentiment, data):
         assert [name for name in MOVED if hasattr(module, name)] == [], module.__name__
     assert not hasattr(a2c.Batch, "of")
     assert not hasattr(env.EpisodeResult, "total_reward")

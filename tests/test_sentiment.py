@@ -1,5 +1,6 @@
 """Scoring, grouping, fill policies, and the correlation pulse."""
 
+import math
 import os
 import subprocess
 import sys
@@ -10,14 +11,15 @@ import numpy as np
 import pytest
 
 from conftest import build_series, random_walk_series
-from reference import sentiment_window
+from reference import (epoch_seconds, fill_gaps, group_hourly, hour_stamp,
+                       sentiment_window)
 import sentarl
-from sentarl.data import HeadlineRecord
+from sentarl.data import HeadlineTable
 from sentarl.errors import IngestError
 from sentarl.sentiment import (CorrelationPulse, FillPolicy, Grouping,
                                LexiconScorer, bundled_lexicon,
-                               correlation_pulse, fill_gaps, group_by_hour,
-                               group_hourly, lexicon_score, load_lexicon,
+                               correlation_pulse, group_by_hour,
+                               lexicon_score, load_lexicon,
                                pearson, score_headlines, series_pulse,
                                write_pulse_csv)
 
@@ -76,21 +78,49 @@ def test_grouping_order_property():
         assert mid <= hi + 1e-15
 
 
+def headline_table(rows):
+    """A HeadlineTable of (timestamp, headline, score or None) rows, as
+    lines 2, 3, ... of news.csv."""
+    return HeadlineTable(
+        hours=epoch_seconds(when for when, _, _ in rows) // 3600,
+        texts=[text for _, text, _ in rows],
+        scores=np.array([np.nan if score is None else score for _, _, score in rows]),
+        path=Path("news.csv"), lines=np.arange(2, len(rows) + 2))
+
+
 def test_score_headlines_precedence():
     scorer = LexiconScorer({"profit": 0.5})
-    records = [
-        HeadlineRecord(datetime(2021, 1, 4, tzinfo=timezone.utc), "profit", None),
-        HeadlineRecord(datetime(2021, 1, 4, tzinfo=timezone.utc), "profit", -0.9),
-    ]
-    scored = score_headlines(records, scorer)
-    assert scored[0][1] == 0.5    # scorer fills the gap
-    assert scored[1][1] == -0.9   # precomputed score wins
+    records = headline_table([
+        (datetime(2021, 1, 4, tzinfo=timezone.utc), "profit", None),
+        (datetime(2021, 1, 4, tzinfo=timezone.utc), "profit", -0.9),
+    ])
+    _, scores = score_headlines(records, scorer)
+    assert scores[0] == 0.5    # scorer fills the gap
+    assert scores[1] == -0.9   # precomputed score wins
 
 
 def test_score_headlines_needs_some_source():
-    records = [HeadlineRecord(datetime(2021, 1, 4, tzinfo=timezone.utc), "x", None)]
+    records = headline_table([(datetime(2021, 1, 4, tzinfo=timezone.utc), "x", None)])
     with pytest.raises(ValueError):
         score_headlines(records, None)
+
+
+class ConstantScorer:
+    def __init__(self, value):
+        self.value = value
+
+    def score(self, headline):
+        return self.value
+
+
+def test_score_headlines_rejects_a_nan_from_the_scorer():
+    when = datetime(2021, 1, 4, tzinfo=timezone.utc)
+    records = headline_table([(when, "a", 0.25), (when, "b", None), (when, "c", None)])
+    with pytest.raises(IngestError, match=r"^news\.csv:3: the scorer gave nan for 'b'$"):
+        score_headlines(records, ConstantScorer(float("nan")))
+    # infinities still clamp to the ends of [-1, 1]
+    for value, want in ((math.inf, 1.0), (-math.inf, -1.0)):
+        assert score_headlines(records, ConstantScorer(value))[1].tolist() == [0.25, want, want]
 
 
 def test_group_by_hour_buckets():
@@ -100,7 +130,10 @@ def test_group_by_hour_buckets():
         (base.replace(minute=40), -0.5),
         (base.replace(hour=10), 0.4),
     ]
-    grouped = group_by_hour(scored, Grouping.MIN)
+    hours, values = group_by_hour(
+        (epoch_seconds(when for when, _ in scored) // 3600,
+         np.array([value for _, value in scored])), Grouping.MIN)
+    grouped = [(hour_stamp(hour), value) for hour, value in zip(hours.tolist(), values.tolist())]
     assert grouped == [(base.replace(minute=0), -0.5),
                        (base.replace(hour=10, minute=0), 0.4)]
 
