@@ -2,9 +2,8 @@
 
 from .a2c import (A2cConfig, Batch, EpisodeLog, TrainedAgent, actor_update,
                   critic_update, greedy_episodes, train)
-from .data import (AlignedSeries, HeadlineTable, PriceTable, align,
-                   compute_diffs, coverage, load_aligned, load_headlines,
-                   load_prices, save_aligned)
+from .data import (AlignedSeries, HeadlineTable, PriceTable, align, coverage,
+                   load_aligned, load_headlines, load_prices, save_aligned)
 from .env import (Action, CostMode, EnvConfig, EpisodeResult, StepOutcome,
                   TradingEnv, total_return)
 from .errors import (ConfigError, IngestError, ModelFormatError,

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import AlignedSeries
-from .env import EpisodeResult, TradingEnv, total_return
+from .env import EnvConfig, EpisodeResult, TradingEnv, total_return
 from .files import write_csv
 from .nn import (ACTIVATIONS, ForwardCache, Gradients, Mlp, RmspropState, apply_update,
                  backward, forward, log_softmax, softmax, softmax_draw)
@@ -114,11 +114,6 @@ class Batch:
         return self.rewards.shape[-1]
 
 
-def _scalar(x: np.ndarray) -> float | np.ndarray:
-    """A float for a single trial, the (K,) array for a stack."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
 def _targets(batch: Batch, value_net: Mlp, config: A2cConfig,
              next_values: np.ndarray | None = None) -> np.ndarray:
     """TD targets from the pre-update critic; batch order is rollout order.
@@ -170,7 +165,7 @@ def critic_update(batch: Batch, value_net: Mlp, config: A2cConfig,
     grads = backward(value_net, states, (2.0 * residuals / n)[..., None], out=value_net.grad)
     apply_update(value_net, grads, config.lr_critic,
                  optimizer_state=optimizer_state, clip_norm=config.max_grad_norm)
-    return _scalar(loss)
+    return loss
 
 
 def actor_update(batch: Batch, policy_net: Mlp,
@@ -199,7 +194,7 @@ def actor_update(batch: Batch, policy_net: Mlp,
     grads = backward(policy_net, cache, out_grad / n, out=policy_net.grad)
     apply_update(policy_net, grads, config.lr_actor,
                  optimizer_state=optimizer_state, clip_norm=config.max_grad_norm)
-    return _scalar(loss)
+    return loss
 
 
 #: Greedy tie-break preference: Neutral, then Long, then Short. An argmax
@@ -283,50 +278,45 @@ def _rollout(env: TradingEnv, policy: Mlp, uniforms: np.ndarray,
             probs[picked])
 
 
-def train(series: AlignedSeries | Sequence[AlignedSeries], env_config, config,
-          policy_net: Mlp | None = None, value_net: Mlp | None = None):
-    """Run `episodes` full passes over the series and return the nets + log.
+def train(series: AlignedSeries | Sequence[AlignedSeries], env_configs: Sequence[EnvConfig],
+          configs: Sequence[A2cConfig], policy_net: Mlp | None = None,
+          value_net: Mlp | None = None) -> list[TrainedAgent]:
+    """Train one trial per (env config, agent config) pair in lockstep and
+    return one TrainedAgent per trial; a single trial is a stack of one.
 
-    Nets may be supplied (e.g. ablation surgery or warm starts); otherwise
-    they are created from the config seed. The same generator then drives
-    action sampling, so results are bit-reproducible for fixed inputs.
+    `series` is one series for every trial or one equal-length series per
+    trial (say, train slices of several windows or assets). The agent
+    configs may differ only in seed, the env configs as a TradingEnv stack
+    allows (series, tc_rate, diff_stats). The trials share the env clock
+    and their nets are stacked, so each forward, backward and update serves
+    all of them. Every trial keeps its own generator and row counts, so it
+    comes out bit-identical to its own stack of one.
 
-    Given equal-length sequences of env configs and agent configs instead,
-    it trains one trial per pair in lockstep and returns a list with one
-    TrainedAgent per trial. `series` is then one series for every trial or
-    one equal-length series per trial (say, train slices of several windows
-    or assets). The agent configs may differ only in seed, the env configs
-    as a TradingEnv stack allows (series, tc_rate, diff_stats). The trials
-    share the env clock; their nets are stacked, so each forward, backward
-    and update serves all of them. Every trial keeps its own generator and
-    its own row counts, so it comes out bit-identical to its own single call.
+    Stacked nets may be supplied (e.g. ablation surgery or warm starts) and
+    are trained in place; otherwise the config seeds create them, and the
+    same generators drive action sampling.
     """
-    group = not isinstance(config, A2cConfig)
-    env_configs = list(env_config) if group else [env_config]
-    configs = list(config) if group else [config]
+    if isinstance(env_configs, EnvConfig) or isinstance(configs, A2cConfig):
+        raise ValueError("train takes lists of configs, one per trial; "
+                         "a single trial is train(series, [env_config], [config])")
+    env_configs, configs = list(env_configs), list(configs)
     if not configs or len(env_configs) != len(configs):
         raise ValueError("need one env config per agent config")
     base = configs[0]
     if any(replace(c, seed=base.seed) != base for c in configs):
         raise ValueError("lockstep trials' agent configs may differ only in seed")
-    # a single trial runs as a stack of one
     env = TradingEnv(series, env_configs)
     trials = len(configs)
     rngs = [np.random.default_rng(c.seed) for c in configs]
-    sampler = rngs if group else rngs[0]
     dim = env_configs[0].state_dim
-    if policy_net is None:
-        policy_net = Mlp.create((dim, *base.hidden_sizes, 3), sampler, base.activation)
-    if value_net is None:
-        value_net = Mlp.create((dim, *base.hidden_sizes, 1), sampler, base.activation)
-    if policy_net.input_size != dim or value_net.input_size != dim:
+    policy = (Mlp.create((dim, *base.hidden_sizes, 3), rngs, base.activation)
+              if policy_net is None else policy_net)
+    value = (Mlp.create((dim, *base.hidden_sizes, 1), rngs, base.activation)
+             if value_net is None else value_net)
+    if policy.input_size != dim or value.input_size != dim:
         raise ValueError(f"net input size does not match state dimension {dim}")
-    if (policy_net.trials, value_net.trials) != ((trials,) * 2 if group else (None, None)):
+    if (policy.trials, value.trials) != (trials, trials):
         raise ValueError("nets must be stacked once per lockstep trial")
-    # a single call trains its nets in place through stacks of one viewing them
-    policy, value = (policy_net, value_net) if group else (
-        Mlp.over(net.flat[None], net.layer_sizes, net.activation)
-        for net in (policy_net, value_net))
     for net in (policy, value):
         net.grad = Gradients.zeros_like(net)
     policy_opt = value_opt = None
@@ -365,8 +355,6 @@ def train(series: AlignedSeries | Sequence[AlignedSeries], env_config, config,
                 critic_loss=_weighted_mean([(loss[k], n) for loss, n in critic_losses]),
                 policy_entropy=float(entropy[k]),
             ))
-    if not group:
-        return TrainedAgent(policy_net, value_net, logs[0])
     return [TrainedAgent(policy.trial(k), value.trial(k), log)
             for k, log in enumerate(logs)]
 

@@ -71,7 +71,10 @@ def parse_timestamp(text: str) -> datetime:
     ts = datetime.fromisoformat(raw)
     if ts.tzinfo is None:
         return ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    try:
+        return ts.astimezone(timezone.utc)
+    except OverflowError as exc:  # its UTC form falls outside years 1-9999
+        raise ValueError(str(exc)) from None
 
 
 #: The canonical stamp YYYY-MM-DDTHH:MM:SSZ: the positions of its
@@ -266,14 +269,6 @@ def load_headlines(path: str | Path) -> HeadlineTable:
     return table
 
 
-def compute_diffs(prices: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Consecutive price differences: element t is ``prices[t+1] - prices[t]``."""
-    arr = np.asarray(prices, dtype=np.float64)
-    if arr.size < 2:
-        raise ValueError("need at least 2 prices to compute differences")
-    return np.diff(arr)
-
-
 @dataclass
 class AlignedSeries:
     """Hourly-gridded channels for one asset.
@@ -427,10 +422,11 @@ def load_aligned(path: str | Path, asset: str | None = None) -> AlignedSeries:
 
     Every row is checked as the cache writes it: timestamps increase,
     closes are finite and positive, the diff cell is empty on the first row
-    only and otherwise holds the exact close difference, tau lies in
-    [0, 1), sentiment is finite and has_news is 0 or 1. The first row with
-    a cell that does not parse is an IngestError naming its line; failing
-    that, so is the first row that fails a check.
+    only and otherwise holds the exact close difference, tau lies in [0, 1)
+    and is its timestamp's hour of day over 24, sentiment is finite and
+    has_news is 0 or 1. The first row with a cell that does not parse is an
+    IngestError naming its line; failing that, so is the first row that
+    fails a check.
     """
     path = Path(path)
     lines: list[int] = []
@@ -478,6 +474,7 @@ def load_aligned(path: str | Path, asset: str | None = None) -> AlignedSeries:
          "the diff cell must be empty on the first row only"),
         (has_diff & (diff_of_row != steps), "diff is not the close difference"),
         (~((hours >= 0.0) & (hours < 1.0)), "tau outside [0, 1)"),
+        (hours != hour_fraction(timestamps), "tau is not the hour of its timestamp"),
         (~np.isfinite(sent), "non-finite sentiment"),
     )
     _raise_first(path, lines, [(int(np.argmax(bad)), message)

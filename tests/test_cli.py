@@ -144,6 +144,17 @@ def test_ingest_corrupt_price_exits_3(tmp_path, capsys):
     assert "prices_AAA.csv:4: non-positive price" in err
 
 
+def test_ingest_an_out_of_range_offset_stamp_exits_3(tmp_path, capsys):
+    cfg = make_workspace(tmp_path)
+    prices_path = tmp_path / "prices_AAA.csv"
+    lines = prices_path.read_text().splitlines()
+    lines[1] = "0001-01-01T00:30:00+01:00," + lines[1].rsplit(",", 1)[1]
+    prices_path.write_text("\n".join(lines) + "\n")
+    assert main(["ingest", "--config", str(cfg)]) == 3
+    assert ("prices_AAA.csv:2: bad timestamp '0001-01-01T00:30:00+01:00': "
+            "date value out of range") in capsys.readouterr().err
+
+
 def test_ingest_unknown_asset_exits_2(tmp_path, capsys):
     cfg = make_workspace(tmp_path)
     assert main(["ingest", "--config", str(cfg), "--asset", "ZZZ"]) == 2
@@ -305,6 +316,22 @@ def test_train_command(tmp_path, capsys):
     assert main(["train", "--config", str(cfg), "--asset", "AAA",
                  "--window", "9"]) == 2
     assert "--window" in capsys.readouterr().err
+
+
+def test_train_writes_the_bytes_run_writes_for_the_same_key(tmp_path):
+    # run trains each strategy's four keys as one lockstep stack; train
+    # trains one key as a stack of one
+    cfg = make_workspace(tmp_path)
+    main(["ingest", "--config", str(cfg)])
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    for window, seed, strategy in ((1, 1, "sentarl"), (0, 1, "no-sentiment")):
+        assert main(["train", "--config", str(cfg), "--asset", "AAA", "--window", str(window),
+                     "--seed", str(seed), "--tc", "0.0", "--strategy", strategy]) == 0
+        stem = f"AAA_w{window}_s{seed}_tc0.0_{strategy}"
+        for suffix in evaluation.ARTIFACT_SUFFIXES:
+            debug = (out / "debug" / f"{stem}{suffix}").read_bytes()
+            assert debug == (out / "artifacts" / f"{stem}{suffix}").read_bytes(), suffix
 
 
 @pytest.mark.parametrize("value", ["-0.5", "nan"])

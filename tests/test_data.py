@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import build_series, hourly_stamps, random_walk_series, write_price_csv
-from reference import epoch_seconds, truncate_to_hour
-from sentarl.data import (AlignedSeries, PriceTable, align, compute_diffs, coverage,
+from reference import compute_diffs, epoch_seconds, truncate_to_hour
+from sentarl.data import (AlignedSeries, PriceTable, align, coverage,
                           load_aligned, load_headlines, load_prices,
                           parse_timestamp, save_aligned)
 from sentarl.errors import IngestError

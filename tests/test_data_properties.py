@@ -203,7 +203,7 @@ def test_load_aligned_round_trips(tmp_path, series):
 
 CACHE_FAULTS = ("missing field", "bad timestamp", "earlier timestamp", "bad close",
                 "non-positive close", "infinite close", "missing diff", "wrong diff",
-                "diff on first row", "tau out of range", "non-finite sentiment",
+                "diff on first row", "tau out of range", "wrong tau", "non-finite sentiment",
                 "bad has_news")
 
 CACHE_MESSAGES = {
@@ -217,6 +217,7 @@ CACHE_MESSAGES = {
     "wrong diff": "diff is not the close difference",
     "diff on first row": "the diff cell must be empty on the first row only",
     "tau out of range": "tau outside [0, 1)",
+    "wrong tau": "tau is not the hour of its timestamp",
     "non-finite sentiment": "non-finite sentiment",
 }
 
@@ -253,6 +254,10 @@ def test_load_aligned_names_the_malformed_line(tmp_path, fault, series, data):
         row[2] = "0.0" if i == 0 else ""
     elif fault == "tau out of range":
         row[3] = data.draw(st.sampled_from(["1.0", "-0.5", "nan"]))
+    elif fault == "wrong tau":  # in range, but another hour's
+        tau = float(row[3])
+        row[3] = repr(data.draw(st.sampled_from([0.5, 0.1, 23 / 24, 0.0, tau + 1 / 24]).filter(
+            lambda other: 0.0 <= other < 1.0 and other != tau)))
     elif fault == "non-finite sentiment":
         row[4] = data.draw(st.sampled_from(["nan", "inf"]))
     else:
@@ -276,6 +281,7 @@ EDGE_STAMPS = (
     "2021-03-01T11:30:00+02:00", "2021-03-01T04:30:00.250-05:00", "2021-03-01 09:30:00",
     "2021-03-01T09:30:00.999999Z", "1969-12-31T23:59:59.5Z", "2021-03-01t09:30:00z",
     " 2021-03-01T09:30:00Z", "2021-03-01T09:30:00Z ", "", "2021",
+    "0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00",
 )
 #: A 19-character cell then a 21-character one: joined, they read as two
 #: canonical stamps.
@@ -347,6 +353,23 @@ def test_load_prices_names_a_rejected_stamp(tmp_path, n, data):
     write_rows(path, ["timestamp", "close"], cells)
     error = reference_seconds([bad])[1]
     assert_names_line(path, i + 2, load_prices, f"bad timestamp {bad!r}: {error}")
+
+
+@pytest.mark.parametrize("load, header, row, message", [
+    (load_prices, ["timestamp", "close"], ["1.5"], "bad timestamp {cell!r}: {error}"),
+    (load_headlines, ["timestamp", "headline", "score"], ["x", "0.5"],
+     "bad timestamp {cell!r}: {error}"),
+    (load_aligned, ["timestamp", "close", "diff", "tau", "sentiment", "has_news"],
+     ["1.5", "0.0", "0.0", "0.0", "0"], "bad row: {error}"),
+], ids=["prices", "news", "cache"])
+@pytest.mark.parametrize("cell", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"])
+def test_an_offset_stamp_outside_years_1_to_9999_is_a_bad_timestamp(tmp_path, load, header,
+                                                                    row, message, cell):
+    path = tmp_path / "X.aligned.csv"
+    first = [stamp(START), "1.5", "", "0.0", "0.0", "0"][:len(header)]
+    write_rows(path, header, [first, [cell, *row]])
+    assert_names_line(path, 3, load,
+                      message.format(cell=cell, error="date value out of range"))
 
 
 # ------------------------------------------- column chain against records

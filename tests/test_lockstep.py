@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import random_walk_series, rel_err
-from reference import TrialEnv, action_from_index, greedy_policy, run_policy, softmax_sample
+from reference import (TrialEnv, action_from_index, greedy_policy, run_policy, softmax_sample,
+                       train_one)
 from sentarl import a2c, evaluation
 from sentarl.a2c import A2cConfig, greedy_episodes, train
 from sentarl.env import Action, EnvConfig, TradingEnv
@@ -186,7 +187,7 @@ def test_lockstep_training_is_bit_identical_to_single_runs(case, use_sentiment,
         assert max(norms) > base.max_grad_norm  # clipping fired
     assert len(grouped) == 3
     for env_cfg, cfg, agent in zip(env_cfgs, cfgs, grouped):
-        alone = train(train_slice, env_cfg, cfg)
+        alone = train_one(train_slice, env_cfg, cfg)
         assert np.array_equal(agent.policy_net.flat, alone.policy_net.flat)
         assert np.array_equal(agent.value_net.flat, alone.value_net.flat)
         assert [vars(e) for e in agent.log] == [vars(e) for e in alone.log]
@@ -201,7 +202,7 @@ def test_lockstep_group_of_one_matches_the_single_run():
     env_cfg, cfg = EnvConfig(w=3, l=2, tc_rate=0.0025), A2cConfig(episodes=2, seed=4,
                                                                     hidden_sizes=(5,))
     (grouped,) = train(series, [env_cfg], [cfg])
-    alone = train(series, env_cfg, cfg)
+    alone = train_one(series, env_cfg, cfg)
     assert np.array_equal(grouped.policy_net.flat, alone.policy_net.flat)
     assert [vars(e) for e in grouped.log] == [vars(e) for e in alone.log]
 
@@ -451,7 +452,7 @@ def test_lockstep_training_across_windows_and_assets_is_bit_identical():
     grouped = train([slices[asset, w][0] for asset, w, _, _ in trials], env_cfgs, cfgs)
     for (asset, w, _, _), env_cfg, cfg, agent in zip(trials, env_cfgs, cfgs, grouped):
         train_slice, test_slice = slices[asset, w]
-        alone = train(train_slice, env_cfg, cfg)
+        alone = train_one(train_slice, env_cfg, cfg)
         assert np.array_equal(agent.policy_net.flat, alone.policy_net.flat)
         assert np.array_equal(agent.value_net.flat, alone.value_net.flat)
         assert [vars(e) for e in agent.log] == [vars(e) for e in alone.log]
@@ -658,7 +659,7 @@ def test_train_runs_one_policy_and_one_value_forward_per_flush(monkeypatch):
                               for s in (0, 1)])
     assert calls == {3: 2 * 8, 1: 2 * 8}  # ceil(36 / 5) flushes per episode
     calls.update({1: 0, 3: 0})
-    train(series, cfg, A2cConfig(episodes=1, n_steps=36, hidden_sizes=(5,)))
+    train_one(series, cfg, A2cConfig(episodes=1, n_steps=36, hidden_sizes=(5,)))
     assert calls == {3: 1, 1: 1}
 
 

@@ -10,6 +10,7 @@ from conftest import random_walk_series
 from reference import TrialEnv, baseline_policy, run_policy
 import sentarl
 from sentarl import a2c, data, env, nn, sentiment
+from sentarl.a2c import A2cConfig
 from sentarl.env import CostMode, EnvConfig, TradingEnv
 from sentarl.evaluation import annualized_return, run_buy_and_hold, run_matrix
 from sentarl.sentiment import FillPolicy, Grouping
@@ -18,7 +19,8 @@ MOVED = ("MarketState", "TrialEnv", "Policy", "baseline_policy", "run_policy",
          "action_from_index", "action_index", "Transition", "batch_of", "value_of",
          "advantage", "act_sample", "act_greedy", "greedy_policy", "softmax_sample",
          "sentiment_window", "ACTIONS", "episode_return", "PriceRecord", "HeadlineRecord",
-         "truncate_to_hour", "epoch_seconds", "hour_stamp", "group_hourly", "fill_gaps")
+         "truncate_to_hour", "epoch_seconds", "hour_stamp", "group_hourly", "fill_gaps",
+         "compute_diffs")
 
 
 def test_the_library_keeps_one_path():
@@ -31,6 +33,10 @@ def test_the_library_keeps_one_path():
     assert "artifacts" not in inspect.signature(run_matrix).parameters
     with pytest.raises(ValueError, match="list"):
         TradingEnv(random_walk_series(30), EnvConfig())
+    for configs in ((EnvConfig(), A2cConfig()), (EnvConfig(), [A2cConfig()]),
+                    ([EnvConfig()], A2cConfig())):
+        with pytest.raises(ValueError, match=r"list.*\[env_config\], \[config\]"):
+            a2c.train(random_walk_series(30), *configs)
 
 
 @pytest.mark.parametrize("phi", [0.5, 1.0, 3.0])
