@@ -114,21 +114,14 @@ class Batch:
         return self.rewards.shape[-1]
 
 
-def _targets(batch: Batch, value_net: Mlp, config: A2cConfig,
-             next_values: np.ndarray | None = None) -> np.ndarray:
-    """TD targets from the pre-update critic; batch order is rollout order.
-
-    next_values holds V(s') per transition when the caller has already run
-    the critic on the next states; otherwise one forward computes them.
-    """
-    n = len(batch)
-    if next_values is None:
-        next_values = forward(value_net, batch.states[..., -n:, :])[0][..., 0]
+def _targets(batch: Batch, config: A2cConfig, next_values: np.ndarray) -> np.ndarray:
+    """TD targets from the pre-update critic's V(s') per transition,
+    `next_values`; batch order is rollout order."""
     rewards = batch.rewards
     if config.use_n_step_returns:
         ret = 0.0 if batch.dones[-1] else next_values[..., -1]
         targets = np.empty(rewards.shape)
-        for i in reversed(range(n)):
+        for i in reversed(range(len(batch))):
             ret = rewards[..., i] + config.gamma * ret
             targets[..., i] = ret
         return targets
@@ -144,8 +137,7 @@ def _td_residuals(batch: Batch, value_net: Mlp,
     """
     n = len(batch)
     values, cache = forward(value_net, batch.states)
-    return (_targets(batch, value_net, config, values[..., -n:, 0])
-            - values[..., :n, 0]), cache
+    return _targets(batch, config, values[..., -n:, 0]) - values[..., :n, 0], cache
 
 
 def critic_update(batch: Batch, value_net: Mlp, config: A2cConfig,
@@ -233,10 +225,9 @@ class TrainedAgent:
 
 
 def _weighted_mean(pairs: list[tuple[float, int]]) -> float:
-    total = sum(n for _, n in pairs)
-    if total == 0:
-        return 0.0
-    return math.fsum(v * n for v, n in pairs) / total
+    """Mean of per-flush values weighted by flush length; an episode has at
+    least one step, so the weights never sum to 0."""
+    return math.fsum(v * n for v, n in pairs) / sum(n for _, n in pairs)
 
 
 def _rollout(env: TradingEnv, policy: Mlp, uniforms: np.ndarray,

@@ -14,6 +14,7 @@ trials failed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -100,9 +101,6 @@ def cmd_train(config: RunConfig, asset: str, window: int, seed: int,
               tc: float, strategy: str) -> int:
     _number(tc, "--tc", lo=0)  # both before the cache is read or anything written
     _integer(seed, "--seed", lo=0)
-    if strategy not in ("sentarl", "no-sentiment"):
-        raise ConfigError("train runs a learning trial: "
-                          "--strategy must be sentarl or no-sentiment")
     slices = evaluation.window_slices(_load_cache(config, asset), config.windows)
     if not 0 <= window < len(slices):
         raise ConfigError(f"--window must be in [0, {len(slices) - 1}]")
@@ -134,6 +132,9 @@ def cmd_run(config: RunConfig, workers: int | None, resume: bool,
     with run_lock(config.output_dir):
         series_by_asset = {name: _load_cache(config, name)
                            for name in sorted(config.assets)}
+        # a series too short for the window shape also fails before anything is written
+        for series in series_by_asset.values():
+            evaluation.make_windows(len(series), **dataclasses.asdict(config.windows))
         out = config.output_dir
         echo = out / "config.echo.json"
         if resume and echo.exists():
@@ -261,10 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     except IngestError as exc:
         print(f"ingest error: {exc}", file=sys.stderr)
         return EXIT_INGEST
-    except SentarlError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (SentarlError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # anything the handlers above do not map

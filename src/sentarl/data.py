@@ -10,7 +10,7 @@ instants and no gap filling or resampling is performed.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -285,7 +285,7 @@ class AlignedSeries:
     diffs: np.ndarray       # float64, length T - 1
     hours: np.ndarray       # float64 in [0, 1), length T
     sentiment: np.ndarray   # float64 in [-1, 1], length T
-    has_news: np.ndarray = field(default=None)  # bool, length T
+    has_news: np.ndarray    # bool, length T
 
     def __post_init__(self) -> None:
         self.timestamps = np.asarray(self.timestamps, dtype="datetime64[s]")
@@ -293,8 +293,6 @@ class AlignedSeries:
         self.diffs = np.asarray(self.diffs, dtype=np.float64)
         self.hours = np.asarray(self.hours, dtype=np.float64)
         self.sentiment = np.asarray(self.sentiment, dtype=np.float64)
-        if self.has_news is None:
-            self.has_news = np.zeros(len(self.prices), dtype=bool)
         self.has_news = np.asarray(self.has_news, dtype=bool)
         n = len(self.timestamps)
         if n == 0:

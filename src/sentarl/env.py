@@ -6,15 +6,14 @@ action a_t pays ``phi * z_{t+1} * a_t`` minus the switching cost charged at
 the decision price, so reward depends causally on the chosen action and
 episode totals telescope to the classic per-instant return sum.
 
-Wealth is tracked by double-entry accounting (cash plus marked-to-market
-position) rather than by accumulating rewards, which keeps the identity
-``final wealth == psi + sum(rewards)`` a real cross-check instead of a
-tautology.
+Cash is tracked by double-entry accounting rather than by accumulating
+rewards, which keeps the identity ``cash + marked-to-market position ==
+psi + sum(rewards)`` a real cross-check (the tests' ``stack_wealth``)
+instead of a tautology.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,12 +24,6 @@ import numpy as np
 from .data import AlignedSeries
 from .errors import Choice
 from .files import write_csv
-
-
-class Action(enum.IntEnum):
-    SHORT = -1
-    NEUTRAL = 0
-    LONG = 1
 
 
 class CostMode(Choice, noun="cost mode"):
@@ -242,11 +235,6 @@ class TradingEnv:
         """The current episode's action values so far, shaped like `rewards`."""
         return self._actions[:, :self._n]
 
-    @property
-    def wealth(self) -> np.ndarray:
-        """Cash plus the current position marked at the clock's price."""
-        return self.cash + self.last_action * self._phi * self._prices[:, self.t]
-
     def unit_cost(self, price: np.ndarray) -> np.ndarray:
         if self._proportional:
             return self._tc * price
@@ -343,7 +331,7 @@ class EpisodeResult:
 
     @property
     def trade_count(self) -> int:
-        prev = int(Action.NEUTRAL)
+        prev = 0  # every episode starts Neutral (action value 0)
         count = 0
         for a in self.actions:
             if a != prev:

@@ -73,9 +73,6 @@ class RollingWindows:
     windows: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     spec: WindowSpec
 
-    def __len__(self) -> int:
-        return len(self.windows)
-
 
 def make_windows(length: int, **shape: int) -> RollingWindows:
     """Forward-rolled train/test splits anchored so the last test ends at T.
@@ -320,20 +317,20 @@ def enumerate_keys(assets: Iterable[str], window_count: int, seeds: Iterable[int
     return keys
 
 
-def _parse_results(path: Path) -> list[tuple[TrialResult, list[str]]]:
-    """(result, raw row) per data row; a wrong header or a malformed row is
-    an IngestError naming path:line."""
-    parsed = []
+def read_results_csv(path: str | Path) -> list[TrialResult]:
+    """The rows of a results file or journal, in file order; a wrong header
+    or a malformed row is an IngestError naming path:line."""
+    results = []
     for lineno, row in read_rows(path, RESULTS_HEADER):
         try:
-            parsed.append((parse_result_row(row), row))
+            results.append(parse_result_row(row))
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: malformed row {row!r}: {exc}") from exc
-    return parsed
+    return results
 
 
-def _read_journal(path: Path) -> dict[TrialKey, list[str]]:
-    """Journaled rows by key, after repairing a torn tail.
+def _read_journal(path: Path) -> dict[TrialKey, TrialResult]:
+    """Journaled results by key, after repairing a torn tail.
 
     A last line without its line terminator is what a kill during an append
     leaves behind. It is cut from the file with a warning, so its trial runs
@@ -350,11 +347,7 @@ def _read_journal(path: Path) -> dict[TrialKey, list[str]]:
         os.truncate(path, keep)
     if keep == 0:
         return {}
-    return {result.key: row for result, row in _parse_results(path)}
-
-
-def read_results_csv(path: str | Path) -> list[TrialResult]:
-    return [result for result, _ in _parse_results(Path(path))]
+    return {result.key: result for result in read_results_csv(path)}
 
 
 def write_results_csv(rows: Iterable[Sequence[str]], path: Path) -> None:
@@ -427,9 +420,8 @@ def run_matrix(series_by_asset: Mapping[str, AlignedSeries],
             if isinstance(outcome, TrialFailure):
                 failures.append(outcome)
                 return
-            row = result_row(outcome)
-            done[outcome.key] = row
-            journal.writerow(row)
+            done[outcome.key] = outcome
+            journal.writerow(result_row(outcome))
             journal_fh.flush()
 
         def collect(outcomes: list[TrialResult | TrialFailure]) -> None:
@@ -475,12 +467,12 @@ def run_matrix(series_by_asset: Mapping[str, AlignedSeries],
 
     failures.sort(key=lambda f: f.key)  # completion order varies between runs
     if not skipped and not failures:
-        write_results_csv(done.values(), out_dir / "results.csv")
+        write_results_csv(map(result_row, done.values()), out_dir / "results.csv")
     if failures:
         log.warning("%d trial(s) failed; matrix continued", len(failures))
 
-    results = [parse_result_row(done[k]) for k in keys if k in done]
-    return MatrixResult(results=results, failures=failures, pending=skipped)
+    return MatrixResult(results=[done[k] for k in keys if k in done], failures=failures,
+                        pending=skipped)
 
 
 # ---------------------------------------------------------------- reports

@@ -161,9 +161,6 @@ class Mlp:
         """Trial k of a stack as a single net viewing the stack's row k."""
         return Mlp.over(self.flat[k], self.layer_sizes, self.activation)
 
-    def copy(self) -> "Mlp":
-        return Mlp(self.layer_sizes, self.weights, self.biases, self.activation)
-
     @property
     def trials(self) -> int | None:
         """K for a stack of K nets, None for a single net."""
@@ -189,35 +186,16 @@ class ForwardCache:
 
 class Gradients:
     """Partials with the same shapes as the owning Mlp's parameters, held in
-    one flat buffer laid out like the net's."""
+    one flat buffer laid out like the net's: `flat` itself, not a copy."""
 
-    def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
-        sizes = (np.shape(weights[0])[-2], *(np.shape(w)[-1] for w in weights))
-        self._wrap(_pack(weights, biases), sizes)
-
-    def _wrap(self, flat: np.ndarray, sizes: Sequence[int]) -> None:
+    def __init__(self, flat: np.ndarray, layer_sizes: Sequence[int]):
         self.flat = flat
-        self.layer_sizes = tuple(int(n) for n in sizes)
+        self.layer_sizes = tuple(int(n) for n in layer_sizes)
         self.weights, self.biases = _views(flat, self.layer_sizes)
 
     @classmethod
-    def over(cls, flat: np.ndarray, layer_sizes: Sequence[int]) -> "Gradients":
-        """Gradients viewing `flat` itself (no copy)."""
-        grads = cls.__new__(cls)
-        grads._wrap(flat, layer_sizes)
-        return grads
-
-    @classmethod
     def zeros_like(cls, net: Mlp) -> "Gradients":
-        return cls.over(np.zeros_like(net.flat), net.layer_sizes)
-
-    def add_(self, other: "Gradients", scale: float = 1.0) -> "Gradients":
-        self.flat += scale * other.flat
-        return self
-
-    def scale_(self, factor: float) -> "Gradients":
-        self.flat *= factor
-        return self
+        return cls(np.zeros_like(net.flat), net.layer_sizes)
 
     def global_norm(self) -> float | np.ndarray:
         """√(Σ g²) over all parameters; one norm per trial for a stack.
@@ -280,7 +258,7 @@ def backward(net: Mlp, cache: ForwardCache, output_grad: np.ndarray,
     if cache.row:
         delta = delta[..., None, :]
     if out is None:
-        out = Gradients.over(np.empty_like(net.flat), net.layer_sizes)
+        out = Gradients(np.empty_like(net.flat), net.layer_sizes)
     elif out.layer_sizes != net.layer_sizes or out.flat.shape != net.flat.shape:
         raise ValueError("out does not match the net's parameters")
     for i in reversed(range(len(net.weights))):

@@ -173,13 +173,6 @@ class CorrelationPulse:
     shifts: list[int]
     correlations: list[float | None]
 
-    def peak(self) -> tuple[int, float]:
-        """(shift, value) of the largest defined correlation."""
-        defined = [(s, c) for s, c in zip(self.shifts, self.correlations) if c is not None]
-        if not defined:
-            raise ValueError("pulse has no defined correlations")
-        return max(defined, key=lambda sc: sc[1])
-
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float | None:
     """Population-formula Pearson r, or None when either side is constant."""

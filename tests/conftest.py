@@ -27,7 +27,7 @@ def build_series(prices: np.ndarray, sentiment: np.ndarray | None = None,
     return AlignedSeries(asset=asset, timestamps=ts, prices=prices,
                          diffs=np.diff(prices), hours=hours,
                          sentiment=np.asarray(sentiment, dtype=float),
-                         has_news=has_news)
+                         has_news=np.zeros(n, dtype=bool) if has_news is None else has_news)
 
 
 def random_walk_series(n: int, seed: int = 0, asset: str = "RND",

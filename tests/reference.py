@@ -14,6 +14,7 @@ by hour. The ingest parity tests check the column chain against it.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -26,12 +27,22 @@ from sentarl.a2c import A2cConfig, Batch, TrainedAgent, train
 from sentarl.data import (EPOCH, NEWS_HEADER, PRICE_HEADER, SECOND, AlignedSeries,
                           hour_fraction, parse_timestamp)
 from sentarl.files import read_rows
-from sentarl.env import (Action, CostMode, EnvConfig, EpisodeResult, EquityPoint,
-                         StepOutcome)
-from sentarl.nn import Mlp, forward, softmax, softmax_draw
-from sentarl.sentiment import FillPolicy, Grouping
+from sentarl.env import (CostMode, EnvConfig, EpisodeResult, EquityPoint, StepOutcome,
+                         TradingEnv)
+from sentarl.nn import Gradients, Mlp, _pack, forward, softmax, softmax_draw
+from sentarl.sentiment import CorrelationPulse, FillPolicy, Grouping
 
 # ---------------------------------------------------------------- env
+
+
+class Action(enum.IntEnum):
+    """A position by its action value. The library's env takes action
+    indices (value + 1) and records values."""
+
+    SHORT = -1
+    NEUTRAL = 0
+    LONG = 1
+
 
 #: Network output index order; index = action value + 1.
 ACTIONS = (Action.SHORT, Action.NEUTRAL, Action.LONG)
@@ -192,6 +203,12 @@ class TrialEnv:
                 for i, r in enumerate(rewards)]
 
 
+def stack_wealth(env: TradingEnv) -> np.ndarray:
+    """A TradingEnv stack's cash plus each trial's position marked at the
+    clock's price."""
+    return env.cash + env.last_action * env._phi * env._prices[:, env.t]
+
+
 Policy = Callable[[MarketState], Action]
 
 
@@ -315,6 +332,17 @@ def greedy_policy(policy_net: Mlp) -> Policy:
     return lambda state: act_greedy(state, policy_net)
 
 
+def gradients_of(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]) -> Gradients:
+    """Gradients holding a copy of the given weight and bias partials."""
+    sizes = (np.shape(weights[0])[-2], *(np.shape(w)[-1] for w in weights))
+    return Gradients(_pack(weights, biases), sizes)
+
+
+def copy_net(net: Mlp) -> Mlp:
+    """A single net with its own copy of `net`'s parameters."""
+    return Mlp(net.layer_sizes, net.weights, net.biases, net.activation)
+
+
 def train_one(series: AlignedSeries, env_config: EnvConfig, config: A2cConfig,
               policy_net: Mlp | None = None, value_net: Mlp | None = None) -> TrainedAgent:
     """`train` for one trial, as a stack of one. Single nets, when given,
@@ -328,6 +356,14 @@ def train_one(series: AlignedSeries, env_config: EnvConfig, config: A2cConfig,
 
 
 # ---------------------------------------------------------------- sentiment
+
+
+def pulse_peak(pulse: CorrelationPulse) -> tuple[int, float]:
+    """(shift, value) of the pulse's largest defined correlation."""
+    defined = [(s, c) for s, c in zip(pulse.shifts, pulse.correlations) if c is not None]
+    if not defined:
+        raise ValueError("pulse has no defined correlations")
+    return max(defined, key=lambda sc: sc[1])
 
 
 def sentiment_window(series: AlignedSeries, t: int, l: int) -> np.ndarray:

@@ -5,11 +5,11 @@ import pytest
 
 from conftest import random_walk_series, rel_err
 from sentarl import a2c
-from reference import (MarketState, Transition, act_greedy, act_sample, advantage, batch_of,
-                       greedy_policy, train_one, value_of)
+from reference import (Action, MarketState, Transition, act_greedy, act_sample, advantage,
+                       batch_of, copy_net, greedy_policy, train_one, value_of)
 from sentarl.a2c import (A2cConfig, TrainedAgent, _targets, actor_update, critic_update,
                          write_training_log)
-from sentarl.env import Action, EnvConfig
+from sentarl.env import EnvConfig
 from sentarl.nn import (Gradients, Mlp, RmspropState, apply_update, backward,
                         forward, log_softmax, softmax)
 
@@ -100,19 +100,25 @@ def test_critic_loss_nonnegative():
     assert critic_update(batch_of(batch), net, A2cConfig()) >= 0.0
 
 
+def targets(transitions, net, cfg):
+    """_targets with V(s') from one forward of `net` over the next states."""
+    batch = batch_of(transitions)
+    return _targets(batch, cfg, forward(net, batch.states[len(batch):])[0][:, 0])
+
+
 def test_n_step_targets():
     net = Mlp((1, 1), [np.array([[0.0]])], [np.array([4.0])])  # V == 4
     batch = [transition(0.0, 1.0, 0.0), transition(0.0, 2.0, 0.0)]
     cfg = A2cConfig(gamma=0.5, use_n_step_returns=True)
-    assert _targets(batch_of(batch), net, cfg).tolist() == [3.0, 4.0]
+    assert targets(batch, net, cfg).tolist() == [3.0, 4.0]
     # terminal tail drops the bootstrap
     batch[-1].done = True
-    assert _targets(batch_of(batch), net, cfg).tolist() == [2.0, 2.0]
+    assert targets(batch, net, cfg).tolist() == [2.0, 2.0]
 
 
 def test_actor_zero_advantage_fixed_point():
     net = policy_net_with_bias([0.2, -0.1, 0.4])
-    before = net.copy()
+    before = copy_net(net)
     batch = [transition(1.0, 0.0, 1.0, action_index=2)]
     loss = actor_update(batch_of(batch), net, [0.0], A2cConfig())
     assert loss == 0.0
@@ -172,7 +178,7 @@ def oracle_critic_update(batch, net, cfg, opt=None):
     grads = Gradients.zeros_like(net)
     for res, t in zip(residuals, batch):
         _, cache = forward(net, t.state)
-        grads.add_(backward(net, cache, np.array([2.0 * res / n])))
+        grads.flat += backward(net, cache, np.array([2.0 * res / n])).flat
     apply_update(net, grads, cfg.lr_critic, optimizer_state=opt,
                  clip_norm=cfg.max_grad_norm)
     return sum(r * r for r in residuals) / n, residuals
@@ -192,7 +198,7 @@ def oracle_actor_update(batch, net, advs, cfg, opt=None):
         if cfg.entropy_coef > 0:
             ent = -float(np.sum(probs * np.log(probs)))
             out_grad += cfg.entropy_coef * (-probs * (np.log(probs) + ent))
-        grads.add_(backward(net, cache, out_grad / n))
+        grads.flat += backward(net, cache, out_grad / n).flat
     apply_update(net, grads, cfg.lr_actor, optimizer_state=opt,
                  clip_norm=cfg.max_grad_norm)
     return loss
@@ -220,12 +226,12 @@ def test_batched_flush_matches_per_sample_oracle(n_step, done_last, entropy_coef
     cfg = A2cConfig(gamma=0.9, lr_actor=0.05, lr_critic=0.05, entropy_coef=entropy_coef,
                     optimizer=optimizer, use_n_step_returns=n_step)
     value, policy = Mlp.create((dim, 8, 8, 1), rng), Mlp.create((dim, 8, 8, 3), rng)
-    value_ref, policy_ref = value.copy(), policy.copy()
+    value_ref, policy_ref = copy_net(value), copy_net(policy)
     opts = [RmspropState.create(net) if optimizer == "rmsprop" else None
             for net in (value, policy, value_ref, policy_ref)]
     for n in (5, 5, 3):  # successive flushes, so optimizer state carries over
         batch = random_batch(rng, n, dim, done_last)
-        before = params(value.copy()) + params(policy.copy())
+        before = params(copy_net(value)) + params(copy_net(policy))
         advs, _ = a2c._td_residuals(batch_of(batch), value, cfg)
         c_loss = critic_update(batch_of(batch), value, cfg, opts[0])
         a_loss = actor_update(batch_of(batch), policy, advs, cfg, opts[1])

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from conftest import build_series, random_walk_series, sinusoid_series
-from reference import TrialEnv, greedy_policy, run_policy, train_one
+from reference import (Action, TrialEnv, copy_net, greedy_policy, pulse_peak, run_policy,
+                       train_one)
 from sentarl.a2c import A2cConfig
-from sentarl.env import Action, CostMode, EnvConfig
+from sentarl.env import CostMode, EnvConfig
 from sentarl.evaluation import (STRATEGIES, WindowSpec, annualized_return,
                                 report, run_buy_and_hold, run_matrix, sharpe)
 from sentarl.nn import Mlp, backward, forward
@@ -156,7 +157,7 @@ def test_criterion_06_lagged_sentiment_pulse_peak():
     lagged = build_series(series.prices, sentiment)
     pulse = series_pulse(lagged, shifts=range(-10, 4))
     assert len(pulse.shifts) == 14
-    shift, value = pulse.peak()
+    shift, value = pulse_peak(pulse)
     assert shift == -2
     assert abs(value - 1.0) <= 1e-9
 
@@ -206,8 +207,8 @@ def test_criterion_08_ablation_first_update_parity():
     rng = np.random.default_rng(config.seed)
     policy41 = Mlp.create((41, 64, 64, 3), rng, config.activation)
     value41 = Mlp.create((41, 64, 64, 1), rng, config.activation)
-    policy46 = _widen_first_layer(policy41.copy(), 5)
-    value46 = _widen_first_layer(value41.copy(), 5)
+    policy46 = _widen_first_layer(copy_net(policy41), 5)
+    value46 = _widen_first_layer(copy_net(value41), 5)
 
     plain = train_one(series, without, config,
                       policy_net=policy41, value_net=value41)

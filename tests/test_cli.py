@@ -394,6 +394,28 @@ def test_run_rejects_a_bad_flag_before_writing(tmp_path, capsys, flag, value):
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
+def test_run_rejects_windows_that_cannot_fit_before_writing(tmp_path, capsys):
+    cfg = make_workspace(tmp_path)
+    main(["ingest", "--config", str(cfg)])
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert out / "results.csv" in before
+    assert any((out / "artifacts").iterdir())
+    config = json.loads(cfg.read_text())
+    config["windows"]["count"] = 100  # 60 points cannot hold 100 windows
+    cfg.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "series of length 60 cannot fit 100 windows" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    # the echo still holds the old config, so the old run resumes under it
+    config["windows"]["count"] = 2
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--resume"]) == 0
+    assert (out / "results.csv").read_bytes() == before[out / "results.csv"]
+
+
 def test_run_determinism_and_resume(tmp_path, capsys):
     for sub in ("a", "b", "c"):
         (tmp_path / sub).mkdir()

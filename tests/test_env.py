@@ -7,9 +7,9 @@ import pytest
 
 from conftest import build_series, random_walk_series
 from reference import TrialEnv as TradingEnv
-from reference import (ACTIONS, action_from_index, action_index, baseline_policy,
+from reference import (ACTIONS, Action, action_from_index, action_index, baseline_policy,
                        episode_return, run_policy)
-from sentarl.env import Action, CostMode, EnvConfig, write_equity_csv
+from sentarl.env import CostMode, EnvConfig, write_equity_csv
 
 
 def test_action_encoding():

@@ -32,7 +32,7 @@ from sentarl.evaluation import (RESULTS_HEADER, MatrixResult, TrialKey,
 
 def test_make_windows_reference_shape():
     rolling = make_windows(5267)
-    assert len(rolling) == 5
+    assert len(rolling.windows) == 5
     assert rolling.windows[0] == ((20, 3397), (3397, 3771))
     assert rolling.windows[-1] == ((1516, 4893), (4893, 5267))
     # train:test is roughly 0.9:0.1 of each split

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from conftest import random_walk_series, rel_err
-from reference import (TrialEnv, action_from_index, greedy_policy, run_policy, softmax_sample,
-                       train_one)
+from reference import (Action, TrialEnv, action_from_index, gradients_of, greedy_policy,
+                       run_policy, softmax_sample, stack_wealth, train_one)
 from sentarl import a2c, evaluation
 from sentarl.a2c import A2cConfig, greedy_episodes, train
-from sentarl.env import Action, EnvConfig, TradingEnv
+from sentarl.env import EnvConfig, TradingEnv
 from sentarl.errors import NonFiniteGradientError
 from sentarl.evaluation import TrialKey, WindowSpec, result_row, run_matrix
 from sentarl.nn import (ACTIVATIONS, Gradients, Mlp, RmspropState, apply_update,
@@ -76,11 +76,11 @@ def test_stacked_update_clips_each_trial_by_its_own_norm(optimizer):
     rng = np.random.default_rng(4)
     for _ in range(3):  # successive steps, so optimizer state carries over
         flat = rng.normal(size=stack.flat.shape) * np.array([[0.01], [10.0], [1.0]])
-        norms = apply_update(stack, Gradients(*stack_views(flat, stack)), 0.1,
+        norms = apply_update(stack, gradients_of(*stack_views(flat, stack)), 0.1,
                              states[0], clip_norm=2.0)
         assert norms[0] < 2.0 < norms[1]  # one trial is clipped, one is not
         for k, net in enumerate(singles):
-            grads = Gradients(*stack_views(flat[k], net))
+            grads = gradients_of(*stack_views(flat[k], net))
             assert apply_update(net, grads, 0.1, states[k + 1], clip_norm=2.0) == norms[k]
             assert np.array_equal(stack.flat[k], net.flat)
 
@@ -247,8 +247,7 @@ def test_group_training_fault_leaves_other_rows_identical(tmp_path, monkeypatch,
     group_sizes = []
 
     def faulty(series, env_config, config, *args, **kwargs):
-        pairs = list(zip(env_config, config)) if isinstance(config, (list, tuple)) \
-            else [(env_config, config)]
+        pairs = list(zip(env_config, config))
         group_sizes.append(len(pairs))
         if any(c.seed == 1 and e.tc_rate == 0.0025 and e.use_sentiment for e, c in pairs):
             raise FloatingPointError("injected fault")
@@ -306,14 +305,14 @@ def test_env_stack_matches_single_envs(cost_mode, use_sentiment):
         assert out.info["cost_paid"].tolist() == [o.info["cost_paid"] for o in outs]
         assert [out.done] * 4 == [o.done for o in outs]
         assert stack.cash.tolist() == [e.cash for e in singles]
-        assert stack.wealth.tolist() == [e.wealth for e in singles]
+        assert stack_wealth(stack).tolist() == [e.wealth for e in singles]
         assert stack.last_action.tolist() == [int(e.last_action) for e in singles]
     assert all(e.done for e in singles)
     for k, env in enumerate(singles):
         assert stack.rewards[k].tolist() == [p.reward for p in env.equity_curve()]
         # double-entry wealth equals psi plus the summed rewards, per trial
-        assert stack.wealth[k] == pytest.approx(stack.psi[k] + math.fsum(stack.rewards[k]),
-                                                rel=1e-9)
+        assert stack_wealth(stack)[k] == pytest.approx(
+            stack.psi[k] + math.fsum(stack.rewards[k]), rel=1e-9)
     # without `out`, a stack returns a new observation array
     first = stack.reset()
     assert first is not buf
@@ -559,7 +558,7 @@ def test_block_step_equals_one_step_calls(m, cost_mode, use_sentiment):
             assert out.info["cost_paid"][:, j].tolist() == o.info["cost_paid"].tolist()
             assert out.info["price"][:, j].tolist() == o.info["price"].tolist()
         assert block_env.cash.tolist() == step_env.cash.tolist()
-        assert block_env.wealth.tolist() == step_env.wealth.tolist()
+        assert stack_wealth(block_env).tolist() == stack_wealth(step_env).tolist()
         assert block_env.last_action.tolist() == step_env.last_action.tolist()
         assert block_env.t == step_env.t
     assert step_env.done
@@ -668,8 +667,8 @@ def test_global_norm_is_one_product_per_trial_alone_or_stacked():
     for sizes in ((46, 64, 64, 3), (7, 1), (5, 3, 2)):
         stack, singles = stack_and_singles(5, sizes)
         stack.flat[:] = rng.normal(size=stack.flat.shape) * 10.0 ** rng.integers(-3, 4, (5, 1))
-        norms = Gradients.over(stack.flat, sizes).global_norm()
+        norms = Gradients(stack.flat, sizes).global_norm()
         for k in range(5):
-            alone = Gradients.over(stack.flat[k].copy(), sizes).global_norm()
+            alone = Gradients(stack.flat[k].copy(), sizes).global_norm()
             assert isinstance(alone, float) and alone == norms[k]
             assert alone == pytest.approx(math.sqrt(math.fsum(stack.flat[k] ** 2)), rel=1e-12)

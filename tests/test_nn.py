@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
-from reference import softmax_sample
+from reference import copy_net, gradients_of, softmax_sample
 from sentarl.errors import ModelFormatError, NonFiniteGradientError
 from sentarl.nn import (ACTIVATIONS, Gradients, Mlp, RmspropState, apply_update,
                         backward, deserialize, fd_gradients, forward, load_model,
@@ -134,7 +134,7 @@ def test_batched_forward_backward_match_rows():
             for i in range(len(x)):
                 row_out, row_cache = forward(net, x[i])
                 assert rel_err([out[i]], [row_out]) <= 1e-12
-                summed.add_(backward(net, row_cache, output_grad[i]))
+                summed.flat += backward(net, row_cache, output_grad[i]).flat
             assert rel_err(batched.weights, summed.weights) <= 1e-12
             assert rel_err(batched.biases, summed.biases) <= 1e-12
 
@@ -181,10 +181,10 @@ def test_gradients_arithmetic():
     grads.weights[0][0, 0] = 3.0
     grads.biases[0][1] = 4.0
     assert grads.global_norm() == pytest.approx(5.0)
-    grads.scale_(2.0)
+    grads.flat *= 2.0
     assert grads.global_norm() == pytest.approx(10.0)
     other = Gradients.zeros_like(net)
-    other.add_(grads, scale=-0.5)
+    other.flat += -0.5 * grads.flat
     assert other.weights[0][0, 0] == -3.0
 
 
@@ -234,7 +234,7 @@ def test_softmax_sample_seeded_repeatable():
 
 def test_apply_update_ascent_step():
     net = linear_net([[2.0]], [1.0])
-    grads = Gradients([np.array([[3.0]])], [np.array([-1.0])])
+    grads = gradients_of([np.array([[3.0]])], [np.array([-1.0])])
     norm = apply_update(net, grads, lr=0.1)
     assert net.weights[0][0, 0] == pytest.approx(2.0 + 0.1 * 3.0)
     assert net.biases[0][0] == pytest.approx(1.0 - 0.1 * 1.0)
@@ -243,14 +243,14 @@ def test_apply_update_ascent_step():
 
 def test_apply_update_zero_gradient_fixed_point():
     net = Mlp.create([3, 4, 2], np.random.default_rng(5))
-    before = net.copy()
+    before = copy_net(net)
     apply_update(net, Gradients.zeros_like(net), lr=0.5)
     assert all(np.array_equal(a, b) for a, b in zip(net.weights, before.weights))
 
 
 def test_apply_update_clips_global_norm():
     net = linear_net([[0.0]], [0.0])
-    grads = Gradients([np.array([[6.0]])], [np.array([8.0])])  # norm 10
+    grads = gradients_of([np.array([[6.0]])], [np.array([8.0])])  # norm 10
     norm = apply_update(net, grads, lr=1.0, clip_norm=1.0)
     assert norm == pytest.approx(10.0)  # reported norm is pre-clip
     step = np.hypot(net.weights[0][0, 0], net.biases[0][0])
@@ -259,7 +259,7 @@ def test_apply_update_clips_global_norm():
 
 def test_apply_update_rejects_nonfinite():
     net = linear_net([[1.0]], [0.0])
-    grads = Gradients([np.array([[np.nan]])], [np.array([0.0])])
+    grads = gradients_of([np.array([[np.nan]])], [np.array([0.0])])
     with pytest.raises(NonFiniteGradientError):
         apply_update(net, grads, lr=0.1)
     assert net.weights[0][0, 0] == 1.0  # untouched
@@ -270,7 +270,7 @@ def test_apply_update_rejects_nonfinite():
 def test_rmsprop_first_step():
     net = linear_net([[0.0]], [0.0])
     state = RmspropState.create(net, decay=0.99, eps=1e-8)
-    grads = Gradients([np.array([[3.0]])], [np.array([0.0])])
+    grads = gradients_of([np.array([[3.0]])], [np.array([0.0])])
     apply_update(net, grads, lr=0.1, optimizer_state=state)
     # sq = 0.01 * 9, step = lr * g / (sqrt(sq) + eps)
     expected = 0.1 * 3.0 / (np.sqrt(0.09) + 1e-8)

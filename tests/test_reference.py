@@ -20,13 +20,21 @@ MOVED = ("MarketState", "TrialEnv", "Policy", "baseline_policy", "run_policy",
          "advantage", "act_sample", "act_greedy", "greedy_policy", "softmax_sample",
          "sentiment_window", "ACTIONS", "episode_return", "PriceRecord", "HeadlineRecord",
          "truncate_to_hour", "epoch_seconds", "hour_stamp", "group_hourly", "fill_gaps",
-         "compute_diffs")
+         "compute_diffs", "Action")
 
 
 def test_the_library_keeps_one_path():
     for module in (sentarl, env, a2c, nn, sentiment, data):
         assert [name for name in MOVED if hasattr(module, name)] == [], module.__name__
     assert not hasattr(a2c.Batch, "of")
+    for cls, names in ((nn.Gradients, ("add_", "scale_")), (nn.Mlp, ("copy",)),
+                       (sentiment.CorrelationPulse, ("peak",))):
+        assert [name for name in names if hasattr(cls, name)] == [], cls.__name__
+    assert "value_net" not in inspect.signature(a2c._targets).parameters
+    # the package root holds its submodules and version, and re-exports nothing
+    assert [name for name, value in vars(sentarl).items()
+            if not name.startswith("_") and not inspect.ismodule(value)] == []
+    assert isinstance(sentarl.__version__, str)
     assert not hasattr(env.EpisodeResult, "total_reward")
     assert [choice for choice in (CostMode, Grouping, FillPolicy)
             if hasattr(choice, "parse")] == []

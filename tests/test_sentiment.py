@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import build_series, random_walk_series
-from reference import (epoch_seconds, fill_gaps, group_hourly, hour_stamp,
+from reference import (epoch_seconds, fill_gaps, group_hourly, hour_stamp, pulse_peak,
                        sentiment_window)
 import sentarl
 from sentarl.data import HeadlineTable
@@ -192,7 +192,7 @@ def test_correlation_pulse_constructed_lag():
     # sentiment at t repeats the diff from 2 hours earlier
     sentiment = np.concatenate([np.zeros(2), diffs[:-2]])
     pulse = correlation_pulse(sentiment, diffs, shifts=range(-10, 4))
-    shift, value = pulse.peak()
+    shift, value = pulse_peak(pulse)
     assert shift == -2
     assert value == pytest.approx(1.0, abs=1e-9)
 
