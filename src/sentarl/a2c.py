@@ -89,8 +89,8 @@ class Batch:
 
     `states` is the value forward's input: rows [0, n) are the states and
     the last n rows the next states (2n rows, or n + 1 from a rollout).
-    `actions`, `rewards` and `log_probs` hold one entry per step, `dones`
-    one flag per step (the trials share the clock). critic_update records
+    `actions` and `rewards` hold one entry per step, `dones` one flag per
+    step (the trials share the clock). critic_update records
     its TD residuals in `advantages`: they are the actor's advantages, from
     the same forward as the critic's gradient. A rollout's `policy_forward`
     holds the policy's logits and forward cache of the n states.
@@ -100,15 +100,12 @@ class Batch:
     actions: np.ndarray
     rewards: np.ndarray
     dones: np.ndarray
-    log_probs: np.ndarray
     advantages: np.ndarray | None = None
     policy_forward: tuple[np.ndarray, ForwardCache] | None = None
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.rewards).all():
             raise ValueError("reward must be finite")
-        if np.maximum.reduce(self.log_probs, axis=None) > 1e-12:
-            raise ValueError("log_prob must be <= 0")
 
     def __len__(self) -> int:
         return self.rewards.shape[-1]
@@ -153,7 +150,7 @@ def critic_update(batch: Batch, value_net: Mlp, config: A2cConfig,
         raise ValueError("non-finite critic loss")
     # ascent direction of -MSE: d(-L)/d(out) = 2 * residual / n, back through
     # the state rows only (the next states carry no gradient)
-    states = ForwardCache(cache.layer_sizes, [h[..., :n, :] for h in cache.inputs], False)
+    states = ForwardCache(cache.layer_sizes, [h[..., :n, :] for h in cache.inputs])
     grads = backward(value_net, states, (2.0 * residuals / n)[..., None], out=value_net.grad)
     apply_update(value_net, grads, config.lr_critic,
                  optimizer_state=optimizer_state, clip_norm=config.max_grad_norm)
@@ -198,11 +195,13 @@ def greedy_episodes(env: TradingEnv, policy: Mlp) -> list[EpisodeResult]:
     """Run a stacked env to its end, trial k acting greedily under net k of
     the stack `policy`; ties break Neutral, then Long, then Short. Trial k's
     result has the bits of its own stack of one, and of the per-step greedy
-    reference run in `tests/reference.py`."""
+    reference run in `tests/reference.py`. Each forward takes the trials'
+    observations as one-row batches, and each step is a (K, 1) block."""
     obs = env.reset()
+    rows = obs[:, None]
     for _ in range(env.steps):
-        probs = softmax(forward(policy, obs)[0])
-        env.step(_GREEDY_ORDER[np.argmax(probs[:, _GREEDY_ORDER], axis=-1)], out=obs)
+        probs = softmax(forward(policy, rows)[0])
+        env.step(_GREEDY_ORDER[np.argmax(probs[..., _GREEDY_ORDER], axis=-1)], out=obs)
     return [EpisodeResult(env.rewards[k].tolist(), env.actions[k].tolist(),
                           float(env.psi[k]), env.equity_curve(k))
             for k in range(env.trials)]
@@ -247,8 +246,7 @@ def _rollout(env: TradingEnv, policy: Mlp, uniforms: np.ndarray,
     candidates = np.repeat(obs[:, :m, None], 3, axis=2)
     candidates[..., -1] = (-1.0, 0.0, 1.0)  # the previous actions, in index order
     logits, cache = forward(policy, candidates.reshape(trials, 3 * m, -1))
-    draws, log_probs, probs = softmax_draw(logits.reshape(trials, m, 3, 3),
-                                           uniforms[..., None])
+    draws, probs = softmax_draw(logits.reshape(trials, m, 3, 3), uniforms[..., None])
     # each trial's previous action index, then its m draws, one lookup each
     chain = [[prev] for prev in (env.last_action + 1).tolist()]
     for path, table in zip(chain, draws.tolist()):
@@ -263,8 +261,8 @@ def _rollout(env: TradingEnv, policy: Mlp, uniforms: np.ndarray,
     dones = np.zeros(m, dtype=bool)
     dones[-1] = env.done
     taken = ForwardCache(cache.layer_sizes, [h.reshape(trials, m, 3, -1)[picked]
-                                             for h in cache.inputs], False)
-    return (Batch(obs, actions, env.rewards[:, -m:], dones, log_probs[(*picked, actions)],
+                                             for h in cache.inputs])
+    return (Batch(obs, actions, env.rewards[:, -m:], dones,
                   policy_forward=(logits.reshape(trials, m, 3, 3)[picked], taken)),
             probs[picked])
 
@@ -322,7 +320,7 @@ def train(series: AlignedSeries | Sequence[AlignedSeries], env_configs: Sequence
     psi = env.psi.tolist()
     logs: list[list[EpisodeLog]] = [[] for _ in range(trials)]
     for episode in range(base.episodes):
-        env.reset(out=states[:, 0])
+        env.reset()
         actor_losses: list[tuple[np.ndarray, int]] = []
         critic_losses: list[tuple[np.ndarray, int]] = []
         for t in range(0, env.steps, n_steps):

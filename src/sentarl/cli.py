@@ -105,9 +105,10 @@ def cmd_train(config: RunConfig, asset: str, window: int, seed: int,
     if not 0 <= window < len(slices):
         raise ConfigError(f"--window must be in [0, {len(slices) - 1}]")
     key = evaluation.TrialKey(asset, window, seed, tc, strategy)
-    result = evaluation.run_agent_trial(
-        key, *slices[window], config.env, config.agent,
-        artifacts_dir=config.output_dir / "debug")
+    (agent,), (episode,) = evaluation.train_and_test([key], [slices[window]], config.env,
+                                                     config.agent)
+    result = evaluation.run_agent_trial(key, slices[window][1], agent, episode,
+                                        config.output_dir / "debug")
     ar = "undefined" if result.ar is None else f"{result.ar:.6f}"
     print(f"{asset} window={window} seed={seed} tc={tc} {strategy}: "
           f"tr={result.tr:.6f} ar={ar} trades={result.trade_count}")

@@ -5,11 +5,6 @@ choosing Long/Neutral/Short each step. A step taken at grid index t with
 action a_t pays ``phi * z_{t+1} * a_t`` minus the switching cost charged at
 the decision price, so reward depends causally on the chosen action and
 episode totals telescope to the classic per-instant return sum.
-
-Cash is tracked by double-entry accounting rather than by accumulating
-rewards, which keeps the identity ``cash + marked-to-market position ==
-psi + sum(rewards)`` a real cross-check (the tests' ``stack_wealth``)
-instead of a tautology.
 """
 
 from __future__ import annotations
@@ -69,7 +64,8 @@ class EnvConfig:
 
 @dataclass
 class StepOutcome:
-    """One step's result; the reward and info values carry the trial axis."""
+    """One block's result; the reward and info values are (K, m): the trial
+    axis, then the block's step axis."""
 
     reward: np.ndarray
     next_state: np.ndarray | None
@@ -101,11 +97,12 @@ class TradingEnv:
 
     Given a sequence of K env configs, and one series shared by every trial
     or one series per trial, the env walks the trials the way a stack of
-    nets in `nn` carries a leading trial axis: `step` takes the K action
-    indices (0=Short, 1=Neutral, 2=Long) and computes each trial's reward,
-    cost and cash with the same arithmetic, so every trial gets the bits a
-    stack of one would give it. `cash`, `psi`, `last_action` and the
-    rewards carry the trial axis, and each observation is one (K, d) array.
+    nets in `nn` carries a leading trial axis: `step` takes a (K, m) block
+    of action indices (0=Short, 1=Neutral, 2=Long), m ticks of every trial,
+    and computes each trial's rewards and costs with the same arithmetic,
+    so every trial gets the bits a stack of one would give it. `psi`,
+    `last_action` and the rewards carry the trial axis, and each
+    observation is one (K, d) array.
     The trials may differ in series, tc_rate and diff_stats, but not in
     episode length, w, l, phi, cost_mode or use_sentiment. A single trial
     is a stack of one; `tests/reference.py` holds its per-step reference.
@@ -165,7 +162,6 @@ class TradingEnv:
         self._tc = np.array([c.tc_rate for c in configs])[:, None]
         self.t = self.start_index
         self.last_action = np.zeros(self.trials, dtype=np.int64)
-        self.cash = self.psi
         self._done = False
         self._started = False
         # Per-episode step records, preallocated by reset(); the equity curve
@@ -175,22 +171,18 @@ class TradingEnv:
         self._rewards = np.empty((self.trials, 0))
         self._costs = np.empty((self.trials, 0))
 
-    def reset(self, out: np.ndarray | None = None) -> np.ndarray:
-        """Rewind to t0 with a flat position and the full initial wealth;
-        return the (K, d) observation, written into `out` if given."""
-        self._check_out(out)
+    def reset(self) -> np.ndarray:
+        """Rewind to t0 with a flat position; return the new (K, d)
+        observation."""
         self.t = self.start_index
         self.last_action = np.zeros(self.trials, dtype=np.int64)
-        self.cash = self.psi.copy()
         self._done = False
         self._started = True
         self._n = 0
         self._actions = np.empty((self.trials, self.steps), dtype=np.int64)
         self._rewards = np.empty((self.trials, self.steps))
         self._costs = np.empty((self.trials, self.steps))
-        if out is None:
-            out = np.empty((self.trials, self._dim))
-        return self._observe(out)
+        return self._observe(np.empty((self.trials, self._dim)))
 
     @property
     def steps(self) -> int:
@@ -217,10 +209,6 @@ class TradingEnv:
         out[:, :, -1] = self.last_action[:, None]
         return out
 
-    def _check_out(self, out: np.ndarray | None) -> None:
-        if out is not None and out.shape != (self.trials, self._dim):
-            raise ValueError(f"out has shape {out.shape}, want {(self.trials, self._dim)}")
-
     @property
     def done(self) -> bool:
         return self._done
@@ -240,36 +228,31 @@ class TradingEnv:
             return self._tc * price
         return self._tc
 
-    def step(self, action: np.ndarray, out: np.ndarray | None = None) -> StepOutcome:
+    def step(self, actions: np.ndarray, out: np.ndarray | None = None) -> StepOutcome:
         """Trade at the clock price, realize the next price difference.
 
-        Takes the K action indices, or a (K, m) block of them that steps m
-        ticks in one pass (the reward and info values then carry the
-        block's step axis), and writes the observation after its last step
-        into `out` when given; next_state is `out`, or None without it. A
-        block is checked whole before the clock moves.
+        Takes a (K, m) block of action indices that steps m ticks in one
+        pass, and writes the observation after its last step into `out`
+        when given; next_state is `out`, or None without it. A block is
+        checked whole before the clock moves.
         """
         if not self._started:
             raise RuntimeError("call reset() before step()")
         if self._done:
             raise RuntimeError("step() called on a finished episode")
         t, phi = self.t, self._phi
-        values = np.asarray(action) - 1  # indices to action values
-        block = values[:, None] if values.ndim == 1 else values
-        m = block.shape[-1] if block.ndim == 2 else 0
+        block = np.asarray(actions) - 1  # indices to action values
+        m = block.shape[1] if block.ndim == 2 else 0
         if (block.shape[:1] != (self.trials,) or not 0 < m <= self._end - t
                 or np.abs(block).max() > 1):
-            raise ValueError(f"need {self.trials} action indices in 0..2, or a (K, m) "
-                             f"block of them with m <= {self._end - t}, got {values + 1}")
-        self._check_out(out)
+            raise ValueError(f"need a ({self.trials}, m) block of action indices in 0..2 "
+                             f"with 1 <= m <= {self._end - t}, got {block + 1}")
+        if out is not None and out.shape != (self.trials, self._dim):
+            raise ValueError(f"out has shape {out.shape}, want {(self.trials, self._dim)}")
         # diff is z_{t+1}: the step trades at price p_t and holds over z_{t+1}
         price, diff = self._prices[:, t:t + m], self._diffs[:, t:t + m]
         switch = block - np.concatenate([self.last_action[:, None], block[:, :-1]], axis=1)
         cost = phi * self.unit_cost(price) * abs(switch)
-        flow = switch * phi * price + cost
-        # each step's flow subtracted in turn, left to right
-        self.cash = np.add.accumulate(np.concatenate([self.cash[:, None], -flow], axis=1),
-                                      axis=1)[:, -1]
         reward = phi * diff * block - cost
 
         n = self._n
@@ -280,8 +263,6 @@ class TradingEnv:
         self._rewards[:, n:n + m] = reward
         self._costs[:, n:n + m] = cost
         self._n = n + m
-        if values.ndim == 1:  # a (K,) call reports its one step
-            reward, price, diff, cost = (a[:, 0] for a in (reward, price, diff, cost))
         return StepOutcome(
             reward=reward,
             next_state=None if out is None else self._observe(out),

@@ -215,25 +215,35 @@ def _trial_configs(key: TrialKey, env_config: EnvConfig,
             dataclasses.replace(a2c_config, seed=key.seed))
 
 
-def run_agent_trial(key: TrialKey, train_slice: AlignedSeries,
-                    test_slice: AlignedSeries, env_config: EnvConfig,
-                    a2c_config: A2cConfig, artifacts_dir: Path,
-                    agent: TrainedAgent | None = None,
-                    episode: EpisodeResult | None = None) -> TrialResult:
-    """Train on the train slice, evaluate the greedy policy on the test slice,
-    and write the trial's ARTIFACT_SUFFIXES files into artifacts_dir.
+def train_and_test(keys: Sequence[TrialKey],
+                   pairs: Sequence[tuple[AlignedSeries, AlignedSeries]],
+                   env_config: EnvConfig, a2c_config: A2cConfig
+                   ) -> tuple[list[TrainedAgent], list[EpisodeResult]]:
+    """Train the keys' trials in lockstep, then run their greedy test
+    episodes as one stack; `pairs` holds each key's (train, test) slices.
 
-    An agent already trained for this key skips the training, and its
-    greedy test episode, if already run, the test; otherwise the test runs
-    as a stack of one.
+    When a chunk of several keys raises, the stage that failed is logged
+    before the error propagates, and `_chunk_worker` reruns the keys one
+    at a time.
     """
-    env_cfg, agent_cfg = _trial_configs(key, env_config, a2c_config)
-    if agent is None:
-        (agent,) = train(train_slice, [env_cfg], [agent_cfg])
-    if episode is None:
-        episode = greedy_episodes(TradingEnv(test_slice, [env_cfg]),
-                                  Mlp.stack([agent.policy_net]))[0]
-    days = test_slice.trading_days()
+    env_cfgs, agent_cfgs = zip(*(_trial_configs(k, env_config, a2c_config) for k in keys))
+    stage, redo = "lockstep training", "training"
+    try:
+        agents = train([train_slice for train_slice, _ in pairs], env_cfgs, agent_cfgs)
+        stage, redo = "stacked test episodes", "testing"
+        test_env = TradingEnv([test_slice for _, test_slice in pairs], env_cfgs)
+        return agents, greedy_episodes(test_env, Mlp.stack([a.policy_net for a in agents]))
+    except Exception as exc:
+        if len(keys) > 1:
+            log.warning("%s of %d trial(s) failed (%s: %s); %s them one by one",
+                        stage, len(keys), type(exc).__name__, exc, redo)
+        raise
+
+
+def run_agent_trial(key: TrialKey, test_slice: AlignedSeries, agent: TrainedAgent,
+                    episode: EpisodeResult, artifacts_dir: Path) -> TrialResult:
+    """Write a trained and tested key's ARTIFACT_SUFFIXES files into
+    artifacts_dir and return its result row."""
     tr = episode.total_return
     stem = f"{key.asset}_w{key.window}_s{key.seed}_tc{float(key.tc)!r}_{key.strategy}"
     policy, value, train_log, equity = (artifacts_dir / f"{stem}{suffix}"
@@ -242,7 +252,8 @@ def run_agent_trial(key: TrialKey, train_slice: AlignedSeries,
     save_model(agent.value_net, value)
     write_training_log(agent.log, train_log)
     write_equity_csv(episode.equity, equity)
-    return TrialResult(*dataclasses.astuple(key), tr, _safe_ar(tr, days), episode.trade_count)
+    return TrialResult(*dataclasses.astuple(key), tr, _safe_ar(tr, test_slice.trading_days()),
+                       episode.trade_count)
 
 
 #: Most trials one lockstep task stacks. Training one 3,377-step episode
@@ -270,32 +281,26 @@ def _chunk_worker(keys: list[TrialKey],
                   slices: Mapping[tuple[str, int], tuple[AlignedSeries, AlignedSeries]],
                   env_cfg: EnvConfig, a2c_cfg: A2cConfig,
                   artifacts_dir: Path) -> list[TrialResult | TrialFailure]:
-    """Pool entry point: train one chunk's keys in lockstep, run their
-    greedy test episodes as one stack, then finish each key. Returns each
-    key's result or failure, in key order.
+    """Pool entry point: train and test one chunk's keys, then write each
+    key's files. Returns each key's result or failure, in key order.
 
     `slices` maps each (asset, window) of the chunk to its (train, test)
-    slices. If the lockstep training (or the stacked test) raises, each key
-    is retrained alone (or tested as a stack of one), so every key gets its
-    own result or its own error.
+    slices. If the chunk's training or stacked test raises, each of its
+    keys reruns as a chunk of one, so every key gets its own result or its
+    own error.
     """
-    agents = episodes = [None] * len(keys)
+    pairs = [slices[k.asset, k.window] for k in keys]
     try:
-        env_cfgs, agent_cfgs = zip(*(_trial_configs(k, env_cfg, a2c_cfg) for k in keys))
-        agents = train([slices[k.asset, k.window][0] for k in keys], env_cfgs, agent_cfgs)
-        test_env = TradingEnv([slices[k.asset, k.window][1] for k in keys], env_cfgs)
-        episodes = greedy_episodes(test_env, Mlp.stack([a.policy_net for a in agents]))
+        agents, episodes = train_and_test(keys, pairs, env_cfg, a2c_cfg)
     except Exception as exc:
-        stage, redo = (("lockstep training", "training") if agents[0] is None
-                       else ("stacked test episodes", "testing"))
-        log.warning("%s of %d trial(s) failed (%s: %s); %s them one by one",
-                    stage, len(keys), type(exc).__name__, exc, redo)
+        if len(keys) == 1:
+            return [TrialFailure.of(keys[0], exc)]
+        return [outcome for key in keys
+                for outcome in _chunk_worker([key], slices, env_cfg, a2c_cfg, artifacts_dir)]
     outcomes: list[TrialResult | TrialFailure] = []
-    for key, agent, episode in zip(keys, agents, episodes):
+    for key, (_, test_slice), agent, episode in zip(keys, pairs, agents, episodes):
         try:
-            outcomes.append(run_agent_trial(key, *slices[key.asset, key.window], env_cfg,
-                                            a2c_cfg, artifacts_dir, agent=agent,
-                                            episode=episode))
+            outcomes.append(run_agent_trial(key, test_slice, agent, episode, artifacts_dir))
         except Exception as exc:  # per-trial isolation: the matrix continues
             outcomes.append(TrialFailure.of(key, exc))
     return outcomes

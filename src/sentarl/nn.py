@@ -181,7 +181,6 @@ class ForwardCache:
 
     layer_sizes: tuple[int, ...]
     inputs: list[np.ndarray]   # rows fed to each layer (activations past the first)
-    row: bool                  # one input row (per trial): outputs drop the row axis
 
 
 class Gradients:
@@ -212,21 +211,19 @@ class Gradients:
 
 
 def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Run the net on one input vector or an (n, d) batch of row inputs.
+    """Run the net on an (n, d) batch of input rows.
 
-    A stack of K nets takes (K, d) or (K, n, d): one row or one batch per
-    trial. The output has one row per input row; the cache feeds backward().
+    A stack of K nets takes a (K, n, d) batch, one per trial. The output
+    has one row per input row; the cache feeds backward().
     """
     x = np.asarray(x, dtype=float)
     lead = net.flat.shape[:-1]
-    rank = x.ndim - len(lead)
-    if rank not in (1, 2) or x.shape[:len(lead)] != lead or x.shape[-1] != net.input_size:
+    if x.ndim != len(lead) + 2 or x.shape[:len(lead)] != lead or x.shape[-1] != net.input_size:
         raise ValueError(f"input has shape {x.shape}, net expects "
-                         f"{(*lead, net.input_size)} or {(*lead, 'n', net.input_size)}")
+                         f"{(*lead, 'n', net.input_size)}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite input")
-    row = rank == 1
-    h = x[..., None, :] if row else x
+    h = x
     last = len(net.weights) - 1
     inputs = []
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -234,32 +231,25 @@ def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
         z = h @ w
         z += b[..., None, :] if lead else b
         h = _activate(net.activation, z) if i < last else z
-    return (h[..., 0, :] if row else h), ForwardCache(net.layer_sizes, inputs, row)
+    return h, ForwardCache(net.layer_sizes, inputs)
 
 
 def backward(net: Mlp, cache: ForwardCache, output_grad: np.ndarray,
-             out: Gradients | None = None) -> Gradients:
-    """Exact parameter gradients of the scalar loss whose dL/d(output) is given.
+             out: Gradients) -> Gradients:
+    """Exact parameter gradients of the scalar loss whose dL/d(output) is
+    given, written into `out`, which is returned.
 
-    For a batched forward, output_grad holds one row per input row and the
+    output_grad holds one row per input row of the forward, and the
     gradients are summed over rows: grad_W = X^T delta, grad_b = sum(delta).
-    A stack's gradients are per trial, computed slice by slice. They are
-    written into `out` when given (and it is returned), else into a new
-    buffer.
+    A stack's gradients are per trial, computed slice by slice.
     """
     if cache.layer_sizes != net.layer_sizes:
         raise ValueError("cache does not belong to this net")
     delta = np.asarray(output_grad, dtype=float)
     want = (*cache.inputs[0].shape[:-1], net.output_size)
-    if cache.row:
-        want = want[:-2] + want[-1:]
     if delta.shape != want:
         raise ValueError(f"output_grad has shape {delta.shape}, net output is {want}")
-    if cache.row:
-        delta = delta[..., None, :]
-    if out is None:
-        out = Gradients(np.empty_like(net.flat), net.layer_sizes)
-    elif out.layer_sizes != net.layer_sizes or out.flat.shape != net.flat.shape:
+    if out.layer_sizes != net.layer_sizes or out.flat.shape != net.flat.shape:
         raise ValueError("out does not match the net's parameters")
     for i in reversed(range(len(net.weights))):
         h = cache.inputs[i]
@@ -292,15 +282,13 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax_draw(logits: np.ndarray, uniforms: float | np.ndarray):
-    """(index, log_softmax, softmax) over any leading axes, with one uniform
-    u per row: index = searchsorted(cumsum(probs), u, side="right") capped
-    at the last index, the count of the first m - 1 cumulative probs <= u."""
-    shifted = _shifted(logits)
-    e = np.exp(shifted)
-    total = np.add.reduce(e, axis=-1, keepdims=True)
-    probs = e / total
+    """(index, softmax) over any leading axes, with one uniform u per row:
+    index = searchsorted(cumsum(probs), u, side="right") capped at the last
+    index, the count of the first m - 1 cumulative probs <= u."""
+    e = np.exp(_shifted(logits))
+    probs = e / np.add.reduce(e, axis=-1, keepdims=True)
     below = np.add.accumulate(probs, axis=-1)[..., :-1] <= np.asarray(uniforms)[..., None]
-    return np.add.reduce(below, axis=-1), shifted - np.log(total), probs
+    return np.add.reduce(below, axis=-1), probs
 
 
 @dataclass
@@ -364,15 +352,17 @@ def apply_update(net: Mlp, grads: Gradients, lr: float,
 
 def fd_gradients(net: Mlp, x: np.ndarray, loss_weights: np.ndarray,
                  eps: float = 1e-5) -> Gradients:
-    """Central finite differences of L(θ) = loss_weights · forward(θ, x).
+    """Central finite differences of L(θ) = loss_weights · forward(θ, x)
+    for one input row x.
 
     Slow by design; the verification oracle for backward().
     """
     loss_weights = np.asarray(loss_weights, dtype=float)
+    batch = np.asarray(x, dtype=float)[None]
 
     def loss() -> float:
-        out, _ = forward(net, x)
-        return float(loss_weights @ out)
+        out, _ = forward(net, batch)
+        return float(loss_weights @ out[0])
 
     grads = Gradients.zeros_like(net)
     for params, out_grads in ((net.weights, grads.weights), (net.biases, grads.biases)):

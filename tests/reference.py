@@ -29,7 +29,8 @@ from sentarl.data import (EPOCH, NEWS_HEADER, PRICE_HEADER, SECOND, AlignedSerie
 from sentarl.files import read_rows
 from sentarl.env import (CostMode, EnvConfig, EpisodeResult, EquityPoint, StepOutcome,
                          TradingEnv)
-from sentarl.nn import Gradients, Mlp, _pack, forward, softmax, softmax_draw
+from sentarl.nn import (ForwardCache, Gradients, Mlp, _pack, backward, forward, log_softmax,
+                        softmax, softmax_draw)
 from sentarl.sentiment import CorrelationPulse, FillPolicy, Grouping
 
 # ---------------------------------------------------------------- env
@@ -203,10 +204,41 @@ class TrialEnv:
                 for i, r in enumerate(rewards)]
 
 
+def step_one(env: TradingEnv, actions: Sequence[int] | np.ndarray,
+             out: np.ndarray | None = None) -> StepOutcome:
+    """One tick of a TradingEnv stack: the (K, 1) block of the K action
+    indices, with the block's step axis dropped from the outcome."""
+    outcome = env.step(np.asarray(actions)[:, None], out=out)
+    outcome.reward = outcome.reward[:, 0]
+    outcome.info = {name: value[:, 0] for name, value in outcome.info.items()}
+    return outcome
+
+
+def stack_cash(env: TradingEnv) -> np.ndarray:
+    """Each trial's cash in a TradingEnv stack, by double-entry accounting.
+
+    Cash starts at psi, and every step's flow (the position switch bought
+    at the clock price, plus its cost) is subtracted in turn, left to
+    right, from the recorded actions, prices and costs. Tracking cash this
+    way rather than by accumulating rewards keeps the identity ``cash +
+    marked-to-market position == psi + sum(rewards)`` a real cross-check
+    (`stack_wealth`) instead of a tautology.
+    """
+    actions = env.actions
+    n = actions.shape[1]
+    prices = env._prices[:, env.start_index:env.start_index + n]
+    switch = np.diff(actions, axis=1, prepend=0)  # every episode starts Neutral
+    flow = switch * env._phi * prices + env._costs[:, :n]
+    cash = env.psi.copy()
+    for j in range(n):
+        cash -= flow[:, j]
+    return cash
+
+
 def stack_wealth(env: TradingEnv) -> np.ndarray:
     """A TradingEnv stack's cash plus each trial's position marked at the
     clock's price."""
-    return env.cash + env.last_action * env._phi * env._prices[:, env.t]
+    return stack_cash(env) + env.last_action * env._phi * env._prices[:, env.t]
 
 
 Policy = Callable[[MarketState], Action]
@@ -281,11 +313,38 @@ def batch_of(transitions: Sequence[Transition]) -> Batch:
         return np.array([getattr(t, name) for t in transitions])
 
     return Batch(np.concatenate([rows("state"), rows("next_state")]),
-                 rows("action_index"), rows("reward"), rows("done"), rows("log_prob"))
+                 rows("action_index"), rows("reward"), rows("done"))
+
+
+def forward_row(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """`forward` on one input row, or on one row per trial of a stack: the
+    one-row batch, with the row axis dropped from the output."""
+    out, cache = forward(net, np.asarray(x, dtype=float)[..., None, :])
+    return out[..., 0, :], cache
+
+
+def backward_any(net: Mlp, cache: ForwardCache, output_grad: np.ndarray,
+                 out: Gradients | None = None) -> Gradients:
+    """`backward` into `out`, or into a new buffer without it. An
+    output_grad one axis short of the cache's rows is one row's (per
+    trial), for the cache of a `forward_row`."""
+    delta = np.asarray(output_grad, dtype=float)
+    if delta.ndim < cache.inputs[0].ndim:
+        delta = delta[..., None, :]
+    if out is None:
+        out = Gradients(np.empty_like(net.flat), net.layer_sizes)
+    return backward(net, cache, delta, out=out)
+
+
+def with_grad(net: Mlp) -> Mlp:
+    """`net` given the gradient buffer that `critic_update` and
+    `actor_update` write into, as `train` gives its nets."""
+    net.grad = Gradients.zeros_like(net)
+    return net
 
 
 def value_of(net: Mlp, state: np.ndarray) -> float:
-    out, _ = forward(net, state)
+    out, _ = forward_row(net, state)
     return float(out[0])
 
 
@@ -306,15 +365,15 @@ def softmax_sample(logits: np.ndarray,
     single = isinstance(rng, np.random.Generator)
     u = (rng.random() if single else rng if isinstance(rng, np.ndarray)
          else np.array([g.random() for g in rng]))
-    index, log_probs, probs = softmax_draw(logits, u)
-    log_prob = np.take_along_axis(log_probs, index[..., None], axis=-1)[..., 0]
+    index, probs = softmax_draw(logits, u)
+    log_prob = np.take_along_axis(log_softmax(logits), index[..., None], axis=-1)[..., 0]
     if single:
         return int(index), float(log_prob), probs
     return index, log_prob, probs
 
 
 def act_sample(state: MarketState, policy_net: Mlp, rng: np.random.Generator) -> Action:
-    logits, _ = forward(policy_net, state.to_vector())
+    logits, _ = forward_row(policy_net, state.to_vector())
     index, _, _ = softmax_sample(logits, rng)
     return action_from_index(index)
 
@@ -324,7 +383,7 @@ _GREEDY_ORDER = np.array([1, 2, 0])
 
 
 def act_greedy(state: MarketState, policy_net: Mlp) -> Action:
-    probs = softmax(forward(policy_net, state.to_vector())[0])
+    probs = softmax(forward_row(policy_net, state.to_vector())[0])
     return action_from_index(_GREEDY_ORDER[np.argmax(probs[_GREEDY_ORDER])])
 
 

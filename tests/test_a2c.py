@@ -6,26 +6,27 @@ import pytest
 from conftest import random_walk_series, rel_err
 from sentarl import a2c
 from reference import (Action, MarketState, Transition, act_greedy, act_sample, advantage,
-                       batch_of, copy_net, greedy_policy, train_one, value_of)
+                       backward_any, batch_of, copy_net, forward_row, greedy_policy,
+                       train_one, value_of, with_grad)
 from sentarl.a2c import (A2cConfig, TrainedAgent, _targets, actor_update, critic_update,
                          write_training_log)
 from sentarl.env import EnvConfig
-from sentarl.nn import (Gradients, Mlp, RmspropState, apply_update, backward,
-                        forward, log_softmax, softmax)
+from sentarl.nn import (Gradients, Mlp, RmspropState, apply_update, forward, log_softmax,
+                        softmax)
 
 
 def value_net_identity():
     """V(x) = x for 1-d states."""
-    return Mlp((1, 1), [np.array([[1.0]])], [np.array([0.0])])
+    return with_grad(Mlp((1, 1), [np.array([[1.0]])], [np.array([0.0])]))
 
 
 def value_net_zero():
-    return Mlp((1, 1), [np.array([[0.0]])], [np.array([0.0])])
+    return with_grad(Mlp((1, 1), [np.array([[0.0]])], [np.array([0.0])]))
 
 
 def policy_net_with_bias(bias, input_size=1):
-    return Mlp((input_size, 3), [np.zeros((input_size, 3))],
-               [np.asarray(bias, dtype=float)])
+    return with_grad(Mlp((input_size, 3), [np.zeros((input_size, 3))],
+                         [np.asarray(bias, dtype=float)]))
 
 
 def transition(state, reward, next_state, done=False, action_index=1):
@@ -65,7 +66,7 @@ def test_transition_validation():
 
 def test_critic_fixed_point_when_residuals_vanish():
     # constant V == constant target when rewards are 0 and gamma is 1
-    net = Mlp((1, 1), [np.array([[0.0]])], [np.array([0.3])])
+    net = with_grad(Mlp((1, 1), [np.array([[0.0]])], [np.array([0.3])]))
     batch = [transition(s, 0.0, s + 1) for s in (0.0, 1.0, 2.0)]
     cfg = A2cConfig(gamma=1.0)
     loss = critic_update(batch_of(batch), net, cfg)
@@ -94,7 +95,7 @@ def test_critic_empty_batch():
 
 def test_critic_loss_nonnegative():
     rng = np.random.default_rng(0)
-    net = Mlp.create([1, 4, 1], rng)
+    net = with_grad(Mlp.create([1, 4, 1], rng))
     batch = [transition(rng.normal(), rng.normal(), rng.normal(),
                         done=bool(rng.integers(2))) for _ in range(8)]
     assert critic_update(batch_of(batch), net, A2cConfig()) >= 0.0
@@ -131,7 +132,7 @@ def test_actor_step_follows_advantage_sign():
     for adv, compare in ((1.0, np.greater), (-1.0, np.less)):
         net = policy_net_with_bias([0.0, 0.0, 0.0])
         actor_update(batch_of(batch), net, [adv], A2cConfig(lr_actor=0.05))
-        logits, _ = forward(net, np.array([1.0]))
+        logits, _ = forward_row(net, np.array([1.0]))
         assert compare(softmax(logits)[2], 1 / 3)
 
 
@@ -152,7 +153,7 @@ def test_actor_advantage_length_check():
 def test_entropy_bonus_flattens_policy():
     net = policy_net_with_bias([2.0, 0.0, 0.0])
     def entropy():
-        probs = softmax(forward(net, np.array([1.0]))[0])
+        probs = softmax(forward_row(net, np.array([1.0]))[0])
         return -float(np.sum(probs * np.log(probs)))
     before = entropy()
     batch = [transition(1.0, 0.0, 1.0, action_index=0)]
@@ -177,8 +178,8 @@ def oracle_critic_update(batch, net, cfg, opt=None):
         residuals = [advantage(t, net, cfg.gamma) for t in batch]
     grads = Gradients.zeros_like(net)
     for res, t in zip(residuals, batch):
-        _, cache = forward(net, t.state)
-        grads.flat += backward(net, cache, np.array([2.0 * res / n])).flat
+        _, cache = forward_row(net, t.state)
+        grads.flat += backward_any(net, cache, np.array([2.0 * res / n])).flat
     apply_update(net, grads, cfg.lr_critic, optimizer_state=opt,
                  clip_norm=cfg.max_grad_norm)
     return sum(r * r for r in residuals) / n, residuals
@@ -190,7 +191,7 @@ def oracle_actor_update(batch, net, advs, cfg, opt=None):
     grads = Gradients.zeros_like(net)
     loss = 0.0
     for adv, t in zip(advs, batch):
-        logits, cache = forward(net, t.state)
+        logits, cache = forward_row(net, t.state)
         probs, logp = softmax(logits), log_softmax(logits)
         loss -= adv * logp[t.action_index] / n
         out_grad = -adv * probs
@@ -198,7 +199,7 @@ def oracle_actor_update(batch, net, advs, cfg, opt=None):
         if cfg.entropy_coef > 0:
             ent = -float(np.sum(probs * np.log(probs)))
             out_grad += cfg.entropy_coef * (-probs * (np.log(probs) + ent))
-        grads.flat += backward(net, cache, out_grad / n).flat
+        grads.flat += backward_any(net, cache, out_grad / n).flat
     apply_update(net, grads, cfg.lr_actor, optimizer_state=opt,
                  clip_norm=cfg.max_grad_norm)
     return loss
@@ -225,7 +226,8 @@ def test_batched_flush_matches_per_sample_oracle(n_step, done_last, entropy_coef
     dim = 6
     cfg = A2cConfig(gamma=0.9, lr_actor=0.05, lr_critic=0.05, entropy_coef=entropy_coef,
                     optimizer=optimizer, use_n_step_returns=n_step)
-    value, policy = Mlp.create((dim, 8, 8, 1), rng), Mlp.create((dim, 8, 8, 3), rng)
+    value = with_grad(Mlp.create((dim, 8, 8, 1), rng))
+    policy = with_grad(Mlp.create((dim, 8, 8, 3), rng))
     value_ref, policy_ref = copy_net(value), copy_net(policy)
     opts = [RmspropState.create(net) if optimizer == "rmsprop" else None
             for net in (value, policy, value_ref, policy_ref)]

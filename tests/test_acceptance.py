@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 from conftest import build_series, random_walk_series, sinusoid_series
-from reference import (Action, TrialEnv, copy_net, greedy_policy, pulse_peak, run_policy,
-                       train_one)
+from reference import (Action, TrialEnv, backward_any, copy_net, forward_row, greedy_policy,
+                       pulse_peak, run_policy, train_one)
 from sentarl.a2c import A2cConfig
 from sentarl.env import CostMode, EnvConfig
 from sentarl.evaluation import (STRATEGIES, WindowSpec, annualized_return,
                                 report, run_buy_and_hold, run_matrix, sharpe)
-from sentarl.nn import Mlp, backward, forward
+from sentarl.nn import Mlp
 from sentarl.sentiment import series_pulse
 
 
@@ -42,8 +42,8 @@ def _fd_spot_check(net: Mlp, rng: np.random.Generator, n_coords: int,
     randomly sampled parameter coordinates of one net."""
     x = rng.normal(size=net.input_size)
     loss_weights = rng.normal(size=net.output_size)
-    _, cache = forward(net, x)
-    grads = backward(net, cache, loss_weights)
+    _, cache = forward_row(net, x)
+    grads = backward_any(net, cache, loss_weights)
     arrays = list(zip(net.weights, grads.weights)) + \
         list(zip(net.biases, grads.biases))
     worst = 0.0
@@ -53,9 +53,9 @@ def _fd_spot_check(net: Mlp, rng: np.random.Generator, n_coords: int,
         j = int(rng.integers(flat.size))
         orig = flat[j]
         flat[j] = orig + eps
-        hi = float(loss_weights @ forward(net, x)[0])
+        hi = float(loss_weights @ forward_row(net, x)[0])
         flat[j] = orig - eps
-        lo = float(loss_weights @ forward(net, x)[0])
+        lo = float(loss_weights @ forward_row(net, x)[0])
         flat[j] = orig
         fd = (hi - lo) / (2.0 * eps)
         analytic = float(grad.reshape(-1)[j])

@@ -19,6 +19,7 @@ from sentarl.cli import main
 from sentarl.config import config_to_json, load_config
 from sentarl.data import load_aligned
 from sentarl.env import EnvConfig
+from sentarl.errors import NonFiniteGradientError
 from sentarl.evaluation import WindowSpec
 
 
@@ -351,6 +352,27 @@ def test_train_rejects_a_negative_seed_naming_the_flag(tmp_path, capsys):
     capsys.readouterr()
     assert main(["train", "--config", str(cfg), "--asset", "AAA", "--seed", "-1"]) == 2
     assert "config error: --seed: -1 is below the minimum 0" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "debug").exists()
+
+
+@pytest.mark.parametrize("fault, code, message", [
+    (NonFiniteGradientError("update rejected: non-finite gradient"), 2,
+     "error: update rejected: non-finite gradient\n"),
+    (RuntimeError("boom\non two lines"), 1,
+     "internal error: RuntimeError: boom on two lines\n"),
+])
+def test_train_maps_a_learner_fault_to_its_exit_code(tmp_path, capsys, monkeypatch, fault,
+                                                     code, message):
+    cfg = make_workspace(tmp_path)
+    main(["ingest", "--config", str(cfg)])
+    capsys.readouterr()
+
+    def failing(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(evaluation, "train", failing)
+    assert main(["train", "--config", str(cfg), "--asset", "AAA"]) == code
+    assert capsys.readouterr().err.endswith(message)
     assert not (tmp_path / "out" / "debug").exists()
 
 

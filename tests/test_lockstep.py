@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 from conftest import random_walk_series, rel_err
-from reference import (Action, TrialEnv, action_from_index, gradients_of, greedy_policy,
-                       run_policy, softmax_sample, stack_wealth, train_one)
+from reference import (Action, TrialEnv, action_from_index, backward_any, forward_row,
+                       gradients_of, greedy_policy, run_policy, softmax_sample, stack_cash,
+                       stack_wealth, step_one, train_one)
 from sentarl import a2c, evaluation
 from sentarl.a2c import A2cConfig, greedy_episodes, train
 from sentarl.env import EnvConfig, TradingEnv
 from sentarl.errors import NonFiniteGradientError
 from sentarl.evaluation import TrialKey, WindowSpec, result_row, run_matrix
-from sentarl.nn import (ACTIVATIONS, Gradients, Mlp, RmspropState, apply_update,
-                        backward, forward, softmax)
+from sentarl.nn import (ACTIVATIONS, Gradients, Mlp, RmspropState, apply_update, forward,
+                        log_softmax, softmax)
 
 # ------------------------------------------------ stacked nn primitives
 
@@ -50,22 +51,24 @@ def test_stacked_forward_backward_bit_identical_per_trial(activation, rows):
     stack, singles = stack_and_singles(4, activation=activation)
     rng = np.random.default_rng(9)
     x = rng.normal(size=(4, 6) if rows is None else (4, rows, 6))
-    out, cache = forward(stack, x)
+    fwd = forward_row if rows is None else forward
+    out, cache = fwd(stack, x)
     assert out.shape == x.shape[:-1] + (3,)
     output_grad = rng.normal(size=out.shape)
-    grads = backward(stack, cache, output_grad)
+    grads = backward_any(stack, cache, output_grad)
     for k, net in enumerate(singles):
-        single_out, single_cache = forward(net, x[k])
+        single_out, single_cache = fwd(net, x[k])
         assert np.array_equal(out[k], single_out)
-        assert np.array_equal(grads.flat[k], backward(net, single_cache, output_grad[k]).flat)
+        assert np.array_equal(grads.flat[k],
+                              backward_any(net, single_cache, output_grad[k]).flat)
     # a reused output buffer gets the same bits
     reused = Gradients.zeros_like(stack)
-    assert backward(stack, cache, output_grad, out=reused) is reused
+    assert backward_any(stack, cache, output_grad, out=reused) is reused
     assert np.array_equal(reused.flat, grads.flat)
     with pytest.raises(ValueError, match="out"):
-        backward(stack, cache, output_grad, out=Gradients.zeros_like(singles[0]))
+        backward_any(stack, cache, output_grad, out=Gradients.zeros_like(singles[0]))
     with pytest.raises(ValueError, match="shape"):
-        forward(stack, x[:3])
+        fwd(stack, x[:3])
 
 
 @pytest.mark.parametrize("optimizer", ["sgd", "rmsprop"])
@@ -267,6 +270,47 @@ def test_group_training_fault_leaves_other_rows_identical(tmp_path, monkeypatch,
         assert result_row(r) == clean[r.key]
 
 
+def test_chunk_fallback_trains_each_key_once(tmp_path, monkeypatch):
+    series = random_walk_series(60, seed=31, asset="AAA")
+    spec = WindowSpec(train_len=30, test_len=10, stride=10, count=2)
+    slices = {("AAA", w): pair for w, pair in enumerate(evaluation.window_slices(series, spec))}
+    keys = [TrialKey("AAA", w, seed, 0.0, "sentarl") for w in (0, 1) for seed in (0, 1)]
+    configs = EnvConfig(w=3, l=2), A2cConfig(episodes=1, hidden_sizes=(4,))
+    real_train, real_trial = evaluation.train, evaluation.run_agent_trial
+    sizes = []
+
+    def failing(series, env_configs, agent_configs):
+        sizes.append(len(agent_configs))
+        raise FloatingPointError("injected fault")
+
+    # a lone key whose training raises is trained once, and fails alone
+    monkeypatch.setattr(evaluation, "train", failing)
+    out = evaluation._chunk_worker(keys[:1], slices, *configs, tmp_path)
+    assert sizes == [1]
+    assert [(f.key, f.error) for f in out] == [(keys[0], "FloatingPointError: injected fault")]
+    assert list(tmp_path.iterdir()) == []
+
+    # a fault writing one key's files fails that key only; nothing retrains
+    def counting(series, env_configs, agent_configs):
+        sizes.append(len(agent_configs))
+        return real_train(series, env_configs, agent_configs)
+
+    def flaky(key, *args):
+        if key == keys[2]:
+            raise OSError("injected fault")
+        return real_trial(key, *args)
+
+    sizes.clear()
+    monkeypatch.setattr(evaluation, "train", counting)
+    monkeypatch.setattr(evaluation, "run_agent_trial", flaky)
+    out = evaluation._chunk_worker(keys, slices, *configs, tmp_path)
+    assert sizes == [4]
+    assert [type(o).__name__ for o in out] == [
+        "TrialResult", "TrialResult", "TrialFailure", "TrialResult"]
+    assert out[2].error == "OSError: injected fault"
+    assert [o.key for o in out] == keys
+
+
 # ------------------------------------------------ stacked env vs single envs
 
 
@@ -285,8 +329,7 @@ def test_env_stack_matches_single_envs(cost_mode, use_sentiment):
     singles = [TrialEnv(s, c) for (s, _, _), c in zip(trials, cfgs)]
     assert stack.trials == 4 and stack.steps == singles[0].steps
     assert stack.psi.tolist() == [e.psi for e in singles]
-    buf = np.full((4, cfgs[0].state_dim), np.nan)
-    assert stack.reset(out=buf) is buf
+    buf = stack.reset()
     assert np.array_equal(buf, [e.reset().to_vector() for e in singles])
     # each trial's price-diff window is its own series, scaled by its own stats
     t0, col = stack.start_index, 3 if use_sentiment else 0
@@ -297,14 +340,14 @@ def test_env_stack_matches_single_envs(cost_mode, use_sentiment):
     rng = np.random.default_rng(3)
     while not stack.done:
         index = rng.integers(0, 3, size=4)
-        out = stack.step(index, out=buf)
+        out = step_one(stack, index, out=buf)
         outs = [e.step(action_from_index(i)) for e, i in zip(singles, index)]
         assert out.next_state is buf
         assert np.array_equal(buf, [o.next_state.to_vector() for o in outs])
         assert out.reward.tolist() == [o.reward for o in outs]
         assert out.info["cost_paid"].tolist() == [o.info["cost_paid"] for o in outs]
         assert [out.done] * 4 == [o.done for o in outs]
-        assert stack.cash.tolist() == [e.cash for e in singles]
+        assert stack_cash(stack).tolist() == [e.cash for e in singles]
         assert stack_wealth(stack).tolist() == [e.wealth for e in singles]
         assert stack.last_action.tolist() == [int(e.last_action) for e in singles]
     assert all(e.done for e in singles)
@@ -313,7 +356,7 @@ def test_env_stack_matches_single_envs(cost_mode, use_sentiment):
         # double-entry wealth equals psi plus the summed rewards, per trial
         assert stack_wealth(stack)[k] == pytest.approx(
             stack.psi[k] + math.fsum(stack.rewards[k]), rel=1e-9)
-    # without `out`, a stack returns a new observation array
+    # each reset returns a new observation array
     first = stack.reset()
     assert first is not buf
     assert np.array_equal(first, [e.reset().to_vector() for e in singles])
@@ -367,7 +410,7 @@ def test_equity_curve_takes_a_trial_index_on_a_stack_only():
     stack, single = TradingEnv(series, [cfg, cfg]), TrialEnv(series, cfg)
     stack.reset()
     single.reset()
-    stack.step([2, 0])
+    step_one(stack, [2, 0])
     single.step(Action.LONG)
     assert stack.actions.tolist() == [[1], [-1]] and single.actions.tolist() == [1]
     assert repr(stack.equity_curve(0)) == repr(single.equity_curve())
@@ -420,18 +463,18 @@ def test_env_stack_rejects_trials_that_cannot_share_a_clock():
 
     stack = TradingEnv(series, [base, dataclasses.replace(base, tc_rate=0.01)])
     with pytest.raises(RuntimeError, match="reset"):
-        stack.step([1, 1])
+        step_one(stack, [1, 1])
     stack.reset()
     for bad in ([1], [1, 1, 1], [0, 3], [-1, 1]):
         with pytest.raises(ValueError, match="action"):
-            stack.step(bad)
+            step_one(stack, bad)
     with pytest.raises(ValueError, match="out"):
-        stack.step([1, 1], out=np.empty((2, base.state_dim + 1)))
+        step_one(stack, [1, 1], out=np.empty((2, base.state_dim + 1)))
     assert stack.t == stack.start_index  # rejected steps leave the clock alone
     while not stack.done:
-        stack.step([2, 0])
+        step_one(stack, [2, 0])
     with pytest.raises(RuntimeError, match="finished"):
-        stack.step([1, 1])
+        step_one(stack, [1, 1])
 
 
 # ------------------------------------------------ chunks across windows and assets
@@ -536,8 +579,7 @@ def test_block_step_equals_one_step_calls(m, cost_mode, use_sentiment):
     series, cfgs = block_trials(cost_mode, use_sentiment)
     block_env, step_env = TradingEnv(series, cfgs), TradingEnv(series, cfgs)
     dim = cfgs[0].state_dim
-    block_obs, step_obs = np.full((3, dim), np.nan), step_env.reset()
-    block_env.reset(out=block_obs)
+    block_obs, step_obs = block_env.reset(), step_env.reset()
     size = block_env.steps if m == "rest" else m
     rng = np.random.default_rng(4)
     while not block_env.done:
@@ -549,7 +591,7 @@ def test_block_step_equals_one_step_calls(m, cost_mode, use_sentiment):
         outs = []
         for j in range(n):
             assert np.array_equal(rows[:, j, :-1], step_obs[:, :-1])
-            outs.append(step_env.step(block[:, j], out=step_obs))
+            outs.append(step_one(step_env, block[:, j], out=step_obs))
         assert np.array_equal(rows[:, n, :-1], step_obs[:, :-1])
         assert out.next_state is block_obs and np.array_equal(block_obs, step_obs)
         assert out.reward.shape == (3, n) and out.done == outs[-1].done
@@ -557,7 +599,7 @@ def test_block_step_equals_one_step_calls(m, cost_mode, use_sentiment):
             assert out.reward[:, j].tolist() == o.reward.tolist()
             assert out.info["cost_paid"][:, j].tolist() == o.info["cost_paid"].tolist()
             assert out.info["price"][:, j].tolist() == o.info["price"].tolist()
-        assert block_env.cash.tolist() == step_env.cash.tolist()
+        assert stack_cash(block_env).tolist() == stack_cash(step_env).tolist()
         assert stack_wealth(block_env).tolist() == stack_wealth(step_env).tolist()
         assert block_env.last_action.tolist() == step_env.last_action.tolist()
         assert block_env.t == step_env.t
@@ -573,14 +615,15 @@ def test_block_step_rejects_bad_blocks_before_the_clock_moves():
     env = TradingEnv(series, cfgs)
     env.reset()
     env.step(np.full((3, 4), 2))
-    before = (env.t, env.cash.tolist(), env.rewards.tolist(), env.last_action.tolist())
+    before = (env.t, stack_cash(env).tolist(), env.rewards.tolist(),
+              env.last_action.tolist())
     left = env.steps - 4
     for bad in (np.ones((3, left + 1), dtype=int), np.ones((3, 0), dtype=int),
                 [[1, 3], [1, 1], [1, 1]], [[1, -1], [1, 1], [1, 1]], np.ones((2, 2), dtype=int),
                 np.ones((3, 2, 1), dtype=int)):
         with pytest.raises(ValueError, match="action"):
             env.step(bad)
-        assert (env.t, env.cash.tolist(), env.rewards.tolist(),
+        assert (env.t, stack_cash(env).tolist(), env.rewards.tolist(),
                 env.last_action.tolist()) == before
     for bad_rows in (0, left + 2):
         with pytest.raises(ValueError, match="out has shape"):
@@ -594,9 +637,9 @@ def per_step_flush(env, policy, uniforms, obs):
     softmax_sample with the same uniform, then a one-step env.step."""
     logits, log_probs, probs, actions = [], [], [], []
     for u in uniforms.T:
-        out, _ = forward(policy, obs)
+        out, _ = forward_row(policy, obs)
         index, log_prob, p = softmax_sample(out, u)
-        env.step(index, out=obs)
+        step_one(env, index, out=obs)
         for seq, value in zip((logits, log_probs, probs, actions), (out, log_prob, p, index)):
             seq.append(value)
     return [np.stack(seq, axis=1) for seq in (logits, log_probs, probs, actions)]
@@ -614,7 +657,7 @@ def test_rollout_table_matches_a_per_step_reference(seed, use_sentiment):
     policy = Mlp.stack([agent.policy_net for agent in agents])
     table_env, step_env = TradingEnv(series, cfgs), TradingEnv(series, cfgs)
     states = np.empty((3, 6, cfgs[0].state_dim))
-    table_env.reset(out=states[:, 0])
+    table_env.reset()
     obs = step_env.reset()
     rngs = [np.random.default_rng(100 + seed * 3 + k) for k in range(3)]
     flips = 0
@@ -625,7 +668,9 @@ def test_rollout_table_matches_a_per_step_reference(seed, use_sentiment):
         batch, probs = a2c._rollout(table_env, policy, uniforms, states)
         logits, log_probs, step_probs, actions = per_step_flush(step_env, policy, uniforms, obs)
         flips += int(np.count_nonzero(batch.actions != actions))
-        assert rel_err([batch.policy_forward[0], batch.log_probs, probs],
+        taken_log_probs = np.take_along_axis(log_softmax(batch.policy_forward[0]),
+                                             batch.actions[..., None], axis=-1)[..., 0]
+        assert rel_err([batch.policy_forward[0], taken_log_probs, probs],
                        [logits, log_probs, step_probs]) <= 1e-12
         assert np.array_equal(softmax(batch.policy_forward[0]), probs)
         # the observations, rewards and dones are the per-step ones, bit for bit

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
-from reference import copy_net, gradients_of, softmax_sample
+from reference import backward_any, copy_net, forward_row, gradients_of, softmax_sample
 from sentarl.errors import ModelFormatError, NonFiniteGradientError
 from sentarl.nn import (ACTIVATIONS, Gradients, Mlp, RmspropState, apply_update,
-                        backward, deserialize, fd_gradients, forward, load_model,
-                        log_softmax, save_model, serialize, softmax)
+                        deserialize, fd_gradients, forward, load_model, log_softmax,
+                        save_model, serialize, softmax)
 
 
 def linear_net(weight_rows, bias, activation="tanh"):
@@ -61,14 +61,14 @@ def test_create_validation():
 def test_forward_linear_closed_form():
     net = linear_net([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], [0.5, -0.5])
     x = np.array([1.0, 0.0, -1.0])
-    out, cache = forward(net, x)
+    out, cache = forward_row(net, x)
     assert out.tolist() == [1.0 - 5.0 + 0.5, 2.0 - 6.0 - 0.5]
     assert cache.layer_sizes == (3, 2)
 
 
 def test_forward_zero_weights_gives_bias():
     net = Mlp((3, 2), [np.zeros((3, 2))], [np.array([0.7, -0.2])])
-    out, _ = forward(net, np.array([9.0, -4.0, 2.0]))
+    out, _ = forward_row(net, np.array([9.0, -4.0, 2.0]))
     assert out.tolist() == [0.7, -0.2]
 
 
@@ -76,32 +76,32 @@ def test_forward_hidden_layer_closed_form():
     # 1-1-1 tanh net with unit weights: out = tanh(x)
     net = Mlp((1, 1, 1), [np.ones((1, 1)), np.ones((1, 1))],
               [np.zeros(1), np.zeros(1)])
-    out, _ = forward(net, np.array([0.3]))
+    out, _ = forward_row(net, np.array([0.3]))
     assert out[0] == pytest.approx(np.tanh(0.3), rel=1e-15)
 
 
 def test_forward_input_validation():
     net = linear_net([[1.0], [1.0]], [0.0])
     with pytest.raises(ValueError, match="shape"):
-        forward(net, np.array([1.0, 2.0, 3.0]))
+        forward_row(net, np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError, match="non-finite"):
-        forward(net, np.array([np.inf, 0.0]))
+        forward_row(net, np.array([np.inf, 0.0]))
 
 
 def test_backward_linear_is_outer_product():
     net = linear_net([[0.2, -0.1], [0.4, 0.3]], [0.0, 0.0])
     x = np.array([2.0, -3.0])
     v = np.array([1.0, -2.0])
-    _, cache = forward(net, x)
-    grads = backward(net, cache, v)
+    _, cache = forward_row(net, x)
+    grads = backward_any(net, cache, v)
     assert np.array_equal(grads.weights[0], np.outer(x, v))
     assert np.array_equal(grads.biases[0], v)
 
 
 def test_backward_zero_output_grad():
     net = Mlp.create([3, 5, 2], np.random.default_rng(1))
-    _, cache = forward(net, np.array([0.1, -0.2, 0.3]))
-    grads = backward(net, cache, np.zeros(2))
+    _, cache = forward_row(net, np.array([0.1, -0.2, 0.3]))
+    grads = backward_any(net, cache, np.zeros(2))
     assert grads.global_norm() == 0.0
 
 
@@ -113,8 +113,8 @@ def test_backward_matches_finite_differences():
                 net = Mlp.create(sizes, rng, activation=activation)
                 x = rng.normal(size=sizes[0])
                 loss_weights = rng.normal(size=sizes[-1])
-                out, cache = forward(net, x)
-                analytic = backward(net, cache, loss_weights)
+                out, cache = forward_row(net, x)
+                analytic = backward_any(net, cache, loss_weights)
                 numeric = fd_gradients(net, x, loss_weights)
                 assert max_rel_err(analytic, numeric) < 1e-6
 
@@ -129,12 +129,12 @@ def test_batched_forward_backward_match_rows():
             output_grad = rng.normal(size=(7, sizes[-1]))
             out, cache = forward(net, x)
             assert out.shape == (7, sizes[-1])
-            batched = backward(net, cache, output_grad)
+            batched = backward_any(net, cache, output_grad)
             summed = Gradients.zeros_like(net)
             for i in range(len(x)):
-                row_out, row_cache = forward(net, x[i])
+                row_out, row_cache = forward_row(net, x[i])
                 assert rel_err([out[i]], [row_out]) <= 1e-12
-                summed.flat += backward(net, row_cache, output_grad[i]).flat
+                summed.flat += backward_any(net, row_cache, output_grad[i]).flat
             assert rel_err(batched.weights, summed.weights) <= 1e-12
             assert rel_err(batched.biases, summed.biases) <= 1e-12
 
@@ -149,9 +149,9 @@ def test_batched_shape_validation():
         forward(net, np.array([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]]))
     _, cache = forward(net, np.zeros((5, 3)))
     with pytest.raises(ValueError, match="output_grad"):
-        backward(net, cache, np.zeros((4, 2)))
+        backward_any(net, cache, np.zeros((4, 2)))
     with pytest.raises(ValueError, match="output_grad"):
-        backward(net, cache, np.zeros(2))
+        backward_any(net, cache, np.zeros(2))
 
 
 def test_softmax_rows():
@@ -167,11 +167,11 @@ def test_softmax_rows():
 def test_backward_rejects_foreign_cache():
     net_a = Mlp.create([3, 4, 2], np.random.default_rng(3))
     net_b = Mlp.create([3, 5, 2], np.random.default_rng(3))
-    _, cache = forward(net_a, np.zeros(3))
+    _, cache = forward_row(net_a, np.zeros(3))
     with pytest.raises(ValueError, match="cache"):
-        backward(net_b, cache, np.zeros(2))
+        backward_any(net_b, cache, np.zeros(2))
     with pytest.raises(ValueError, match="output_grad"):
-        backward(net_a, cache, np.zeros(3))
+        backward_any(net_a, cache, np.zeros(3))
 
 
 def test_gradients_arithmetic():
@@ -287,7 +287,7 @@ def test_serialize_round_trip_bit_exact():
     assert all(np.array_equal(a, b) for a, b in zip(clone.weights, net.weights))
     assert all(np.array_equal(a, b) for a, b in zip(clone.biases, net.biases))
     x = np.random.default_rng(7).normal(size=4)
-    assert np.array_equal(forward(net, x)[0], forward(clone, x)[0])
+    assert np.array_equal(forward_row(net, x)[0], forward_row(clone, x)[0])
 
 
 def test_serialize_gives_the_bytes_of_json_dumps_over_the_payload():
@@ -374,8 +374,8 @@ def test_deserialize_rejects_shape_mismatch():
 def test_no_hidden_layer_net():
     net = Mlp.create([3, 2], np.random.default_rng(13))
     x = np.array([0.5, -1.0, 2.0])
-    out, cache = forward(net, x)
+    out, cache = forward_row(net, x)
     assert np.allclose(out, x @ net.weights[0] + net.biases[0], atol=1e-15)
-    grads = backward(net, cache, np.array([1.0, 0.0]))
+    grads = backward_any(net, cache, np.array([1.0, 0.0]))
     numeric = fd_gradients(net, x, np.array([1.0, 0.0]))
     assert max_rel_err(grads, numeric) < 1e-6

@@ -4,12 +4,13 @@ closed forms that replaced them agree with them bit for bit."""
 import dataclasses
 import inspect
 
+import numpy as np
 import pytest
 
 from conftest import random_walk_series
 from reference import TrialEnv, baseline_policy, run_policy
 import sentarl
-from sentarl import a2c, data, env, nn, sentiment
+from sentarl import a2c, data, env, evaluation, nn, sentiment
 from sentarl.a2c import A2cConfig
 from sentarl.env import CostMode, EnvConfig, TradingEnv
 from sentarl.evaluation import annualized_return, run_buy_and_hold, run_matrix
@@ -41,6 +42,25 @@ def test_the_library_keeps_one_path():
     assert "artifacts" not in inspect.signature(run_matrix).parameters
     with pytest.raises(ValueError, match="list"):
         TradingEnv(random_walk_series(30), EnvConfig())
+    # one form per layer: trials run only as chunks, nets take only row
+    # batches, the env steps only action blocks and keeps no cash
+    trial = inspect.signature(evaluation.run_agent_trial).parameters
+    assert [name for name in ("train_slice", "env_config", "a2c_config") if name in trial] == []
+    assert all(p.default is inspect.Parameter.empty for p in trial.values())
+    assert inspect.signature(nn.backward).parameters["out"].default is inspect.Parameter.empty
+    assert [f.name for f in dataclasses.fields(nn.ForwardCache)] == ["layer_sizes", "inputs"]
+    assert "log_probs" not in [f.name for f in dataclasses.fields(a2c.Batch)]
+    assert len(nn.softmax_draw(np.zeros((2, 3)), np.full(2, 0.5))) == 2
+    assert "out" not in inspect.signature(TradingEnv.reset).parameters
+    net = nn.Mlp.create((3, 2), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="shape"):
+        nn.forward(net, np.zeros(3))
+    stack = TradingEnv(random_walk_series(30), [EnvConfig(w=3, l=2)] * 2)
+    stack.reset()
+    with pytest.raises(ValueError, match="action"):
+        stack.step([1, 1])
+    stack.step([[1], [1]])
+    assert not hasattr(stack, "cash")
     for configs in ((EnvConfig(), A2cConfig()), (EnvConfig(), [A2cConfig()]),
                     ([EnvConfig()], A2cConfig())):
         with pytest.raises(ValueError, match=r"list.*\[env_config\], \[config\]"):
