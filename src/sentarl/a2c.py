@@ -6,25 +6,25 @@ step on the mean squared TD residual, with targets computed from the
 pre-update critic, then one actor ascent step on the advantage-scaled
 log-likelihood; advantages are constants during both steps.
 
-Training is a pure function of (series, env config, agent config, seed):
-one generator seeded per trial drives weight init and action sampling.
-Trials over equal-length series (one series, or say the train slices of
-several windows) that differ only in seed and cost rate can train in
-lockstep: their nets and their env are stacked on a leading trial axis,
-they share the env clock, and every rollout array carries that axis too.
+Training is a pure function of (series, env config, cost rate, sentiment
+switch, agent config, seed): one generator seeded per trial drives weight
+init and action sampling. The trials of a stacked env (equal-length series,
+say the train slices of several windows, each with its own cost rate) train
+in lockstep under one agent config, each from its own seed: their nets are
+stacked on the env's leading trial axis, they share the env clock, and
+every rollout array carries that axis too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data import AlignedSeries
-from .env import EnvConfig, EpisodeResult, TradingEnv, total_return
+from .env import EpisodeResult, TradingEnv, total_return
 from .files import write_csv
 from .nn import (ACTIVATIONS, ForwardCache, Gradients, Mlp, RmspropState, apply_update,
                  backward, forward, log_softmax, softmax, softmax_draw)
@@ -40,7 +40,6 @@ class A2cConfig:
     n_steps: int = 5
     episodes: int = 100
     entropy_coef: float = 0.0
-    seed: int = 0
     hidden_sizes: tuple[int, ...] = (64, 64)
     activation: str = "tanh"
     max_grad_norm: float | None = None
@@ -69,8 +68,6 @@ class A2cConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.max_grad_norm is not None and self.max_grad_norm <= 0:
             raise ValueError("max_grad_norm must be positive when set")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 def _safe_log(probs: np.ndarray) -> np.ndarray:
@@ -267,40 +264,28 @@ def _rollout(env: TradingEnv, policy: Mlp, uniforms: np.ndarray,
             probs[picked])
 
 
-def train(series: AlignedSeries | Sequence[AlignedSeries], env_configs: Sequence[EnvConfig],
-          configs: Sequence[A2cConfig], policy_net: Mlp | None = None,
-          value_net: Mlp | None = None) -> list[TrainedAgent]:
-    """Train one trial per (env config, agent config) pair in lockstep and
-    return one TrainedAgent per trial; a single trial is a stack of one.
+def train(env: TradingEnv, config: A2cConfig, seeds: Sequence[int],
+          policy_net: Mlp | None = None, value_net: Mlp | None = None) -> list[TrainedAgent]:
+    """Train one agent per trial of the stacked env in lockstep, trial k
+    from seeds[k], and return one TrainedAgent per trial; a single trial is
+    a stack of one.
 
-    `series` is one series for every trial or one equal-length series per
-    trial (say, train slices of several windows or assets). The agent
-    configs may differ only in seed, the env configs as a TradingEnv stack
-    allows (series, tc_rate, diff_stats). The trials share the env clock
-    and their nets are stacked, so each forward, backward and update serves
-    all of them. Every trial keeps its own generator and row counts, so it
-    comes out bit-identical to its own stack of one.
+    The trials share the env clock and their nets are stacked, so each
+    forward, backward and update serves all of them. Every trial keeps its
+    own generator and row counts, so it comes out bit-identical to its own
+    stack of one.
 
     Stacked nets may be supplied (e.g. ablation surgery or warm starts) and
-    are trained in place; otherwise the config seeds create them, and the
-    same generators drive action sampling.
+    are trained in place; otherwise the seeds create them, and the same
+    generators drive action sampling.
     """
-    if isinstance(env_configs, EnvConfig) or isinstance(configs, A2cConfig):
-        raise ValueError("train takes lists of configs, one per trial; "
-                         "a single trial is train(series, [env_config], [config])")
-    env_configs, configs = list(env_configs), list(configs)
-    if not configs or len(env_configs) != len(configs):
-        raise ValueError("need one env config per agent config")
-    base = configs[0]
-    if any(replace(c, seed=base.seed) != base for c in configs):
-        raise ValueError("lockstep trials' agent configs may differ only in seed")
-    env = TradingEnv(series, env_configs)
-    trials = len(configs)
-    rngs = [np.random.default_rng(c.seed) for c in configs]
-    dim = env_configs[0].state_dim
-    policy = (Mlp.create((dim, *base.hidden_sizes, 3), rngs, base.activation)
+    trials, dim = env.trials, env.dim
+    if len(seeds) != trials:
+        raise ValueError(f"need one seed per env trial, got {len(seeds)} for {trials}")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    policy = (Mlp.create((dim, *config.hidden_sizes, 3), rngs, config.activation)
               if policy_net is None else policy_net)
-    value = (Mlp.create((dim, *base.hidden_sizes, 1), rngs, base.activation)
+    value = (Mlp.create((dim, *config.hidden_sizes, 1), rngs, config.activation)
              if value_net is None else value_net)
     if policy.input_size != dim or value.input_size != dim:
         raise ValueError(f"net input size does not match state dimension {dim}")
@@ -309,17 +294,17 @@ def train(series: AlignedSeries | Sequence[AlignedSeries], env_configs: Sequence
     for net in (policy, value):
         net.grad = Gradients.zeros_like(net)
     policy_opt = value_opt = None
-    if base.optimizer == "rmsprop":
+    if config.optimizer == "rmsprop":
         policy_opt = RmspropState.create(policy)
         value_opt = RmspropState.create(value)
 
     # one row per trial: a flush of m steps reads its m + 1 observations here
-    n_steps = base.n_steps
+    n_steps = config.n_steps
     states = np.empty((trials, n_steps + 1, dim))
     entropies = np.empty((trials, env.steps))
     psi = env.psi.tolist()
     logs: list[list[EpisodeLog]] = [[] for _ in range(trials)]
-    for episode in range(base.episodes):
+    for episode in range(config.episodes):
         env.reset()
         actor_losses: list[tuple[np.ndarray, int]] = []
         critic_losses: list[tuple[np.ndarray, int]] = []
@@ -330,8 +315,8 @@ def train(series: AlignedSeries | Sequence[AlignedSeries], env_configs: Sequence
             batch, probs = _rollout(env, policy, np.stack([g.random(m) for g in rngs]),
                                     states)
             entropies[:, t:t + m] = _entropy(probs)
-            critic_losses.append((critic_update(batch, value, base, value_opt), m))
-            actor_losses.append((actor_update(batch, policy, batch.advantages, base,
+            critic_losses.append((critic_update(batch, value, config, value_opt), m))
+            actor_losses.append((actor_update(batch, policy, batch.advantages, config,
                                               policy_opt), m))
         # each trial's entropies are one contiguous row, so each mean sums
         # in the same order

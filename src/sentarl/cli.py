@@ -63,19 +63,25 @@ def _ingest_asset(config: RunConfig, name: str) -> data.AlignedSeries:
     return series
 
 
+def _known_asset(config: RunConfig, name: str) -> str:
+    """`name`, checked against the config's assets before any path is built
+    from it."""
+    if name not in config.assets:
+        raise ConfigError(f"asset {name!r} is not in the config "
+                          f"(have: {sorted(config.assets)})")
+    return name
+
+
 def cmd_ingest(config: RunConfig, asset: str | None) -> int:
-    names = [asset] if asset else sorted(config.assets)
+    names = [_known_asset(config, asset)] if asset else sorted(config.assets)
     with run_lock(config.output_dir):  # a run may be reading the caches
         for name in names:
-            if name not in config.assets:
-                raise ConfigError(f"asset {name!r} is not in the config "
-                                  f"(have: {sorted(config.assets)})")
             _ingest_asset(config, name)
     return EXIT_OK
 
 
 def _load_cache(config: RunConfig, name: str) -> data.AlignedSeries:
-    cache = config.cache_path(name)
+    cache = config.cache_path(_known_asset(config, name))
     if not cache.exists():
         raise IngestError(f"no aligned cache for {name!r} at {cache}; "
                           f"run `sentarl ingest` first")

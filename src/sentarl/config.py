@@ -45,9 +45,9 @@ class RunConfig:
     lexicon: Path | None
     grouping: Grouping
     fill: FillPolicy
-    env: EnvConfig            # base env; per-trial tc_rate comes from tc_rates
+    env: EnvConfig
     tc_rates: tuple[float, ...]
-    agent: A2cConfig          # base agent; per-trial seed comes from seeds
+    agent: A2cConfig
     seeds: tuple[int, ...]
     windows: WindowSpec
     strategies: tuple[str, ...]
@@ -198,7 +198,7 @@ def _data_path(base: Path, raw: str) -> Path:
     return path if path.is_absolute() else path.absolute()
 
 
-def _parse_assets(raw: object, base: Path, check_paths: bool) -> dict[str, AssetSpec]:
+def _parse_assets(raw: object, base: Path) -> dict[str, AssetSpec]:
     section = _Section(raw, "assets")
     names = sorted(section.data)
     if not names:
@@ -214,14 +214,14 @@ def _parse_assets(raw: object, base: Path, check_paths: bool) -> dict[str, Asset
         news = None if news_raw is None else _data_path(
             base, _string(news_raw, f"assets.{name}.news"))
         entry.finish()
-        if check_paths and not prices.exists():
+        if not prices.exists():
             raise ConfigError(f"assets.{name}.prices: file not found: {prices}")
         out[name] = AssetSpec(prices=prices, news=news)
     section.finish()
     return out
 
 
-def load_config(path: str | Path, check_paths: bool = True) -> RunConfig:
+def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a config file; relative data paths resolve against
     the config file's directory."""
     path = Path(path)
@@ -235,12 +235,12 @@ def load_config(path: str | Path, check_paths: bool = True) -> RunConfig:
     base = path.parent
     top = _Section(raw, str(path))
 
-    assets = _parse_assets(top.take("assets"), base, check_paths)
+    assets = _parse_assets(top.take("assets"), base)
 
     lexicon_raw = top.take("lexicon", None)
     lexicon = None if lexicon_raw is None else _data_path(
         base, _string(lexicon_raw, "lexicon"))
-    if lexicon is not None and check_paths and not lexicon.exists():
+    if lexicon is not None and not lexicon.exists():
         raise ConfigError(f"lexicon: file not found: {lexicon}")
 
     try:
@@ -259,6 +259,11 @@ def load_config(path: str | Path, check_paths: bool = True) -> RunConfig:
     seeds = _list(top.take("seeds", [0, 1, 2, 3, 4]), "seeds",
                   partial(_integer, lo=0))
     windows = _parse_section(top, "windows")
+    short = [f"windows.{key}" for key in ("train_len", "test_len")
+             if getattr(windows, key) < env.min_length]
+    if short:
+        raise ConfigError(f"{', '.join(short)}: below {env.min_length}, the fewest points "
+                          f"an episode needs at env.w={env.w} and env.l={env.l}")
     strategies = _list(top.take("strategies", list(STRATEGIES)), "strategies", _string)
     unknown = set(strategies) - set(STRATEGIES)
     if unknown:

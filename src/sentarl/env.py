@@ -30,15 +30,13 @@ class CostMode(Choice, noun="cost mode"):
 
 @dataclass(frozen=True)
 class EnvConfig:
-    """Environment knobs; defaults follow the reference experiment setup."""
+    """The config file's `env` section: the knobs every trial of a stack
+    shares. Defaults follow the reference experiment setup."""
 
     w: int = 20                 # price/hour look-back window
     l: int = 5                  # sentiment look-back window
     phi: float = 1.0            # fixed share count per position
-    tc_rate: float = 0.0        # 0.0 or 0.0025 in the studied scenarios
     cost_mode: CostMode | str = CostMode.PROPORTIONAL
-    use_sentiment: bool = True
-    diff_stats: tuple[float, float] | None = None  # optional (mean, std) z-scoring of state diffs
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cost_mode", CostMode(self.cost_mode))
@@ -48,18 +46,26 @@ class EnvConfig:
             raise ValueError("l must be >= 0")
         if self.phi <= 0:
             raise ValueError("phi must be positive")
-        if self.tc_rate < 0:
-            raise ValueError("tc_rate must be non-negative")
-        if self.diff_stats is not None:
-            stats = tuple(map(float, self.diff_stats))
-            if len(stats) != 2 or not all(map(math.isfinite, stats)) or stats[1] <= 0:
-                raise ValueError("diff_stats must be two finite numbers (mean, std) "
-                                 f"with std > 0, got {self.diff_stats!r}")
-            object.__setattr__(self, "diff_stats", stats)
+
+    def state_dim(self, use_sentiment: bool) -> int:
+        return 2 * self.w + (self.l if use_sentiment else 0) + 1
 
     @property
-    def state_dim(self) -> int:
-        return 2 * self.w + (self.l if self.use_sentiment else 0) + 1
+    def min_length(self) -> int:
+        """The fewest points a series needs for an episode of two steps."""
+        return max(self.w + 1, self.l) + 2
+
+
+def check_diff_stats(stats: Sequence[float] | None) -> tuple[float, float] | None:
+    """One trial's optional (mean, std) z-scoring of its state diffs, as
+    floats; a ValueError if it is not two finite numbers with std > 0."""
+    if stats is None:
+        return None
+    values = tuple(map(float, stats))
+    if len(values) != 2 or not all(map(math.isfinite, values)) or values[1] <= 0:
+        raise ValueError("diff_stats must be two finite numbers (mean, std) "
+                         f"with std > 0, got {stats!r}")
+    return values
 
 
 @dataclass
@@ -95,71 +101,65 @@ def _rows(arrays: list[np.ndarray]) -> np.ndarray:
 class TradingEnv:
     """A lockstep stack of K trials over aligned series, on one clock.
 
-    Given a sequence of K env configs, and one series shared by every trial
-    or one series per trial, the env walks the trials the way a stack of
-    nets in `nn` carries a leading trial axis: `step` takes a (K, m) block
-    of action indices (0=Short, 1=Neutral, 2=Long), m ticks of every trial,
-    and computes each trial's rewards and costs with the same arithmetic,
-    so every trial gets the bits a stack of one would give it. `psi`,
-    `last_action` and the rewards carry the trial axis, and each
-    observation is one (K, d) array.
-    The trials may differ in series, tc_rate and diff_stats, but not in
-    episode length, w, l, phi, cost_mode or use_sentiment. A single trial
-    is a stack of one; `tests/reference.py` holds its per-step reference.
+    Given one series per trial, the config they share, one cost rate per
+    trial and the sentiment switch, the env walks the trials the way a
+    stack of nets in `nn` carries a leading trial axis: `step` takes a
+    (K, m) block of action indices (0=Short, 1=Neutral, 2=Long), m ticks of
+    every trial, and computes each trial's rewards and costs with the same
+    arithmetic, so every trial gets the bits a stack of one would give it.
+    `psi`, `last_action` and the rewards carry the trial axis, and each
+    observation is one (K, d) array. The series must be of equal length;
+    `diff_stats`, when given, holds each trial's optional (mean, std)
+    scaling of its state diffs. A single trial is a stack of one;
+    `tests/reference.py` holds its per-step reference.
 
     A single instance is not thread-safe (it owns a mutable clock), but
     instances over the same immutable series are independent.
     """
 
-    def __init__(self, series: AlignedSeries | Sequence[AlignedSeries],
-                 configs: Sequence[EnvConfig]):
-        if isinstance(configs, EnvConfig):
-            raise ValueError("TradingEnv takes a list of env configs, one per trial; "
-                             "a single trial is TradingEnv(series, [config])")
-        configs = tuple(configs)
-        series_list = ((series,) * len(configs) if isinstance(series, AlignedSeries)
-                       else tuple(series))
-        if not configs or len(series_list) != len(configs):
-            raise ValueError("need one env config per trial, and one series per "
-                             "trial or one shared series")
-        first = configs[0]
-        clock = (first.w, first.l, first.phi, first.cost_mode, first.use_sentiment)
-        if any((c.w, c.l, c.phi, c.cost_mode, c.use_sentiment) != clock for c in configs):
-            raise ValueError("lockstep trials must share w, l, phi, cost_mode "
-                             "and use_sentiment")
-        if len({len(s) for s in series_list}) != 1:
+    def __init__(self, series: Sequence[AlignedSeries], config: EnvConfig,
+                 tc_rates: Sequence[float], use_sentiment: bool,
+                 diff_stats: Sequence[Sequence[float] | None] | None = None):
+        series = tuple(series)
+        tc = np.array(tc_rates, dtype=float)
+        stats = ([None] * len(series) if diff_stats is None
+                 else [check_diff_stats(s) for s in diff_stats])
+        if not series or tc.shape != (len(series),) or len(stats) != len(series):
+            raise ValueError("need one series per trial, and one env config per trial: "
+                             "its tc rate, and its diff_stats entry when given")
+        if (tc < 0).any():
+            raise ValueError("tc_rates must be non-negative")
+        if len({len(s) for s in series}) != 1:
             raise ValueError("lockstep trials need series of equal length")
-        min_len = max(first.w + 1, first.l) + 2
-        if len(series_list[0]) < min_len:
+        if len(series[0]) < config.min_length:
             raise ValueError(
-                f"series of length {len(series_list[0])} too short for windows; "
-                f"need at least {min_len} points")
-        self.series = series_list
-        self.trials = len(configs)
+                f"series of length {len(series[0])} too short for windows; "
+                f"need at least {config.min_length} points")
+        self.series = series
+        self.trials = len(series)
         # Start where every configured window is full. The sentiment clock is
         # honored even with use_sentiment off so ablation runs stay aligned.
-        self.start_index = max(first.w, first.l - 1)
-        w, l, self._phi = first.w, first.l, first.phi
-        self._use_sentiment, self._dim = first.use_sentiment, first.state_dim
-        self._proportional = first.cost_mode is CostMode.PROPORTIONAL
+        self.start_index = max(config.w, config.l - 1)
+        w, l, self._phi = config.w, config.l, config.phi
+        self.dim = config.state_dim(use_sentiment)
+        self._proportional = config.cost_mode is CostMode.PROPORTIONAL
         # Each channel holds one row per trial; its diff_stats scale its state diffs.
-        self._prices = _rows([s.prices for s in series_list])
-        self._diffs = _rows([s.diffs for s in series_list])
-        state_diffs = [s.diffs if c.diff_stats is None
-                       else (s.diffs - c.diff_stats[0]) / c.diff_stats[1]
-                       for s, c in zip(series_list, configs)]
+        self._prices = _rows([s.prices for s in series])
+        self._diffs = _rows([s.diffs for s in series])
+        state_diffs = [s.diffs if st is None else (s.diffs - st[0]) / st[1]
+                       for s, st in zip(series, stats)]
         # Observation windows, in state-vector order: read-only sliding views,
         # newest value first, of which row t - lag is grid index t's window
         # (diffs[j] is z at grid index j + 1). No window is copied up front.
-        self._end = len(series_list[0]) - 1
-        channels = [(state_diffs, w, w), ([s.hours for s in series_list], w, w - 1)]
-        if self._use_sentiment:
-            channels.insert(0, ([s.sentiment for s in series_list], l, l - 1))
+        self._end = len(series[0]) - 1
+        channels = [(state_diffs, w, w), ([s.hours for s in series], w, w - 1)]
+        if use_sentiment:
+            channels.insert(0, ([s.sentiment for s in series], l, l - 1))
         self._windows = [(np.lib.stride_tricks.sliding_window_view(
             _rows(arrays), size, axis=-1)[..., ::-1], lag) for arrays, size, lag in channels]
-        self.psi = np.array([c.phi * float(s.prices[0]) for s, c in zip(series_list, configs)])
+        self.psi = np.array([config.phi * float(s.prices[0]) for s in series])
         # a column, so that the cost rates broadcast over a block of steps
-        self._tc = np.array([c.tc_rate for c in configs])[:, None]
+        self._tc = tc[:, None]
         self.t = self.start_index
         self.last_action = np.zeros(self.trials, dtype=np.int64)
         self._done = False
@@ -182,7 +182,7 @@ class TradingEnv:
         self._actions = np.empty((self.trials, self.steps), dtype=np.int64)
         self._rewards = np.empty((self.trials, self.steps))
         self._costs = np.empty((self.trials, self.steps))
-        return self._observe(np.empty((self.trials, self._dim)))
+        return self._observe(np.empty((self.trials, self.dim)))
 
     @property
     def steps(self) -> int:
@@ -198,8 +198,8 @@ class TradingEnv:
         with the current last action, written into the (K, r, d) array `out`
         and returned. A flush of m steps reads its m + 1 rows this way."""
         rows = out.shape[1] if out.ndim == 3 else 0
-        if out.shape != (self.trials, rows, self._dim) or not 0 < rows <= self._end - self.t + 1:
-            raise ValueError(f"out has shape {out.shape}, want (K, r, {self._dim}) with "
+        if out.shape != (self.trials, rows, self.dim) or not 0 < rows <= self._end - self.t + 1:
+            raise ValueError(f"out has shape {out.shape}, want (K, r, {self.dim}) with "
                              f"1 <= r <= {self._end - self.t + 1} on a stack of K")
         col = 0
         for window, lag in self._windows:
@@ -247,8 +247,8 @@ class TradingEnv:
                 or np.abs(block).max() > 1):
             raise ValueError(f"need a ({self.trials}, m) block of action indices in 0..2 "
                              f"with 1 <= m <= {self._end - t}, got {block + 1}")
-        if out is not None and out.shape != (self.trials, self._dim):
-            raise ValueError(f"out has shape {out.shape}, want {(self.trials, self._dim)}")
+        if out is not None and out.shape != (self.trials, self.dim):
+            raise ValueError(f"out has shape {out.shape}, want {(self.trials, self.dim)}")
         # diff is z_{t+1}: the step trades at price p_t and holds over z_{t+1}
         price, diff = self._prices[:, t:t + m], self._diffs[:, t:t + m]
         switch = block - np.concatenate([self.last_action[:, None], block[:, :-1]], axis=1)

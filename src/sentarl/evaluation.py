@@ -200,19 +200,12 @@ def run_buy_and_hold(test_slice: AlignedSeries, env_config: EnvConfig) -> tuple[
     """(TR, AR, trade_count) for holding Long across the test segment, no TC.
 
     Holding Long from t0 earns phi * z_{t+1} each step, so TR is the total
-    return of those rewards over the env's psi, with one trade. The env is
-    built for its start index, psi and length check only.
+    return of those rewards over the env's psi, with one trade. The env, a
+    stack of one, is built for its start index, psi and length check only.
     """
-    env = TradingEnv(test_slice, [env_config])
+    env = TradingEnv([test_slice], env_config, [0.0], use_sentiment=False)
     tr = total_return(env_config.phi * test_slice.diffs[env.start_index:], float(env.psi[0]))
     return tr, _safe_ar(tr, test_slice.trading_days()), 1
-
-
-def _trial_configs(key: TrialKey, env_config: EnvConfig,
-                   a2c_config: A2cConfig) -> tuple[EnvConfig, A2cConfig]:
-    return (dataclasses.replace(env_config, tc_rate=key.tc,
-                                use_sentiment=key.strategy == "sentarl"),
-            dataclasses.replace(a2c_config, seed=key.seed))
 
 
 def train_and_test(keys: Sequence[TrialKey],
@@ -221,17 +214,23 @@ def train_and_test(keys: Sequence[TrialKey],
                    ) -> tuple[list[TrainedAgent], list[EpisodeResult]]:
     """Train the keys' trials in lockstep, then run their greedy test
     episodes as one stack; `pairs` holds each key's (train, test) slices.
+    The keys share a strategy, which sets the sentiment switch; each key's
+    tc and seed are its trial's cost rate and seed.
 
     When a chunk of several keys raises, the stage that failed is logged
     before the error propagates, and `_chunk_worker` reruns the keys one
     at a time.
     """
-    env_cfgs, agent_cfgs = zip(*(_trial_configs(k, env_config, a2c_config) for k in keys))
+    (strategy,) = {k.strategy for k in keys}
+    tc_rates, sentiment = [k.tc for k in keys], strategy == "sentarl"
     stage, redo = "lockstep training", "training"
     try:
-        agents = train([train_slice for train_slice, _ in pairs], env_cfgs, agent_cfgs)
+        train_env = TradingEnv([train_slice for train_slice, _ in pairs], env_config,
+                               tc_rates, sentiment)
+        agents = train(train_env, a2c_config, [k.seed for k in keys])
         stage, redo = "stacked test episodes", "testing"
-        test_env = TradingEnv([test_slice for _, test_slice in pairs], env_cfgs)
+        test_env = TradingEnv([test_slice for _, test_slice in pairs], env_config,
+                              tc_rates, sentiment)
         return agents, greedy_episodes(test_env, Mlp.stack([a.policy_net for a in agents]))
     except Exception as exc:
         if len(keys) > 1:
@@ -317,7 +316,7 @@ def enumerate_keys(assets: Iterable[str], window_count: int, seeds: Iterable[int
         for window in range(window_count):
             for seed in sorted(set(int(s) for s in seeds)):
                 for tc in sorted(set(float(t) for t in tc_rates)):
-                    for strategy in sorted(strategies):
+                    for strategy in sorted(set(strategies)):
                         keys.append(TrialKey(asset, window, seed, tc, strategy))
     return keys
 

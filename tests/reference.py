@@ -89,25 +89,29 @@ class MarketState:
 class TrialEnv:
     """Episode walker over one aligned series, one trial, one step a call.
 
-    `step` takes an Action (or its value) and returns the reward as a
-    float and the next observation as a MarketState.
+    The trial's cost rate, sentiment switch and optional (mean, std)
+    diff scaling are arguments, as they are per trial in a TradingEnv
+    stack. `step` takes an Action (or its value) and returns the reward as
+    a float and the next observation as a MarketState.
     """
 
-    def __init__(self, series: AlignedSeries, config: EnvConfig):
+    def __init__(self, series: AlignedSeries, config: EnvConfig, tc_rate: float = 0.0,
+                 use_sentiment: bool = True, diff_stats: Sequence[float] | None = None):
         min_len = max(config.w + 1, config.l) + 2
         if len(series) < min_len:
             raise ValueError(f"series of length {len(series)} too short for windows; "
                              f"need at least {min_len} points")
         self.series, self.config = series, config
+        self.tc_rate, self.use_sentiment = tc_rate, use_sentiment
         self.start_index = max(config.w, config.l - 1)
         self._end = len(series) - 1
         self._phi = config.phi
         self._proportional = config.cost_mode is CostMode.PROPORTIONAL
-        diffs = (series.diffs if config.diff_stats is None
-                 else (series.diffs - config.diff_stats[0]) / config.diff_stats[1])
+        diffs = (series.diffs if diff_stats is None
+                 else (series.diffs - diff_stats[0]) / diff_stats[1])
         # (read-only sliding view, newest first, lag): row t - lag is t's window
         channels = [(diffs, config.w, config.w), (series.hours, config.w, config.w - 1)]
-        if config.use_sentiment:
+        if use_sentiment:
             channels.insert(0, (series.sentiment, config.l, config.l - 1))
         self._windows = [(np.lib.stride_tricks.sliding_window_view(values, size)[:, ::-1], lag)
                          for values, size, lag in channels]
@@ -141,7 +145,7 @@ class TrialEnv:
 
     def _observe(self) -> MarketState:
         windows = [window[self.t - lag] for window, lag in self._windows]
-        sent_win = windows.pop(0) if self.config.use_sentiment else None
+        sent_win = windows.pop(0) if self.use_sentiment else None
         return MarketState(*windows, sent_win, self.last_action)
 
     @property
@@ -163,8 +167,8 @@ class TrialEnv:
 
     def unit_cost(self, price: float) -> float:
         if self._proportional:
-            return self.config.tc_rate * price
-        return self.config.tc_rate
+            return self.tc_rate * price
+        return self.tc_rate
 
     def step(self, action: Action | int) -> StepOutcome:
         if not self._started:
@@ -403,13 +407,15 @@ def copy_net(net: Mlp) -> Mlp:
 
 
 def train_one(series: AlignedSeries, env_config: EnvConfig, config: A2cConfig,
+              seed: int = 0, tc_rate: float = 0.0, use_sentiment: bool = True,
               policy_net: Mlp | None = None, value_net: Mlp | None = None) -> TrainedAgent:
     """`train` for one trial, as a stack of one. Single nets, when given,
     are trained in place through stacks of one viewing them."""
     policy, value = (None if net is None else Mlp.over(net.flat[None], net.layer_sizes,
                                                        net.activation)
                      for net in (policy_net, value_net))
-    (agent,) = train(series, [env_config], [config], policy, value)
+    env = TradingEnv([series], env_config, [tc_rate], use_sentiment)
+    (agent,) = train(env, config, [seed], policy, value)
     return TrainedAgent(agent.policy_net if policy_net is None else policy_net,
                         agent.value_net if value_net is None else value_net, agent.log)
 

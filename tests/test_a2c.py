@@ -276,16 +276,18 @@ def test_config_validation():
     bad = [dict(gamma=1.5), dict(lr_actor=0.0), dict(lr_critic=-1.0),
            dict(n_steps=0), dict(episodes=0), dict(entropy_coef=-0.1),
            dict(hidden_sizes=(0,)), dict(activation="gelu"),
-           dict(optimizer="adam"), dict(max_grad_norm=0.0), dict(seed=-1)]
+           dict(optimizer="adam"), dict(max_grad_norm=0.0)]
     for kwargs in bad:
         with pytest.raises(ValueError):
             A2cConfig(**kwargs)
+    with pytest.raises(ValueError):
+        train_one(*small_setup(), seed=-1)
 
 
-def small_setup(n=20, seed=0, episodes=2):
+def small_setup(n=20, episodes=2):
     series = random_walk_series(n, seed=7)
     env_config = EnvConfig(w=3, l=2)
-    config = A2cConfig(episodes=episodes, seed=seed, hidden_sizes=(4,))
+    config = A2cConfig(episodes=episodes, hidden_sizes=(4,))
     return series, env_config, config
 
 
@@ -302,9 +304,8 @@ def test_train_is_deterministic():
 
 def test_train_seed_changes_outcome():
     series, env_config, config = small_setup()
-    other = A2cConfig(episodes=2, seed=1, hidden_sizes=(4,))
     a = train_one(series, env_config, config)
-    b = train_one(series, env_config, other)
+    b = train_one(series, env_config, config, seed=1)
     assert any(not np.array_equal(w1, w2) for w1, w2 in
                zip(a.policy_net.weights, b.policy_net.weights))
 
@@ -338,7 +339,7 @@ def test_train_update_batching(monkeypatch):
 
 def test_train_accepts_prebuilt_nets():
     series, env_config, config = small_setup()
-    dim = env_config.state_dim
+    dim = env_config.state_dim(use_sentiment=True)
     rng = np.random.default_rng(5)
     policy = Mlp.create((dim, 4, 3), rng)
     value = Mlp.create((dim, 4, 1), rng)
@@ -351,7 +352,7 @@ def test_train_accepts_prebuilt_nets():
 
 def test_train_entropy_stays_high_with_bonus():
     series, env_config, _ = small_setup()
-    config = A2cConfig(episodes=5, seed=0, hidden_sizes=(4,), entropy_coef=1.0)
+    config = A2cConfig(episodes=5, hidden_sizes=(4,), entropy_coef=1.0)
     agent = train_one(series, env_config, config)
     assert agent.log[-1].policy_entropy > 0.9
 

@@ -83,14 +83,14 @@ def test_criterion_03_wealth_accounting_identity():
     for case in range(1000):
         n = int(rng.integers(10, 45))
         series = random_walk_series(n, seed=case, vol=float(rng.uniform(0.1, 2.0)))
+        w, l = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        phi = float(rng.uniform(0.25, 4.0))
+        tc_rate = float(rng.choice([0.0, 0.0025, 0.01, 0.1]))
         config = EnvConfig(
-            w=int(rng.integers(1, 5)),
-            l=int(rng.integers(1, 4)),
-            phi=float(rng.uniform(0.25, 4.0)),
-            tc_rate=float(rng.choice([0.0, 0.0025, 0.01, 0.1])),
+            w=w, l=l, phi=phi,
             cost_mode=CostMode.PROPORTIONAL if rng.random() < 0.5
             else CostMode.FIXED_PER_UNIT)
-        env = TrialEnv(series, config)
+        env = TrialEnv(series, config, tc_rate)
         env.reset()
         rewards = []
         while not env.done:
@@ -108,9 +108,9 @@ def test_criterion_04_forced_long_matches_benchmark():
     cases.append(build_series(np.linspace(50, 150, 40)))
     cases.append(build_series(np.linspace(150, 50, 40)))
     for series in cases:
-        config = EnvConfig(w=4, l=3, tc_rate=0.0)
-        forced = run_policy(TrialEnv(series, config), lambda state: Action.LONG)
-        bh_tr, _, _ = run_buy_and_hold(series, EnvConfig(w=4, l=3, tc_rate=0.0025))
+        config = EnvConfig(w=4, l=3)
+        forced = run_policy(TrialEnv(series, config, 0.0), lambda state: Action.LONG)
+        bh_tr, _, _ = run_buy_and_hold(series, config)
         assert abs(forced.total_return - bh_tr) <= 1e-12
         # both telescope to the end-to-start price gap per share
         t0 = max(config.w, config.l - 1)
@@ -127,9 +127,8 @@ def test_criterion_05_reward_replay_oracle():
         series = random_walk_series(n, seed=1000 + case)
         phi = float(rng.uniform(0.5, 3.0))
         c = float(rng.choice([0.0, 0.05, 0.25, 1.0]))
-        config = EnvConfig(w=3, l=2, phi=phi, tc_rate=c,
-                           cost_mode=CostMode.FIXED_PER_UNIT)
-        env = TrialEnv(series, config)
+        config = EnvConfig(w=3, l=2, phi=phi, cost_mode=CostMode.FIXED_PER_UNIT)
+        env = TrialEnv(series, config, c)
         env.reset()
         actions: list[int] = []
         while not env.done:
@@ -169,12 +168,12 @@ def test_criterion_07_learnability_on_sinusoid():
     series = sinusoid_series(193)
     train_slice = series.slice(0, 120)
     test_slice = series.slice(120, 193)
-    config = EnvConfig(w=20, l=5, tc_rate=0.0, use_sentiment=False)
+    config = EnvConfig(w=20, l=5)
     bh_tr, _, _ = run_buy_and_hold(test_slice, config)
     wins = 0
     for seed in range(5):
-        agent = train_one(train_slice, config, A2cConfig(seed=seed))
-        episode = run_policy(TrialEnv(test_slice, config),
+        agent = train_one(train_slice, config, A2cConfig(), seed, 0.0, use_sentiment=False)
+        episode = run_policy(TrialEnv(test_slice, config, 0.0, use_sentiment=False),
                              greedy_policy(agent.policy_net))
         wins += episode.total_return > bh_tr
     assert wins >= 4, f"beat the benchmark on {wins}/5 seeds"
@@ -195,24 +194,23 @@ def test_criterion_08_ablation_first_update_parity():
     """With the sentiment channel all zero and its input weights
     zero-initialized, the sentiment-aware and sentiment-free agents see
     dimensions 46 vs 41 and identical first-update critic losses."""
-    with_sent = EnvConfig(w=20, l=5, use_sentiment=True)
-    without = EnvConfig(w=20, l=5, use_sentiment=False)
-    assert with_sent.state_dim == 46
-    assert without.state_dim == 41
+    env_config = EnvConfig(w=20, l=5)
+    assert env_config.state_dim(use_sentiment=True) == 46
+    assert env_config.state_dim(use_sentiment=False) == 41
 
     prices = 100.0 + np.cumsum(np.random.default_rng(8).normal(0.0, 0.5, 26))
     series = build_series(prices)  # sentiment defaults to constant 0
-    config = A2cConfig(episodes=1, n_steps=5, seed=0)
+    config, seed = A2cConfig(episodes=1, n_steps=5), 0
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     policy41 = Mlp.create((41, 64, 64, 3), rng, config.activation)
     value41 = Mlp.create((41, 64, 64, 1), rng, config.activation)
     policy46 = _widen_first_layer(copy_net(policy41), 5)
     value46 = _widen_first_layer(copy_net(value41), 5)
 
-    plain = train_one(series, without, config,
+    plain = train_one(series, env_config, config, seed, use_sentiment=False,
                       policy_net=policy41, value_net=value41)
-    sentiment_aware = train_one(series, with_sent, config,
+    sentiment_aware = train_one(series, env_config, config, seed, use_sentiment=True,
                                 policy_net=policy46, value_net=value46)
     loss_a = plain.log[0].critic_loss
     loss_b = sentiment_aware.log[0].critic_loss

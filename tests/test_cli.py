@@ -1,5 +1,6 @@
 """End-to-end command tests driven through main(argv) in process."""
 
+import dataclasses
 import fcntl
 import json
 import logging
@@ -16,7 +17,7 @@ import sentarl
 from sentarl import cli, evaluation
 from sentarl.a2c import A2cConfig
 from sentarl.cli import main
-from sentarl.config import config_to_json, load_config
+from sentarl.config import _SECTIONS, config_to_json, load_config
 from sentarl.data import load_aligned
 from sentarl.env import EnvConfig
 from sentarl.errors import NonFiniteGradientError
@@ -162,6 +163,24 @@ def test_ingest_unknown_asset_exits_2(tmp_path, capsys):
     assert "not in the config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ingest", "train", "corr-pulse"])
+@pytest.mark.parametrize("asset", ["ZZZ", "../x"])
+def test_commands_reject_an_asset_not_in_the_config_before_writing(tmp_path, capsys,
+                                                                    command, asset):
+    cfg = make_workspace(tmp_path)
+    main(["ingest", "--config", str(cfg)])
+    caches = tmp_path / "out" / "caches"
+    # a leftover cache where a path built from the name would look
+    leftover = caches / f"{asset}.aligned.csv"
+    leftover.write_bytes((caches / "AAA.aligned.csv").read_bytes())
+    before = {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--asset", asset]) == 2
+    assert (f"config error: asset {asset!r} is not in the config (have: ['AAA'])"
+            in capsys.readouterr().err)
+    assert {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     cfg = make_workspace(tmp_path, typo=1)
     assert main(["ingest", "--config", str(cfg)]) == 2
@@ -175,6 +194,11 @@ def test_config_errors_exit_2(tmp_path, capsys):
     bad.write_text("{не json")
     assert main(["ingest", "--config", str(bad)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_each_config_section_sets_exactly_its_dataclass_fields():
+    for name, (cls, _, checks) in _SECTIONS.items():
+        assert list(checks) == [field.name for field in dataclasses.fields(cls)], name
 
 
 def test_config_defaults_are_the_dataclass_defaults(tmp_path):
@@ -436,6 +460,42 @@ def test_run_rejects_windows_that_cannot_fit_before_writing(tmp_path, capsys):
     cfg.write_text(json.dumps(config))
     assert main(["run", "--config", str(cfg), "--resume"]) == 0
     assert (out / "results.csv").read_bytes() == before[out / "results.csv"]
+
+
+@pytest.mark.parametrize("key", ["train_len", "test_len"])
+def test_run_rejects_windows_shorter_than_an_episode_before_writing(tmp_path, capsys, key):
+    cfg = make_workspace(tmp_path)
+    main(["ingest", "--config", str(cfg)])
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert out / "results.csv" in before
+    config = json.loads(cfg.read_text())
+    config["windows"][key] = 5  # at w=3, l=2 an episode needs max(3 + 1, 2) + 2 = 6 points
+    cfg.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert (f"config error: windows.{key}: below 6, the fewest points an episode needs "
+            "at env.w=3 and env.l=2") in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+def test_run_with_duplicate_strategies_writes_the_deduplicated_bytes(tmp_path, capsys):
+    runs = {}
+    for name, strategies in (("once", ["buy-and-hold", "sentarl"]),
+                             ("twice", ["sentarl", "sentarl", "buy-and-hold"])):
+        (tmp_path / name).mkdir()
+        out = tmp_path / name / "out"
+        cfg = make_workspace(tmp_path / name, output_dir=str(out), strategies=strategies)
+        main(["ingest", "--config", str(cfg)])
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg)]) == 0
+        # the echo records the strategies as the config lists them
+        runs[name] = (capsys.readouterr().out.replace(str(out), "OUT"),
+                      {p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+                       if p.is_file() and p.name != "config.echo.json"})
+    assert "8 trials complete" in runs["once"][0]
+    assert runs["twice"] == runs["once"]
 
 
 def test_run_determinism_and_resume(tmp_path, capsys):

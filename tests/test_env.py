@@ -9,7 +9,8 @@ from conftest import build_series, random_walk_series
 from reference import TrialEnv as TradingEnv
 from reference import (ACTIONS, Action, action_from_index, action_index, baseline_policy,
                        episode_return, run_policy)
-from sentarl.env import CostMode, EnvConfig, write_equity_csv
+from sentarl.env import CostMode, EnvConfig, check_diff_stats, write_equity_csv
+from sentarl.env import TradingEnv as StackEnv
 
 
 def test_action_encoding():
@@ -30,11 +31,11 @@ def test_reset_start_index():
 
 
 def test_state_dimensions():
-    assert EnvConfig(w=20, l=5, use_sentiment=True).state_dim == 46
-    assert EnvConfig(w=20, l=5, use_sentiment=False).state_dim == 41
+    assert EnvConfig(w=20, l=5).state_dim(use_sentiment=True) == 46
+    assert EnvConfig(w=20, l=5).state_dim(use_sentiment=False) == 41
     series = random_walk_series(60)
     for use_sentiment, want in ((True, 46), (False, 41)):
-        env = TradingEnv(series, EnvConfig(w=20, l=5, use_sentiment=use_sentiment))
+        env = TradingEnv(series, EnvConfig(w=20, l=5), use_sentiment=use_sentiment)
         state = env.reset()
         assert len(state.to_vector()) == want
         assert state.dimension == want
@@ -68,7 +69,7 @@ def test_window_contents_and_order():
 def test_step_reward_examples():
     prices = np.array([100.0] * 3 + [100.0, 102.0, 102.0])
     series = build_series(prices)
-    env = TradingEnv(series, EnvConfig(w=2, l=1, tc_rate=0.0))
+    env = TradingEnv(series, EnvConfig(w=2, l=1), 0.0)
     env.reset()
     assert env.start_index == 2
     env.step(Action.LONG)          # establish the position (z=0, no cost)
@@ -80,8 +81,7 @@ def test_step_reward_examples():
 def test_switch_cost_proportional():
     prices = np.full(8, 100.0)
     series = build_series(prices)
-    env = TradingEnv(series, EnvConfig(w=2, l=1, tc_rate=0.0025,
-                                       cost_mode="proportional"))
+    env = TradingEnv(series, EnvConfig(w=2, l=1, cost_mode="proportional"), 0.0025)
     env.reset()
     env.step(Action.LONG)
     out = env.step(Action.SHORT)   # |a_t - a_{t-1}| = 2 at p=100
@@ -92,8 +92,7 @@ def test_switch_cost_proportional():
 def test_switch_cost_fixed_per_unit():
     prices = np.full(8, 100.0)
     series = build_series(prices)
-    env = TradingEnv(series, EnvConfig(w=2, l=1, tc_rate=0.1,
-                                       cost_mode="fixed-per-unit"))
+    env = TradingEnv(series, EnvConfig(w=2, l=1, cost_mode="fixed-per-unit"), 0.1)
     env.reset()
     out = env.step(Action.LONG)    # one unit switched, fixed cost 0.1
     assert out.info["cost_paid"] == pytest.approx(0.1)
@@ -103,7 +102,7 @@ def test_switch_cost_fixed_per_unit():
 
 def test_neutral_forever_is_free():
     series = random_walk_series(30, seed=4)
-    env = TradingEnv(series, EnvConfig(w=3, l=2, tc_rate=0.01))
+    env = TradingEnv(series, EnvConfig(w=3, l=2), 0.01)
     result = run_policy(env, baseline_policy("always-neutral"))
     assert result.total_reward == 0.0
     assert result.total_return == 0.0
@@ -136,13 +135,13 @@ def test_wealth_identity_random_cases():
     rng = np.random.default_rng(99)
     for case in range(40):
         series = random_walk_series(int(rng.integers(12, 40)), seed=case)
-        cfg = EnvConfig(w=int(rng.integers(1, 5)), l=int(rng.integers(1, 4)),
-                        phi=float(rng.uniform(0.5, 3.0)),
-                        tc_rate=float(rng.choice([0.0, 0.0025, 0.01])),
+        w, l = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        phi, tc = float(rng.uniform(0.5, 3.0)), float(rng.choice([0.0, 0.0025, 0.01]))
+        cfg = EnvConfig(w=w, l=l, phi=phi,
                         cost_mode=str(rng.choice(["proportional", "fixed-per-unit"])))
         if len(series) < max(cfg.w + 1, cfg.l) + 2:
             continue
-        env = TradingEnv(series, cfg)
+        env = TradingEnv(series, cfg, tc)
         result = run_policy(env, baseline_policy("random", seed=case))
         expected = env.psi + result.total_reward
         assert env.wealth == pytest.approx(expected, rel=1e-9)
@@ -150,9 +149,9 @@ def test_wealth_identity_random_cases():
 
 def test_reward_independent_of_history_when_free():
     series = random_walk_series(30, seed=6)
-    cfg = EnvConfig(w=3, l=2, tc_rate=0.0)
-    env_a = TradingEnv(series, cfg)
-    env_b = TradingEnv(series, cfg)
+    cfg = EnvConfig(w=3, l=2)
+    env_a = TradingEnv(series, cfg, 0.0)
+    env_b = TradingEnv(series, cfg, 0.0)
     env_a.reset()
     env_b.reset()
     env_a.step(Action.LONG)    # different histories
@@ -166,7 +165,7 @@ def test_reward_linear_in_phi():
     series = random_walk_series(30, seed=8)
     rewards = {}
     for phi in (1.0, 2.0):
-        env = TradingEnv(series, EnvConfig(w=3, l=2, phi=phi, tc_rate=0.003))
+        env = TradingEnv(series, EnvConfig(w=3, l=2, phi=phi), 0.003)
         result = run_policy(env, baseline_policy("random", seed=3))
         rewards[phi] = result.rewards
     assert np.allclose(np.array(rewards[2.0]), 2.0 * np.array(rewards[1.0]))
@@ -192,7 +191,7 @@ def test_episode_return():
 
 def test_always_long_telescopes():
     series = random_walk_series(50, seed=12)
-    env = TradingEnv(series, EnvConfig(w=4, l=2, tc_rate=0.0))
+    env = TradingEnv(series, EnvConfig(w=4, l=2), 0.0)
     result = run_policy(env, baseline_policy("buy-and-hold"))
     t0 = env.start_index
     per_share = series.prices[-1] - series.prices[t0]
@@ -202,7 +201,7 @@ def test_always_long_telescopes():
 
 def test_buy_and_hold_positive_on_rising_series():
     series = build_series(np.linspace(100, 120, 30))
-    env = TradingEnv(series, EnvConfig(w=3, l=2, tc_rate=0.0))
+    env = TradingEnv(series, EnvConfig(w=3, l=2), 0.0)
     result = run_policy(env, baseline_policy("buy-and-hold"))
     assert result.total_return > 0
     assert result.trade_count == 1
@@ -210,9 +209,9 @@ def test_buy_and_hold_positive_on_rising_series():
 
 def test_bh_equals_forced_long_equity():
     series = random_walk_series(40, seed=14)
-    cfg = EnvConfig(w=4, l=2, tc_rate=0.0)
-    bh = run_policy(TradingEnv(series, cfg), baseline_policy("buy-and-hold"))
-    forced = run_policy(TradingEnv(series, cfg), lambda s: Action.LONG)
+    cfg = EnvConfig(w=4, l=2)
+    bh = run_policy(TradingEnv(series, cfg, 0.0), baseline_policy("buy-and-hold"))
+    forced = run_policy(TradingEnv(series, cfg, 0.0), lambda s: Action.LONG)
     assert bh.rewards == forced.rewards
     assert [p.cum_return for p in bh.equity] == [p.cum_return for p in forced.equity]
 
@@ -232,7 +231,7 @@ def test_unknown_baseline_rejected():
 
 def test_equity_csv_export(tmp_path):
     series = random_walk_series(25, seed=16)
-    env = TradingEnv(series, EnvConfig(w=3, l=2, tc_rate=0.001))
+    env = TradingEnv(series, EnvConfig(w=3, l=2), 0.001)
     result = run_policy(env, baseline_policy("random", seed=1))
     path = tmp_path / "equity.csv"
     write_equity_csv(result.equity, path)
@@ -268,7 +267,7 @@ def test_equity_csv_timestamps_match_the_per_row_conversion(tmp_path, unit):
 
 def test_equity_curve_built_at_export():
     series = random_walk_series(60, seed=18)
-    env = TradingEnv(series, EnvConfig(w=3, l=2, tc_rate=0.0025))
+    env = TradingEnv(series, EnvConfig(w=3, l=2), 0.0025)
     assert env.equity_curve() == []
     result = run_policy(env, baseline_policy("random", seed=2))
     curve = env.equity_curve()
@@ -308,7 +307,7 @@ def test_env_config_validation():
     with pytest.raises(ValueError):
         EnvConfig(phi=0.0)
     with pytest.raises(ValueError):
-        EnvConfig(tc_rate=-0.1)
+        StackEnv([random_walk_series(30)], EnvConfig(), [-0.1], True)
     with pytest.raises(ValueError):
         EnvConfig(cost_mode="percentage")
     assert EnvConfig(cost_mode=CostMode.FIXED_PER_UNIT).cost_mode is CostMode.FIXED_PER_UNIT
@@ -319,9 +318,9 @@ def test_env_config_validation():
                                    (0.0, -1.0)])
 def test_env_config_rejects_bad_diff_stats(stats):
     with pytest.raises(ValueError, match="diff_stats"):
-        EnvConfig(diff_stats=stats)
+        StackEnv([random_walk_series(30)], EnvConfig(), [0.0], True, [stats])
 
 
 def test_env_config_stores_diff_stats_as_float_tuple():
-    stats = EnvConfig(diff_stats=[1, np.float64(2.5)]).diff_stats
+    stats = check_diff_stats([1, np.float64(2.5)])
     assert stats == (1.0, 2.5) and all(type(v) is float for v in stats)

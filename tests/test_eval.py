@@ -140,8 +140,8 @@ def test_enumerate_keys_order_and_dedupe():
 
 def test_run_buy_and_hold_ignores_costs():
     series = random_walk_series(40, seed=21)
-    costly = run_buy_and_hold(series, EnvConfig(w=3, l=2, tc_rate=0.5))
-    free = run_buy_and_hold(series, EnvConfig(w=3, l=2, tc_rate=0.0))
+    costly = run_buy_and_hold(series, EnvConfig(w=3, l=2, cost_mode="fixed-per-unit"))
+    free = run_buy_and_hold(series, EnvConfig(w=3, l=2))
     assert costly == free
     assert costly[2] == 1  # single entry trade
 
@@ -497,7 +497,8 @@ def test_config_echo_write_that_raises_midway_keeps_the_old_bytes(tmp_path, monk
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"assets": {"AAA": {"prices": "p.csv"}},
                                 "output_dir": str(tmp_path)}))
-    run_config = config.load_config(path, check_paths=False)
+    (tmp_path / "p.csv").write_text("")
+    run_config = config.load_config(path)
     config.echo_config(run_config, tmp_path / "config.echo.json")
     old = (tmp_path / "config.echo.json").read_bytes()
     # a lone surrogate cannot be encoded, so the write itself fails

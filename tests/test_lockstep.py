@@ -1,6 +1,5 @@
 """Lockstep training: K stacked trials, each bit-identical to its own run."""
 
-import dataclasses
 import logging
 import math
 
@@ -143,8 +142,8 @@ def test_train_draws_each_trials_variates_in_rollout_order(monkeypatch):
     env_cfg = EnvConfig(w=3, l=2)
     monkeypatch.setattr(a2c.np.random, "default_rng",
                         lambda seed: Recording(np.random.PCG64(seed)))
-    train(series, [env_cfg] * 2, [A2cConfig(episodes=2, n_steps=5, seed=s,
-                                            hidden_sizes=(5,)) for s in (0, 1)])
+    train(TradingEnv([series] * 2, env_cfg, [0.0] * 2, True),
+          A2cConfig(episodes=2, n_steps=5, hidden_sizes=(5,)), [0, 1])
     assert len(draws) == 2
     for sizes in draws.values():
         assert sizes == ([5] * 7 + [1]) * 2
@@ -172,9 +171,7 @@ def test_lockstep_training_is_bit_identical_to_single_runs(case, use_sentiment,
     train_slice, test_slice = series.slice(0, 72), series.slice(72, 102)
     base = A2cConfig(**{"episodes": 2, "hidden_sizes": (8, 6), **CASES[case]})
     trials = [(0, 0.0), (1, 0.0025), (2, 0.01)]  # mixed seeds and cost rates
-    env_cfgs = [EnvConfig(w=4, l=3, tc_rate=tc, use_sentiment=use_sentiment)
-                for _, tc in trials]
-    cfgs = [dataclasses.replace(base, seed=seed) for seed, _ in trials]
+    env_cfg = EnvConfig(w=4, l=3)
 
     norms = []
     real = a2c.apply_update
@@ -185,16 +182,17 @@ def test_lockstep_training_is_bit_identical_to_single_runs(case, use_sentiment,
         return norm
 
     monkeypatch.setattr(a2c, "apply_update", recording)
-    grouped = train(train_slice, env_cfgs, cfgs)
+    env = TradingEnv([train_slice] * 3, env_cfg, [tc for _, tc in trials], use_sentiment)
+    grouped = train(env, base, [seed for seed, _ in trials])
     if base.max_grad_norm is not None:
         assert max(norms) > base.max_grad_norm  # clipping fired
     assert len(grouped) == 3
-    for env_cfg, cfg, agent in zip(env_cfgs, cfgs, grouped):
-        alone = train_one(train_slice, env_cfg, cfg)
+    for (seed, tc), agent in zip(trials, grouped):
+        alone = train_one(train_slice, env_cfg, base, seed, tc, use_sentiment)
         assert np.array_equal(agent.policy_net.flat, alone.policy_net.flat)
         assert np.array_equal(agent.value_net.flat, alone.value_net.flat)
         assert [vars(e) for e in agent.log] == [vars(e) for e in alone.log]
-        test_trs = [run_policy(TrialEnv(test_slice, env_cfg),
+        test_trs = [run_policy(TrialEnv(test_slice, env_cfg, tc, use_sentiment),
                                greedy_policy(a.policy_net)).total_return
                     for a in (agent, alone)]
         assert test_trs[0] == test_trs[1]
@@ -202,10 +200,9 @@ def test_lockstep_training_is_bit_identical_to_single_runs(case, use_sentiment,
 
 def test_lockstep_group_of_one_matches_the_single_run():
     series = random_walk_series(40, seed=8)
-    env_cfg, cfg = EnvConfig(w=3, l=2, tc_rate=0.0025), A2cConfig(episodes=2, seed=4,
-                                                                    hidden_sizes=(5,))
-    (grouped,) = train(series, [env_cfg], [cfg])
-    alone = train_one(series, env_cfg, cfg)
+    env_cfg, cfg = EnvConfig(w=3, l=2), A2cConfig(episodes=2, hidden_sizes=(5,))
+    (grouped,) = train(TradingEnv([series], env_cfg, [0.0025], True), cfg, [4])
+    alone = train_one(series, env_cfg, cfg, 4, 0.0025)
     assert np.array_equal(grouped.policy_net.flat, alone.policy_net.flat)
     assert [vars(e) for e in grouped.log] == [vars(e) for e in alone.log]
 
@@ -213,12 +210,8 @@ def test_lockstep_group_of_one_matches_the_single_run():
 def test_lockstep_rejects_trials_that_cannot_share_a_clock():
     series = random_walk_series(40, seed=8)
     cfg = A2cConfig(episodes=1, hidden_sizes=(5,))
-    for env_cfgs, cfgs in (
-            ([EnvConfig(w=3, l=2), EnvConfig(w=4, l=2)], [cfg, cfg]),
-            ([EnvConfig(w=3, l=2)] * 2, [cfg, dataclasses.replace(cfg, lr_actor=0.1)]),
-            ([EnvConfig(w=3, l=2)] * 2, [cfg])):
-        with pytest.raises(ValueError):
-            train(series, env_cfgs, cfgs)
+    with pytest.raises(ValueError):
+        train(TradingEnv([series] * 2, EnvConfig(w=3, l=2), [0.0] * 2, True), cfg, [0])
 
 
 # ------------------------------------------------ grouped matrix runs
@@ -249,12 +242,12 @@ def test_group_training_fault_leaves_other_rows_identical(tmp_path, monkeypatch,
     real = evaluation.train
     group_sizes = []
 
-    def faulty(series, env_config, config, *args, **kwargs):
-        pairs = list(zip(env_config, config))
-        group_sizes.append(len(pairs))
-        if any(c.seed == 1 and e.tc_rate == 0.0025 and e.use_sentiment for e, c in pairs):
+    def faulty(env, config, seeds, *args, **kwargs):
+        group_sizes.append(len(seeds))
+        sentiment = env.dim == EnvConfig(w=3, l=2).state_dim(use_sentiment=True)
+        if sentiment and any(s == 1 and tc == 0.0025 for s, tc in zip(seeds, env._tc[:, 0])):
             raise FloatingPointError("injected fault")
-        return real(series, env_config, config, *args, **kwargs)
+        return real(env, config, seeds, *args, **kwargs)
 
     monkeypatch.setattr(evaluation, "train", faulty)
     with caplog.at_level(logging.WARNING):
@@ -279,8 +272,8 @@ def test_chunk_fallback_trains_each_key_once(tmp_path, monkeypatch):
     real_train, real_trial = evaluation.train, evaluation.run_agent_trial
     sizes = []
 
-    def failing(series, env_configs, agent_configs):
-        sizes.append(len(agent_configs))
+    def failing(env, config, seeds):
+        sizes.append(len(seeds))
         raise FloatingPointError("injected fault")
 
     # a lone key whose training raises is trained once, and fails alone
@@ -291,9 +284,9 @@ def test_chunk_fallback_trains_each_key_once(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
     # a fault writing one key's files fails that key only; nothing retrains
-    def counting(series, env_configs, agent_configs):
-        sizes.append(len(agent_configs))
-        return real_train(series, env_configs, agent_configs)
+    def counting(env, config, seeds):
+        sizes.append(len(seeds))
+        return real_train(env, config, seeds)
 
     def flaky(key, *args):
         if key == keys[2]:
@@ -322,11 +315,10 @@ def test_env_stack_matches_single_envs(cost_mode, use_sentiment):
     # (series, tc_rate, diff_stats): trials on three windows, one window twice
     trials = [(windows[0], 0.0, None), (windows[0], 0.0025, (0.1, 2.0)),
               (windows[1], 0.01, None), (windows[2], 0.0025, (0.0, 0.5))]
-    cfgs = [EnvConfig(w=4, l=3, phi=1.5, tc_rate=tc, cost_mode=cost_mode,
-                      use_sentiment=use_sentiment, diff_stats=stats)
-            for _, tc, stats in trials]
-    stack = TradingEnv([s for s, _, _ in trials], cfgs)
-    singles = [TrialEnv(s, c) for (s, _, _), c in zip(trials, cfgs)]
+    cfg = EnvConfig(w=4, l=3, phi=1.5, cost_mode=cost_mode)
+    stack = TradingEnv([s for s, _, _ in trials], cfg, [tc for _, tc, _ in trials],
+                       use_sentiment, [stats for *_, stats in trials])
+    singles = [TrialEnv(s, cfg, tc, use_sentiment, stats) for s, tc, stats in trials]
     assert stack.trials == 4 and stack.steps == singles[0].steps
     assert stack.psi.tolist() == [e.psi for e in singles]
     buf = stack.reset()
@@ -381,16 +373,16 @@ def test_greedy_episodes_match_single_greedy_runs(cost_mode, use_sentiment):
     windows = [series.slice(0, 40), series.slice(40, 80), series.slice(80, 120)]
     trials = [(windows[0], 0.0), (windows[1], 0.0025), (windows[2], 0.01),
               (windows[0], 0.0025), (windows[1], 0.0), (windows[2], 0.0025)]
-    cfgs = [EnvConfig(w=4, l=3, tc_rate=tc, cost_mode=cost_mode,
-                      use_sentiment=use_sentiment) for _, tc in trials]
-    dim = cfgs[0].state_dim
+    cfg = EnvConfig(w=4, l=3, cost_mode=cost_mode)
+    dim = cfg.state_dim(use_sentiment)
     nets = [Mlp.create((dim, 5, 3), np.random.default_rng(s)) for s in range(4)]
     # all three tied: Neutral wins; Long and Short tied above Neutral: Long wins
     nets += [tie_net(dim, [0.0, 0.0, 0.0]), tie_net(dim, [1.0, 0.0, 1.0])]
-    got = greedy_episodes(TradingEnv([s for s, _ in trials], cfgs), Mlp.stack(nets))
+    env = TradingEnv([s for s, _ in trials], cfg, [tc for _, tc in trials], use_sentiment)
+    got = greedy_episodes(env, Mlp.stack(nets))
     assert len(got) == len(trials)
-    for (s, _), cfg, net, episode in zip(trials, cfgs, nets, got):
-        want = run_policy(TrialEnv(s, cfg), greedy_policy(net))
+    for (s, tc), net, episode in zip(trials, nets, got):
+        want = run_policy(TrialEnv(s, cfg, tc, use_sentiment), greedy_policy(net))
         # repr compares bits and types (a numpy float would print differently)
         assert repr(episode.rewards) == repr(want.rewards)
         assert episode.actions == want.actions
@@ -407,7 +399,7 @@ def test_greedy_episodes_match_single_greedy_runs(cost_mode, use_sentiment):
 def test_equity_curve_takes_a_trial_index_on_a_stack_only():
     series = random_walk_series(40, seed=5)
     cfg = EnvConfig(w=3, l=2)
-    stack, single = TradingEnv(series, [cfg, cfg]), TrialEnv(series, cfg)
+    stack, single = TradingEnv([series] * 2, cfg, [0.0] * 2, True), TrialEnv(series, cfg)
     stack.reset()
     single.reset()
     step_one(stack, [2, 0])
@@ -447,21 +439,15 @@ def test_stacked_test_fault_falls_back_to_single_tests(tmp_path, monkeypatch, ca
 def test_env_stack_rejects_trials_that_cannot_share_a_clock():
     series = random_walk_series(60, seed=2)
     base = EnvConfig(w=3, l=2)
-    for series_arg, cfgs, message in (
-            ([series.slice(0, 30), series.slice(0, 31)], [base, base], "equal length"),
-            (series, [base, dataclasses.replace(base, w=4)], "share"),
-            (series, [base, dataclasses.replace(base, l=3)], "share"),
-            (series, [base, dataclasses.replace(base, phi=2.0)], "share"),
-            (series, [base, dataclasses.replace(base, cost_mode="fixed-per-unit")], "share"),
-            (series, [base, dataclasses.replace(base, use_sentiment=False)], "share"),
-            ([series], [base, base], "one series per trial"),
-            (series, [], "one env config per trial"),
-            (series.slice(0, 5), [base], "too short"),
-            (series, base, "list")):
+    for series_arg, tc_rates, message in (
+            ([series.slice(0, 30), series.slice(0, 31)], [0.0, 0.0], "equal length"),
+            ([series], [0.0, 0.0], "one series per trial"),
+            ([], [], "one env config per trial"),
+            ([series.slice(0, 5)], [0.0], "too short")):
         with pytest.raises(ValueError, match=message):
-            TradingEnv(series_arg, cfgs)
+            TradingEnv(series_arg, base, tc_rates, True)
 
-    stack = TradingEnv(series, [base, dataclasses.replace(base, tc_rate=0.01)])
+    stack = TradingEnv([series] * 2, base, [0.0, 0.01], True)
     with pytest.raises(RuntimeError, match="reset"):
         step_one(stack, [1, 1])
     stack.reset()
@@ -469,7 +455,7 @@ def test_env_stack_rejects_trials_that_cannot_share_a_clock():
         with pytest.raises(ValueError, match="action"):
             step_one(stack, bad)
     with pytest.raises(ValueError, match="out"):
-        step_one(stack, [1, 1], out=np.empty((2, base.state_dim + 1)))
+        step_one(stack, [1, 1], out=np.empty((2, base.state_dim(True) + 1)))
     assert stack.t == stack.start_index  # rejected steps leave the clock alone
     while not stack.done:
         step_one(stack, [2, 0])
@@ -489,16 +475,17 @@ def test_lockstep_training_across_windows_and_assets_is_bit_identical():
     trials = [("AAA", 0, 0, 0.0), ("AAA", 0, 1, 0.0025), ("AAA", 1, 0, 0.0),
               ("BBB", 0, 2, 0.0025), ("BBB", 0, 0, 0.0)]
     base = A2cConfig(episodes=2, hidden_sizes=(8, 6), n_steps=4, entropy_coef=0.1)
-    env_cfgs = [EnvConfig(w=4, l=3, tc_rate=tc) for *_, tc in trials]
-    cfgs = [dataclasses.replace(base, seed=seed) for _, _, seed, _ in trials]
-    grouped = train([slices[asset, w][0] for asset, w, _, _ in trials], env_cfgs, cfgs)
-    for (asset, w, _, _), env_cfg, cfg, agent in zip(trials, env_cfgs, cfgs, grouped):
+    env_cfg = EnvConfig(w=4, l=3)
+    env = TradingEnv([slices[asset, w][0] for asset, w, _, _ in trials], env_cfg,
+                     [tc for *_, tc in trials], True)
+    grouped = train(env, base, [seed for _, _, seed, _ in trials])
+    for (asset, w, seed, tc), agent in zip(trials, grouped):
         train_slice, test_slice = slices[asset, w]
-        alone = train_one(train_slice, env_cfg, cfg)
+        alone = train_one(train_slice, env_cfg, base, seed, tc)
         assert np.array_equal(agent.policy_net.flat, alone.policy_net.flat)
         assert np.array_equal(agent.value_net.flat, alone.value_net.flat)
         assert [vars(e) for e in agent.log] == [vars(e) for e in alone.log]
-        test_trs = [run_policy(TrialEnv(test_slice, env_cfg),
+        test_trs = [run_policy(TrialEnv(test_slice, env_cfg, tc),
                                greedy_policy(x.policy_net)).total_return
                     for x in (agent, alone)]
         assert test_trs[0] == test_trs[1]
@@ -562,23 +549,22 @@ def test_run_matrix_logs_progress_per_task_without_changing_bytes(tmp_path, capl
 
 
 def block_trials(cost_mode, use_sentiment):
+    """The TradingEnv arguments of three trials."""
     series = random_walk_series(90, seed=21)
     windows = [series.slice(0, 40), series.slice(25, 65)]
     trials = [(windows[0], 0.0, None), (windows[0], 0.0025, (0.1, 2.0)),
               (windows[1], 0.01, (0.0, 0.5))]
-    cfgs = [EnvConfig(w=4, l=3, phi=1.5, tc_rate=tc, cost_mode=cost_mode,
-                      use_sentiment=use_sentiment, diff_stats=stats)
-            for _, tc, stats in trials]
-    return [s for s, _, _ in trials], cfgs
+    return ([s for s, _, _ in trials], EnvConfig(w=4, l=3, phi=1.5, cost_mode=cost_mode),
+            [tc for _, tc, _ in trials], use_sentiment, [stats for *_, stats in trials])
 
 
 @pytest.mark.parametrize("cost_mode", ["proportional", "fixed-per-unit"])
 @pytest.mark.parametrize("use_sentiment", [True, False])
 @pytest.mark.parametrize("m", [1, 2, 5, "rest"])
 def test_block_step_equals_one_step_calls(m, cost_mode, use_sentiment):
-    series, cfgs = block_trials(cost_mode, use_sentiment)
-    block_env, step_env = TradingEnv(series, cfgs), TradingEnv(series, cfgs)
-    dim = cfgs[0].state_dim
+    trials = block_trials(cost_mode, use_sentiment)
+    block_env, step_env = TradingEnv(*trials), TradingEnv(*trials)
+    dim = block_env.dim
     block_obs, step_obs = block_env.reset(), step_env.reset()
     size = block_env.steps if m == "rest" else m
     rng = np.random.default_rng(4)
@@ -611,8 +597,7 @@ def test_block_step_equals_one_step_calls(m, cost_mode, use_sentiment):
 
 
 def test_block_step_rejects_bad_blocks_before_the_clock_moves():
-    series, cfgs = block_trials("proportional", True)
-    env = TradingEnv(series, cfgs)
+    env = TradingEnv(*block_trials("proportional", True))
     env.reset()
     env.step(np.full((3, 4), 2))
     before = (env.t, stack_cash(env).tolist(), env.rewards.tolist(),
@@ -627,7 +612,7 @@ def test_block_step_rejects_bad_blocks_before_the_clock_moves():
                 env.last_action.tolist()) == before
     for bad_rows in (0, left + 2):
         with pytest.raises(ValueError, match="out has shape"):
-            env.observe(np.empty((3, bad_rows, cfgs[0].state_dim)))
+            env.observe(np.empty((3, bad_rows, env.dim)))
     env.step(np.ones((3, left), dtype=int))  # exactly the rest of the episode
     assert env.done and env.rewards.shape == (3, env.steps)
 
@@ -649,14 +634,13 @@ def per_step_flush(env, policy, uniforms, obs):
 @pytest.mark.parametrize("seed", range(5))
 def test_rollout_table_matches_a_per_step_reference(seed, use_sentiment):
     series = random_walk_series(72, seed=5)
-    cfgs = [EnvConfig(w=4, l=3, tc_rate=tc, use_sentiment=use_sentiment)
-            for tc in (0.0, 0.0025, 0.01)]
+    trials = [series] * 3, EnvConfig(w=4, l=3), [0.0, 0.0025, 0.01], use_sentiment
     # nets after a few episodes of training, so the draws are not near uniform
-    agents = train(series, cfgs, [A2cConfig(episodes=3, hidden_sizes=(8, 6), lr_actor=0.05,
-                                            seed=seed * 3 + k) for k in range(3)])
+    agents = train(TradingEnv(*trials), A2cConfig(episodes=3, hidden_sizes=(8, 6), lr_actor=0.05),
+                   [seed * 3 + k for k in range(3)])
     policy = Mlp.stack([agent.policy_net for agent in agents])
-    table_env, step_env = TradingEnv(series, cfgs), TradingEnv(series, cfgs)
-    states = np.empty((3, 6, cfgs[0].state_dim))
+    table_env, step_env = TradingEnv(*trials), TradingEnv(*trials)
+    states = np.empty((3, 6, table_env.dim))
     table_env.reset()
     obs = step_env.reset()
     rngs = [np.random.default_rng(100 + seed * 3 + k) for k in range(3)]
@@ -699,8 +683,8 @@ def test_train_runs_one_policy_and_one_value_forward_per_flush(monkeypatch):
     monkeypatch.setattr(a2c, "forward", counting)
     assert not hasattr(a2c, "softmax_sample")
     cfg = EnvConfig(w=3, l=2)
-    train(series, [cfg] * 2, [A2cConfig(episodes=2, n_steps=5, seed=s, hidden_sizes=(5,))
-                              for s in (0, 1)])
+    train(TradingEnv([series] * 2, cfg, [0.0] * 2, True),
+          A2cConfig(episodes=2, n_steps=5, hidden_sizes=(5,)), [0, 1])
     assert calls == {3: 2 * 8, 1: 2 * 8}  # ceil(36 / 5) flushes per episode
     calls.update({1: 0, 3: 0})
     train_one(series, cfg, A2cConfig(episodes=1, n_steps=36, hidden_sizes=(5,)))

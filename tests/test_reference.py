@@ -10,8 +10,7 @@ import pytest
 from conftest import random_walk_series
 from reference import TrialEnv, baseline_policy, run_policy
 import sentarl
-from sentarl import a2c, data, env, evaluation, nn, sentiment
-from sentarl.a2c import A2cConfig
+from sentarl import a2c, config, data, env, evaluation, nn, sentiment
 from sentarl.env import CostMode, EnvConfig, TradingEnv
 from sentarl.evaluation import annualized_return, run_buy_and_hold, run_matrix
 from sentarl.sentiment import FillPolicy, Grouping
@@ -40,8 +39,6 @@ def test_the_library_keeps_one_path():
     assert [choice for choice in (CostMode, Grouping, FillPolicy)
             if hasattr(choice, "parse")] == []
     assert "artifacts" not in inspect.signature(run_matrix).parameters
-    with pytest.raises(ValueError, match="list"):
-        TradingEnv(random_walk_series(30), EnvConfig())
     # one form per layer: trials run only as chunks, nets take only row
     # batches, the env steps only action blocks and keeps no cash
     trial = inspect.signature(evaluation.run_agent_trial).parameters
@@ -55,16 +52,20 @@ def test_the_library_keeps_one_path():
     net = nn.Mlp.create((3, 2), np.random.default_rng(0))
     with pytest.raises(ValueError, match="shape"):
         nn.forward(net, np.zeros(3))
-    stack = TradingEnv(random_walk_series(30), [EnvConfig(w=3, l=2)] * 2)
+    stack = TradingEnv([random_walk_series(30)] * 2, EnvConfig(w=3, l=2), [0.0] * 2, True)
     stack.reset()
     with pytest.raises(ValueError, match="action"):
         stack.step([1, 1])
     stack.step([[1], [1]])
     assert not hasattr(stack, "cash")
-    for configs in ((EnvConfig(), A2cConfig()), (EnvConfig(), [A2cConfig()]),
-                    ([EnvConfig()], A2cConfig())):
-        with pytest.raises(ValueError, match=r"list.*\[env_config\], \[config\]"):
-            a2c.train(random_walk_series(30), *configs)
+    # configs hold only what the config file sets: the env and the learner
+    # take each trial's values as arguments, and no list of configs
+    assert list(inspect.signature(TradingEnv).parameters) == [
+        "series", "config", "tc_rates", "use_sentiment", "diff_stats"]
+    assert list(inspect.signature(a2c.train).parameters) == [
+        "env", "config", "seeds", "policy_net", "value_net"]
+    assert not hasattr(evaluation, "_trial_configs")
+    assert list(inspect.signature(config.load_config).parameters) == ["path"]
 
 
 @pytest.mark.parametrize("phi", [0.5, 1.0, 3.0])
@@ -72,9 +73,8 @@ def test_the_library_keeps_one_path():
 def test_closed_form_buy_and_hold_matches_the_reference_episode(base, vol, phi):
     for seed in range(20):
         series = random_walk_series(30 + seed, seed=seed, base=base, vol=vol)
-        cfg = EnvConfig(w=4, l=3, phi=phi, tc_rate=0.0025)
-        want = run_policy(TrialEnv(series, dataclasses.replace(cfg, tc_rate=0.0)),
-                          baseline_policy("buy-and-hold"))
+        cfg = EnvConfig(w=4, l=3, phi=phi)
+        want = run_policy(TrialEnv(series, cfg, 0.0), baseline_policy("buy-and-hold"))
         tr = want.total_return
         # repr compares bits and types (a numpy float would print differently)
         assert repr(run_buy_and_hold(series, cfg)) == repr(
