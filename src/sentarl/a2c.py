@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .env import EpisodeResult, TradingEnv, total_return
+from .env import TradingEnv, total_return
 from .files import write_csv
 from .nn import (ACTIVATIONS, ForwardCache, Gradients, Mlp, RmspropState, apply_update,
                  backward, forward, log_softmax, softmax, softmax_draw)
@@ -188,20 +188,17 @@ def actor_update(batch: Batch, policy_net: Mlp,
 _GREEDY_ORDER = np.array([1, 2, 0])
 
 
-def greedy_episodes(env: TradingEnv, policy: Mlp) -> list[EpisodeResult]:
+def greedy_episodes(env: TradingEnv, policy: Mlp) -> None:
     """Run a stacked env to its end, trial k acting greedily under net k of
-    the stack `policy`; ties break Neutral, then Long, then Short. Trial k's
-    result has the bits of its own stack of one, and of the per-step greedy
-    reference run in `tests/reference.py`. Each forward takes the trials'
-    observations as one-row batches, and each step is a (K, 1) block."""
-    obs = env.reset()
-    rows = obs[:, None]
+    the stack `policy`; ties break Neutral, then Long, then Short. The env's
+    record then holds each trial's episode, with the bits of its own stack
+    of one and of the per-step greedy reference run in `tests/reference.py`.
+    Each tick observes one row per trial, and steps a (K, 1) block."""
+    env.reset()
+    obs = np.empty((env.trials, 1, env.dim))
     for _ in range(env.steps):
-        probs = softmax(forward(policy, rows)[0])
-        env.step(_GREEDY_ORDER[np.argmax(probs[..., _GREEDY_ORDER], axis=-1)], out=obs)
-    return [EpisodeResult(env.rewards[k].tolist(), env.actions[k].tolist(),
-                          float(env.psi[k]), env.equity_curve(k))
-            for k in range(env.trials)]
+        probs = softmax(forward(policy, env.observe(obs))[0])
+        env.step(_GREEDY_ORDER[np.argmax(probs[..., _GREEDY_ORDER], axis=-1)])
 
 
 @dataclass

@@ -88,11 +88,22 @@ def _load_cache(config: RunConfig, name: str) -> data.AlignedSeries:
     return data.load_aligned(cache, asset=name)
 
 
+def _check_shift(series: data.AlignedSeries, shift: int, flag: str) -> None:
+    """Reject a pulse shift that leaves too short an overlap on `series`,
+    naming its flag."""
+    limit = sentiment.max_pulse_shift(series)
+    if abs(shift) > limit:
+        raise ConfigError(f"{flag}: {shift} is outside [-{limit}, {limit}], the shifts "
+                          f"the {len(series)} hourly points of {series.asset} allow")
+
+
 def cmd_corr_pulse(config: RunConfig, asset: str, min_shift: int,
                    max_shift: int) -> int:
     if min_shift > max_shift:
         raise ConfigError("--min-shift must not exceed --max-shift")
     series = _load_cache(config, asset)
+    for flag, shift in (("--min-shift", min_shift), ("--max-shift", max_shift)):
+        _check_shift(series, shift, flag)
     pulse = sentiment.series_pulse(series, shifts=range(min_shift, max_shift + 1))
     out = config.output_dir / "pulse" / f"{asset}.pulse.csv"
     sentiment.write_pulse_csv(pulse, out)
@@ -111,10 +122,9 @@ def cmd_train(config: RunConfig, asset: str, window: int, seed: int,
     if not 0 <= window < len(slices):
         raise ConfigError(f"--window must be in [0, {len(slices) - 1}]")
     key = evaluation.TrialKey(asset, window, seed, tc, strategy)
-    (agent,), (episode,) = evaluation.train_and_test([key], [slices[window]], config.env,
-                                                     config.agent)
-    result = evaluation.run_agent_trial(key, slices[window][1], agent, episode,
-                                        config.output_dir / "debug")
+    (agent,), test_env = evaluation.train_and_test([key], [slices[window]], config.env,
+                                                   config.agent)
+    result = evaluation.run_agent_trial(key, agent, test_env, 0, config.output_dir / "debug")
     ar = "undefined" if result.ar is None else f"{result.ar:.6f}"
     print(f"{asset} window={window} seed={seed} tc={tc} {strategy}: "
           f"tr={result.tr:.6f} ar={ar} trades={result.trade_count}")
@@ -193,6 +203,8 @@ def cmd_report(results_dir: Path, shift: int) -> int:
     results = evaluation.read_results_csv(results_path)
     caches = sorted((results_dir / data.CACHE_DIR).glob(f"*{data.CACHE_SUFFIX}"))
     series_by_asset = {series.asset: series for series in map(data.load_aligned, caches)}
+    for asset in sorted({r.asset for r in results} & series_by_asset.keys()):
+        _check_shift(series_by_asset[asset], shift, "--shift")  # its scatter column
     bundle = evaluation.report(results, series_by_asset or None,
                                out_dir=results_dir / "report",
                                scatter_shift=shift)

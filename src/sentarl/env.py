@@ -10,7 +10,7 @@ episode totals telescope to the classic per-instant return sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -70,25 +70,11 @@ def check_diff_stats(stats: Sequence[float] | None) -> tuple[float, float] | Non
 
 @dataclass
 class StepOutcome:
-    """One block's result; the reward and info values are (K, m): the trial
-    axis, then the block's step axis."""
+    """One block's result: its (K, m) rewards, the trial axis then the
+    block's step axis, and whether the episode ended."""
 
     reward: np.ndarray
-    next_state: np.ndarray | None
     done: bool
-    info: dict
-
-
-@dataclass
-class EquityPoint:
-    """One row of the exportable equity curve."""
-
-    t: int
-    timestamp: np.datetime64
-    action: int
-    reward: float
-    cost: float
-    cum_return: float
 
 
 def _rows(arrays: list[np.ndarray]) -> np.ndarray:
@@ -107,8 +93,9 @@ class TradingEnv:
     (K, m) block of action indices (0=Short, 1=Neutral, 2=Long), m ticks of
     every trial, and computes each trial's rewards and costs with the same
     arithmetic, so every trial gets the bits a stack of one would give it.
-    `psi`, `last_action` and the rewards carry the trial axis, and each
-    observation is one (K, d) array. The series must be of equal length;
+    `psi`, `last_action` and the episode record (`actions`, `rewards`,
+    `costs`) carry the trial axis, and `observe` writes the observations
+    as (K, r, d) blocks. The series must be of equal length;
     `diff_stats`, when given, holds each trial's optional (mean, std)
     scaling of its state diffs. A single trial is a stack of one;
     `tests/reference.py` holds its per-step reference.
@@ -164,16 +151,15 @@ class TradingEnv:
         self.last_action = np.zeros(self.trials, dtype=np.int64)
         self._done = False
         self._started = False
-        # Per-episode step records, preallocated by reset(); the equity curve
-        # is built from them only when equity_curve() is called.
+        # The episode record, preallocated by reset(): what TR, trade counts
+        # and equity files are read from.
         self._n = 0
         self._actions = np.empty((self.trials, 0), dtype=np.int64)
         self._rewards = np.empty((self.trials, 0))
         self._costs = np.empty((self.trials, 0))
 
-    def reset(self) -> np.ndarray:
-        """Rewind to t0 with a flat position; return the new (K, d)
-        observation."""
+    def reset(self) -> None:
+        """Rewind to t0 with a flat position and an empty episode record."""
         self.t = self.start_index
         self.last_action = np.zeros(self.trials, dtype=np.int64)
         self._done = False
@@ -182,16 +168,11 @@ class TradingEnv:
         self._actions = np.empty((self.trials, self.steps), dtype=np.int64)
         self._rewards = np.empty((self.trials, self.steps))
         self._costs = np.empty((self.trials, self.steps))
-        return self._observe(np.empty((self.trials, self.dim)))
 
     @property
     def steps(self) -> int:
         """Steps in one episode."""
         return self._end - self.start_index
-
-    def _observe(self, out: np.ndarray) -> np.ndarray:
-        self.observe(out[:, None])
-        return out
 
     def observe(self, out: np.ndarray) -> np.ndarray:
         """The observations of the next r clock ticks (t, t + 1, ...), each
@@ -223,18 +204,27 @@ class TradingEnv:
         """The current episode's action values so far, shaped like `rewards`."""
         return self._actions[:, :self._n]
 
+    @property
+    def costs(self) -> np.ndarray:
+        """The switching costs paid so far, shaped like `rewards`."""
+        return self._costs[:, :self._n]
+
+    @property
+    def trade_counts(self) -> np.ndarray:
+        """Each trial's position changes so far; every episode starts
+        Neutral."""
+        return np.count_nonzero(np.diff(self.actions, axis=1, prepend=0), axis=1)
+
     def unit_cost(self, price: np.ndarray) -> np.ndarray:
         if self._proportional:
             return self._tc * price
         return self._tc
 
-    def step(self, actions: np.ndarray, out: np.ndarray | None = None) -> StepOutcome:
+    def step(self, actions: np.ndarray) -> StepOutcome:
         """Trade at the clock price, realize the next price difference.
 
         Takes a (K, m) block of action indices that steps m ticks in one
-        pass, and writes the observation after its last step into `out`
-        when given; next_state is `out`, or None without it. A block is
-        checked whole before the clock moves.
+        pass. A block is checked whole before the clock moves.
         """
         if not self._started:
             raise RuntimeError("call reset() before step()")
@@ -247,8 +237,6 @@ class TradingEnv:
                 or np.abs(block).max() > 1):
             raise ValueError(f"need a ({self.trials}, m) block of action indices in 0..2 "
                              f"with 1 <= m <= {self._end - t}, got {block + 1}")
-        if out is not None and out.shape != (self.trials, self.dim):
-            raise ValueError(f"out has shape {out.shape}, want {(self.trials, self.dim)}")
         # diff is z_{t+1}: the step trades at price p_t and holds over z_{t+1}
         price, diff = self._prices[:, t:t + m], self._diffs[:, t:t + m]
         switch = block - np.concatenate([self.last_action[:, None], block[:, :-1]], axis=1)
@@ -263,31 +251,7 @@ class TradingEnv:
         self._rewards[:, n:n + m] = reward
         self._costs[:, n:n + m] = cost
         self._n = n + m
-        return StepOutcome(
-            reward=reward,
-            next_state=None if out is None else self._observe(out),
-            done=self._done,
-            info={"price": price, "diff": diff, "cost_paid": cost},
-        )
-
-    def equity_curve(self, trial: int) -> list[EquityPoint]:
-        """Trial index `trial`'s steps so far this episode, built at the
-        time of the call.
-
-        cum_return of step i is ``(fsum(rewards[:i]) + rewards[i]) / psi``,
-        so the export costs O(steps^2) additions; training never calls it.
-        """
-        if trial is None or not 0 <= trial < self.trials:
-            raise ValueError(f"equity_curve() takes a trial index in [0, {self.trials})")
-        series, psi = self.series[trial], float(self.psi[trial])
-        rewards = self._rewards[trial, :self._n].tolist()
-        costs = self._costs[trial, :self._n].tolist()
-        actions = self._actions[trial, :self._n].tolist()
-        t0 = self.start_index
-        return [EquityPoint(t=t0 + i, timestamp=series.timestamps[t0 + i],
-                            action=actions[i], reward=r, cost=costs[i],
-                            cum_return=(math.fsum(rewards[:i]) + r) / psi)
-                for i, r in enumerate(rewards)]
+        return StepOutcome(reward=reward, done=self._done)
 
 
 def total_return(rewards: Sequence[float], psi: float) -> float:
@@ -297,34 +261,18 @@ def total_return(rewards: Sequence[float], psi: float) -> float:
     return math.fsum(rewards) / psi
 
 
-@dataclass
-class EpisodeResult:
-    """Replay record of one full pass over a series."""
+def write_equity_csv(env: TradingEnv, trial: int, path: str | Path) -> None:
+    """Emit trial `trial`'s episode so far as ``t,timestamp,action,reward,
+    cost,cum_return`` rows, atomically.
 
-    rewards: list[float]
-    actions: list[int]
-    psi: float
-    equity: list[EquityPoint] = field(default_factory=list)
-
-    @property
-    def total_return(self) -> float:
-        return total_return(self.rewards, self.psi)
-
-    @property
-    def trade_count(self) -> int:
-        prev = 0  # every episode starts Neutral (action value 0)
-        count = 0
-        for a in self.actions:
-            if a != prev:
-                count += 1
-            prev = a
-        return count
-
-
-def write_equity_csv(equity: Sequence[EquityPoint], path: str | Path) -> None:
-    """Emit ``t,timestamp,action,reward,cost,cum_return`` rows atomically."""
+    cum_return of step i is ``(fsum(rewards[:i]) + rewards[i]) / psi``, so
+    a file costs O(steps^2) additions; training never writes one.
+    """
+    rewards, psi, t0 = env.rewards[trial].tolist(), float(env.psi[trial]), env.start_index
     stamps = np.datetime_as_string(
-        np.array([p.timestamp for p in equity], dtype="datetime64[s]"), unit="s")
+        env.series[trial].timestamps[t0:t0 + len(rewards)], unit="s")
     write_csv(path, ["t", "timestamp", "action", "reward", "cost", "cum_return"],
-              ([p.t, stamp + "Z", p.action, repr(p.reward), repr(p.cost),
-                repr(p.cum_return)] for p, stamp in zip(equity, stamps)))
+              ([t0 + i, stamp + "Z", action, repr(r), repr(cost),
+                repr((math.fsum(rewards[:i]) + r) / psi)]
+               for i, (stamp, action, r, cost) in enumerate(zip(
+                   stamps, env.actions[trial].tolist(), rewards, env.costs[trial].tolist()))))

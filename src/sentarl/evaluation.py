@@ -28,7 +28,7 @@ import numpy as np
 
 from .a2c import A2cConfig, TrainedAgent, greedy_episodes, train, write_training_log
 from .data import AlignedSeries, coverage
-from .env import EnvConfig, EpisodeResult, TradingEnv, total_return, write_equity_csv
+from .env import EnvConfig, TradingEnv, total_return, write_equity_csv
 from .errors import IngestError
 from .files import read_rows, write_csv
 from .nn import Mlp, save_model
@@ -211,9 +211,10 @@ def run_buy_and_hold(test_slice: AlignedSeries, env_config: EnvConfig) -> tuple[
 def train_and_test(keys: Sequence[TrialKey],
                    pairs: Sequence[tuple[AlignedSeries, AlignedSeries]],
                    env_config: EnvConfig, a2c_config: A2cConfig
-                   ) -> tuple[list[TrainedAgent], list[EpisodeResult]]:
+                   ) -> tuple[list[TrainedAgent], TradingEnv]:
     """Train the keys' trials in lockstep, then run their greedy test
-    episodes as one stack; `pairs` holds each key's (train, test) slices.
+    episodes as one stack, and return the agents and the test env, which
+    holds the episodes; `pairs` holds each key's (train, test) slices.
     The keys share a strategy, which sets the sentiment switch; each key's
     tc and seed are its trial's cost rate and seed.
 
@@ -231,7 +232,8 @@ def train_and_test(keys: Sequence[TrialKey],
         stage, redo = "stacked test episodes", "testing"
         test_env = TradingEnv([test_slice for _, test_slice in pairs], env_config,
                               tc_rates, sentiment)
-        return agents, greedy_episodes(test_env, Mlp.stack([a.policy_net for a in agents]))
+        greedy_episodes(test_env, Mlp.stack([a.policy_net for a in agents]))
+        return agents, test_env
     except Exception as exc:
         if len(keys) > 1:
             log.warning("%s of %d trial(s) failed (%s: %s); %s them one by one",
@@ -239,20 +241,21 @@ def train_and_test(keys: Sequence[TrialKey],
         raise
 
 
-def run_agent_trial(key: TrialKey, test_slice: AlignedSeries, agent: TrainedAgent,
-                    episode: EpisodeResult, artifacts_dir: Path) -> TrialResult:
-    """Write a trained and tested key's ARTIFACT_SUFFIXES files into
-    artifacts_dir and return its result row."""
-    tr = episode.total_return
+def run_agent_trial(key: TrialKey, agent: TrainedAgent, test_env: TradingEnv,
+                    trial: int, artifacts_dir: Path) -> TrialResult:
+    """Write a trained key's ARTIFACT_SUFFIXES files into artifacts_dir and
+    return its result row; its test episode is trial `trial` of test_env."""
+    tr = total_return(test_env.rewards[trial].tolist(), float(test_env.psi[trial]))
     stem = f"{key.asset}_w{key.window}_s{key.seed}_tc{float(key.tc)!r}_{key.strategy}"
     policy, value, train_log, equity = (artifacts_dir / f"{stem}{suffix}"
                                         for suffix in ARTIFACT_SUFFIXES)
     save_model(agent.policy_net, policy)
     save_model(agent.value_net, value)
     write_training_log(agent.log, train_log)
-    write_equity_csv(episode.equity, equity)
-    return TrialResult(*dataclasses.astuple(key), tr, _safe_ar(tr, test_slice.trading_days()),
-                       episode.trade_count)
+    write_equity_csv(test_env, trial, equity)
+    days = test_env.series[trial].trading_days()
+    return TrialResult(*dataclasses.astuple(key), tr, _safe_ar(tr, days),
+                       int(test_env.trade_counts[trial]))
 
 
 #: Most trials one lockstep task stacks. Training one 3,377-step episode
@@ -290,16 +293,16 @@ def _chunk_worker(keys: list[TrialKey],
     """
     pairs = [slices[k.asset, k.window] for k in keys]
     try:
-        agents, episodes = train_and_test(keys, pairs, env_cfg, a2c_cfg)
+        agents, test_env = train_and_test(keys, pairs, env_cfg, a2c_cfg)
     except Exception as exc:
         if len(keys) == 1:
             return [TrialFailure.of(keys[0], exc)]
         return [outcome for key in keys
                 for outcome in _chunk_worker([key], slices, env_cfg, a2c_cfg, artifacts_dir)]
     outcomes: list[TrialResult | TrialFailure] = []
-    for key, (_, test_slice), agent, episode in zip(keys, pairs, agents, episodes):
+    for trial, (key, agent) in enumerate(zip(keys, agents)):
         try:
-            outcomes.append(run_agent_trial(key, test_slice, agent, episode, artifacts_dir))
+            outcomes.append(run_agent_trial(key, agent, test_env, trial, artifacts_dir))
         except Exception as exc:  # per-trial isolation: the matrix continues
             outcomes.append(TrialFailure.of(key, exc))
     return outcomes

@@ -27,6 +27,8 @@ if TYPE_CHECKING:
 _WORD_RE = re.compile(r"[a-z']+")
 #: The correlation pulse's default shifts, -10 through +3.
 PULSE_SHIFTS = range(-10, 4)
+#: The fewest points a pulse shift's overlap may keep.
+MIN_PULSE_OVERLAP = 3
 
 
 class SentimentScorer(Protocol):
@@ -197,7 +199,7 @@ def correlation_pulse(
 
     Both inputs must be indexed by the same clock; shift 0 pairs equal
     indices, and negative shifts compare sentiment with earlier price
-    differences. Each overlap must keep at least 3 points.
+    differences. Each overlap must keep at least MIN_PULSE_OVERLAP points.
     """
     e = np.asarray(sentiment, dtype=np.float64)
     z = np.asarray(diffs, dtype=np.float64)
@@ -206,8 +208,9 @@ def correlation_pulse(
     for k in shift_list:
         lo = max(0, -k)
         hi = min(len(e) - 1, len(z) - 1 - k)
-        if hi - lo + 1 < 3:
-            raise ValueError(f"overlap for shift {k} has fewer than 3 points")
+        if hi - lo + 1 < MIN_PULSE_OVERLAP:
+            raise ValueError(f"overlap for shift {k} has fewer than "
+                             f"{MIN_PULSE_OVERLAP} points")
         correlations.append(pearson(e[lo:hi + 1], z[lo + k: hi + k + 1]))
     return CorrelationPulse(shift_list, correlations)
 
@@ -219,6 +222,12 @@ def series_pulse(series: "AlignedSeries", shifts: Sequence[int] = PULSE_SHIFTS) 
     onward and paired with the diff into the same grid row.
     """
     return correlation_pulse(series.sentiment[1:], series.diffs, shifts)
+
+
+def max_pulse_shift(series: "AlignedSeries") -> int:
+    """The largest |shift| series_pulse takes: shift k pairs T - 1 - |k|
+    points, and an overlap needs MIN_PULSE_OVERLAP."""
+    return len(series) - 1 - MIN_PULSE_OVERLAP
 
 
 def write_pulse_csv(pulse: CorrelationPulse, path: str | Path) -> None:

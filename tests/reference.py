@@ -26,9 +26,8 @@ import numpy as np
 from sentarl.a2c import A2cConfig, Batch, TrainedAgent, train
 from sentarl.data import (EPOCH, NEWS_HEADER, PRICE_HEADER, SECOND, AlignedSeries,
                           hour_fraction, parse_timestamp)
-from sentarl.files import read_rows
-from sentarl.env import (CostMode, EnvConfig, EpisodeResult, EquityPoint, StepOutcome,
-                         TradingEnv)
+from sentarl.files import read_rows, write_csv
+from sentarl.env import CostMode, EnvConfig, TradingEnv, total_return
 from sentarl.nn import (ForwardCache, Gradients, Mlp, _pack, backward, forward, log_softmax,
                         softmax, softmax_draw)
 from sentarl.sentiment import CorrelationPulse, FillPolicy, Grouping
@@ -84,6 +83,39 @@ class MarketState:
     @property
     def dimension(self) -> int:
         return len(self._vector)
+
+
+@dataclass
+class StepOutcome:
+    """One TrialEnv step: the reward as a float, the next observation, and
+    the step's price, price difference and cost paid in `info`."""
+
+    reward: float
+    next_state: MarketState
+    done: bool
+    info: dict
+
+
+@dataclass
+class EquityPoint:
+    """One row of an equity file, as one object per step."""
+
+    t: int
+    timestamp: np.datetime64
+    action: int
+    reward: float
+    cost: float
+    cum_return: float
+
+
+def write_equity_points(equity: Sequence[EquityPoint], path: str | Path) -> None:
+    """The equity file of a list of points: the per-row form of
+    `sentarl.env.write_equity_csv`."""
+    stamps = np.datetime_as_string(
+        np.array([p.timestamp for p in equity], dtype="datetime64[s]"), unit="s")
+    write_csv(path, ["t", "timestamp", "action", "reward", "cost", "cum_return"],
+              ([p.t, stamp + "Z", p.action, repr(p.reward), repr(p.cost),
+                repr(p.cum_return)] for p, stamp in zip(equity, stamps)))
 
 
 class TrialEnv:
@@ -194,11 +226,9 @@ class TrialEnv:
         return StepOutcome(reward=reward, next_state=self._observe(), done=self._done,
                            info={"price": price, "diff": diff, "cost_paid": cost})
 
-    def equity_curve(self, trial: int | None = None) -> list[EquityPoint]:
+    def equity_curve(self) -> list[EquityPoint]:
         """The episode's steps so far; cum_return of step i is
         ``(fsum(rewards[:i]) + rewards[i]) / psi``."""
-        if trial is not None:
-            raise ValueError("equity_curve() takes a trial index on a stack only")
         rewards, costs = self.rewards.tolist(), self._costs[:self._n].tolist()
         actions = self.actions.tolist()
         t0 = self.start_index
@@ -208,14 +238,18 @@ class TrialEnv:
                 for i, r in enumerate(rewards)]
 
 
-def step_one(env: TradingEnv, actions: Sequence[int] | np.ndarray,
-             out: np.ndarray | None = None) -> StepOutcome:
+def step_one(env: TradingEnv, actions: Sequence[int] | np.ndarray):
     """One tick of a TradingEnv stack: the (K, 1) block of the K action
     indices, with the block's step axis dropped from the outcome."""
-    outcome = env.step(np.asarray(actions)[:, None], out=out)
+    outcome = env.step(np.asarray(actions)[:, None])
     outcome.reward = outcome.reward[:, 0]
-    outcome.info = {name: value[:, 0] for name, value in outcome.info.items()}
     return outcome
+
+
+def observe_row(env: TradingEnv) -> np.ndarray:
+    """A TradingEnv stack's observation at its clock, one (K, d) row per
+    trial, read through `observe`."""
+    return env.observe(np.empty((env.trials, 1, env.dim)))[:, 0]
 
 
 def stack_cash(env: TradingEnv) -> np.ndarray:
@@ -232,7 +266,7 @@ def stack_cash(env: TradingEnv) -> np.ndarray:
     n = actions.shape[1]
     prices = env._prices[:, env.start_index:env.start_index + n]
     switch = np.diff(actions, axis=1, prepend=0)  # every episode starts Neutral
-    flow = switch * env._phi * prices + env._costs[:, :n]
+    flow = switch * env._phi * prices + env.costs
     cash = env.psi.copy()
     for j in range(n):
         cash -= flow[:, j]
@@ -269,12 +303,33 @@ def episode_return(rewards: Sequence[float]) -> float:
     return math.fsum(rewards)
 
 
-class ReplayResult(EpisodeResult):
-    """An EpisodeResult that also sums its rewards, unscaled by psi."""
+@dataclass
+class ReplayResult:
+    """Replay record of one full pass over a series: a trial's episode as
+    lists, with one EquityPoint per step."""
+
+    rewards: list[float]
+    actions: list[int]
+    psi: float
+    equity: list[EquityPoint] = field(default_factory=list)
+
+    @property
+    def total_return(self) -> float:
+        return total_return(self.rewards, self.psi)
 
     @property
     def total_reward(self) -> float:
         return episode_return(self.rewards)
+
+    @property
+    def trade_count(self) -> int:
+        prev = 0  # every episode starts Neutral (action value 0)
+        count = 0
+        for a in self.actions:
+            if a != prev:
+                count += 1
+            prev = a
+        return count
 
 
 def run_policy(env: TrialEnv, policy: Policy) -> ReplayResult:

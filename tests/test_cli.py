@@ -326,6 +326,31 @@ def test_corr_pulse_shift_order_and_missing_cache(tmp_path, capsys):
     assert "run `sentarl ingest` first" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("corr-pulse", "--min-shift", "-5000"), ("corr-pulse", "--max-shift", "5000"),
+    ("corr-pulse", "--min-shift", "-57"), ("report", "--shift", "5000"),
+    ("report", "--shift", "-57")])
+def test_an_out_of_range_shift_names_its_flag_before_writing(tmp_path, capsys, command,
+                                                             flag, value):
+    cfg = make_workspace(tmp_path)  # 60 hourly points: shifts -56 .. 56 keep 3 pairs
+    main(["ingest", "--config", str(cfg)])
+    out = tmp_path / "out"
+    if command == "report":
+        assert main(["run", "--config", str(cfg)]) == 0
+        args = ["report", "--results", str(out)]
+    else:
+        args = ["corr-pulse", "--config", str(cfg), "--asset", "AAA"]
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main([*args, flag, value]) == 2
+    assert f"config error: {flag}: {value} is outside [-56, 56]" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    # the widest shifts the series allows still run
+    widest = ["--shift", "-56"] if command == "report" else ["--min-shift", "-56",
+                                                              "--max-shift", "56"]
+    assert main([*args, *widest]) == 0
+
+
 def test_train_command(tmp_path, capsys):
     cfg = make_workspace(tmp_path)
     main(["ingest", "--config", str(cfg)])

@@ -1,5 +1,6 @@
 """Trading MDP: state assembly, reward timing, costs, wealth accounting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -233,8 +234,12 @@ def test_equity_csv_export(tmp_path):
     series = random_walk_series(25, seed=16)
     env = TradingEnv(series, EnvConfig(w=3, l=2), 0.001)
     result = run_policy(env, baseline_policy("random", seed=1))
+    # the same actions through a stack of one, whose arrays the file is written from
+    stack = StackEnv([series], EnvConfig(w=3, l=2), [0.001], True)
+    stack.reset()
+    stack.step(np.array([result.actions]) + 1)
     path = tmp_path / "equity.csv"
-    write_equity_csv(result.equity, path)
+    write_equity_csv(stack, 0, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,timestamp,action,reward,cost,cum_return"
     assert len(lines) == 1 + len(result.rewards)
@@ -245,7 +250,6 @@ def test_equity_csv_export(tmp_path):
 
 @pytest.mark.parametrize("unit", ["s", "ms", "ns"])
 def test_equity_csv_timestamps_match_the_per_row_conversion(tmp_path, unit):
-    from sentarl.env import EquityPoint
     # whole seconds, then fractional ones (truncated to the second), before
     # and after the epoch
     stamps = [np.datetime64("2021-01-04T00:00:00", unit) + np.timedelta64(i, "h")
@@ -253,16 +257,21 @@ def test_equity_csv_timestamps_match_the_per_row_conversion(tmp_path, unit):
     if unit != "s":
         stamps += [np.datetime64("2021-01-04T10:11:12.999", unit),
                    np.datetime64("1969-12-31T23:59:59.5", unit)]
-    curve = [EquityPoint(i, ts, (-1, 0, 1)[i % 3], 0.1 * i, 0.003 * i, -0.02 * i)
-             for i, ts in enumerate(stamps)]
+    # w=1, l=0: the episode's rows are grid points 1 .. n, one per stamp
+    n = len(stamps)
+    series = build_series(np.linspace(100.0, 101.0, n + 2))
+    series = dataclasses.replace(series, timestamps=np.array(
+        [np.datetime64("1960-01-01", unit), *stamps, np.datetime64("2030-01-01", unit)]))
+    env = StackEnv([series], EnvConfig(w=1, l=0), [0.0], False)
+    env.reset()
     path = tmp_path / "equity.csv"
-    write_equity_csv(curve, path)
-    rows = ["t,timestamp,action,reward,cost,cum_return"] + [
-        f"{p.t},{np.datetime_as_string(p.timestamp, unit='s')}Z,{p.action},"
-        f"{p.reward!r},{p.cost!r},{p.cum_return!r}" for p in curve]
-    assert path.read_bytes() == "".join(r + "\r\n" for r in rows).encode()
-    write_equity_csv([], path)
+    write_equity_csv(env, 0, path)
     assert path.read_bytes() == b"t,timestamp,action,reward,cost,cum_return\r\n"
+    env.step(np.array([[2, 1, 0, 2, 1][:n]]))
+    write_equity_csv(env, 0, path)
+    cells = [line.split(",")[:2] for line in path.read_text().splitlines()[1:]]
+    assert cells == [[str(1 + i), f"{np.datetime_as_string(ts, unit='s')}Z"]
+                     for i, ts in enumerate(stamps)]
 
 
 def test_equity_curve_built_at_export():

@@ -16,7 +16,7 @@ import sentarl
 from sentarl import config, evaluation, nn
 from sentarl.a2c import A2cConfig, EpisodeLog, write_training_log
 from sentarl.data import save_aligned
-from sentarl.env import EnvConfig, EquityPoint, write_equity_csv
+from sentarl.env import EnvConfig, TradingEnv, write_equity_csv
 from sentarl.sentiment import CorrelationPulse, write_pulse_csv
 from sentarl.nn import Mlp, load_model, save_model
 from sentarl.errors import IngestError
@@ -483,13 +483,16 @@ def test_training_log_write_that_raises_midway_keeps_the_old_bytes(tmp_path):
 
 
 def test_equity_write_that_raises_midway_keeps_the_old_bytes(tmp_path):
-    stamp = np.datetime64("2021-01-04T00:00:00", "s")
-    curve = [EquityPoint(t, stamp + t * 3600, 1, 0.5 * t, 0.0, 0.01 * t) for t in range(3)]
-    write_equity_csv(curve, tmp_path / "k.equity.csv")
+    env = TradingEnv([random_walk_series(8, seed=3)], EnvConfig(w=2, l=1), [0.0], True)
+    env.reset()
+    env.step([[2, 2, 0]])
+    write_equity_csv(env, 0, tmp_path / "k.equity.csv")
     old = (tmp_path / "k.equity.csv").read_bytes()
-    curve[2] = EquityPoint(Unprintable(), stamp, 1, 0.0, 0.0, 0.0)
+    # the third row's action cell cannot be written
+    env._actions = env._actions.astype(object)
+    env._actions[0, 2] = Unprintable()
     with pytest.raises(RuntimeError, match="midway"):
-        write_equity_csv(curve, tmp_path / "k.equity.csv")
+        write_equity_csv(env, 0, tmp_path / "k.equity.csv")
     assert_untouched(tmp_path, "k.equity.csv", old)
 
 

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import random_walk_series, rel_err
-from reference import (Action, TrialEnv, action_from_index, backward_any, forward_row,
-                       gradients_of, greedy_policy, run_policy, softmax_sample, stack_cash,
-                       stack_wealth, step_one, train_one)
+from reference import (ReplayResult, TrialEnv, action_from_index, backward_any, forward_row,
+                       gradients_of, greedy_policy, observe_row, run_policy, softmax_sample,
+                       stack_cash, stack_wealth, step_one, train_one, write_equity_points)
 from sentarl import a2c, evaluation
 from sentarl.a2c import A2cConfig, greedy_episodes, train
-from sentarl.env import EnvConfig, TradingEnv
+from sentarl.env import EnvConfig, TradingEnv, total_return, write_equity_csv
 from sentarl.errors import NonFiniteGradientError
 from sentarl.evaluation import TrialKey, WindowSpec, result_row, run_matrix
 from sentarl.nn import (ACTIVATIONS, Gradients, Mlp, RmspropState, apply_update, forward,
@@ -321,7 +321,8 @@ def test_env_stack_matches_single_envs(cost_mode, use_sentiment):
     singles = [TrialEnv(s, cfg, tc, use_sentiment, stats) for s, tc, stats in trials]
     assert stack.trials == 4 and stack.steps == singles[0].steps
     assert stack.psi.tolist() == [e.psi for e in singles]
-    buf = stack.reset()
+    assert stack.reset() is None
+    buf = observe_row(stack)
     assert np.array_equal(buf, [e.reset().to_vector() for e in singles])
     # each trial's price-diff window is its own series, scaled by its own stats
     t0, col = stack.start_index, 3 if use_sentiment else 0
@@ -332,12 +333,11 @@ def test_env_stack_matches_single_envs(cost_mode, use_sentiment):
     rng = np.random.default_rng(3)
     while not stack.done:
         index = rng.integers(0, 3, size=4)
-        out = step_one(stack, index, out=buf)
+        out = step_one(stack, index)
         outs = [e.step(action_from_index(i)) for e, i in zip(singles, index)]
-        assert out.next_state is buf
-        assert np.array_equal(buf, [o.next_state.to_vector() for o in outs])
+        assert np.array_equal(observe_row(stack), [o.next_state.to_vector() for o in outs])
         assert out.reward.tolist() == [o.reward for o in outs]
-        assert out.info["cost_paid"].tolist() == [o.info["cost_paid"] for o in outs]
+        assert stack.costs[:, -1].tolist() == [o.info["cost_paid"] for o in outs]
         assert [out.done] * 4 == [o.done for o in outs]
         assert stack_cash(stack).tolist() == [e.cash for e in singles]
         assert stack_wealth(stack).tolist() == [e.wealth for e in singles]
@@ -348,10 +348,10 @@ def test_env_stack_matches_single_envs(cost_mode, use_sentiment):
         # double-entry wealth equals psi plus the summed rewards, per trial
         assert stack_wealth(stack)[k] == pytest.approx(
             stack.psi[k] + math.fsum(stack.rewards[k]), rel=1e-9)
-    # each reset returns a new observation array
-    first = stack.reset()
-    assert first is not buf
-    assert np.array_equal(first, [e.reset().to_vector() for e in singles])
+    # a reset rewinds the clock, the position and the episode record
+    stack.reset()
+    assert np.array_equal(observe_row(stack), [e.reset().to_vector() for e in singles])
+    assert stack.rewards.shape == stack.costs.shape == (4, 0)
 
 
 # ------------------------------------------------ stacked greedy test episodes
@@ -368,7 +368,7 @@ def tie_net(dim, biases):
 
 @pytest.mark.parametrize("cost_mode", ["proportional", "fixed-per-unit"])
 @pytest.mark.parametrize("use_sentiment", [True, False])
-def test_greedy_episodes_match_single_greedy_runs(cost_mode, use_sentiment):
+def test_greedy_episodes_match_single_greedy_runs(cost_mode, use_sentiment, tmp_path):
     series = random_walk_series(120, seed=23)
     windows = [series.slice(0, 40), series.slice(40, 80), series.slice(80, 120)]
     trials = [(windows[0], 0.0), (windows[1], 0.0025), (windows[2], 0.01),
@@ -379,36 +379,63 @@ def test_greedy_episodes_match_single_greedy_runs(cost_mode, use_sentiment):
     # all three tied: Neutral wins; Long and Short tied above Neutral: Long wins
     nets += [tie_net(dim, [0.0, 0.0, 0.0]), tie_net(dim, [1.0, 0.0, 1.0])]
     env = TradingEnv([s for s, _ in trials], cfg, [tc for _, tc in trials], use_sentiment)
-    got = greedy_episodes(env, Mlp.stack(nets))
-    assert len(got) == len(trials)
-    for (s, tc), net, episode in zip(trials, nets, got):
+    assert greedy_episodes(env, Mlp.stack(nets)) is None
+    assert env.done and env.rewards.shape == (len(trials), env.steps)
+    for k, ((s, tc), net) in enumerate(zip(trials, nets)):
         want = run_policy(TrialEnv(s, cfg, tc, use_sentiment), greedy_policy(net))
+        rewards = env.rewards[k].tolist()
         # repr compares bits and types (a numpy float would print differently)
-        assert repr(episode.rewards) == repr(want.rewards)
-        assert episode.actions == want.actions
-        assert repr(episode.psi) == repr(want.psi)
-        assert episode.trade_count == want.trade_count
-        assert repr(episode.total_return) == repr(want.total_return)
-        assert repr(episode.equity) == repr(want.equity)
-    assert set(got[4].actions) == {0} and got[4].trade_count == 0
-    assert set(got[5].actions) == {1} and got[5].trade_count == 1
+        assert repr(rewards) == repr(want.rewards)
+        assert env.actions[k].tolist() == want.actions
+        assert env.trade_counts[k] == want.trade_count
+        assert repr(total_return(rewards, float(env.psi[k]))) == repr(want.total_return)
+        write_equity_csv(env, k, tmp_path / "stack.csv")
+        write_equity_points(want.equity, tmp_path / "single.csv")
+        assert (tmp_path / "stack.csv").read_bytes() == (tmp_path / "single.csv").read_bytes()
+    assert set(env.actions[4].tolist()) == {0} and env.trade_counts[4] == 0
+    assert set(env.actions[5].tolist()) == {1} and env.trade_counts[5] == 1
     # the random nets do not all hold one position
-    assert len({a for episode in got[:4] for a in episode.actions}) > 1
+    assert len(np.unique(env.actions[:4])) > 1
 
 
-def test_equity_curve_takes_a_trial_index_on_a_stack_only():
-    series = random_walk_series(40, seed=5)
-    cfg = EnvConfig(w=3, l=2)
-    stack, single = TradingEnv([series] * 2, cfg, [0.0] * 2, True), TrialEnv(series, cfg)
+@pytest.mark.parametrize("cost_mode", ["proportional", "fixed-per-unit"])
+@pytest.mark.parametrize("use_sentiment", [True, False])
+def test_equity_files_of_a_stack_match_the_reference_writer(cost_mode, use_sentiment,
+                                                            tmp_path):
+    """Each trial's equity file, written from the stack's arrays, has the
+    bytes of its per-step reference episode written one EquityPoint a row,
+    mid-episode and at the end."""
+    series = random_walk_series(90, seed=31)
+    windows = [series.slice(0, 45), series.slice(45, 90)]
+    trials = [(windows[0], 0.0), (windows[1], 0.0025), (windows[0], 0.01), (windows[1], 0.0)]
+    cfg = EnvConfig(w=4, l=3, phi=1.5, cost_mode=cost_mode)
+    stack = TradingEnv([s for s, _ in trials], cfg, [tc for _, tc in trials], use_sentiment)
+    singles = [TrialEnv(s, cfg, tc, use_sentiment) for s, tc in trials]
     stack.reset()
-    single.reset()
-    step_one(stack, [2, 0])
-    single.step(Action.LONG)
-    assert stack.actions.tolist() == [[1], [-1]] and single.actions.tolist() == [1]
-    assert repr(stack.equity_curve(0)) == repr(single.equity_curve())
-    for env, bad in ((stack, None), (single, 0)):
-        with pytest.raises(ValueError, match="trial index"):
-            env.equity_curve(bad)
+    for env in singles:
+        env.reset()
+    rng = np.random.default_rng(8)
+
+    def assert_files_match():
+        for k, env in enumerate(singles):
+            write_equity_csv(stack, k, tmp_path / "stack.csv")
+            write_equity_points(env.equity_curve(), tmp_path / "single.csv")
+            assert ((tmp_path / "stack.csv").read_bytes()
+                    == (tmp_path / "single.csv").read_bytes()), k
+
+    assert_files_match()  # the header alone
+    while not stack.done:
+        index = rng.integers(0, 3, size=len(trials))
+        step_one(stack, index)
+        for env, i in zip(singles, index):
+            env.step(action_from_index(i))
+        if stack.t - stack.start_index == 7:
+            assert_files_match()
+    assert_files_match()
+    # the trade counts are the reference's position changes, counted a step at a time
+    assert stack.trade_counts.tolist() == [
+        ReplayResult(env.rewards.tolist(), env.actions.tolist(), env.psi).trade_count
+        for env in singles]
 
 
 def test_stacked_test_fault_falls_back_to_single_tests(tmp_path, monkeypatch, caplog):
@@ -454,8 +481,6 @@ def test_env_stack_rejects_trials_that_cannot_share_a_clock():
     for bad in ([1], [1, 1, 1], [0, 3], [-1, 1]):
         with pytest.raises(ValueError, match="action"):
             step_one(stack, bad)
-    with pytest.raises(ValueError, match="out"):
-        step_one(stack, [1, 1], out=np.empty((2, base.state_dim(True) + 1)))
     assert stack.t == stack.start_index  # rejected steps leave the clock alone
     while not stack.done:
         step_one(stack, [2, 0])
@@ -565,7 +590,8 @@ def test_block_step_equals_one_step_calls(m, cost_mode, use_sentiment):
     trials = block_trials(cost_mode, use_sentiment)
     block_env, step_env = TradingEnv(*trials), TradingEnv(*trials)
     dim = block_env.dim
-    block_obs, step_obs = block_env.reset(), step_env.reset()
+    block_env.reset()
+    step_env.reset()
     size = block_env.steps if m == "rest" else m
     rng = np.random.default_rng(4)
     while not block_env.done:
@@ -573,18 +599,17 @@ def test_block_step_equals_one_step_calls(m, cost_mode, use_sentiment):
         block = rng.integers(0, 3, size=(3, n))
         # the flush's rows: ticks t .. t + n, with the last action before the block
         rows = block_env.observe(np.empty((3, n + 1, dim)))
-        out = block_env.step(block, out=block_obs)
+        out = block_env.step(block)
         outs = []
         for j in range(n):
-            assert np.array_equal(rows[:, j, :-1], step_obs[:, :-1])
-            outs.append(step_one(step_env, block[:, j], out=step_obs))
-        assert np.array_equal(rows[:, n, :-1], step_obs[:, :-1])
-        assert out.next_state is block_obs and np.array_equal(block_obs, step_obs)
+            assert np.array_equal(rows[:, j, :-1], observe_row(step_env)[:, :-1])
+            outs.append(step_one(step_env, block[:, j]))
+        assert np.array_equal(rows[:, n, :-1], observe_row(step_env)[:, :-1])
+        assert np.array_equal(observe_row(block_env), observe_row(step_env))
         assert out.reward.shape == (3, n) and out.done == outs[-1].done
         for j, o in enumerate(outs):
             assert out.reward[:, j].tolist() == o.reward.tolist()
-            assert out.info["cost_paid"][:, j].tolist() == o.info["cost_paid"].tolist()
-            assert out.info["price"][:, j].tolist() == o.info["price"].tolist()
+        assert block_env.costs[:, -n:].tolist() == step_env.costs[:, -n:].tolist()
         assert stack_cash(block_env).tolist() == stack_cash(step_env).tolist()
         assert stack_wealth(block_env).tolist() == stack_wealth(step_env).tolist()
         assert block_env.last_action.tolist() == step_env.last_action.tolist()
@@ -592,8 +617,7 @@ def test_block_step_equals_one_step_calls(m, cost_mode, use_sentiment):
     assert step_env.done
     assert block_env.rewards.tolist() == step_env.rewards.tolist()
     assert block_env.actions.tolist() == step_env.actions.tolist()
-    for k in range(3):
-        assert repr(block_env.equity_curve(k)) == repr(step_env.equity_curve(k))
+    assert block_env.costs.tolist() == step_env.costs.tolist()
 
 
 def test_block_step_rejects_bad_blocks_before_the_clock_moves():
@@ -617,14 +641,14 @@ def test_block_step_rejects_bad_blocks_before_the_clock_moves():
     assert env.done and env.rewards.shape == (3, env.steps)
 
 
-def per_step_flush(env, policy, uniforms, obs):
+def per_step_flush(env, policy, uniforms):
     """One flush the per-step way: a forward on the real state, then
     softmax_sample with the same uniform, then a one-step env.step."""
     logits, log_probs, probs, actions = [], [], [], []
     for u in uniforms.T:
-        out, _ = forward_row(policy, obs)
+        out, _ = forward_row(policy, observe_row(env))
         index, log_prob, p = softmax_sample(out, u)
-        step_one(env, index, out=obs)
+        step_one(env, index)
         for seq, value in zip((logits, log_probs, probs, actions), (out, log_prob, p, index)):
             seq.append(value)
     return [np.stack(seq, axis=1) for seq in (logits, log_probs, probs, actions)]
@@ -642,15 +666,15 @@ def test_rollout_table_matches_a_per_step_reference(seed, use_sentiment):
     table_env, step_env = TradingEnv(*trials), TradingEnv(*trials)
     states = np.empty((3, 6, table_env.dim))
     table_env.reset()
-    obs = step_env.reset()
+    step_env.reset()
     rngs = [np.random.default_rng(100 + seed * 3 + k) for k in range(3)]
     flips = 0
     for t in range(0, table_env.steps, 5):
         uniforms = np.stack([g.random(min(5, table_env.steps - t)) for g in rngs])
         m = uniforms.shape[1]
-        first = obs.copy()
+        first = observe_row(step_env)
         batch, probs = a2c._rollout(table_env, policy, uniforms, states)
-        logits, log_probs, step_probs, actions = per_step_flush(step_env, policy, uniforms, obs)
+        logits, log_probs, step_probs, actions = per_step_flush(step_env, policy, uniforms)
         flips += int(np.count_nonzero(batch.actions != actions))
         taken_log_probs = np.take_along_axis(log_softmax(batch.policy_forward[0]),
                                              batch.actions[..., None], axis=-1)[..., 0]
@@ -659,7 +683,7 @@ def test_rollout_table_matches_a_per_step_reference(seed, use_sentiment):
         assert np.array_equal(softmax(batch.policy_forward[0]), probs)
         # the observations, rewards and dones are the per-step ones, bit for bit
         assert np.array_equal(batch.states[:, 0], first)
-        assert np.array_equal(batch.states[:, m], obs)
+        assert np.array_equal(batch.states[:, m], observe_row(step_env))
         assert batch.rewards.tolist() == step_env.rewards[:, t:t + m].tolist()
         assert batch.dones.tolist() == [False] * (m - 1) + [step_env.done]
         # the actor's cache rows are the taken states' forward

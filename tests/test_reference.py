@@ -20,7 +20,7 @@ MOVED = ("MarketState", "TrialEnv", "Policy", "baseline_policy", "run_policy",
          "advantage", "act_sample", "act_greedy", "greedy_policy", "softmax_sample",
          "sentiment_window", "ACTIONS", "episode_return", "PriceRecord", "HeadlineRecord",
          "truncate_to_hour", "epoch_seconds", "hour_stamp", "group_hourly", "fill_gaps",
-         "compute_diffs", "Action")
+         "compute_diffs", "Action", "EquityPoint", "EpisodeResult", "ReplayResult")
 
 
 def test_the_library_keeps_one_path():
@@ -35,7 +35,6 @@ def test_the_library_keeps_one_path():
     assert [name for name, value in vars(sentarl).items()
             if not name.startswith("_") and not inspect.ismodule(value)] == []
     assert isinstance(sentarl.__version__, str)
-    assert not hasattr(env.EpisodeResult, "total_reward")
     assert [choice for choice in (CostMode, Grouping, FillPolicy)
             if hasattr(choice, "parse")] == []
     assert "artifacts" not in inspect.signature(run_matrix).parameters
@@ -66,6 +65,15 @@ def test_the_library_keeps_one_path():
         "env", "config", "seeds", "policy_net", "value_net"]
     assert not hasattr(evaluation, "_trial_configs")
     assert list(inspect.signature(config.load_config).parameters) == ["path"]
+    # the env's arrays are the episode record, and observe its one observation writer
+    assert [name for name in ("equity_curve", "_observe") if hasattr(TradingEnv, name)] == []
+    assert list(inspect.signature(TradingEnv.step).parameters) == ["self", "actions"]
+    assert [f.name for f in dataclasses.fields(env.StepOutcome)] == ["reward", "done"]
+    assert stack.reset() is None
+    assert list(inspect.signature(env.write_equity_csv).parameters) == [
+        "env", "trial", "path"]
+    assert list(inspect.signature(evaluation.run_agent_trial).parameters) == [
+        "key", "agent", "test_env", "trial", "artifacts_dir"]
 
 
 @pytest.mark.parametrize("phi", [0.5, 1.0, 3.0])

@@ -19,7 +19,7 @@ from sentarl.errors import IngestError
 from sentarl.sentiment import (CorrelationPulse, FillPolicy, Grouping,
                                LexiconScorer, bundled_lexicon,
                                correlation_pulse, group_by_hour,
-                               lexicon_score, load_lexicon,
+                               lexicon_score, load_lexicon, max_pulse_shift,
                                pearson, score_headlines, series_pulse,
                                write_pulse_csv)
 
@@ -230,6 +230,15 @@ def test_correlation_pulse_does_not_depend_on_the_blas_thread_count():
 def test_correlation_pulse_short_overlap_rejected():
     with pytest.raises(ValueError):
         correlation_pulse(np.arange(4.0), np.arange(4.0), shifts=[3])
+
+
+def test_max_pulse_shift_is_the_widest_shift_series_pulse_takes():
+    series = random_walk_series(30, seed=3)
+    limit = max_pulse_shift(series)
+    assert len(series_pulse(series, shifts=[-limit, limit]).shifts) == 2
+    for shift in (-limit - 1, limit + 1):
+        with pytest.raises(ValueError, match="fewer than"):
+            series_pulse(series, shifts=[shift])
 
 
 def test_series_pulse_handles_grid_offset():
