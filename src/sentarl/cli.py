@@ -20,9 +20,8 @@ import sys
 from pathlib import Path
 
 from . import data, evaluation, sentiment
-from .config import (RESUMABLE_KEYS, RunConfig, _integer, _number, echo_config,
-                     echo_differences, load_config)
-from .errors import ConfigError, IngestError, SentarlError
+from .config import RESUMABLE_KEYS, RunConfig, echo_config, echo_differences, load_config
+from .errors import ConfigError, IngestError, SentarlError, _integer, _number
 from .files import run_lock
 
 log = logging.getLogger("sentarl")
@@ -201,10 +200,16 @@ def cmd_report(results_dir: Path, shift: int) -> int:
     if not results_path.exists():
         raise IngestError(f"no results file at {results_path}")
     results = evaluation.read_results_csv(results_path)
-    caches = sorted((results_dir / data.CACHE_DIR).glob(f"*{data.CACHE_SUFFIX}"))
-    series_by_asset = {series.asset: series for series in map(data.load_aligned, caches)}
-    for asset in sorted({r.asset for r in results} & series_by_asset.keys()):
-        _check_shift(series_by_asset[asset], shift, "--shift")  # its scatter column
+    caches_dir = results_dir / data.CACHE_DIR
+    # only the caches of the results' assets, and only under caches/ (the names come
+    # from the file); an asset without one has no scatter row
+    caches = {asset: caches_dir / f"{asset}{data.CACHE_SUFFIX}"
+              for asset in sorted({r.asset for r in results})}
+    series_by_asset = {asset: data.load_aligned(path, asset=asset)
+                       for asset, path in caches.items()
+                       if path.parent == caches_dir and path.is_file()}
+    for series in series_by_asset.values():
+        _check_shift(series, shift, "--shift")  # its scatter column
     bundle = evaluation.report(results, series_by_asset or None,
                                out_dir=results_dir / "report",
                                scatter_shift=shift)

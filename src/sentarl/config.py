@@ -3,17 +3,19 @@
 One JSON file describes a whole experiment: asset data paths, sentiment
 scoring choices, environment and agent hyperparameters, the seed list, the
 rolling-window shape, and output placement. Parsing is strict: unknown keys
-are rejected with their location, and every numeric field is range-checked
-here so later stages can assume a valid config.
+are rejected with their location, and every value is checked so later
+stages can assume a valid config. The `env`, `agent` and `windows` sections
+are the dataclasses EnvConfig, A2cConfig and WindowSpec: their fields are
+the section's keys, and each checks its own values under the dotted key.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
 import os
 import re
-import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -21,7 +23,7 @@ from pathlib import Path
 from .a2c import A2cConfig
 from .data import CACHE_DIR, CACHE_SUFFIX
 from .env import EnvConfig
-from .errors import ConfigError
+from .errors import ConfigError, _choice, _integer, _list, _number, _string
 from .evaluation import STRATEGIES, WindowSpec
 from .files import atomic_open
 from .sentiment import FillPolicy, Grouping
@@ -79,101 +81,19 @@ class _Section:
             raise ConfigError(f"{self.where}: unknown key(s) {sorted(self.data)}")
 
 
-def _number(value: object, where: str, lo: float | None = None,
-            hi: float | None = None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN, inf, huge ints
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-    if lo is not None and value < lo:
-        raise ConfigError(f"{where}: {value} is below the minimum {lo}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"{where}: {value} exceeds the maximum {hi}")
-    return float(value)
-
-
-def _integer(value: object, where: str, lo: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    if lo is not None and value < lo:
-        raise ConfigError(f"{where}: {value} is below the minimum {lo}")
-    return value
-
-
-def _boolean(value: object, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}: expected true or false, got {value!r}")
-    return value
-
-
-def _string(value: object, where: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{where}: expected a string, got {value!r}")
-    return value
-
-
-def _list(value: object, where: str, item, nonempty: bool = True) -> tuple:
-    if not isinstance(value, list) or (nonempty and not value):
-        raise ConfigError(f"{where}: expected a {'non-empty list' if nonempty else 'list'}")
-    return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
-
-
-#: Each dataclass section: its class, whether each value is also checked
-#: alone by the class, and its keys in file order with the check each value
-#: passes. A missing key takes its dataclass field's default.
-_SECTIONS = {
-    "env": (EnvConfig, True, {
-        "w": partial(_integer, lo=1),
-        "l": partial(_integer, lo=0),
-        "phi": _number,
-        "cost_mode": _string,
-    }),
-    "agent": (A2cConfig, True, {
-        "gamma": partial(_number, lo=0.0, hi=1.0),
-        "lr_actor": _number,
-        "lr_critic": _number,
-        "n_steps": partial(_integer, lo=1),
-        "episodes": partial(_integer, lo=1),
-        "entropy_coef": partial(_number, lo=0.0),
-        "hidden_sizes": partial(_list, item=partial(_integer, lo=1), nonempty=False),
-        "activation": _string,
-        "max_grad_norm": lambda v, where: None if v is None else _number(v, where),
-        "optimizer": _string,
-        "use_n_step_returns": _boolean,
-    }),
-    # each key is checked positive here, so WindowSpec can only reject the
-    # stride rule, which spans keys and so names the section
-    "windows": (WindowSpec, False, {
-        key: partial(_integer, lo=1) for key in ("train_len", "test_len", "stride", "count")
-    }),
-}
-
-
-def _parse_section(top: _Section, name: str):
-    """Build one dataclass section; a value that fails alone is named by its
-    dotted key, a rule across keys by the section."""
-    cls, alone, checks = _SECTIONS[name]
+def _parse_section(top: _Section, name: str, cls: type):
+    """Build one dataclass section from the keys the file sets; the class
+    checks their values, and any other key is rejected."""
     section = _Section(top.take(name, {}), name)
-    fields = {key: check(section.take(key), f"{name}.{key}")
-              for key, check in checks.items() if key in section.data}
-    if alone:
-        for key, value in fields.items():
-            try:
-                cls(**{key: value})
-            except ValueError as exc:
-                raise ConfigError(f"{name}.{key}: {exc}") from exc
-    try:
-        built = cls(**fields)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+    built = cls(**{field.name: section.take(field.name) for field in dataclasses.fields(cls)
+                   if field.name in section.data})
     section.finish()
     return built
 
 
-def _echo_section(name: str, section: object) -> dict:
-    values = {key: getattr(section, key) for key in _SECTIONS[name][2]}
+def _echo_section(section: object) -> dict:
     return {key: v.value if isinstance(v, enum.Enum) else list(v) if isinstance(v, tuple) else v
-            for key, v in values.items()}
+            for key, v in dataclasses.asdict(section).items()}
 
 
 def resolve_output_dir(raw: str) -> Path:
@@ -243,22 +163,16 @@ def load_config(path: str | Path) -> RunConfig:
     if lexicon is not None and not lexicon.exists():
         raise ConfigError(f"lexicon: file not found: {lexicon}")
 
-    try:
-        grouping = Grouping(_string(top.take("grouping", "min"), "grouping"))
-    except ValueError as exc:
-        raise ConfigError(f"grouping: {exc}") from exc
-    try:
-        fill = FillPolicy(_string(top.take("fill", "neutral-zero"), "fill"))
-    except ValueError as exc:
-        raise ConfigError(f"fill: {exc}") from exc
+    grouping = _choice(top.take("grouping", "min"), "grouping", Grouping)
+    fill = _choice(top.take("fill", "neutral-zero"), "fill", FillPolicy)
 
-    env = _parse_section(top, "env")
+    env = _parse_section(top, "env", EnvConfig)
     tc_rates = _list(top.take("tc_rates", [0.0, 0.0025]), "tc_rates",
                      partial(_number, lo=0.0))
-    agent = _parse_section(top, "agent")
+    agent = _parse_section(top, "agent", A2cConfig)
     seeds = _list(top.take("seeds", [0, 1, 2, 3, 4]), "seeds",
                   partial(_integer, lo=0))
-    windows = _parse_section(top, "windows")
+    windows = _parse_section(top, "windows", WindowSpec)
     short = [f"windows.{key}" for key in ("train_len", "test_len")
              if getattr(windows, key) < env.min_length]
     if short:
@@ -292,11 +206,11 @@ def config_to_json(config: RunConfig) -> dict:
         "lexicon": None if config.lexicon is None else str(config.lexicon),
         "grouping": config.grouping.value,
         "fill": config.fill.value,
-        "env": _echo_section("env", config.env),
+        "env": _echo_section(config.env),
         "tc_rates": list(config.tc_rates),
-        "agent": _echo_section("agent", config.agent),
+        "agent": _echo_section(config.agent),
         "seeds": list(config.seeds),
-        "windows": _echo_section("windows", config.windows),
+        "windows": _echo_section(config.windows),
         "strategies": list(config.strategies),
         "output_dir": str(config.output_dir),
         "workers": config.workers,

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import AlignedSeries
-from .errors import Choice
+from .errors import Choice, ConfigError, _choice, _integer, _number
 from .files import write_csv
 
 
@@ -39,13 +39,13 @@ class EnvConfig:
     cost_mode: CostMode | str = CostMode.PROPORTIONAL
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cost_mode", CostMode(self.cost_mode))
-        if self.w < 1:
-            raise ValueError("w must be >= 1")
-        if self.l < 0:
-            raise ValueError("l must be >= 0")
+        """Checks each field in order; stores `phi` as a float, `cost_mode` as a CostMode."""
+        _integer(self.w, "env.w", lo=1)
+        _integer(self.l, "env.l", lo=0)
+        object.__setattr__(self, "phi", _number(self.phi, "env.phi"))
         if self.phi <= 0:
-            raise ValueError("phi must be positive")
+            raise ConfigError("env.phi: phi must be positive")
+        object.__setattr__(self, "cost_mode", _choice(self.cost_mode, "env.cost_mode", CostMode))
 
     def state_dim(self, use_sentiment: bool) -> int:
         return 2 * self.w + (self.l if use_sentiment else 0) + 1

@@ -29,7 +29,7 @@ import numpy as np
 from .a2c import A2cConfig, TrainedAgent, greedy_episodes, train, write_training_log
 from .data import AlignedSeries, coverage
 from .env import EnvConfig, TradingEnv, total_return, write_equity_csv
-from .errors import IngestError
+from .errors import ConfigError, IngestError, _integer
 from .files import read_rows, write_csv
 from .nn import Mlp, save_model
 from .sentiment import series_pulse
@@ -56,10 +56,13 @@ class WindowSpec:
     count: int = 5
 
     def __post_init__(self) -> None:
-        if min(self.train_len, self.test_len, self.stride, self.count) < 1:
-            raise ValueError("window parameters must be positive")
+        """Checks each field in order; the stride rule spans keys, so it names the section."""
+        for key in (f.name for f in dataclasses.fields(self)):
+            if _integer(getattr(self, key), f"windows.{key}") < 1:
+                raise ConfigError(f"windows.{key}: {getattr(self, key)} is below the minimum 1 "
+                                  "(window parameters must be positive)")
         if self.stride < self.test_len:
-            raise ValueError("stride must be >= test_len so test ranges stay disjoint")
+            raise ConfigError("windows: stride must be >= test_len so test ranges stay disjoint")
 
     @property
     def span(self) -> int:
@@ -71,7 +74,6 @@ class RollingWindows:
     """Index ranges (half-open) for each forward roll step."""
 
     windows: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    spec: WindowSpec
 
 
 def make_windows(length: int, **shape: int) -> RollingWindows:
@@ -88,7 +90,7 @@ def make_windows(length: int, **shape: int) -> RollingWindows:
     first_end = length - spec.span + spec.train_len  # of the first train range
     train_ends = range(first_end, first_end + spec.count * spec.stride, spec.stride)
     return RollingWindows(tuple(((end - spec.train_len, end), (end, end + spec.test_len))
-                                for end in train_ends), spec)
+                                for end in train_ends))
 
 
 def window_slices(series: AlignedSeries,
@@ -458,7 +460,8 @@ def run_matrix(series_by_asset: Mapping[str, AlignedSeries],
             # imported here: every command imports this module, few start a pool
             from concurrent.futures import ProcessPoolExecutor, as_completed
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            # a fork pool starts all its workers at the first submit
+            with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
                 # each task pickles only its own chunk's slices
                 futures = [pool.submit(_chunk_worker, chunk,
                                        {(k.asset, k.window): slices[k.asset, k.window]

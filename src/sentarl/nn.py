@@ -285,8 +285,7 @@ def softmax_draw(logits: np.ndarray, uniforms: float | np.ndarray):
     """(index, softmax) over any leading axes, with one uniform u per row:
     index = searchsorted(cumsum(probs), u, side="right") capped at the last
     index, the count of the first m - 1 cumulative probs <= u."""
-    e = np.exp(_shifted(logits))
-    probs = e / np.add.reduce(e, axis=-1, keepdims=True)
+    probs = softmax(logits)
     below = np.add.accumulate(probs, axis=-1)[..., :-1] <= np.asarray(uniforms)[..., None]
     return np.add.reduce(below, axis=-1), probs
 

@@ -17,10 +17,10 @@ import sentarl
 from sentarl import cli, evaluation
 from sentarl.a2c import A2cConfig
 from sentarl.cli import main
-from sentarl.config import _SECTIONS, config_to_json, load_config
+from sentarl.config import config_to_json, load_config
 from sentarl.data import load_aligned
 from sentarl.env import EnvConfig
-from sentarl.errors import NonFiniteGradientError
+from sentarl.errors import ConfigError, NonFiniteGradientError
 from sentarl.evaluation import WindowSpec
 
 
@@ -196,9 +196,45 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
-def test_each_config_section_sets_exactly_its_dataclass_fields():
-    for name, (cls, _, checks) in _SECTIONS.items():
-        assert list(checks) == [field.name for field in dataclasses.fields(cls)], name
+#: The dataclass of each config section.
+SECTIONS = {"env": EnvConfig, "agent": A2cConfig, "windows": WindowSpec}
+
+
+def minimal_config(tmp_path, **top):
+    """A config file with one empty price file and the given top-level keys."""
+    (tmp_path / "p.csv").write_text("")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"assets": {"AAA": {"prices": "p.csv"}}, **top}))
+    return path
+
+
+def default_echo(tmp_path) -> dict:
+    return config_to_json(load_config(minimal_config(tmp_path)))
+
+
+def test_each_config_section_sets_exactly_its_dataclass_fields(tmp_path):
+    echo = default_echo(tmp_path)
+    for name, cls in SECTIONS.items():
+        assert list(echo[name]) == [field.name for field in dataclasses.fields(cls)], name
+
+
+@pytest.mark.parametrize("section, key", [
+    (name, field.name) for name, cls in SECTIONS.items() for field in dataclasses.fields(cls)])
+def test_every_dataclass_field_is_a_config_key(tmp_path, section, key):
+    default = default_echo(tmp_path)[section][key]
+    config = load_config(minimal_config(tmp_path, **{section: {key: default}}))
+    assert getattr(config, section) == SECTIONS[section]()
+    with pytest.raises(ConfigError, match=rf"^{section}: unknown key\(s\) \['{key}_'\]$"):
+        load_config(minimal_config(tmp_path, **{section: {key: default, f"{key}_": default}}))
+
+
+def test_readme_config_block_shows_every_section_key_at_its_default(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Config reference", 1)[1].split("```json\n", 1)[1]
+    documented = json.loads(block.split("```", 1)[0])
+    echo = default_echo(tmp_path)
+    for name in SECTIONS:
+        assert documented[name] == echo[name], name
 
 
 def test_config_defaults_are_the_dataclass_defaults(tmp_path):
@@ -242,7 +278,7 @@ def test_config_rejects_non_finite_numbers_and_non_booleans(tmp_path, capsys, wh
     assert f"config error: {where}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("where, value, message", [
+MALFORMED_ROWS = [
     ("env", [20], "env: expected an object"),
     ("assets.AAA", {"news": "news_AAA.csv"}, "assets.AAA: missing required key 'prices'"),
     ("assets", {}, "assets: at least one asset is required"),
@@ -262,7 +298,19 @@ def test_config_rejects_non_finite_numbers_and_non_booleans(tmp_path, capsys, wh
     ("grouping", "median", "grouping: unknown grouping method 'median'"),
     ("fill", "backfill", "fill: unknown fill policy 'backfill'"),
     ("seeds", [-1], "seeds[0]: -1 is below the minimum 0"),
-])
+    ("env.l", -1, "env.l: -1 is below the minimum 0"),
+    ("agent.n_steps", 0, "agent.n_steps: 0 is below the minimum 1"),
+    ("agent.episodes", 0, "agent.episodes: 0 is below the minimum 1"),
+    ("agent.entropy_coef", -0.5, "agent.entropy_coef: -0.5 is below the minimum 0.0"),
+    ("agent.hidden_sizes", [0], "agent.hidden_sizes[0]: 0 is below the minimum 1"),
+    ("windows.train_len", 0, "windows.train_len: 0 is below the minimum 1"),
+    ("windows.test_len", 0, "windows.test_len: 0 is below the minimum 1"),
+    ("windows.stride", 0, "windows.stride: 0 is below the minimum 1"),
+    ("windows.count", 0, "windows.count: 0 is below the minimum 1"),
+]
+
+
+@pytest.mark.parametrize("where, value, message", MALFORMED_ROWS)
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, where, value, message):
     cfg = make_workspace(tmp_path)
     config = json.loads(cfg.read_text())
@@ -277,14 +325,17 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, where, value,
     assert not (tmp_path / "out" / "caches").exists()
 
 
-@pytest.mark.parametrize("where, value, message", [
+VALUE_ERROR_ROWS = [
     ("env.cost_mode", "x", "env.cost_mode: unknown cost mode 'x'"),
     ("agent.optimizer", "adamw", "agent.optimizer: unknown optimizer 'adamw'"),
     ("agent.activation", "relu6", "agent.activation: unknown activation 'relu6'"),
     ("env.phi", 0.0, "env.phi: phi must be positive"),
     ("agent.lr_critic", 0.0, "agent.lr_critic: learning rates must be positive"),
     ("agent.max_grad_norm", -1.0, "agent.max_grad_norm: max_grad_norm must be positive"),
-])
+]
+
+
+@pytest.mark.parametrize("where, value, message", VALUE_ERROR_ROWS)
 def test_config_value_errors_name_their_dotted_key(tmp_path, capsys, where, value, message):
     cfg = make_workspace(tmp_path)
     config = json.loads(cfg.read_text())
@@ -293,6 +344,23 @@ def test_config_value_errors_name_their_dotted_key(tmp_path, capsys, where, valu
     cfg.write_text(json.dumps(config))
     assert main(["ingest", "--config", str(cfg)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, value, message", [
+    row for row in MALFORMED_ROWS + VALUE_ERROR_ROWS if row[0].rpartition(".")[0] in SECTIONS])
+def test_library_constructors_raise_the_config_error_text(tmp_path, capsys, where, value,
+                                                          message):
+    cfg = make_workspace(tmp_path)
+    config = json.loads(cfg.read_text())
+    section, key = where.split(".")
+    fields = config.setdefault(section, {})
+    fields[key] = value
+    cfg.write_text(json.dumps(config))
+    assert main(["ingest", "--config", str(cfg)]) == 2
+    with pytest.raises(ValueError) as raised:
+        SECTIONS[section](**fields)
+    assert capsys.readouterr().err == f"config error: {raised.value}\n"
+    assert str(raised.value).startswith(message)
 
 
 def test_corr_pulse_defaults(tmp_path, capsys):
@@ -582,6 +650,33 @@ def test_run_resume_repairs_torn_journal_and_rejects_malformed_rows(tmp_path, ca
     capsys.readouterr()
     assert main(["run", "--config", str(cfg), "--resume"]) == 3
     assert "results.journal.csv:3: malformed row" in capsys.readouterr().err
+
+
+def test_report_reads_only_the_caches_of_its_assets(tmp_path, capsys):
+    cfg = make_workspace(tmp_path)
+    main(["ingest", "--config", str(cfg)])
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    written = {name: (out / "report" / name).read_bytes() for name in evaluation.REPORT_FILES}
+    # a cache of an asset the results do not hold, that would not load
+    (out / "caches" / "ZZZ.aligned.csv").write_text("timestamp\n")
+    capsys.readouterr()
+    assert main(["report", "--results", str(out)]) == 0
+    assert {name: (out / "report" / name).read_bytes()
+            for name in evaluation.REPORT_FILES} == written
+
+
+def test_report_reads_no_cache_outside_caches(tmp_path, capsys):
+    cfg = make_workspace(tmp_path)
+    main(["ingest", "--config", str(cfg)])
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    (out / "AAA.aligned.csv").write_bytes((out / "caches" / "AAA.aligned.csv").read_bytes())
+    results = out / "results.csv"
+    results.write_text(results.read_text().replace("\nAAA,", "\n../AAA,"))
+    assert main(["report", "--results", str(out)]) == 0
+    assert (out / "report" / "scatter.csv").read_text().splitlines() == [
+        "asset,coverage,corr_shift0,tr_diff"]
 
 
 def test_report_missing_results_exits_3(tmp_path, capsys):

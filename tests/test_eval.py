@@ -267,6 +267,25 @@ def test_run_matrix_parallel_matches_sequential(tmp_path):
     assert len(seq.results) == len(par.results)
 
 
+def test_run_matrix_starts_no_more_pool_workers_than_chunks(tmp_path, monkeypatch):
+    import concurrent.futures
+    sizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            if max_workers > 2:  # before any process starts
+                raise AssertionError(f"a pool of {max_workers} for 2 chunks")
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    small_matrix(out_dir=tmp_path / "par", workers=64)  # one chunk per agent strategy
+    assert sizes == [2]
+    small_matrix(out_dir=tmp_path / "seq")
+    assert (tmp_path / "seq" / "results.csv").read_bytes() == \
+        (tmp_path / "par" / "results.csv").read_bytes()
+
+
 def test_run_matrix_journals_in_completion_order(tmp_path, monkeypatch):
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("pool workers see the monkeypatch only when forked")

@@ -11,7 +11,7 @@ from reference import backward_any, copy_net, forward_row, gradients_of, softmax
 from sentarl.errors import ModelFormatError, NonFiniteGradientError
 from sentarl.nn import (ACTIVATIONS, Gradients, Mlp, RmspropState, apply_update,
                         deserialize, fd_gradients, forward, load_model, log_softmax,
-                        save_model, serialize, softmax)
+                        save_model, serialize, softmax, softmax_draw)
 
 
 def linear_net(weight_rows, bias, activation="tanh"):
@@ -223,6 +223,38 @@ def test_softmax_sample_statistics():
     for k, p in enumerate([0.2, 0.5, 0.3]):
         sigma = np.sqrt(n * p * (1 - p))
         assert abs(counts[k] - n * p) <= 3 * sigma
+
+
+def test_softmax_draw_frequencies_edges_and_stacked_rows():
+    probs = np.array([0.2, 0.5, 0.3])
+    n = 100_000
+    index, drawn = softmax_draw(np.broadcast_to(np.log(probs), (n, 3)),
+                                np.random.default_rng(7).random(n))
+    assert drawn.shape == (n, 3) and np.allclose(drawn, probs, atol=1e-12)
+    counts = np.bincount(index, minlength=3)
+    for k, p in enumerate(probs):
+        assert abs(counts[k] - n * p) <= 3 * np.sqrt(n * p * (1 - p))
+
+    # inverse-CDF edges: u on a cumulative probability picks the next index,
+    # u at or past the last one picks the last index
+    logits = np.log(probs)
+    cum = np.cumsum(softmax_draw(logits, 0.0)[1])
+    edges = np.array([0.0, cum[0], cum[1], cum[2], 1.0])
+    index, _ = softmax_draw(np.broadcast_to(logits, (5, 3)), edges)
+    assert index.tolist() == [0, 1, 2, 2, 2]
+    # a first action whose probability underflows to 0 is never drawn
+    index, drawn = softmax_draw(np.array([[-1000.0, 0.0, 0.0]] * 2), np.array([0.0, 0.5]))
+    assert drawn[0, 0] == 0.0 and index.tolist() == [1, 2]
+
+    # a (K, m, 3, 3) table draws each row as that row alone does
+    rng = np.random.default_rng(3)
+    table, uniforms = rng.normal(0.0, 2.0, (2, 4, 3, 3)), rng.random((2, 4, 3))
+    index, drawn = softmax_draw(table, uniforms)
+    assert index.shape == uniforms.shape and drawn.shape == table.shape
+    for row in np.ndindex(uniforms.shape):
+        one_index, one_probs = softmax_draw(table[row], uniforms[row])
+        assert index[row] == one_index
+        assert drawn[row].tobytes() == one_probs.tobytes()
 
 
 def test_softmax_sample_seeded_repeatable():
