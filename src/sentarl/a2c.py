@@ -126,25 +126,18 @@ def _targets(batch: Batch, config: A2cConfig, next_values: np.ndarray) -> np.nda
     return rewards + np.where(batch.dones, 0.0, config.gamma * next_values)
 
 
-def _td_residuals(batch: Batch, value_net: Mlp,
-                  config: A2cConfig) -> tuple[np.ndarray, ForwardCache]:
-    """target - V(s) per transition (the advantages), and the forward cache.
+def critic_update(batch: Batch, value_net: Mlp, config: A2cConfig,
+                  optimizer_state: RmspropState | None = None) -> float | np.ndarray:
+    """One descent step on the mean squared TD residual; returns that loss
+    (per trial for lockstep trials). The batch gets the residuals of the
+    pre-update critic as its advantages.
 
     One value forward runs over the batch's distinct states and next
     states; cache rows [0, n) are the states.
     """
     n = len(batch)
     values, cache = forward(value_net, batch.states)
-    return _targets(batch, config, values[..., -n:, 0]) - values[..., :n, 0], cache
-
-
-def critic_update(batch: Batch, value_net: Mlp, config: A2cConfig,
-                  optimizer_state: RmspropState | None = None) -> float | np.ndarray:
-    """One descent step on the mean squared TD residual; returns that loss
-    (per trial for lockstep trials). The batch gets the residuals of the
-    pre-update critic as its advantages."""
-    n = len(batch)
-    residuals, cache = _td_residuals(batch, value_net, config)
+    residuals = _targets(batch, config, values[..., -n:, 0]) - values[..., :n, 0]
     batch.advantages = residuals
     loss = np.mean(residuals * residuals, axis=-1)
     if not np.isfinite(loss).all():
@@ -158,20 +151,18 @@ def critic_update(batch: Batch, value_net: Mlp, config: A2cConfig,
     return loss
 
 
-def actor_update(batch: Batch, policy_net: Mlp,
-                 advantages: Sequence[float] | np.ndarray, config: A2cConfig,
+def actor_update(batch: Batch, policy_net: Mlp, config: A2cConfig,
                  optimizer_state: RmspropState | None = None) -> float | np.ndarray:
     """One ascent step on mean(A * ln pi) plus the entropy bonus.
 
-    Advantages are constants here (no gradient flows through them). A
-    batch's `policy_forward`, when set, stands in for the policy forward.
-    Returns the conventional actor loss -mean(A * ln pi) for logging.
+    The advantages are the batch's, which critic_update wrote; they are
+    constants here (no gradient flows through them). The policy forward is
+    the batch's `policy_forward`, which the rollout wrote. Returns the
+    conventional actor loss -mean(A * ln pi) for logging.
     """
     n = len(batch)
-    adv = np.asarray(advantages, dtype=float)
-    if adv.shape[-1:] != (n,):
-        raise ValueError("need one advantage per transition")
-    logits, cache = batch.policy_forward or forward(policy_net, batch.states[..., :n, :])
+    adv = batch.advantages
+    logits, cache = batch.policy_forward
     probs = softmax(logits)
     taken = batch.actions
     onehot = taken[..., None] == np.arange(probs.shape[-1])
@@ -317,8 +308,7 @@ def train(env: TradingEnv, config: A2cConfig, seeds: Sequence[int],
                                     states)
             entropies[:, t:t + m] = _entropy(probs)
             critic_losses.append((critic_update(batch, value, config, value_opt), m))
-            actor_losses.append((actor_update(batch, policy, batch.advantages, config,
-                                              policy_opt), m))
+            actor_losses.append((actor_update(batch, policy, config, policy_opt), m))
         # each trial's entropies are one contiguous row, so each mean sums
         # in the same order
         entropy = entropies.mean(axis=-1)

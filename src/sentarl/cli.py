@@ -14,7 +14,6 @@ trials failed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -150,7 +149,7 @@ def cmd_run(config: RunConfig, workers: int | None, resume: bool,
                            for name in sorted(config.assets)}
         # a series too short for the window shape also fails before anything is written
         for series in series_by_asset.values():
-            evaluation.make_windows(len(series), **dataclasses.asdict(config.windows))
+            evaluation.make_windows(len(series), config.windows)
         out = config.output_dir
         echo = out / "config.echo.json"
         if resume and echo.exists():

@@ -98,7 +98,8 @@ class TradingEnv:
     as (K, r, d) blocks. The series must be of equal length;
     `diff_stats`, when given, holds each trial's optional (mean, std)
     scaling of its state diffs. A single trial is a stack of one;
-    `tests/reference.py` holds its per-step reference.
+    `tests/reference.py` holds its per-step reference. A new env stands at
+    t0, as `reset` leaves it, and `done` reads the clock.
 
     A single instance is not thread-safe (it owns a mutable clock), but
     instances over the same immutable series are independent.
@@ -147,23 +148,13 @@ class TradingEnv:
         self.psi = np.array([config.phi * float(s.prices[0]) for s in series])
         # a column, so that the cost rates broadcast over a block of steps
         self._tc = tc[:, None]
-        self.t = self.start_index
-        self.last_action = np.zeros(self.trials, dtype=np.int64)
-        self._done = False
-        self._started = False
-        # The episode record, preallocated by reset(): what TR, trade counts
-        # and equity files are read from.
-        self._n = 0
-        self._actions = np.empty((self.trials, 0), dtype=np.int64)
-        self._rewards = np.empty((self.trials, 0))
-        self._costs = np.empty((self.trials, 0))
+        self.reset()
 
     def reset(self) -> None:
         """Rewind to t0 with a flat position and an empty episode record."""
         self.t = self.start_index
         self.last_action = np.zeros(self.trials, dtype=np.int64)
-        self._done = False
-        self._started = True
+        # The episode record: what TR, trade counts and equity files are read from.
         self._n = 0
         self._actions = np.empty((self.trials, self.steps), dtype=np.int64)
         self._rewards = np.empty((self.trials, self.steps))
@@ -192,7 +183,7 @@ class TradingEnv:
 
     @property
     def done(self) -> bool:
-        return self._done
+        return self.t == self._end
 
     @property
     def rewards(self) -> np.ndarray:
@@ -226,9 +217,7 @@ class TradingEnv:
         Takes a (K, m) block of action indices that steps m ticks in one
         pass. A block is checked whole before the clock moves.
         """
-        if not self._started:
-            raise RuntimeError("call reset() before step()")
-        if self._done:
+        if self.done:
             raise RuntimeError("step() called on a finished episode")
         t, phi = self.t, self._phi
         block = np.asarray(actions) - 1  # indices to action values
@@ -246,12 +235,11 @@ class TradingEnv:
         n = self._n
         self.t = t + m
         self.last_action = block[:, -1]
-        self._done = self.t == self._end
         self._actions[:, n:n + m] = block
         self._rewards[:, n:n + m] = reward
         self._costs[:, n:n + m] = cost
         self._n = n + m
-        return StepOutcome(reward=reward, done=self._done)
+        return StepOutcome(reward=reward, done=self.done)
 
 
 def total_return(rewards: Sequence[float], psi: float) -> float:

@@ -69,42 +69,36 @@ class WindowSpec:
         return self.train_len + self.test_len + (self.count - 1) * self.stride
 
 
-@dataclass(frozen=True)
-class RollingWindows:
-    """Index ranges (half-open) for each forward roll step."""
+def make_windows(length: int,
+                 spec: WindowSpec) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
+    """Forward-rolled train/test splits anchored so the last test ends at T,
+    as one (train, test) pair of half-open index ranges per split.
 
-    windows: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-
-
-def make_windows(length: int, **shape: int) -> RollingWindows:
-    """Forward-rolled train/test splits anchored so the last test ends at T.
-
-    `shape` holds WindowSpec fields; a missing one takes its default. Each
-    train range immediately precedes its test range; successive splits
-    shift by `stride`. Data before the first train range is unused.
+    Each train range immediately precedes its test range; successive
+    splits shift by `stride`. Data before the first train range is unused.
     """
-    spec = WindowSpec(**shape)
     if length < spec.span:
         raise ValueError(f"series of length {length} cannot fit {spec.count} windows "
                          f"spanning {spec.span} points")
     first_end = length - spec.span + spec.train_len  # of the first train range
     train_ends = range(first_end, first_end + spec.count * spec.stride, spec.stride)
-    return RollingWindows(tuple(((end - spec.train_len, end), (end, end + spec.test_len))
-                                for end in train_ends))
+    return tuple(((end - spec.train_len, end), (end, end + spec.test_len))
+                 for end in train_ends)
 
 
 def window_slices(series: AlignedSeries,
                   spec: WindowSpec) -> list[tuple[AlignedSeries, AlignedSeries]]:
     """The (train, test) slices of each of the series' windows, in order."""
-    rolling = make_windows(len(series), **dataclasses.asdict(spec))
-    return [(series.slice(*train), series.slice(*test)) for train, test in rolling.windows]
+    return [(series.slice(*train), series.slice(*test))
+            for train, test in make_windows(len(series), spec)]
 
 
 # ---------------------------------------------------------------- metrics
 
 
-def annualized_return(tr: float, trading_days: int) -> float:
-    """(1 + TR)^(365/D) - 1.
+def annualized_return(tr: float, trading_days: int) -> float | None:
+    """(1 + TR)^(365/D) - 1; None when TR <= -1 (a total loss is not
+    annualizable) or when the power leaves the float range.
 
     The exponent compounds a D-day return to a year; the reference tables
     are reproduced by 365/D, not its reciprocal.
@@ -112,12 +106,16 @@ def annualized_return(tr: float, trading_days: int) -> float:
     if trading_days <= 0:
         raise ValueError("trading_days must be positive")
     if tr <= -1:
-        raise ValueError("tr must exceed -1 (total loss is not annualizable)")
-    return (1.0 + tr) ** (365.0 / trading_days) - 1.0
+        return None
+    try:
+        return (1.0 + tr) ** (365.0 / trading_days) - 1.0
+    except OverflowError:
+        return None
 
 
 def sharpe(trs: Sequence[float]) -> float | None:
-    """Mean over sample standard deviation (n-1); None when variance is 0.
+    """Mean over sample standard deviation (n-1); None below 2 values or
+    when the variance is 0.
 
     Constant inputs are detected by value equality, not by the computed
     std: rounding in the mean can leave a constant series with a tiny
@@ -125,7 +123,7 @@ def sharpe(trs: Sequence[float]) -> float | None:
     """
     values = np.asarray(list(trs), dtype=float)
     if len(values) < 2:
-        raise ValueError("sharpe needs at least 2 values")
+        return None
     std = float(np.std(values, ddof=1))
     if std == 0.0 or float(np.max(values)) == float(np.min(values)):
         return None
@@ -152,7 +150,7 @@ class TrialResult:
     tc: float
     strategy: str
     tr: float
-    ar: float | None       # None when TR <= -1 (not annualizable)
+    ar: float | None       # None when TR <= -1 or the AR overflows
     trade_count: int
 
     @property
@@ -192,12 +190,6 @@ def parse_result_row(row: Sequence[str]) -> TrialResult:
                        trade_count=int(row[7]))
 
 
-def _safe_ar(tr: float, days: int) -> float | None:
-    if tr <= -1:
-        return None
-    return annualized_return(tr, days)
-
-
 def run_buy_and_hold(test_slice: AlignedSeries, env_config: EnvConfig) -> tuple[float, float | None, int]:
     """(TR, AR, trade_count) for holding Long across the test segment, no TC.
 
@@ -207,7 +199,7 @@ def run_buy_and_hold(test_slice: AlignedSeries, env_config: EnvConfig) -> tuple[
     """
     env = TradingEnv([test_slice], env_config, [0.0], use_sentiment=False)
     tr = total_return(env_config.phi * test_slice.diffs[env.start_index:], float(env.psi[0]))
-    return tr, _safe_ar(tr, test_slice.trading_days()), 1
+    return tr, annualized_return(tr, test_slice.trading_days()), 1
 
 
 def train_and_test(keys: Sequence[TrialKey],
@@ -256,7 +248,7 @@ def run_agent_trial(key: TrialKey, agent: TrainedAgent, test_env: TradingEnv,
     write_training_log(agent.log, train_log)
     write_equity_csv(test_env, trial, equity)
     days = test_env.series[trial].trading_days()
-    return TrialResult(*dataclasses.astuple(key), tr, _safe_ar(tr, days),
+    return TrialResult(*dataclasses.astuple(key), tr, annualized_return(tr, days),
                        int(test_env.trade_counts[trial]))
 
 
@@ -509,7 +501,7 @@ class AssetSharpeRow:
 class ScatterRow:
     asset: str
     coverage: float
-    corr_shift0: float | None
+    corr: float | None        # pulse correlation at the report's shift
     tr_diff: float | None     # mean sentarl TR minus mean no-sentiment TR
 
 
@@ -518,12 +510,6 @@ class ReportBundle:
     overall: list[OverallRow]
     by_asset: list[AssetSharpeRow]
     scatter: list[ScatterRow]
-
-
-def _sharpe_or_none(trs: Sequence[float]) -> float | None:
-    if len(trs) < 2:
-        return None
-    return sharpe(trs)
 
 
 def _mean_or_none(values: Sequence[float]) -> float | None:
@@ -567,13 +553,13 @@ def report(results: Sequence[TrialResult],
                 strategy=strategy, tc=tc,
                 mean_tr=float(np.mean([r.tr for r in group])),
                 mean_ar=_mean_or_none([r.ar for r in group]),
-                sharpe=_sharpe_or_none([r.tr for r in group])))
+                sharpe=sharpe([r.tr for r in group])))
     if bh:
         overall.append(OverallRow(
             strategy="buy-and-hold", tc=None,
             mean_tr=float(np.mean([r.tr for r in bh])),
             mean_ar=_mean_or_none([r.ar for r in bh]),
-            sharpe=_sharpe_or_none([r.tr for r in bh])))
+            sharpe=sharpe([r.tr for r in bh])))
 
     by_asset: list[AssetSharpeRow] = []
     strategies_present = sorted({r.strategy for r in results})
@@ -589,7 +575,7 @@ def report(results: Sequence[TrialResult],
                     trs = [r.tr for r in agents
                            if r.asset == asset and r.strategy == strategy
                            and r.tc == tc]
-                srs[strategy] = _sharpe_or_none(trs)
+                srs[strategy] = sharpe(trs)
             defined = [(s, v) for s, v in srs.items() if v is not None]
             best = max(defined, key=lambda sv: sv[1])[0] if defined else None
             by_asset.append(AssetSharpeRow(asset, tc, srs, best))
@@ -612,7 +598,7 @@ def report(results: Sequence[TrialResult],
 
     bundle = ReportBundle(overall, by_asset, scatter)
     if out_dir is not None:
-        _write_report(bundle, Path(out_dir))
+        _write_report(bundle, Path(out_dir), scatter_shift)
     return bundle
 
 
@@ -621,7 +607,7 @@ def _cell(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _write_report(bundle: ReportBundle, out_dir: Path) -> None:
+def _write_report(bundle: ReportBundle, out_dir: Path, shift: int) -> None:
     overall, by_asset, scatter = (out_dir / name for name in REPORT_FILES)
     write_csv(overall, ["strategy", "tc", "mean_tr", "mean_ar", "sharpe"],
               ([row.strategy, "-" if row.tc is None else repr(float(row.tc)),
@@ -634,6 +620,6 @@ def _write_report(bundle: ReportBundle, out_dir: Path) -> None:
               ([row.asset, repr(float(row.tc)),
                 *[_cell(row.sharpe_by_strategy.get(s)) for s in strategies], row.best or ""]
                for row in bundle.by_asset))
-    write_csv(scatter, ["asset", "coverage", "corr_shift0", "tr_diff"],
-              ([row.asset, repr(float(row.coverage)), _cell(row.corr_shift0),
+    write_csv(scatter, ["asset", "coverage", f"corr_shift{shift}", "tr_diff"],
+              ([row.asset, repr(float(row.coverage)), _cell(row.corr),
                 _cell(row.tr_diff)] for row in bundle.scatter))

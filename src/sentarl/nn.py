@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -293,22 +293,21 @@ def softmax_draw(logits: np.ndarray, uniforms: float | np.ndarray):
 @dataclass
 class RmspropState:
     """Accumulated squared gradients for the RMS-style update rule, laid out
-    like the owning net's flat buffer."""
+    like the owning net's flat buffer; they decay by DECAY per step, and EPS
+    keeps the step's denominator positive."""
 
-    decay: float
-    eps: float
+    DECAY: ClassVar[float] = 0.99
+    EPS: ClassVar[float] = 1e-8
     sq: np.ndarray
 
     @classmethod
-    def create(cls, net: Mlp, decay: float = 0.99, eps: float = 1e-8) -> "RmspropState":
-        if not 0.0 <= decay < 1.0:
-            raise ValueError("decay must be in [0, 1)")
-        return cls(decay, eps, np.zeros_like(net.flat))
+    def create(cls, net: Mlp) -> "RmspropState":
+        return cls(np.zeros_like(net.flat))
 
     def step(self, net: Mlp, grad: np.ndarray, lr: float) -> None:
-        self.sq *= self.decay
-        self.sq += (1.0 - self.decay) * grad * grad
-        net.flat += lr * grad / (np.sqrt(self.sq) + self.eps)
+        self.sq *= self.DECAY
+        self.sq += (1.0 - self.DECAY) * grad * grad
+        net.flat += lr * grad / (np.sqrt(self.sq) + self.EPS)
 
 
 def apply_update(net: Mlp, grads: Gradients, lr: float,

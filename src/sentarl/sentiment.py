@@ -108,7 +108,7 @@ AGGREGATES = {
 
 def score_headlines(
     headlines: "HeadlineTable",
-    scorer: SentimentScorer | None = None,
+    scorer: SentimentScorer,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each headline's (epoch hour, score) as two columns; precomputed
     scores win, and the scorer is called only for the unscored rows. A
@@ -117,9 +117,6 @@ def score_headlines(
     scores = headlines.scores.copy()
     todo = np.flatnonzero(np.isnan(scores))
     if todo.size:
-        if scorer is None:
-            raise ValueError(f"{headlines.path}:{headlines.lines[todo[0]]}: headline has no "
-                             "precomputed score and no scorer is configured")
         values = np.array([scorer.score(headlines.texts[i]) for i in todo.tolist()],
                           dtype=np.float64)
         nan = np.isnan(values)

@@ -362,17 +362,26 @@ class Transition:
             raise ValueError("log_prob must be <= 0")
 
 
-def batch_of(transitions: Sequence[Transition]) -> Batch:
+def batch_of(transitions: Sequence[Transition], policy: Mlp | None = None,
+             advantages: Sequence[float] | None = None) -> Batch:
     """A list of transitions as one Batch: the n states, then the n next
-    states, as its 2n state rows."""
+    states, as its 2n state rows. `policy` and `advantages` fill the rest of
+    the flush record that `actor_update` reads, as the rollout and
+    `critic_update` do: the policy's forward over the n states, and one
+    advantage per transition."""
     if not transitions:
         raise ValueError("empty batch")
 
     def rows(name: str) -> np.ndarray:
         return np.array([getattr(t, name) for t in transitions])
 
-    return Batch(np.concatenate([rows("state"), rows("next_state")]),
-                 rows("action_index"), rows("reward"), rows("done"))
+    batch = Batch(np.concatenate([rows("state"), rows("next_state")]),
+                  rows("action_index"), rows("reward"), rows("done"))
+    if policy is not None:
+        batch.policy_forward = forward(policy, batch.states[:len(batch)])
+    if advantages is not None:
+        batch.advantages = np.array(advantages, dtype=float)
+    return batch
 
 
 def forward_row(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:

@@ -121,7 +121,7 @@ def test_actor_zero_advantage_fixed_point():
     net = policy_net_with_bias([0.2, -0.1, 0.4])
     before = copy_net(net)
     batch = [transition(1.0, 0.0, 1.0, action_index=2)]
-    loss = actor_update(batch_of(batch), net, [0.0], A2cConfig())
+    loss = actor_update(batch_of(batch, policy=net, advantages=[0.0]), net, A2cConfig())
     assert loss == 0.0
     assert np.array_equal(net.weights[0], before.weights[0])
     assert np.array_equal(net.biases[0], before.biases[0])
@@ -131,7 +131,8 @@ def test_actor_step_follows_advantage_sign():
     batch = [transition(1.0, 0.0, 1.0, action_index=2)]
     for adv, compare in ((1.0, np.greater), (-1.0, np.less)):
         net = policy_net_with_bias([0.0, 0.0, 0.0])
-        actor_update(batch_of(batch), net, [adv], A2cConfig(lr_actor=0.05))
+        actor_update(batch_of(batch, policy=net, advantages=[adv]), net,
+                     A2cConfig(lr_actor=0.05))
         logits, _ = forward_row(net, np.array([1.0]))
         assert compare(softmax(logits)[2], 1 / 3)
 
@@ -139,15 +140,8 @@ def test_actor_step_follows_advantage_sign():
 def test_actor_logged_loss_value():
     net = policy_net_with_bias([0.0, 0.0, 0.0])
     batch = [transition(1.0, 0.0, 1.0, action_index=2)]
-    loss = actor_update(batch_of(batch), net, [2.0], A2cConfig())
+    loss = actor_update(batch_of(batch, policy=net, advantages=[2.0]), net, A2cConfig())
     assert loss == pytest.approx(2.0 * np.log(3.0))
-
-
-def test_actor_advantage_length_check():
-    net = policy_net_with_bias([0.0, 0.0, 0.0])
-    batch = [transition(1.0, 0.0, 1.0)]
-    with pytest.raises(ValueError, match="advantage"):
-        actor_update(batch_of(batch), net, [1.0, 2.0], A2cConfig())
 
 
 def test_entropy_bonus_flattens_policy():
@@ -157,7 +151,8 @@ def test_entropy_bonus_flattens_policy():
         return -float(np.sum(probs * np.log(probs)))
     before = entropy()
     batch = [transition(1.0, 0.0, 1.0, action_index=0)]
-    actor_update(batch_of(batch), net, [0.0], A2cConfig(entropy_coef=0.5, lr_actor=0.5))
+    actor_update(batch_of(batch, policy=net, advantages=[0.0]), net,
+                 A2cConfig(entropy_coef=0.5, lr_actor=0.5))
     assert entropy() > before
 
 
@@ -234,12 +229,13 @@ def test_batched_flush_matches_per_sample_oracle(n_step, done_last, entropy_coef
     for n in (5, 5, 3):  # successive flushes, so optimizer state carries over
         batch = random_batch(rng, n, dim, done_last)
         before = params(copy_net(value)) + params(copy_net(policy))
-        advs, _ = a2c._td_residuals(batch_of(batch), value, cfg)
-        c_loss = critic_update(batch_of(batch), value, cfg, opts[0])
-        a_loss = actor_update(batch_of(batch), policy, advs, cfg, opts[1])
+        # one flush record through both updates, as `train` passes it
+        flush = batch_of(batch, policy=policy)
+        c_loss = critic_update(flush, value, cfg, opts[0])
+        a_loss = actor_update(flush, policy, cfg, opts[1])
         ref_c_loss, ref_advs = oracle_critic_update(batch, value_ref, cfg, opts[2])
         ref_a_loss = oracle_actor_update(batch, policy_ref, ref_advs, cfg, opts[3])
-        assert rel_err([advs], [ref_advs]) <= 1e-12
+        assert rel_err([flush.advantages], [ref_advs]) <= 1e-12
         assert rel_err([c_loss, a_loss], [ref_c_loss, ref_a_loss]) <= 1e-12
         steps = [a - b for a, b in zip(params(value) + params(policy), before)]
         ref_steps = [a - b for a, b in

@@ -679,6 +679,17 @@ def test_report_reads_no_cache_outside_caches(tmp_path, capsys):
         "asset,coverage,corr_shift0,tr_diff"]
 
 
+def test_report_names_the_scatter_column_after_its_shift(tmp_path, capsys):
+    cfg = make_workspace(tmp_path)
+    main(["ingest", "--config", str(cfg)])
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    assert main(["report", "--results", str(out), "--shift", "-2"]) == 0
+    lines = (out / "report" / "scatter.csv").read_text().splitlines()
+    assert lines[0] == "asset,coverage,corr_shift-2,tr_diff"
+    assert len(lines) == 2
+
+
 def test_report_missing_results_exits_3(tmp_path, capsys):
     assert main(["report", "--results", str(tmp_path)]) == 3
     assert "no results file" in capsys.readouterr().err

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_walk_series
+from conftest import build_series, random_walk_series
 import sentarl
 from sentarl import config, evaluation, nn
 from sentarl.a2c import A2cConfig, EpisodeLog, write_training_log
@@ -31,35 +31,35 @@ from sentarl.evaluation import (RESULTS_HEADER, MatrixResult, TrialKey,
 
 
 def test_make_windows_reference_shape():
-    rolling = make_windows(5267)
-    assert len(rolling.windows) == 5
-    assert rolling.windows[0] == ((20, 3397), (3397, 3771))
-    assert rolling.windows[-1] == ((1516, 4893), (4893, 5267))
+    rolling = make_windows(5267, WindowSpec())
+    assert len(rolling) == 5
+    assert rolling[0] == ((20, 3397), (3397, 3771))
+    assert rolling[-1] == ((1516, 4893), (4893, 5267))
     # train:test is roughly 0.9:0.1 of each split
     assert 3377 / (3377 + 374) == pytest.approx(0.9, abs=0.001)
 
 
 def test_make_windows_properties():
-    rolling = make_windows(500, train_len=100, test_len=20, stride=30, count=4)
+    rolling = make_windows(500, WindowSpec(train_len=100, test_len=20, stride=30, count=4))
     seen_tests = []
-    for (train_start, train_end), (test_start, test_end) in rolling.windows:
+    for (train_start, train_end), (test_start, test_end) in rolling:
         assert train_end - train_start == 100
         assert test_end - test_start == 20
         assert train_end == test_start  # test follows train immediately
         for lo, hi in seen_tests:      # disjoint test ranges
             assert test_start >= hi or test_end <= lo
         seen_tests.append((test_start, test_end))
-    assert rolling.windows[-1][1][1] == 500  # anchored to the series end
+    assert rolling[-1][1][1] == 500  # anchored to the series end
 
 
 def test_make_windows_single():
-    rolling = make_windows(100, train_len=60, test_len=20, stride=20, count=1)
-    assert rolling.windows == (((20, 80), (80, 100)),)
+    rolling = make_windows(100, WindowSpec(train_len=60, test_len=20, stride=20, count=1))
+    assert rolling == (((20, 80), (80, 100)),)
 
 
 def test_make_windows_errors():
     with pytest.raises(ValueError, match="cannot fit"):
-        make_windows(100, train_len=90, test_len=20, stride=20, count=1)
+        make_windows(100, WindowSpec(train_len=90, test_len=20, stride=20, count=1))
     with pytest.raises(ValueError, match="stride"):
         WindowSpec(train_len=10, test_len=20, stride=10, count=1)
     with pytest.raises(ValueError, match="positive"):
@@ -88,8 +88,12 @@ def test_annualized_return():
 def test_annualized_return_errors():
     with pytest.raises(ValueError, match="trading_days"):
         annualized_return(0.1, 0)
-    with pytest.raises(ValueError, match="tr"):
-        annualized_return(-1.0, 77)
+    assert annualized_return(-1.0, 77) is None
+
+
+def test_an_annualized_return_beyond_the_float_range_is_undefined():
+    assert annualized_return(7.0, 1) is None  # 8 ** 365 overflows a float
+    assert annualized_return(5.0, 1) == 6.0 ** 365 - 1.0
 
 
 def test_sharpe():
@@ -97,8 +101,7 @@ def test_sharpe():
     assert sharpe([5.0, 5.0, 5.0]) is None
     # constant input whose float mean is inexact must still be undefined
     assert sharpe([0.2, 0.2, 0.2]) is None
-    with pytest.raises(ValueError):
-        sharpe([1.0])
+    assert sharpe([1.0]) is None
     base = sharpe([0.1, 0.3, 0.2, 0.5])
     scaled = sharpe([0.4, 1.2, 0.8, 2.0])
     assert scaled == pytest.approx(base, rel=1e-12)
@@ -257,6 +260,21 @@ def test_run_matrix_records_failures(tmp_path, monkeypatch):
     assert not healed.failures
     assert len(healed.results) == 12
     assert (tmp_path / "results.csv").exists()
+
+
+def test_run_matrix_writes_an_empty_ar_cell_when_the_ar_overflows(tmp_path):
+    # the one-day test slice's price rises tenfold: holding earns a TR of 9
+    # in one trading day, and 10 ** 365 is beyond the float range
+    prices = np.concatenate([np.full(34, 100.0), np.full(6, 1000.0)])
+    series = {"AAA": build_series(prices, asset="AAA")}
+    out = run_matrix(series, WindowSpec(train_len=30, test_len=10, stride=10, count=1),
+                     seeds=[0], tc_rates=[0.0], strategies=list(evaluation.STRATEGIES),
+                     env_config=SMALL_ENV, a2c_config=SMALL_AGENT, out_dir=tmp_path)
+    assert not out.failures and out.pending == 0
+    (bh,) = [r for r in out.results if r.strategy == "buy-and-hold"]
+    assert (bh.tr, bh.ar) == (9.0, None)
+    rows = (tmp_path / "results.csv").read_text().splitlines()
+    assert "AAA,0,0,0.0,buy-and-hold,9.0,,1" in rows
 
 
 def test_run_matrix_parallel_matches_sequential(tmp_path):

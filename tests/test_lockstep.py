@@ -475,9 +475,6 @@ def test_env_stack_rejects_trials_that_cannot_share_a_clock():
             TradingEnv(series_arg, base, tc_rates, True)
 
     stack = TradingEnv([series] * 2, base, [0.0, 0.01], True)
-    with pytest.raises(RuntimeError, match="reset"):
-        step_one(stack, [1, 1])
-    stack.reset()
     for bad in ([1], [1, 1, 1], [0, 3], [-1, 1]):
         with pytest.raises(ValueError, match="action"):
             step_one(stack, bad)

@@ -74,6 +74,22 @@ def test_the_library_keeps_one_path():
         "env", "trial", "path"]
     assert list(inspect.signature(evaluation.run_agent_trial).parameters) == [
         "key", "agent", "test_env", "trial", "artifacts_dir"]
+    # one advantage path: critic_update writes the flush's advantages and the
+    # rollout its policy forward, and actor_update reads both from the batch
+    assert list(inspect.signature(a2c.actor_update).parameters) == [
+        "batch", "policy_net", "config", "optimizer_state"]
+    assert [name for module, name in ((a2c, "_td_residuals"), (evaluation, "RollingWindows"),
+                                       (evaluation, "_safe_ar"),
+                                       (evaluation, "_sharpe_or_none"))
+            if hasattr(module, name)] == []
+    # an env is ready at construction, and its clock says when it is done
+    fresh = TradingEnv([random_walk_series(30)] * 2, EnvConfig(w=3, l=2), [0.0] * 2, True)
+    assert [name for name in ("_started", "_done") if hasattr(fresh, name)] == []
+    assert fresh.step([[1], [1]]).done is False
+    assert list(inspect.signature(nn.RmspropState.create).parameters) == ["net"]
+    assert list(inspect.signature(evaluation.make_windows).parameters) == ["length", "spec"]
+    scorer = inspect.signature(sentiment.score_headlines).parameters["scorer"]
+    assert scorer.default is inspect.Parameter.empty
 
 
 @pytest.mark.parametrize("phi", [0.5, 1.0, 3.0])

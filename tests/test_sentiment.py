@@ -99,12 +99,6 @@ def test_score_headlines_precedence():
     assert scores[1] == -0.9   # precomputed score wins
 
 
-def test_score_headlines_needs_some_source():
-    records = headline_table([(datetime(2021, 1, 4, tzinfo=timezone.utc), "x", None)])
-    with pytest.raises(ValueError):
-        score_headlines(records, None)
-
-
 class ConstantScorer:
     def __init__(self, value):
         self.value = value
