@@ -158,8 +158,13 @@ def actor_update(batch: Batch, policy_net: Mlp, config: A2cConfig,
     The advantages are the batch's, which critic_update wrote; they are
     constants here (no gradient flows through them). The policy forward is
     the batch's `policy_forward`, which the rollout wrote. Returns the
-    conventional actor loss -mean(A * ln pi) for logging.
+    conventional actor loss -mean(A * ln pi) for logging. A batch missing
+    either is a ValueError.
     """
+    if batch.policy_forward is None:
+        raise ValueError("batch.policy_forward is unset: the rollout fills it")
+    if batch.advantages is None:
+        raise ValueError("batch.advantages is unset: critic_update fills it")
     n = len(batch)
     adv = batch.advantages
     logits, cache = batch.policy_forward

@@ -12,7 +12,6 @@ the section's keys, and each checks its own values under the dotted key.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import json
 import os
 import re
@@ -23,7 +22,7 @@ from pathlib import Path
 from .a2c import A2cConfig
 from .data import CACHE_DIR, CACHE_SUFFIX
 from .env import EnvConfig
-from .errors import ConfigError, _choice, _integer, _list, _number, _string
+from .errors import Choice, ConfigError, _choice, _integer, _list, _number, _string
 from .evaluation import STRATEGIES, WindowSpec
 from .files import atomic_open
 from .sentiment import FillPolicy, Grouping
@@ -89,11 +88,6 @@ def _parse_section(top: _Section, name: str, cls: type):
                    if field.name in section.data})
     section.finish()
     return built
-
-
-def _echo_section(section: object) -> dict:
-    return {key: v.value if isinstance(v, enum.Enum) else list(v) if isinstance(v, tuple) else v
-            for key, v in dataclasses.asdict(section).items()}
 
 
 def resolve_output_dir(raw: str) -> Path:
@@ -195,26 +189,19 @@ def load_config(path: str | Path) -> RunConfig:
                      output_dir=output_dir, workers=workers)
 
 
+def _json_value(value: object) -> object:
+    """The JSON form of a config value that json cannot encode itself."""
+    if isinstance(value, Path):
+        return str(value)
+    if isinstance(value, Choice):
+        return value.value
+    raise TypeError(f"no JSON form for {type(value).__name__} {value!r}")
+
+
 def config_to_json(config: RunConfig) -> dict:
-    """Resolved-config dict; re-parsing the echo yields an equal RunConfig."""
-    return {
-        "assets": {
-            name: {"prices": str(spec.prices),
-                   "news": None if spec.news is None else str(spec.news)}
-            for name, spec in sorted(config.assets.items())
-        },
-        "lexicon": None if config.lexicon is None else str(config.lexicon),
-        "grouping": config.grouping.value,
-        "fill": config.fill.value,
-        "env": _echo_section(config.env),
-        "tc_rates": list(config.tc_rates),
-        "agent": _echo_section(config.agent),
-        "seeds": list(config.seeds),
-        "windows": _echo_section(config.windows),
-        "strategies": list(config.strategies),
-        "output_dir": str(config.output_dir),
-        "workers": config.workers,
-    }
+    """Resolved-config dict, one key per RunConfig field in field order;
+    re-parsing the echo yields an equal RunConfig."""
+    return json.loads(json.dumps(dataclasses.asdict(config), default=_json_value))
 
 
 def echo_config(config: RunConfig, path: str | Path) -> None:
@@ -235,7 +222,7 @@ def echo_differences(config: RunConfig, path: str | Path) -> list[str]:
         old = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read the config echo {path}: {exc}") from exc
-    new = json.loads(json.dumps(config_to_json(config)))
+    new = config_to_json(config)
     if isinstance(old, dict):
         for key in RESUMABLE_KEYS:
             old.pop(key, None)

@@ -10,7 +10,7 @@ instants and no gap filling or resampling is performed.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -273,47 +273,42 @@ def load_headlines(path: str | Path) -> HeadlineTable:
 class AlignedSeries:
     """Hourly-gridded channels for one asset.
 
-    ``diffs`` has length ``T - 1`` and obeys ``diffs[t] = prices[t+1] -
-    prices[t]`` exactly; ``hours`` is the hour of day divided by 24;
     ``sentiment`` carries the grouped per-hour value with ``has_news``
-    flagging which slots had at least one headline.
+    flagging which slots had at least one headline. ``diffs`` and
+    ``hours`` are derived from the given channels: ``diffs[t] =
+    prices[t+1] - prices[t]`` (length ``T - 1``) and ``hours`` is each
+    timestamp's hour of day divided by 24.
     """
 
     asset: str
     timestamps: np.ndarray  # datetime64[s], length T
     prices: np.ndarray      # float64, length T
-    diffs: np.ndarray       # float64, length T - 1
-    hours: np.ndarray       # float64 in [0, 1), length T
     sentiment: np.ndarray   # float64 in [-1, 1], length T
     has_news: np.ndarray    # bool, length T
+    diffs: np.ndarray = field(init=False)  # float64, length T - 1
+    hours: np.ndarray = field(init=False)  # float64 in [0, 1), length T
 
     def __post_init__(self) -> None:
         self.timestamps = np.asarray(self.timestamps, dtype="datetime64[s]")
         self.prices = np.asarray(self.prices, dtype=np.float64)
-        self.diffs = np.asarray(self.diffs, dtype=np.float64)
-        self.hours = np.asarray(self.hours, dtype=np.float64)
         self.sentiment = np.asarray(self.sentiment, dtype=np.float64)
         self.has_news = np.asarray(self.has_news, dtype=bool)
         n = len(self.timestamps)
         if n == 0:
             raise ValueError("empty series")
-        for name in ("prices", "hours", "sentiment", "has_news"):
+        for name in ("prices", "sentiment", "has_news"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"channel {name} length mismatch")
-        if len(self.diffs) != n - 1:
-            raise ValueError("diffs channel must have length T - 1")
-        if n > 1 and not np.array_equal(self.diffs, np.diff(self.prices)):
-            raise ValueError("diffs are not exact consecutive price differences")
         if len(np.unique(self.timestamps)) != n:
             raise ValueError("duplicate timestamps in grid")
-        if np.any((self.hours < 0.0) | (self.hours >= 1.0)):
-            raise ValueError("hour-of-day channel outside [0, 1)")
+        self.diffs = np.diff(self.prices)
+        self.hours = hour_fraction(self.timestamps)
 
     def __len__(self) -> int:
         return len(self.timestamps)
 
     def slice(self, start: int, stop: int) -> "AlignedSeries":
-        """Sub-series over grid indices [start, stop); diffs are re-derived
+        """Sub-series over grid indices [start, stop); its diffs are derived
         within the slice, so the first in-slice diff spans its own rows only."""
         if not 0 <= start < stop <= len(self):
             raise ValueError(f"bad slice [{start}, {stop}) for length {len(self)}")
@@ -321,8 +316,6 @@ class AlignedSeries:
             asset=self.asset,
             timestamps=self.timestamps[start:stop],
             prices=self.prices[start:stop],
-            diffs=self.diffs[start:stop - 1],
-            hours=self.hours[start:stop],
             sentiment=self.sentiment[start:stop],
             has_news=self.has_news[start:stop],
         )
@@ -379,8 +372,6 @@ def align(
         asset=asset,
         timestamps=ts,
         prices=close,
-        diffs=np.diff(close),
-        hours=hour_fraction(ts),
         sentiment=fill_hours(observed, has_news, fill),
         has_news=has_news,
     )
@@ -484,8 +475,6 @@ def load_aligned(path: str | Path, asset: str | None = None) -> AlignedSeries:
         asset=asset,
         timestamps=timestamps,
         prices=prices,
-        diffs=diffs,
-        hours=hours,
         sentiment=sent,
         has_news=has_news,
     )

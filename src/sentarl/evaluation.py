@@ -519,6 +519,15 @@ def _mean_or_none(values: Sequence[float]) -> float | None:
     return float(np.mean(vals))
 
 
+def _overall_row(strategy: str, tc: float | None,
+                 group: Sequence[TrialResult]) -> OverallRow:
+    """The group's mean TR, mean AR (of the defined per-trial ARs) and SR
+    over its TRs."""
+    trs = [r.tr for r in group]
+    return OverallRow(strategy=strategy, tc=tc, mean_tr=float(np.mean(trs)),
+                      mean_ar=_mean_or_none([r.ar for r in group]), sharpe=sharpe(trs))
+
+
 def _dedupe_bh(results: Sequence[TrialResult]) -> list[TrialResult]:
     """Collapse replicated benchmark rows back to one per (asset, window)."""
     seen: dict[tuple[str, int], TrialResult] = {}
@@ -549,17 +558,9 @@ def report(results: Sequence[TrialResult],
     for strategy in sorted({r.strategy for r in agents}):
         for tc in sorted({r.tc for r in agents if r.strategy == strategy}):
             group = [r for r in agents if r.strategy == strategy and r.tc == tc]
-            overall.append(OverallRow(
-                strategy=strategy, tc=tc,
-                mean_tr=float(np.mean([r.tr for r in group])),
-                mean_ar=_mean_or_none([r.ar for r in group]),
-                sharpe=sharpe([r.tr for r in group])))
+            overall.append(_overall_row(strategy, tc, group))
     if bh:
-        overall.append(OverallRow(
-            strategy="buy-and-hold", tc=None,
-            mean_tr=float(np.mean([r.tr for r in bh])),
-            mean_ar=_mean_or_none([r.ar for r in bh]),
-            sharpe=sharpe([r.tr for r in bh])))
+        overall.append(_overall_row("buy-and-hold", None, bh))
 
     by_asset: list[AssetSharpeRow] = []
     strategies_present = sorted({r.strategy for r in results})

@@ -22,10 +22,7 @@ def build_series(prices: np.ndarray, sentiment: np.ndarray | None = None,
     prices = np.asarray(prices, dtype=float)
     if sentiment is None:
         sentiment = np.zeros(n)
-    ts = hourly_grid(n, start)
-    hours = (ts.astype("datetime64[h]").astype(int) % 24) / 24.0
-    return AlignedSeries(asset=asset, timestamps=ts, prices=prices,
-                         diffs=np.diff(prices), hours=hours,
+    return AlignedSeries(asset=asset, timestamps=hourly_grid(n, start), prices=prices,
                          sentiment=np.asarray(sentiment, dtype=float),
                          has_news=np.zeros(n, dtype=bool) if has_news is None else has_news)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from sentarl.a2c import A2cConfig, Batch, TrainedAgent, train
 from sentarl.data import (EPOCH, NEWS_HEADER, PRICE_HEADER, SECOND, AlignedSeries,
-                          hour_fraction, parse_timestamp)
+                          parse_timestamp)
 from sentarl.files import read_rows, write_csv
 from sentarl.env import CostMode, EnvConfig, TradingEnv, total_return
 from sentarl.nn import (ForwardCache, Gradients, Mlp, _pack, backward, forward, log_softmax,
@@ -627,6 +627,6 @@ def align_records(prices: Sequence[PriceRecord], grouped: Sequence[tuple[datetim
             observed[row] = value
     close = np.array([p.close for p in prices], dtype=np.float64)
     ts = epoch_seconds(p.timestamp for p in prices).astype("datetime64[s]")
-    return AlignedSeries(asset=asset, timestamps=ts, prices=close, diffs=np.diff(close),
-                         hours=hour_fraction(ts), sentiment=fill_gaps(observed, fill),
+    return AlignedSeries(asset=asset, timestamps=ts, prices=close,
+                         sentiment=fill_gaps(observed, fill),
                          has_news=[value is not None for value in observed])

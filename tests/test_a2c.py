@@ -144,6 +144,17 @@ def test_actor_logged_loss_value():
     assert loss == pytest.approx(2.0 * np.log(3.0))
 
 
+@pytest.mark.parametrize("missing, filler", [("policy_forward", "the rollout"),
+                                             ("advantages", "critic_update")])
+def test_actor_update_names_a_missing_batch_field(missing, filler):
+    net = policy_net_with_bias([0.0, 0.0, 0.0])
+    batch = batch_of([transition(1.0, 0.0, 1.0, action_index=2)], policy=net,
+                     advantages=[1.0])
+    setattr(batch, missing, None)
+    with pytest.raises(ValueError, match=rf"^batch\.{missing} is unset: {filler} fills it$"):
+        actor_update(batch, net, A2cConfig())
+
+
 def test_entropy_bonus_flattens_policy():
     net = policy_net_with_bias([2.0, 0.0, 0.0])
     def entropy():

@@ -17,7 +17,7 @@ import sentarl
 from sentarl import cli, evaluation
 from sentarl.a2c import A2cConfig
 from sentarl.cli import main
-from sentarl.config import config_to_json, load_config
+from sentarl.config import RunConfig, config_to_json, echo_config, load_config
 from sentarl.data import load_aligned
 from sentarl.env import EnvConfig
 from sentarl.errors import ConfigError, NonFiniteGradientError
@@ -257,6 +257,99 @@ def test_config_defaults_are_the_dataclass_defaults(tmp_path):
     # the echo lists each section's every key, and parses back to the same config
     path.write_text(json.dumps(echo))
     assert load_config(path) == config
+
+
+#: A config with every key off its default, an asset without news and a
+#: lexicon, but for output_dir, which the test sets to <dir>/out; and its
+#: echo, with the config file's directory written as <dir>.
+NON_DEFAULT = {
+    "assets": {"BBB": {"prices": "q.csv"}, "AAA": {"prices": "p.csv", "news": "n.csv"}},
+    "lexicon": "lex.csv", "grouping": "max", "fill": "forward-fill",
+    "env": {"w": 3, "l": 2, "phi": 2, "cost_mode": "fixed-per-unit"},
+    "tc_rates": [0.001, 0.5],
+    "agent": {"gamma": 0.9, "lr_actor": 0.001, "lr_critic": 0.002, "n_steps": 3,
+              "episodes": 2, "entropy_coef": 0.01, "hidden_sizes": [8],
+              "activation": "relu", "max_grad_norm": 1.0, "optimizer": "rmsprop",
+              "use_n_step_returns": True},
+    "seeds": [7, 3], "windows": {"train_len": 50, "test_len": 10, "stride": 12, "count": 2},
+    "strategies": ["sentarl", "buy-and-hold"], "workers": 3}
+NON_DEFAULT_ECHO = """{
+  "assets": {
+    "AAA": {
+      "prices": "<dir>/p.csv",
+      "news": "<dir>/n.csv"
+    },
+    "BBB": {
+      "prices": "<dir>/q.csv",
+      "news": null
+    }
+  },
+  "lexicon": "<dir>/lex.csv",
+  "grouping": "max",
+  "fill": "forward-fill",
+  "env": {
+    "w": 3,
+    "l": 2,
+    "phi": 2.0,
+    "cost_mode": "fixed-per-unit"
+  },
+  "tc_rates": [
+    0.001,
+    0.5
+  ],
+  "agent": {
+    "gamma": 0.9,
+    "lr_actor": 0.001,
+    "lr_critic": 0.002,
+    "n_steps": 3,
+    "episodes": 2,
+    "entropy_coef": 0.01,
+    "hidden_sizes": [
+      8
+    ],
+    "activation": "relu",
+    "max_grad_norm": 1.0,
+    "optimizer": "rmsprop",
+    "use_n_step_returns": true
+  },
+  "seeds": [
+    7,
+    3
+  ],
+  "windows": {
+    "train_len": 50,
+    "test_len": 10,
+    "stride": 12,
+    "count": 2
+  },
+  "strategies": [
+    "sentarl",
+    "buy-and-hold"
+  ],
+  "output_dir": "<dir>/out",
+  "workers": 3
+}
+"""
+
+
+def test_echo_of_a_config_with_every_key_off_its_default(tmp_path, monkeypatch):
+    monkeypatch.delenv("SENTARL_OUTPUT_ROOT", raising=False)
+    for name in ("p.csv", "q.csv", "lex.csv"):
+        (tmp_path / name).write_text("")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**NON_DEFAULT, "output_dir": str(tmp_path / "out")}))
+    config = load_config(path)
+    echo_config(config, tmp_path / "config.echo.json")
+    text = (tmp_path / "config.echo.json").read_text(encoding="utf-8")
+    assert text.replace(str(tmp_path), "<dir>") == NON_DEFAULT_ECHO
+    echo = json.loads(text)
+    assert list(echo) == [field.name for field in dataclasses.fields(RunConfig)]
+    default = default_echo(tmp_path)
+    for key in echo.keys() - {"assets"}:
+        if key in SECTIONS:
+            assert all(echo[key][k] != v for k, v in default[key].items()), key
+        else:
+            assert echo[key] != default[key], key
 
 
 @pytest.mark.parametrize("where, value", [

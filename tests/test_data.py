@@ -8,7 +8,7 @@ import pytest
 
 from conftest import build_series, hourly_stamps, random_walk_series, write_price_csv
 from reference import compute_diffs, epoch_seconds, truncate_to_hour
-from sentarl.data import (AlignedSeries, PriceTable, align, coverage,
+from sentarl.data import (AlignedSeries, PriceTable, align, coverage, hour_fraction,
                           load_aligned, load_headlines, load_prices,
                           parse_timestamp, save_aligned)
 from sentarl.errors import IngestError
@@ -154,12 +154,42 @@ def test_align_empty_prices_rejected():
         align(load_prices_rows([], []), None)
 
 
-def test_aligned_series_invariants():
-    series = random_walk_series(10)
-    with pytest.raises(ValueError, match="diffs"):
-        AlignedSeries(series.asset, series.timestamps, series.prices,
-                      series.diffs + 1e-9, series.hours, series.sentiment,
-                      series.has_news)
+def bits(values: np.ndarray) -> bytes:
+    """An array's bytes, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(values).tobytes()
+
+
+def test_aligned_series_invariants(tmp_path):
+    # diffs and hours are derived from prices and timestamps, bit for bit,
+    # however a series is made
+    constructed = random_walk_series(50, seed=3)
+    stamps = hourly_stamps(30, start="2021-03-01T05:00:00")
+    aligned = align(load_prices_rows(stamps, [str(100 + i // 2) for i in range(30)]), None)
+    save_aligned(constructed, tmp_path / "RND.aligned.csv")
+    loaded = load_aligned(tmp_path / "RND.aligned.csv")
+    for series in (constructed, aligned, loaded, constructed.slice(7, 31),
+                   aligned.slice(1, 2)):
+        assert bits(series.diffs) == bits(np.diff(series.prices))
+        assert bits(series.hours) == bits(hour_fraction(series.timestamps))
+    assert aligned.diffs.tolist() == [0.0, 1.0] * 14 + [0.0]
+    assert aligned.hours.tolist() == [(5 + i) % 24 / 24 for i in range(30)]
+
+
+def test_aligned_series_checks_its_given_channels():
+    series = random_walk_series(5)
+    given = {"asset": series.asset, "timestamps": series.timestamps,
+             "prices": series.prices, "sentiment": series.sentiment,
+             "has_news": series.has_news}
+    channels = ("prices", "sentiment", "has_news")  # each as long as the timestamps
+    with pytest.raises(ValueError, match="^empty series$"):
+        AlignedSeries(**{**given, **{name: given[name][:0] for name in ("timestamps", *channels)}})
+    for name in channels:
+        with pytest.raises(ValueError, match=f"^channel {name} length mismatch$"):
+            AlignedSeries(**{**given, name: given[name][:-1]})
+    stamps = series.timestamps.copy()
+    stamps[3] = stamps[1]
+    with pytest.raises(ValueError, match="^duplicate timestamps in grid$"):
+        AlignedSeries(**{**given, "timestamps": stamps})
 
 
 def test_slice_rederives_diffs():
@@ -202,5 +232,5 @@ def test_coverage_monotone():
     fewer = series.has_news.copy()
     fewer[np.argmax(fewer)] = False
     less = AlignedSeries(series.asset, series.timestamps, series.prices,
-                         series.diffs, series.hours, series.sentiment, fewer)
+                         series.sentiment, fewer)
     assert coverage(less) <= coverage(series)

@@ -16,11 +16,13 @@ ROWS = ["BTC,0,0,0.0,buy-and-hold,0.1,0.5,1\r\n", "BTC,0,0,0.0,sentarl,-0.02,,7\
         "BTC,1,0,0.0,sentarl,0.03,0.2,4\r\n"]
 
 
-def write_run(root: Path, rows=ROWS, journal=ROWS, echo='{"output_dir": "a"}') -> Path:
+def write_run(root: Path, rows=ROWS, journal=ROWS,
+              echo='{{"output_dir": "{root}/a", "workers": 1}}') -> Path:
+    """An output root holding one run; `{root}` in `echo` is the root."""
     (root / "artifacts").mkdir(parents=True)
     (root / "results.csv").write_text(HEADER + "".join(rows), newline="")
     (root / "results.journal.csv").write_text(HEADER + "".join(journal), newline="")
-    (root / "config.echo.json").write_text(echo)
+    (root / "config.echo.json").write_text(echo.format(root=root))
     (root / ".sentarl.lock").write_text("123\n")
     (root / "artifacts" / "k.equity.csv").write_bytes(b"t,timestamp\r\n20,2019-01-01\r\n")
     return root
@@ -35,14 +37,24 @@ def test_a_one_ulp_change_in_a_results_row_is_flagged(tmp_path):
     assert parity.compare_trees(base, write_run(tmp_path / "same")) == []
 
 
-def test_journal_order_echo_and_lock_are_not_compared(tmp_path):
+def test_journal_order_lock_and_echo_root_are_not_compared(tmp_path):
+    # each echo records its own output root, which the comparison masks
     base = write_run(tmp_path / "base")
-    head = write_run(tmp_path / "head", journal=ROWS[::-1], echo='{"output_dir": "b"}')
+    head = write_run(tmp_path / "head", journal=ROWS[::-1])
     (head / ".sentarl.lock").write_text("456\n")
     assert parity.compare_trees(base, head) == []
     # a journal row that differs, rather than moves, still counts
     (head / "results.journal.csv").write_text(HEADER + "".join(ROWS[:2]), newline="")
     assert parity.compare_trees(base, head) == ["results.journal.csv"]
+
+
+@pytest.mark.parametrize("echo", ['{{"output_dir": "{root}/b", "workers": 1}}',
+                                  '{{"output_dir": "{root}/a", "workers": 2}}',
+                                  '{{"output_dir": "{root}/a"}}'])
+def test_an_echo_that_differs_beyond_its_root_is_flagged(tmp_path, echo):
+    base = write_run(tmp_path / "base")
+    head = write_run(tmp_path / "head", echo=echo)
+    assert parity.compare_trees(base, head) == ["config.echo.json"]
 
 
 @pytest.mark.parametrize("side", ["base", "head"])

@@ -14,11 +14,12 @@ Under both trees, each command runs in a fresh interpreter:
 - ingest-5y: `ingest` and `corr-pulse`.
 
 Every output file is compared by sha256. A journal is compared as its
-sorted lines, since a pool appends trials in the order they finish.
-`config.echo.json` (which records the output directory) and the run lock
-(which holds a pid) are left out. Exit codes and stdout, with the output
-directory masked, must match too. Exits 0 when all match, and 1 listing
-what differs; a command that fails under either tree also counts.
+sorted lines, since a pool appends trials in the order they finish, and
+`config.echo.json`, which records the output directory, with each side's
+output root masked. The run lock (which holds a pid) is left out. Exit
+codes and stdout, with the output root masked, must match too. Exits 0
+when all match, and 1 listing what differs; a command that fails under
+either tree also counts.
 """
 
 from __future__ import annotations
@@ -39,25 +40,31 @@ sys.path.insert(0, str(ROOT / "bench"))
 import gen  # noqa: E402  (bench/gen.py, found through the path above)
 
 #: Output files that differ between trees by design, by name.
-SKIPPED = frozenset({"config.echo.json", ".sentarl.lock"})
-JOURNAL = "results.journal.csv"
+SKIPPED = frozenset({".sentarl.lock"})
+JOURNAL, ECHO = "results.journal.csv", "config.echo.json"
+#: What each side's output root reads as in compared stdout and echoes.
+MASK = "<out>"
 #: Input seed of every workload.
 SEED = 1
 TRAIN_KEYS = (["--window", "1", "--seed", "1", "--tc", "0.0025"],
               ["--window", "0", "--seed", "0", "--tc", "0.0", "--strategy", "no-sentiment"])
 
 
-def digest(path: Path) -> str:
-    """sha256 of a file's bytes, or of its sorted lines for a journal."""
+def digest(path: Path, root: Path) -> str:
+    """sha256 of a file's bytes, of its sorted lines for a journal, or of
+    its bytes with the output root `root` masked for a config echo."""
     data = path.read_bytes()
     if path.name == JOURNAL:
         data = b"".join(sorted(data.splitlines(keepends=True)))
+    elif path.name == ECHO:
+        data = data.replace(str(root).encode(), MASK.encode())
     return hashlib.sha256(data).hexdigest()
 
 
 def digests(directory: Path) -> dict[str, str]:
-    """Each compared file under `directory`, by its relative path."""
-    return {path.relative_to(directory).as_posix(): digest(path)
+    """Each compared file under the output root `directory`, by its
+    relative path."""
+    return {path.relative_to(directory).as_posix(): digest(path, directory)
             for path in sorted(directory.rglob("*"))
             if path.is_file() and path.name not in SKIPPED}
 
@@ -100,7 +107,7 @@ def run_tree(src: Path, spec: gen.Workload, data: Path, out: Path,
         proc = subprocess.run([sys.executable, "-m", "sentarl.cli", "--quiet", *argv],
                               env=env, cwd=work, capture_output=True, text=True)
         text = " ".join([f"[{name}]", *args])
-        done.append((text, proc.returncode, proc.stdout.replace(str(out), "<out>")))
+        done.append((text, proc.returncode, proc.stdout.replace(str(out), MASK)))
     return done
 
 
