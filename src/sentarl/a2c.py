@@ -19,59 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .config import A2cConfig
 from .env import TradingEnv, total_return
-from .errors import ConfigError, _boolean, _integer, _list, _number, _string
 from .files import write_csv
-from .nn import (ACTIVATIONS, ForwardCache, Gradients, Mlp, RmspropState, apply_update,
+from .nn import (ForwardCache, Gradients, Mlp, RmspropState, apply_update,
                  backward, forward, log_softmax, softmax, softmax_draw)
-
-OPTIMIZERS = ("sgd", "rmsprop")
-
-
-@dataclass(frozen=True)
-class A2cConfig:
-    gamma: float = 0.99
-    lr_actor: float = 7e-4
-    lr_critic: float = 7e-4
-    n_steps: int = 5
-    episodes: int = 100
-    entropy_coef: float = 0.0
-    hidden_sizes: tuple[int, ...] = (64, 64)
-    activation: str = "tanh"
-    max_grad_norm: float | None = None
-    optimizer: str = "sgd"
-    # The update rule follows the 1-step advantage formula; flag switches the
-    # batch to n-step bootstrapped returns instead.
-    use_n_step_returns: bool = False
-
-    def __post_init__(self) -> None:
-        """Checks each field in order; stores numbers as floats, `hidden_sizes` as a tuple."""
-        put = partial(object.__setattr__, self)
-        put("gamma", _number(self.gamma, "agent.gamma", lo=0.0, hi=1.0))
-        for key in ("lr_actor", "lr_critic"):
-            put(key, _number(getattr(self, key), f"agent.{key}"))
-            if getattr(self, key) <= 0:
-                raise ConfigError(f"agent.{key}: learning rates must be positive")
-        _integer(self.n_steps, "agent.n_steps", lo=1)
-        _integer(self.episodes, "agent.episodes", lo=1)
-        put("entropy_coef", _number(self.entropy_coef, "agent.entropy_coef", lo=0.0))
-        put("hidden_sizes", _list(self.hidden_sizes, "agent.hidden_sizes",
-                                  partial(_integer, lo=1), nonempty=False))
-        if _string(self.activation, "agent.activation") not in ACTIVATIONS:
-            raise ConfigError(f"agent.activation: unknown activation {self.activation!r}")
-        if self.max_grad_norm is not None:
-            put("max_grad_norm", _number(self.max_grad_norm, "agent.max_grad_norm"))
-            if self.max_grad_norm <= 0:
-                raise ConfigError("agent.max_grad_norm: max_grad_norm must be positive when set")
-        if _string(self.optimizer, "agent.optimizer") not in OPTIMIZERS:
-            raise ConfigError(f"agent.optimizer: unknown optimizer {self.optimizer!r}")
-        _boolean(self.use_n_step_returns, "agent.use_n_step_returns")
 
 
 def _safe_log(probs: np.ndarray) -> np.ndarray:

@@ -19,8 +19,9 @@ import sys
 from pathlib import Path
 
 from . import data, evaluation, sentiment
-from .config import RESUMABLE_KEYS, RunConfig, echo_config, echo_differences, load_config
-from .errors import ConfigError, IngestError, SentarlError, _integer, _number
+from .config import (RESUMABLE_KEYS, RunConfig, _integer, _number, echo_config,
+                     echo_differences, load_config)
+from .errors import ConfigError, IngestError, SentarlError
 from .files import run_lock
 
 log = logging.getLogger("sentarl")

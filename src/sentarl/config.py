@@ -1,12 +1,16 @@
-"""Declarative run configuration.
+"""Declarative run configuration: the config file's whole schema.
 
 One JSON file describes a whole experiment: asset data paths, sentiment
 scoring choices, environment and agent hyperparameters, the seed list, the
-rolling-window shape, and output placement. Parsing is strict: unknown keys
-are rejected with their location, and every value is checked so later
-stages can assume a valid config. The `env`, `agent` and `windows` sections
-are the dataclasses EnvConfig, A2cConfig and WindowSpec: their fields are
-the section's keys, and each checks its own values under the dotted key.
+rolling-window shape, and output placement. Each key is declared once, as a
+field of RunConfig (the top-level keys) or of its section's dataclass
+(EnvConfig, A2cConfig, WindowSpec, and AssetSpec for each asset): the
+field's default is the key's default, and the dataclass checks each value
+under its dotted key, in field order, when it is built. Each closed set of
+values is one tuple of strings. Parsing is strict: unknown keys are
+rejected with their location, so later stages can assume a valid config.
+This module imports no learner layer; the layers import their configs and
+value sets from here.
 """
 
 from __future__ import annotations
@@ -15,129 +19,293 @@ import dataclasses
 import json
 import os
 import re
+import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from .a2c import A2cConfig
 from .data import CACHE_DIR, CACHE_SUFFIX
-from .env import EnvConfig
-from .errors import Choice, ConfigError, _choice, _integer, _list, _number, _string
-from .evaluation import STRATEGIES, WindowSpec
+from .errors import ConfigError
 from .files import atomic_open
-from .sentiment import FillPolicy, Grouping
 
 #: Relative output dirs resolve under this root when the variable is set.
 OUTPUT_ROOT_ENV = "SENTARL_OUTPUT_ROOT"
+
+STRATEGIES = ("buy-and-hold", "no-sentiment", "sentarl")
+#: How the per-unit switching cost c_t derives from tc_rate: proportional
+#: is c_t = tc_rate * p_t, fixed-per-unit is c_t = tc_rate (a currency constant).
+COST_MODES = ("proportional", "fixed-per-unit")
+#: How the scores of all headlines within one hour collapse to e_t.
+GROUPINGS = ("min", "mean", "max")
+#: The value given to hours with no news.
+FILL_POLICIES = ("neutral-zero", "forward-fill")
+ACTIVATIONS = ("tanh", "relu")
+OPTIMIZERS = ("sgd", "rmsprop")
 
 _ASSET_NAME = re.compile(r"^[A-Za-z0-9._-]+$")
 _MISSING = object()
 
 
+# Each check takes a JSON-typed value and the dotted key or flag it came from, and
+# returns it (numbers as floats, lists as tuples) or raises a ConfigError naming it.
+
+
+def _number(value: object, where: str, lo: float | None = None,
+            hi: float | None = None) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN, inf, huge ints
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    if lo is not None and value < lo:
+        raise ConfigError(f"{where}: {value} is below the minimum {lo}")
+    if hi is not None and value > hi:
+        raise ConfigError(f"{where}: {value} exceeds the maximum {hi}")
+    return float(value)
+
+
+def _integer(value: object, where: str, lo: int | None = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    if lo is not None and value < lo:
+        raise ConfigError(f"{where}: {value} is below the minimum {lo}")
+    return value
+
+
+def _boolean(value: object, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
+def _string(value: object, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
+def _list(value: object, where: str, item, nonempty: bool = True) -> tuple:
+    if not isinstance(value, (list, tuple)) or (nonempty and not value):
+        raise ConfigError(f"{where}: expected a {'non-empty list' if nonempty else 'list'}")
+    return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+
+def _choice(value: object, where: str, options: tuple[str, ...], noun: str) -> str:
+    """One of the strings `options`; an unknown one is named as a `noun`."""
+    if _string(value, where) not in options:
+        raise ConfigError(f"{where}: unknown {noun} {value!r}; expected one of {list(options)}")
+    return value
+
+
+def _path(value: object, where: str) -> Path:
+    return value if isinstance(value, Path) else Path(_string(value, where))
+
+
+def _file(value: object, where: str) -> Path:
+    path = _path(value, where)
+    if not path.is_file():
+        raise ConfigError(f"{where}: file not found: {path}")
+    return path
+
+
+def _fields(value: object, where: str, cls: type) -> dict:
+    """`value`, a JSON object, as the keyword arguments of dataclass `cls`:
+    it must hold each field that has no default, and no other key."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object")
+    fields = dataclasses.fields(cls)
+    for field in fields:
+        if field.default is dataclasses.MISSING and field.name not in value:
+            raise ConfigError(f"{where}: missing required key {field.name!r}")
+    unknown = value.keys() - {field.name for field in fields}
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
+    return value
+
+
+def _section(value: object, where: str, cls: type):
+    """A section given as an instance of its dataclass or as a JSON object."""
+    return value if isinstance(value, cls) else cls(**_fields(value, where, cls))
+
+
+@dataclass(frozen=True)
+class EnvConfig:
+    """The config file's `env` section: the knobs every trial of a stack
+    shares. Defaults follow the reference experiment setup."""
+
+    w: int = 20                 # price/hour look-back window
+    l: int = 5                  # sentiment look-back window
+    phi: float = 1.0            # fixed share count per position
+    cost_mode: str = "proportional"
+
+    def __post_init__(self) -> None:
+        """Checks each field in order; stores `phi` as a float."""
+        _integer(self.w, "env.w", lo=1)
+        _integer(self.l, "env.l", lo=0)
+        object.__setattr__(self, "phi", _number(self.phi, "env.phi"))
+        if self.phi <= 0:
+            raise ConfigError("env.phi: phi must be positive")
+        _choice(self.cost_mode, "env.cost_mode", COST_MODES, "cost mode")
+
+    def state_dim(self, use_sentiment: bool) -> int:
+        return 2 * self.w + (self.l if use_sentiment else 0) + 1
+
+    @property
+    def min_length(self) -> int:
+        """The fewest points a series needs for an episode of two steps."""
+        return max(self.w + 1, self.l) + 2
+
+
+@dataclass(frozen=True)
+class A2cConfig:
+    """The config file's `agent` section: the learner's hyperparameters."""
+
+    gamma: float = 0.99
+    lr_actor: float = 7e-4
+    lr_critic: float = 7e-4
+    n_steps: int = 5
+    episodes: int = 100
+    entropy_coef: float = 0.0
+    hidden_sizes: tuple[int, ...] = (64, 64)
+    activation: str = "tanh"
+    max_grad_norm: float | None = None
+    optimizer: str = "sgd"
+    # The update rule follows the 1-step advantage formula; flag switches the
+    # batch to n-step bootstrapped returns instead.
+    use_n_step_returns: bool = False
+
+    def __post_init__(self) -> None:
+        """Checks each field in order; stores numbers as floats, `hidden_sizes` as a tuple."""
+        put = partial(object.__setattr__, self)
+        put("gamma", _number(self.gamma, "agent.gamma", lo=0.0, hi=1.0))
+        for key in ("lr_actor", "lr_critic"):
+            put(key, _number(getattr(self, key), f"agent.{key}"))
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"agent.{key}: learning rates must be positive")
+        _integer(self.n_steps, "agent.n_steps", lo=1)
+        _integer(self.episodes, "agent.episodes", lo=1)
+        put("entropy_coef", _number(self.entropy_coef, "agent.entropy_coef", lo=0.0))
+        put("hidden_sizes", _list(self.hidden_sizes, "agent.hidden_sizes",
+                                  partial(_integer, lo=1), nonempty=False))
+        if _string(self.activation, "agent.activation") not in ACTIVATIONS:
+            raise ConfigError(f"agent.activation: unknown activation {self.activation!r}")
+        if self.max_grad_norm is not None:
+            put("max_grad_norm", _number(self.max_grad_norm, "agent.max_grad_norm"))
+            if self.max_grad_norm <= 0:
+                raise ConfigError("agent.max_grad_norm: max_grad_norm must be positive when set")
+        if _string(self.optimizer, "agent.optimizer") not in OPTIMIZERS:
+            raise ConfigError(f"agent.optimizer: unknown optimizer {self.optimizer!r}")
+        _boolean(self.use_n_step_returns, "agent.use_n_step_returns")
+
+
+@dataclass(frozen=True)
+class WindowSpec:
+    """Rolling-split shape; defaults follow the reference study's splits."""
+
+    train_len: int = 3377
+    test_len: int = 374
+    stride: int = 374
+    count: int = 5
+
+    def __post_init__(self) -> None:
+        """Checks each field in order; the stride rule spans keys, so it names the section."""
+        for key in (f.name for f in dataclasses.fields(self)):
+            if _integer(getattr(self, key), f"windows.{key}") < 1:
+                raise ConfigError(f"windows.{key}: {getattr(self, key)} is below the minimum 1 "
+                                  "(window parameters must be positive)")
+        if self.stride < self.test_len:
+            raise ConfigError("windows: stride must be >= test_len so test ranges stay disjoint")
+
+    @property
+    def span(self) -> int:
+        return self.train_len + self.test_len + (self.count - 1) * self.stride
+
+
 @dataclass(frozen=True)
 class AssetSpec:
+    """One entry of the config file's `assets`; RunConfig checks it under
+    the asset's name."""
+
     prices: Path
     news: Path | None = None
 
 
+def _assets(value: object) -> dict[str, AssetSpec]:
+    """Each asset's files by name, in sorted order; a price file must exist."""
+    if not isinstance(value, dict):
+        raise ConfigError("assets: expected an object")
+    if not value:
+        raise ConfigError("assets: at least one asset is required")
+    assets = {}
+    for name in sorted(value):
+        if not _ASSET_NAME.match(name):
+            raise ConfigError(f"assets: invalid asset name {name!r} "
+                              "(letters, digits, '.', '_', '-' only)")
+        where = f"assets.{name}"
+        spec = _section(value[name], where, AssetSpec)
+        prices = _file(spec.prices, f"{where}.prices")
+        news = None if spec.news is None else _path(spec.news, f"{where}.news")
+        assets[name] = AssetSpec(prices, news)
+    return assets
+
+
 @dataclass(frozen=True)
 class RunConfig:
+    """The config file: one field per top-level key, its default the key's.
+
+    Like the sections, it checks each value under its key in field order,
+    and takes JSON-typed values or the ones it stores (paths as strings or
+    Paths, sections and assets as objects or dataclasses).
+    """
+
     assets: dict[str, AssetSpec]
-    lexicon: Path | None
-    grouping: Grouping
-    fill: FillPolicy
-    env: EnvConfig
-    tc_rates: tuple[float, ...]
-    agent: A2cConfig
-    seeds: tuple[int, ...]
-    windows: WindowSpec
-    strategies: tuple[str, ...]
-    output_dir: Path
-    workers: int
+    lexicon: Path | None = None
+    grouping: str = "min"
+    fill: str = "neutral-zero"
+    env: EnvConfig = EnvConfig()
+    tc_rates: tuple[float, ...] = (0.0, 0.0025)
+    agent: A2cConfig = A2cConfig()
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
+    windows: WindowSpec = WindowSpec()
+    strategies: tuple[str, ...] = STRATEGIES
+    output_dir: Path = Path("sentarl-out")
+    workers: int = 1
+
+    def __post_init__(self) -> None:
+        put = partial(object.__setattr__, self)
+        put("assets", _assets(self.assets))
+        if self.lexicon is not None:
+            put("lexicon", _file(self.lexicon, "lexicon"))
+        _choice(self.grouping, "grouping", GROUPINGS, "grouping method")
+        _choice(self.fill, "fill", FILL_POLICIES, "fill policy")
+        put("env", _section(self.env, "env", EnvConfig))
+        put("tc_rates", _list(self.tc_rates, "tc_rates", partial(_number, lo=0.0)))
+        put("agent", _section(self.agent, "agent", A2cConfig))
+        put("seeds", _list(self.seeds, "seeds", partial(_integer, lo=0)))
+        put("windows", _section(self.windows, "windows", WindowSpec))
+        short = [f"windows.{key}" for key in ("train_len", "test_len")
+                 if getattr(self.windows, key) < self.env.min_length]
+        if short:
+            raise ConfigError(f"{', '.join(short)}: below {self.env.min_length}, the fewest "
+                              f"points an episode needs at env.w={self.env.w} and "
+                              f"env.l={self.env.l}")
+        put("strategies", _list(self.strategies, "strategies", _string))
+        unknown = set(self.strategies) - set(STRATEGIES)
+        if unknown:
+            raise ConfigError(f"strategies: unknown {sorted(unknown)}; "
+                              f"valid: {list(STRATEGIES)}")
+        put("output_dir", _path(self.output_dir, "output_dir"))
+        _integer(self.workers, "workers", lo=1)
 
     def cache_path(self, asset: str) -> Path:
         return self.output_dir / CACHE_DIR / f"{asset}{CACHE_SUFFIX}"
 
 
-class _Section:
-    """Dict wrapper that tracks consumed keys and reports leftovers."""
-
-    def __init__(self, data: object, where: str):
-        if not isinstance(data, dict):
-            raise ConfigError(f"{where}: expected an object")
-        self.data = dict(data)
-        self.where = where
-
-    def take(self, key: str, default: object = _MISSING) -> object:
-        if key in self.data:
-            return self.data.pop(key)
-        if default is _MISSING:
-            raise ConfigError(f"{self.where}: missing required key {key!r}")
-        return default
-
-    def finish(self) -> None:
-        if self.data:
-            raise ConfigError(f"{self.where}: unknown key(s) {sorted(self.data)}")
-
-
-def _parse_section(top: _Section, name: str, cls: type):
-    """Build one dataclass section from the keys the file sets; the class
-    checks their values, and any other key is rejected."""
-    section = _Section(top.take(name, {}), name)
-    built = cls(**{field.name: section.take(field.name) for field in dataclasses.fields(cls)
-                   if field.name in section.data})
-    section.finish()
-    return built
-
-
-def resolve_output_dir(raw: str) -> Path:
-    """Apply the output-root override to relative paths; absolute paths win.
-
-    Idempotent: resolving an already-resolved directory changes nothing,
-    so re-parsing an echoed config is stable.
-    """
-    path = Path(raw)
-    root = os.environ.get(OUTPUT_ROOT_ENV)
-    if root and not path.is_absolute():
-        path = Path(root) / path
-        if not path.is_absolute():
-            path = Path.cwd() / path
-    return path
-
-
-def _data_path(base: Path, raw: str) -> Path:
-    """Anchor a data path to the config file's directory, absolutized so the
-    echoed config means the same files when parsed from anywhere."""
-    path = base / raw
-    return path if path.is_absolute() else path.absolute()
-
-
-def _parse_assets(raw: object, base: Path) -> dict[str, AssetSpec]:
-    section = _Section(raw, "assets")
-    names = sorted(section.data)
-    if not names:
-        raise ConfigError("assets: at least one asset is required")
-    out: dict[str, AssetSpec] = {}
-    for name in names:
-        if not _ASSET_NAME.match(name):
-            raise ConfigError(f"assets: invalid asset name {name!r} "
-                              "(letters, digits, '.', '_', '-' only)")
-        entry = _Section(section.take(name), f"assets.{name}")
-        prices = _data_path(base, _string(entry.take("prices"), f"assets.{name}.prices"))
-        news_raw = entry.take("news", None)
-        news = None if news_raw is None else _data_path(
-            base, _string(news_raw, f"assets.{name}.news"))
-        entry.finish()
-        if not prices.exists():
-            raise ConfigError(f"assets.{name}.prices: file not found: {prices}")
-        out[name] = AssetSpec(prices=prices, news=news)
-    section.finish()
-    return out
-
-
 def load_config(path: str | Path) -> RunConfig:
-    """Parse and validate a config file; relative data paths resolve against
-    the config file's directory."""
+    """Parse and validate a config file. Its data paths resolve against its
+    directory, absolutized so the echoed config means the same files when
+    parsed from anywhere; a relative output_dir resolves under
+    SENTARL_OUTPUT_ROOT when that is set (absolutized too, so that parsing
+    the echo again changes nothing), and is used as it is otherwise."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -146,55 +314,28 @@ def load_config(path: str | Path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
-    base = path.parent
-    top = _Section(raw, str(path))
+    keys = _fields(raw, str(path), RunConfig)
 
-    assets = _parse_assets(top.take("assets"), base)
+    def anchor(value: object) -> object:  # anything but a string is RunConfig's to check
+        return (path.parent / value).absolute() if isinstance(value, str) else value
 
-    lexicon_raw = top.take("lexicon", None)
-    lexicon = None if lexicon_raw is None else _data_path(
-        base, _string(lexicon_raw, "lexicon"))
-    if lexicon is not None and not lexicon.exists():
-        raise ConfigError(f"lexicon: file not found: {lexicon}")
-
-    grouping = _choice(top.take("grouping", "min"), "grouping", Grouping)
-    fill = _choice(top.take("fill", "neutral-zero"), "fill", FillPolicy)
-
-    env = _parse_section(top, "env", EnvConfig)
-    tc_rates = _list(top.take("tc_rates", [0.0, 0.0025]), "tc_rates",
-                     partial(_number, lo=0.0))
-    agent = _parse_section(top, "agent", A2cConfig)
-    seeds = _list(top.take("seeds", [0, 1, 2, 3, 4]), "seeds",
-                  partial(_integer, lo=0))
-    windows = _parse_section(top, "windows", WindowSpec)
-    short = [f"windows.{key}" for key in ("train_len", "test_len")
-             if getattr(windows, key) < env.min_length]
-    if short:
-        raise ConfigError(f"{', '.join(short)}: below {env.min_length}, the fewest points "
-                          f"an episode needs at env.w={env.w} and env.l={env.l}")
-    strategies = _list(top.take("strategies", list(STRATEGIES)), "strategies", _string)
-    unknown = set(strategies) - set(STRATEGIES)
-    if unknown:
-        raise ConfigError(f"strategies: unknown {sorted(unknown)}; "
-                          f"valid: {list(STRATEGIES)}")
-
-    output_dir = resolve_output_dir(_string(top.take("output_dir", "sentarl-out"),
-                                            "output_dir"))
-    workers = _integer(top.take("workers", 1), "workers", lo=1)
-    top.finish()
-
-    return RunConfig(assets=assets, lexicon=lexicon, grouping=grouping, fill=fill,
-                     env=env, tc_rates=tc_rates, agent=agent, seeds=seeds,
-                     windows=windows, strategies=strategies,
-                     output_dir=output_dir, workers=workers)
+    if isinstance(keys["assets"], dict):
+        keys["assets"] = {name: {key: anchor(value) for key, value in entry.items()}
+                          if isinstance(entry, dict) else entry
+                          for name, entry in keys["assets"].items()}
+    if "lexicon" in keys:
+        keys["lexicon"] = anchor(keys["lexicon"])
+    config = RunConfig(**keys)
+    root = os.environ.get(OUTPUT_ROOT_ENV)
+    if not root or config.output_dir.is_absolute():
+        return config
+    return dataclasses.replace(config, output_dir=(Path(root) / config.output_dir).absolute())
 
 
 def _json_value(value: object) -> object:
     """The JSON form of a config value that json cannot encode itself."""
     if isinstance(value, Path):
         return str(value)
-    if isinstance(value, Choice):
-        return value.value
     raise TypeError(f"no JSON form for {type(value).__name__} {value!r}")
 
 

@@ -13,15 +13,12 @@ import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import IngestError
 from .files import atomic_open, read_rows
-
-if TYPE_CHECKING:
-    from .sentiment import FillPolicy
 
 logger = logging.getLogger(__name__)
 
@@ -336,7 +333,7 @@ def align(
     prices: PriceTable,
     grouped: tuple[np.ndarray, np.ndarray] | None,
     asset: str = "",
-    fill: "FillPolicy | str" = "neutral-zero",
+    fill: str = "neutral-zero",
 ) -> AlignedSeries:
     """Place grouped per-hour sentiment onto the price grid.
 

@@ -16,44 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import EnvConfig
 from .data import AlignedSeries
-from .errors import Choice, ConfigError, _choice, _integer, _number
 from .files import write_csv
-
-
-class CostMode(Choice, noun="cost mode"):
-    """How the per-unit switching cost c_t is derived from tc_rate."""
-
-    PROPORTIONAL = "proportional"      # c_t = tc_rate * p_t
-    FIXED_PER_UNIT = "fixed-per-unit"  # c_t = tc_rate (a currency constant)
-
-
-@dataclass(frozen=True)
-class EnvConfig:
-    """The config file's `env` section: the knobs every trial of a stack
-    shares. Defaults follow the reference experiment setup."""
-
-    w: int = 20                 # price/hour look-back window
-    l: int = 5                  # sentiment look-back window
-    phi: float = 1.0            # fixed share count per position
-    cost_mode: CostMode | str = CostMode.PROPORTIONAL
-
-    def __post_init__(self) -> None:
-        """Checks each field in order; stores `phi` as a float, `cost_mode` as a CostMode."""
-        _integer(self.w, "env.w", lo=1)
-        _integer(self.l, "env.l", lo=0)
-        object.__setattr__(self, "phi", _number(self.phi, "env.phi"))
-        if self.phi <= 0:
-            raise ConfigError("env.phi: phi must be positive")
-        object.__setattr__(self, "cost_mode", _choice(self.cost_mode, "env.cost_mode", CostMode))
-
-    def state_dim(self, use_sentiment: bool) -> int:
-        return 2 * self.w + (self.l if use_sentiment else 0) + 1
-
-    @property
-    def min_length(self) -> int:
-        """The fewest points a series needs for an episode of two steps."""
-        return max(self.w + 1, self.l) + 2
 
 
 def check_diff_stats(stats: Sequence[float] | None) -> tuple[float, float] | None:
@@ -130,7 +95,7 @@ class TradingEnv:
         self.start_index = max(config.w, config.l - 1)
         w, l, self._phi = config.w, config.l, config.phi
         self.dim = config.state_dim(use_sentiment)
-        self._proportional = config.cost_mode is CostMode.PROPORTIONAL
+        self._proportional = config.cost_mode == "proportional"
         # Each channel holds one row per trial; its diff_stats scale its state diffs.
         self._prices = _rows([s.prices for s in series])
         self._diffs = _rows([s.diffs for s in series])

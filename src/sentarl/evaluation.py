@@ -26,17 +26,17 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .a2c import A2cConfig, TrainedAgent, greedy_episodes, train, write_training_log
+from .a2c import TrainedAgent, greedy_episodes, train, write_training_log
+from .config import STRATEGIES, A2cConfig, EnvConfig, WindowSpec
 from .data import AlignedSeries, coverage
-from .env import EnvConfig, TradingEnv, total_return, write_equity_csv
-from .errors import ConfigError, IngestError, _integer
+from .env import TradingEnv, total_return, write_equity_csv
+from .errors import IngestError
 from .files import read_rows, write_csv
 from .nn import Mlp, save_model
 from .sentiment import series_pulse
 
 log = logging.getLogger(__name__)
 
-STRATEGIES = ("buy-and-hold", "no-sentiment", "sentarl")
 RESULTS_HEADER = ["asset", "window", "seed", "tc", "strategy", "tr", "ar", "trade_count"]
 #: The files a run writes under artifacts/ (one per suffix per trial) and report/.
 ARTIFACT_SUFFIXES = (".policy.json", ".value.json", ".train.csv", ".equity.csv")
@@ -44,29 +44,6 @@ REPORT_FILES = ("overall.csv", "sharpe_by_asset.csv", "scatter.csv")
 
 
 # ---------------------------------------------------------------- windows
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    """Rolling-split shape; defaults follow the reference study's splits."""
-
-    train_len: int = 3377
-    test_len: int = 374
-    stride: int = 374
-    count: int = 5
-
-    def __post_init__(self) -> None:
-        """Checks each field in order; the stride rule spans keys, so it names the section."""
-        for key in (f.name for f in dataclasses.fields(self)):
-            if _integer(getattr(self, key), f"windows.{key}") < 1:
-                raise ConfigError(f"windows.{key}: {getattr(self, key)} is below the minimum 1 "
-                                  "(window parameters must be positive)")
-        if self.stride < self.test_len:
-            raise ConfigError("windows: stride must be >= test_len so test ranges stay disjoint")
-
-    @property
-    def span(self) -> int:
-        return self.train_len + self.test_len + (self.count - 1) * self.stride
 
 
 def make_windows(length: int,

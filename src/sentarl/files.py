@@ -15,21 +15,27 @@ from .errors import ConfigError, IngestError
 
 def read_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """(1-based line number, row) for each non-blank data row of a UTF-8
-    CSV whose first row must be `header`; a missing file, an empty one or
-    a wrong header is an IngestError naming path:line."""
+    CSV whose first row must be `header`; a missing file, one that cannot
+    be read or decoded, an empty one or a wrong header is an IngestError
+    naming the path, and the line where it has one."""
     path = Path(path)
     if not path.exists():
         raise IngestError(f"{path}: file does not exist")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
-        if found is None:
-            raise IngestError(f"{path}:1: empty file, expected header {','.join(header)}")
-        if [h.strip() for h in found] != list(header):
-            raise IngestError(f"{path}:1: bad header {found!r}, expected {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if row:
-                yield lineno, row
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            found = next(reader, None)
+            if found is None:
+                raise IngestError(f"{path}:1: empty file, expected header {','.join(header)}")
+            if [h.strip() for h in found] != list(header):
+                raise IngestError(f"{path}:1: bad header {found!r}, expected {','.join(header)}")
+            for lineno, row in enumerate(reader, start=2):
+                if row:
+                    yield lineno, row
+    except OSError as exc:
+        raise IngestError(f"{path}: cannot read the file: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
 @contextmanager

@@ -23,11 +23,11 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
+from .config import ACTIVATIONS
 from .errors import ModelFormatError, NonFiniteGradientError
 from .files import atomic_open
 
 FORMAT_VERSION = 2
-ACTIVATIONS = ("tanh", "relu")
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:

@@ -18,7 +18,8 @@ from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
 
-from .errors import Choice, IngestError
+from .config import FILL_POLICIES, GROUPINGS, _choice
+from .errors import IngestError
 from .files import read_rows, write_csv
 
 if TYPE_CHECKING:
@@ -35,21 +36,6 @@ class SentimentScorer(Protocol):
     """Anything that maps a headline to a score in [-1, 1]."""
 
     def score(self, headline: str) -> float: ...
-
-
-class Grouping(Choice, noun="grouping method"):
-    """How the scores of all headlines within one hour collapse to e_t."""
-
-    MIN = "min"
-    MEAN = "mean"
-    MAX = "max"
-
-
-class FillPolicy(Choice, noun="fill policy"):
-    """Value given to hours with no news."""
-
-    NEUTRAL_ZERO = "neutral-zero"
-    FORWARD_FILL = "forward-fill"
 
 
 def lexicon_score(headline: str, lexicon: dict[str, float]) -> float:
@@ -74,7 +60,8 @@ class LexiconScorer:
 
 
 def load_lexicon(path: str | Path) -> dict[str, float]:
-    """Read a ``word,weight`` CSV with weights in [-1, 1]."""
+    """Read a ``word,weight`` CSV with weights in [-1, 1], each word one
+    that lexicon_score can find in a headline."""
     lexicon: dict[str, float] = {}
     for lineno, row in read_rows(path, ["word", "weight"]):
         if len(row) != 2:
@@ -85,7 +72,11 @@ def load_lexicon(path: str | Path) -> dict[str, float]:
             raise IngestError(f"{path}:{lineno}: bad weight {row[1]!r}") from None
         if not -1.0 <= weight <= 1.0:
             raise IngestError(f"{path}:{lineno}: weight {weight} outside [-1, 1]")
-        lexicon[row[0].strip().lower()] = weight
+        word = row[0].strip().lower()
+        if not _WORD_RE.fullmatch(word):  # the words lexicon_score looks up
+            raise IngestError(f"{path}:{lineno}: word {row[0]!r} is not a headline word "
+                              f"({_WORD_RE.pattern}), so it never matches")
+        lexicon[word] = weight
     if not lexicon:
         raise IngestError(f"{path}: lexicon holds no words")
     return lexicon
@@ -100,9 +91,9 @@ def bundled_lexicon() -> dict[str, float]:
 #: Each grouping method's aggregate of one hour's scores, in Python float
 #: arithmetic (np.minimum would pick -0.0 over 0.0 where min keeps the first).
 AGGREGATES = {
-    Grouping.MIN: min,
-    Grouping.MAX: max,
-    Grouping.MEAN: lambda values: sum(values) / len(values),
+    "min": min,
+    "max": max,
+    "mean": lambda values: sum(values) / len(values),
 }
 
 
@@ -130,12 +121,12 @@ def score_headlines(
 
 def group_by_hour(
     scored: tuple[np.ndarray, np.ndarray],
-    method: Grouping | str = Grouping.MIN,
+    method: str = "min",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Collapse (epoch hour, score) columns to one value per hour: each
     hour's scores are aggregated in input order, and the hours come back
     in time order."""
-    aggregate = AGGREGATES[Grouping(method)]
+    aggregate = AGGREGATES[_choice(method, "grouping", GROUPINGS, "grouping method")]
     hours, values = scored
     order = np.argsort(hours, kind="stable")
     hours = hours[order]
@@ -147,15 +138,14 @@ def group_by_hour(
 
 
 def fill_hours(values: np.ndarray, observed: np.ndarray,
-               policy: FillPolicy | str = FillPolicy.NEUTRAL_ZERO) -> np.ndarray:
+               policy: str = "neutral-zero") -> np.ndarray:
     """`values` where `observed`, and elsewhere the policy's value.
 
     neutral-zero writes 0.0; forward-fill repeats the last observed value
     (0.0 before any news has been seen).
     """
-    policy = FillPolicy(policy)
     values = np.where(observed, values, 0.0)
-    if policy is FillPolicy.FORWARD_FILL:
+    if _choice(policy, "fill", FILL_POLICIES, "fill policy") == "forward-fill":
         last = np.maximum.accumulate(np.where(observed, np.arange(len(values)), -1))
         values = np.where(last >= 0, values[np.maximum(last, 0)], 0.0)
     return values

@@ -23,14 +23,15 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from sentarl.a2c import A2cConfig, Batch, TrainedAgent, train
+from sentarl.a2c import Batch, TrainedAgent, train
+from sentarl.config import A2cConfig, EnvConfig
 from sentarl.data import (EPOCH, NEWS_HEADER, PRICE_HEADER, SECOND, AlignedSeries,
                           parse_timestamp)
 from sentarl.files import read_rows, write_csv
-from sentarl.env import CostMode, EnvConfig, TradingEnv, total_return
+from sentarl.env import TradingEnv, total_return
 from sentarl.nn import (ForwardCache, Gradients, Mlp, _pack, backward, forward, log_softmax,
                         softmax, softmax_draw)
-from sentarl.sentiment import CorrelationPulse, FillPolicy, Grouping
+from sentarl.sentiment import CorrelationPulse
 
 # ---------------------------------------------------------------- env
 
@@ -138,7 +139,7 @@ class TrialEnv:
         self.start_index = max(config.w, config.l - 1)
         self._end = len(series) - 1
         self._phi = config.phi
-        self._proportional = config.cost_mode is CostMode.PROPORTIONAL
+        self._proportional = config.cost_mode == "proportional"
         diffs = (series.diffs if diff_stats is None
                  else (series.diffs - diff_stats[0]) / diff_stats[1])
         # (read-only sliding view, newest first, lag): row t - lag is t's window
@@ -504,27 +505,25 @@ def sentiment_window(series: AlignedSeries, t: int, l: int) -> np.ndarray:
     return series.sentiment[t - l + 1: t + 1][::-1].copy()
 
 
-def group_hourly(scores: Iterable[float], method: Grouping | str = Grouping.MIN) -> float:
+def group_hourly(scores: Iterable[float], method: str = "min") -> float:
     """Collapse one hour's scores with the chosen aggregate."""
     values = [float(s) for s in scores]
     if not values:
         raise ValueError("empty score set; apply the fill policy instead")
-    method = Grouping(method)
-    if method is Grouping.MIN:
+    if method == "min":
         return min(values)
-    if method is Grouping.MAX:
+    if method == "max":
         return max(values)
     return sum(values) / len(values)
 
 
 def fill_gaps(
     grouped: Sequence[float | None],
-    policy: FillPolicy | str = FillPolicy.NEUTRAL_ZERO,
+    policy: str = "neutral-zero",
 ) -> list[float]:
     """Replace missing (None) hours: neutral-zero writes 0.0, forward-fill
     repeats the last observed value (0.0 before any); observed hours are
     untouched."""
-    policy = FillPolicy(policy)
     out: list[float] = []
     last = 0.0
     for value in grouped:
@@ -532,7 +531,7 @@ def fill_gaps(
             last = float(value)
             out.append(last)
         else:
-            out.append(last if policy is FillPolicy.FORWARD_FILL else 0.0)
+            out.append(last if policy == "forward-fill" else 0.0)
     return out
 
 
@@ -605,7 +604,7 @@ def score_records(records: Sequence[HeadlineRecord],
 
 
 def group_records(scored: Iterable[tuple[datetime, float]],
-                  method: Grouping | str = Grouping.MIN) -> list[tuple[datetime, float]]:
+                  method: str = "min") -> list[tuple[datetime, float]]:
     """Bucket (timestamp, score) pairs by their UTC hour, in input order,
     and aggregate each bucket; the buckets come back in time order."""
     buckets: dict[datetime, list[float]] = {}
@@ -615,7 +614,7 @@ def group_records(scored: Iterable[tuple[datetime, float]],
 
 
 def align_records(prices: Sequence[PriceRecord], grouped: Sequence[tuple[datetime, float]],
-                  asset: str = "", fill: FillPolicy | str = FillPolicy.NEUTRAL_ZERO
+                  asset: str = "", fill: str = "neutral-zero"
                   ) -> AlignedSeries:
     """The price grid with each grouped value on its hour's row (the later
     of two wins; off-grid hours are dropped), gaps filled by the policy."""

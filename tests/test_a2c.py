@@ -8,9 +8,9 @@ from sentarl import a2c
 from reference import (Action, MarketState, Transition, act_greedy, act_sample, advantage,
                        backward_any, batch_of, copy_net, forward_row, greedy_policy,
                        train_one, value_of, with_grad)
-from sentarl.a2c import (A2cConfig, TrainedAgent, _targets, actor_update, critic_update,
+from sentarl.a2c import (TrainedAgent, _targets, actor_update, critic_update,
                          write_training_log)
-from sentarl.env import EnvConfig
+from sentarl.config import A2cConfig, EnvConfig
 from sentarl.nn import (Gradients, Mlp, RmspropState, apply_update, forward, log_softmax,
                         softmax)
 

@@ -17,9 +17,8 @@ import pytest
 from conftest import build_series, random_walk_series, sinusoid_series
 from reference import (Action, TrialEnv, backward_any, copy_net, forward_row, greedy_policy,
                        pulse_peak, run_policy, train_one)
-from sentarl.a2c import A2cConfig
-from sentarl.env import CostMode, EnvConfig
-from sentarl.evaluation import (STRATEGIES, WindowSpec, annualized_return,
+from sentarl.config import STRATEGIES, A2cConfig, EnvConfig, WindowSpec
+from sentarl.evaluation import (annualized_return,
                                 report, run_buy_and_hold, run_matrix, sharpe)
 from sentarl.nn import Mlp
 from sentarl.sentiment import series_pulse
@@ -88,8 +87,8 @@ def test_criterion_03_wealth_accounting_identity():
         tc_rate = float(rng.choice([0.0, 0.0025, 0.01, 0.1]))
         config = EnvConfig(
             w=w, l=l, phi=phi,
-            cost_mode=CostMode.PROPORTIONAL if rng.random() < 0.5
-            else CostMode.FIXED_PER_UNIT)
+            cost_mode="proportional" if rng.random() < 0.5
+            else "fixed-per-unit")
         env = TrialEnv(series, config, tc_rate)
         env.reset()
         rewards = []
@@ -127,7 +126,7 @@ def test_criterion_05_reward_replay_oracle():
         series = random_walk_series(n, seed=1000 + case)
         phi = float(rng.uniform(0.5, 3.0))
         c = float(rng.choice([0.0, 0.05, 0.25, 1.0]))
-        config = EnvConfig(w=3, l=2, phi=phi, cost_mode=CostMode.FIXED_PER_UNIT)
+        config = EnvConfig(w=3, l=2, phi=phi, cost_mode="fixed-per-unit")
         env = TrialEnv(series, config, c)
         env.reset()
         actions: list[int] = []

@@ -5,6 +5,7 @@ import fcntl
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,13 +16,11 @@ import pytest
 from conftest import hourly_stamps, write_news_csv, write_price_csv
 import sentarl
 from sentarl import cli, evaluation
-from sentarl.a2c import A2cConfig
 from sentarl.cli import main
-from sentarl.config import RunConfig, config_to_json, echo_config, load_config
+from sentarl.config import (A2cConfig, EnvConfig, RunConfig, WindowSpec, config_to_json,
+                            echo_config, load_config)
 from sentarl.data import load_aligned
-from sentarl.env import EnvConfig
 from sentarl.errors import ConfigError, NonFiniteGradientError
-from sentarl.evaluation import WindowSpec
 
 
 def make_workspace(tmp_path, n=60, news=True, **overrides):
@@ -114,6 +113,8 @@ def test_ingest_scores_unscored_headlines_with_a_configured_lexicon(tmp_path):
     ("word,weight\nzorp\n", "lex.csv:2: expected 2 fields, got 1"),
     ("word,weight\nzorp,0.5\nblarg,lots\n", "lex.csv:3: bad weight 'lots'"),
     ("word,weight\nzorp,1.5\n", "lex.csv:2: weight 1.5 outside [-1, 1]"),
+    ("word,weight\ncovid-19,-0.5\n", "lex.csv:2: word 'covid-19' is not a headline word"),
+    ("word,weight\nzorp,0.5\n,0.1\n", "lex.csv:3: word '' is not a headline word"),
     ("word,weight\n", "lex.csv: lexicon holds no words"),
     ("word,score\nzorp,0.5\n", "lex.csv:1: bad header"),
 ])
@@ -155,6 +156,37 @@ def test_ingest_an_out_of_range_offset_stamp_exits_3(tmp_path, capsys):
     assert main(["ingest", "--config", str(cfg)]) == 3
     assert ("prices_AAA.csv:2: bad timestamp '0001-01-01T00:30:00+01:00': "
             "date value out of range") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, code, message", [
+    ("assets.AAA.prices", 2, "config error: assets.AAA.prices: file not found: {path}"),
+    ("lexicon", 2, "config error: lexicon: file not found: {path}"),
+    ("assets.AAA.news", 3, "ingest error: {path}: cannot read the file: Is a directory"),
+])
+def test_ingest_with_a_directory_for_a_data_file_exits_naming_it(tmp_path, capsys, where,
+                                                                 code, message):
+    cfg = make_workspace(tmp_path)
+    (tmp_path / "data").mkdir()
+    config = json.loads(cfg.read_text())
+    *path, key = where.split(".")
+    node = config
+    for part in path:
+        node = node[part]
+    node[key] = "data"
+    cfg.write_text(json.dumps(config))
+    assert main(["ingest", "--config", str(cfg)]) == code
+    assert capsys.readouterr().err == message.format(path=tmp_path / "data") + "\n"
+    assert not (tmp_path / "out" / "caches").exists()
+
+
+def test_ingest_a_news_file_that_is_not_utf8_exits_3_naming_it(tmp_path, capsys):
+    cfg = make_workspace(tmp_path)
+    news = tmp_path / "news_AAA.csv"
+    news.write_bytes(news.read_bytes().replace(b"update 3", b"caf\xe9 3"))
+    assert main(["ingest", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == (f"ingest error: {news}: not UTF-8 text: "
+                                       "invalid continuation byte\n")
+    assert not (tmp_path / "out" / "caches").exists()
 
 
 def test_ingest_unknown_asset_exits_2(tmp_path, capsys):
@@ -228,13 +260,29 @@ def test_every_dataclass_field_is_a_config_key(tmp_path, section, key):
         load_config(minimal_config(tmp_path, **{section: {key: default, f"{key}_": default}}))
 
 
-def test_readme_config_block_shows_every_section_key_at_its_default(tmp_path):
+@pytest.mark.parametrize("key", [field.name for field in dataclasses.fields(RunConfig)
+                                 if field.name != "assets"])
+def test_every_run_config_field_is_a_top_level_key(tmp_path, monkeypatch, key):
+    monkeypatch.delenv("SENTARL_OUTPUT_ROOT", raising=False)
+    default = load_config(minimal_config(tmp_path))
+    # load_config adds no default of its own: a file without the key gets the field's
+    assert default == RunConfig(assets=default.assets)
+    path = minimal_config(tmp_path, **{key: config_to_json(default)[key]})
+    assert load_config(path) == default
+    unknown = rf"^{re.escape(str(path))}: unknown key\(s\) \['{key}_'\]$"
+    with pytest.raises(ConfigError, match=unknown):
+        load_config(minimal_config(tmp_path, **{key: config_to_json(default)[key],
+                                                f"{key}_": None}))
+
+
+def test_readme_config_block_shows_every_section_key_at_its_default(tmp_path, monkeypatch):
+    monkeypatch.delenv("SENTARL_OUTPUT_ROOT", raising=False)
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Config reference", 1)[1].split("```json\n", 1)[1]
     documented = json.loads(block.split("```", 1)[0])
     echo = default_echo(tmp_path)
-    for name in SECTIONS:
-        assert documented[name] == echo[name], name
+    assert list(documented) == list(echo)
+    assert {**documented, "assets": None} == {**echo, "assets": None}
 
 
 def test_config_defaults_are_the_dataclass_defaults(tmp_path):

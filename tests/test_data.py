@@ -12,7 +12,6 @@ from sentarl.data import (AlignedSeries, PriceTable, align, coverage, hour_fract
                           load_aligned, load_headlines, load_prices,
                           parse_timestamp, save_aligned)
 from sentarl.errors import IngestError
-from sentarl.sentiment import FillPolicy
 
 
 def test_parse_timestamp_forms():
@@ -136,7 +135,7 @@ def test_align_forward_fill():
     stamps = hourly_stamps(4)
     prices = load_prices_rows(stamps, ["1", "2", "3", "4"])
     grouped = hourly([parse_timestamp(stamps[1])], [0.5])
-    series = align(prices, grouped, fill=FillPolicy.FORWARD_FILL)
+    series = align(prices, grouped, fill="forward-fill")
     assert series.sentiment.tolist() == [0.0, 0.5, 0.5, 0.5]
     assert series.has_news.tolist() == [False, True, False, False]
 

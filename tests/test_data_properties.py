@@ -15,10 +15,11 @@ from reference import (align_records, epoch_seconds, group_records, hour_stamp,
                        load_headline_records, load_price_records, score_records,
                        truncate_to_hour)
 from sentarl import data as data_module
+from sentarl.config import FILL_POLICIES, GROUPINGS
 from sentarl.data import (align, decode_timestamps, load_aligned, load_headlines,
                           load_prices, parse_timestamp, save_aligned)
 from sentarl.errors import IngestError
-from sentarl.sentiment import FillPolicy, Grouping, group_by_hour, score_headlines
+from sentarl.sentiment import group_by_hour, score_headlines
 
 START = datetime(2021, 1, 4, tzinfo=timezone.utc)
 PROPERTY = settings(max_examples=25, deadline=None,
@@ -403,8 +404,8 @@ SCORE_CELLS = st.sampled_from(["", "0.0", "-0.0", "0.0", "-0.0", "0.5", "-1"]) |
 
 
 @settings(PROPERTY, max_examples=60)
-@given(data=st.data(), grouping=st.sampled_from(list(Grouping)),
-       fill=st.sampled_from(list(FillPolicy)))
+@given(data=st.data(), grouping=st.sampled_from(GROUPINGS),
+       fill=st.sampled_from(FILL_POLICIES))
 def test_column_chain_matches_the_record_chain(tmp_path, data, grouping, fill):
     forms = st.integers(0, 3)
     rows = data.draw(price_rows())
@@ -420,14 +421,14 @@ def test_column_chain_matches_the_record_chain(tmp_path, data, grouping, fill):
     assert_chains_agree(tmp_path, price_cells, news_cells, grouping, fill)
 
 
-@pytest.mark.parametrize("grouping", list(Grouping))
+@pytest.mark.parametrize("grouping", GROUPINGS)
 def test_column_chain_keeps_signed_zeros_in_input_order(tmp_path, grouping):
     # Python's min and max keep the first of 0.0 and -0.0; numpy's do not
     news_cells = [["2021-01-04T00:10:00Z", "news", "0.0"], ["2021-01-04T00:20:00Z", "sink", ""],
                   ["2021-01-04T01:10:00Z", "news", "-0.0"], ["2021-01-04T01:50:00Z", "flat", ""]]
     price_cells = [["2021-01-04T00:00:00Z", "1.0"], ["2021-01-04T01:00:00Z", "2.0"]]
-    got = assert_chains_agree(tmp_path, price_cells, news_cells, grouping, FillPolicy.NEUTRAL_ZERO)
-    assert np.signbit(got.sentiment).tolist() == [False, grouping is not Grouping.MEAN]
+    got = assert_chains_agree(tmp_path, price_cells, news_cells, grouping, "neutral-zero")
+    assert np.signbit(got.sentiment).tolist() == [False, grouping != "mean"]
 
 
 def assert_chains_agree(tmp_path, price_cells, news_cells, grouping, fill):

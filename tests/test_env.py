@@ -10,7 +10,8 @@ from conftest import build_series, random_walk_series
 from reference import TrialEnv as TradingEnv
 from reference import (ACTIONS, Action, action_from_index, action_index, baseline_policy,
                        episode_return, run_policy)
-from sentarl.env import CostMode, EnvConfig, check_diff_stats, write_equity_csv
+from sentarl.config import EnvConfig
+from sentarl.env import check_diff_stats, write_equity_csv
 from sentarl.env import TradingEnv as StackEnv
 
 
@@ -319,7 +320,7 @@ def test_env_config_validation():
         StackEnv([random_walk_series(30)], EnvConfig(), [-0.1], True)
     with pytest.raises(ValueError):
         EnvConfig(cost_mode="percentage")
-    assert EnvConfig(cost_mode=CostMode.FIXED_PER_UNIT).cost_mode is CostMode.FIXED_PER_UNIT
+    assert EnvConfig(cost_mode="fixed-per-unit").cost_mode == "fixed-per-unit"
 
 
 @pytest.mark.parametrize("stats", [(0.0,), (0.0, 1.0, 2.0), (math.nan, 1.0), (0.0, math.nan),

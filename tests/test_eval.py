@@ -14,9 +14,10 @@ import pytest
 from conftest import build_series, random_walk_series
 import sentarl
 from sentarl import config, evaluation, nn
-from sentarl.a2c import A2cConfig, EpisodeLog, write_training_log
+from sentarl.a2c import EpisodeLog, write_training_log
+from sentarl.config import A2cConfig, EnvConfig
 from sentarl.data import save_aligned
-from sentarl.env import EnvConfig, TradingEnv, write_equity_csv
+from sentarl.env import TradingEnv, write_equity_csv
 from sentarl.sentiment import CorrelationPulse, write_pulse_csv
 from sentarl.nn import Mlp, load_model, save_model
 from sentarl.errors import IngestError

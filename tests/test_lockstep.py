@@ -11,11 +11,12 @@ from reference import (ReplayResult, TrialEnv, action_from_index, backward_any, 
                        gradients_of, greedy_policy, observe_row, run_policy, softmax_sample,
                        stack_cash, stack_wealth, step_one, train_one, write_equity_points)
 from sentarl import a2c, evaluation
-from sentarl.a2c import A2cConfig, greedy_episodes, train
-from sentarl.env import EnvConfig, TradingEnv, total_return, write_equity_csv
+from sentarl.a2c import greedy_episodes, train
+from sentarl.config import ACTIVATIONS, A2cConfig, EnvConfig, WindowSpec
+from sentarl.env import TradingEnv, total_return, write_equity_csv
 from sentarl.errors import NonFiniteGradientError
-from sentarl.evaluation import TrialKey, WindowSpec, result_row, run_matrix
-from sentarl.nn import (ACTIVATIONS, Gradients, Mlp, RmspropState, apply_update, forward,
+from sentarl.evaluation import TrialKey, result_row, run_matrix
+from sentarl.nn import (Gradients, Mlp, RmspropState, apply_update, forward,
                         log_softmax, softmax)
 
 # ------------------------------------------------ stacked nn primitives

@@ -8,8 +8,9 @@ import pytest
 
 from conftest import rel_err
 from reference import backward_any, copy_net, forward_row, gradients_of, softmax_sample
+from sentarl.config import ACTIVATIONS
 from sentarl.errors import ModelFormatError, NonFiniteGradientError
-from sentarl.nn import (ACTIVATIONS, Gradients, Mlp, RmspropState, apply_update,
+from sentarl.nn import (Gradients, Mlp, RmspropState, apply_update,
                         deserialize, fd_gradients, forward, load_model, log_softmax,
                         save_model, serialize, softmax, softmax_draw)
 
@@ -213,16 +214,18 @@ def test_log_softmax_consistent():
 
 def test_softmax_sample_statistics():
     logits = np.log(np.array([0.2, 0.5, 0.3]))
-    rng = np.random.default_rng(7)
     n = 100_000
-    counts = np.zeros(3)
-    for _ in range(n):
-        index, logp, probs = softmax_sample(logits, rng)
-        counts[index] += 1
-        assert logp == pytest.approx(float(np.log(probs[index])), abs=1e-9)
+    # rng.random(n) is the stream of n rng.random() calls, so one call of the
+    # uniforms form draws what n calls of the single-generator form would
+    index, logp, probs = softmax_sample(np.broadcast_to(logits, (n, 3)),
+                                        np.random.default_rng(7).random(n))
+    counts = np.bincount(index, minlength=3)
+    assert np.allclose(logp, np.log(probs[np.arange(n), index]), rtol=0, atol=1e-9)
     for k, p in enumerate([0.2, 0.5, 0.3]):
         sigma = np.sqrt(n * p * (1 - p))
         assert abs(counts[k] - n * p) <= 3 * sigma
+    rng = np.random.default_rng(7)
+    assert [softmax_sample(logits, rng)[0] for _ in range(1000)] == index[:1000].tolist()
 
 
 def test_softmax_draw_frequencies_edges_and_stacked_rows():

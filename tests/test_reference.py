@@ -3,6 +3,10 @@ closed forms that replaced them agree with them bit for bit."""
 
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +14,10 @@ import pytest
 from conftest import random_walk_series
 from reference import TrialEnv, baseline_policy, run_policy
 import sentarl
-from sentarl import a2c, config, data, env, evaluation, nn, sentiment
-from sentarl.env import CostMode, EnvConfig, TradingEnv
+from sentarl import a2c, config, data, env, errors, evaluation, nn, sentiment
+from sentarl.config import EnvConfig
+from sentarl.env import TradingEnv
 from sentarl.evaluation import annualized_return, run_buy_and_hold, run_matrix
-from sentarl.sentiment import FillPolicy, Grouping
 
 MOVED = ("MarketState", "TrialEnv", "Policy", "baseline_policy", "run_policy",
          "action_from_index", "action_index", "Transition", "batch_of", "value_of",
@@ -35,8 +39,6 @@ def test_the_library_keeps_one_path():
     assert [name for name, value in vars(sentarl).items()
             if not name.startswith("_") and not inspect.ismodule(value)] == []
     assert isinstance(sentarl.__version__, str)
-    assert [choice for choice in (CostMode, Grouping, FillPolicy)
-            if hasattr(choice, "parse")] == []
     assert "artifacts" not in inspect.signature(run_matrix).parameters
     # one form per layer: trials run only as chunks, nets take only row
     # batches, the env steps only action blocks and keeps no cash
@@ -90,6 +92,31 @@ def test_the_library_keeps_one_path():
     assert list(inspect.signature(evaluation.make_windows).parameters) == ["length", "spec"]
     scorer = inspect.signature(sentiment.score_headlines).parameters["scorer"]
     assert scorer.default is inspect.Parameter.empty
+    # one config schema: config declares every key and closed value set, each
+    # set a tuple of strings, and errors holds only exception types
+    assert [name for module, name in ((env, "CostMode"), (sentiment, "Grouping"),
+                                       (sentiment, "FillPolicy"), (errors, "Choice"),
+                                       (config, "_Section"), (config, "_parse_section"),
+                                       (config, "_parse_assets"))
+            if hasattr(module, name)] == []
+    assert [name for name, value in vars(errors).items() if not name.startswith("__")
+            and not (inspect.isclass(value) and issubclass(value, Exception))] == []
+    assert [cls.__module__ for cls in (config.EnvConfig, config.A2cConfig,
+                                       config.WindowSpec)] == ["sentarl.config"] * 3
+    assert all(isinstance(choices, tuple) and all(isinstance(c, str) for c in choices)
+               for choices in (config.STRATEGIES, config.COST_MODES, config.GROUPINGS,
+                               config.FILL_POLICIES, config.ACTIVATIONS, config.OPTIMIZERS))
+    assert set(sentiment.AGGREGATES) == set(config.GROUPINGS)
+
+
+def test_the_config_schema_imports_no_learner_layer():
+    code = "import sys, sentarl.config; print(sorted(m for m in sys.modules if 'sentarl' in m))"
+    src = str(Path(sentarl.__file__).resolve().parents[1])
+    loaded = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                            check=True, capture_output=True, text=True, timeout=60).stdout
+    assert "sentarl.config" in loaded
+    for module in ("env", "nn", "a2c", "evaluation", "sentiment", "cli"):
+        assert f"'sentarl.{module}'" not in loaded, module
 
 
 @pytest.mark.parametrize("phi", [0.5, 1.0, 3.0])

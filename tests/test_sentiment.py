@@ -14,10 +14,10 @@ from conftest import build_series, random_walk_series
 from reference import (epoch_seconds, fill_gaps, group_hourly, hour_stamp, pulse_peak,
                        sentiment_window)
 import sentarl
+from sentarl.config import FILL_POLICIES
 from sentarl.data import HeadlineTable
 from sentarl.errors import IngestError
-from sentarl.sentiment import (CorrelationPulse, FillPolicy, Grouping,
-                               LexiconScorer, bundled_lexicon,
+from sentarl.sentiment import (CorrelationPulse, LexiconScorer, bundled_lexicon,
                                correlation_pulse, group_by_hour,
                                lexicon_score, load_lexicon, max_pulse_shift,
                                pearson, score_headlines, series_pulse,
@@ -59,21 +59,21 @@ def test_load_lexicon_rejects_out_of_range(tmp_path):
 
 def test_group_hourly():
     scores = [0.2, -0.5, 0.4]
-    assert group_hourly(scores, Grouping.MIN) == -0.5
-    assert group_hourly(scores, Grouping.MEAN) == pytest.approx(0.1 / 3)
-    assert group_hourly(scores, Grouping.MAX) == 0.4
-    assert group_hourly([0.3], Grouping.MIN) == 0.3
+    assert group_hourly(scores, "min") == -0.5
+    assert group_hourly(scores, "mean") == pytest.approx(0.1 / 3)
+    assert group_hourly(scores, "max") == 0.4
+    assert group_hourly([0.3], "min") == 0.3
     with pytest.raises(ValueError):
-        group_hourly([], Grouping.MIN)
+        group_hourly([], "min")
 
 
 def test_grouping_order_property():
     rng = np.random.default_rng(11)
     for _ in range(50):
         scores = rng.uniform(-1, 1, rng.integers(1, 8)).tolist()
-        lo = group_hourly(scores, Grouping.MIN)
-        mid = group_hourly(scores, Grouping.MEAN)
-        hi = group_hourly(scores, Grouping.MAX)
+        lo = group_hourly(scores, "min")
+        mid = group_hourly(scores, "mean")
+        hi = group_hourly(scores, "max")
         assert lo <= mid + 1e-15
         assert mid <= hi + 1e-15
 
@@ -126,21 +126,21 @@ def test_group_by_hour_buckets():
     ]
     hours, values = group_by_hour(
         (epoch_seconds(when for when, _ in scored) // 3600,
-         np.array([value for _, value in scored])), Grouping.MIN)
+         np.array([value for _, value in scored])), "min")
     grouped = [(hour_stamp(hour), value) for hour, value in zip(hours.tolist(), values.tolist())]
     assert grouped == [(base.replace(minute=0), -0.5),
                        (base.replace(hour=10, minute=0), 0.4)]
 
 
 def test_fill_gaps_policies():
-    assert fill_gaps([0.5, None, None], FillPolicy.NEUTRAL_ZERO) == [0.5, 0.0, 0.0]
-    assert fill_gaps([0.5, None, None], FillPolicy.FORWARD_FILL) == [0.5, 0.5, 0.5]
-    assert fill_gaps([None, -0.2], FillPolicy.FORWARD_FILL) == [0.0, -0.2]
+    assert fill_gaps([0.5, None, None], "neutral-zero") == [0.5, 0.0, 0.0]
+    assert fill_gaps([0.5, None, None], "forward-fill") == [0.5, 0.5, 0.5]
+    assert fill_gaps([None, -0.2], "forward-fill") == [0.0, -0.2]
 
 
 def test_fill_gaps_preserves_observed():
     values = [None, 0.3, None, -0.1, None]
-    for policy in FillPolicy:
+    for policy in FILL_POLICIES:
         filled = fill_gaps(values, policy)
         assert filled[1] == 0.3
         assert filled[3] == -0.1
