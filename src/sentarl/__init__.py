@@ -1,12 +1,3 @@
 """Sentiment-aware actor-critic trading research engine."""
 
-import os
-
-# One BLAS thread, set before any submodule imports numpy: the matmuls are too
-# small to split, `run` gives each core its own process, and the pool's
-# workers inherit the environment. A value the caller set still wins.
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_name, "1")
-del _name
-
 __version__ = "0.1.0"

@@ -15,20 +15,23 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-from . import data, sentiment
+# One BLAS thread, set before `data` imports numpy: the matmuls are too small
+# to split, `run` gives each core its own process, and the pool's workers
+# inherit the environment. A value the caller set still wins. Library
+# importers of other sentarl modules keep their own environment.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
+from . import data, evaluation, sentiment
 from .config import (RESUMABLE_KEYS, RunConfig, _integer, _number, echo_config,
                      echo_differences, load_config)
 from .errors import ConfigError, IngestError, SentarlError
 from .files import run_lock
-
-# `train`, `run` and `report` import evaluation themselves, so that `ingest` and
-# `corr-pulse` load no learner module
-if TYPE_CHECKING:
-    from .evaluation import ReportBundle
 
 log = logging.getLogger("sentarl")
 
@@ -121,7 +124,6 @@ def cmd_corr_pulse(config: RunConfig, asset: str, min_shift: int,
 
 def cmd_train(config: RunConfig, asset: str, window: int, seed: int,
               tc: float, strategy: str) -> int:
-    from . import evaluation
     _number(tc, "--tc", lo=0)  # both before the cache is read or anything written
     _integer(seed, "--seed", lo=0)
     slices = evaluation.window_slices(_load_cache(config, asset), config.windows)
@@ -138,7 +140,7 @@ def cmd_train(config: RunConfig, asset: str, window: int, seed: int,
     return EXIT_OK
 
 
-def _print_overall(bundle: ReportBundle) -> None:
+def _print_overall(bundle: evaluation.ReportBundle) -> None:
     for row in bundle.overall:
         tc = "-" if row.tc is None else f"{row.tc:g}"
         ar = "undefined" if row.mean_ar is None else f"{row.mean_ar:.6f}"
@@ -149,7 +151,6 @@ def _print_overall(bundle: ReportBundle) -> None:
 
 def cmd_run(config: RunConfig, workers: int | None, resume: bool,
             limit: int | None) -> int:
-    from . import evaluation
     for flag, value, lo in (("--limit", limit, 0), ("--workers", workers, 1)):
         if value is not None:  # before anything is written: a typo keeps the old outputs
             _integer(value, flag, lo=lo)
@@ -204,7 +205,6 @@ def cmd_run(config: RunConfig, workers: int | None, resume: bool,
 
 
 def cmd_report(results_dir: Path, shift: int) -> int:
-    from . import evaluation
     results_path = results_dir / "results.csv"
     if not results_path.exists():
         raise IngestError(f"no results file at {results_path}")

@@ -1033,37 +1033,23 @@ def test_fresh_run_removes_the_outputs_of_an_earlier_run(tmp_path):
     assert all(path.read_text() == "keep" for path in foreign)
 
 
-def test_data_only_commands_load_no_learner(tmp_path):
-    cfg = make_workspace(tmp_path)
-    code = ("import sys; from sentarl.cli import main\n"
-            "def loaded(): print('loaded', *sorted(m for m in sys.modules if 'sentarl' in m))\n"
-            "for argv in (['ingest', '--config', sys.argv[1]],\n"
-            "             ['corr-pulse', '--config', sys.argv[1], '--asset', 'AAA']):\n"
-            "    assert main(['--quiet', *argv]) == 0\n"
-            "loaded()\n"
-            "assert main(['--quiet', 'run', '--config', sys.argv[1], '--workers', '1']) == 0\n"
-            "loaded()\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(sentarl.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code, str(cfg)], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    data_only, after_run = [set(line.split()[1:]) for line in out.splitlines()
-                            if line.startswith("loaded ")]
-    assert {"sentarl.data", "sentarl.sentiment"} <= data_only
-    for module in ("evaluation", "a2c", "nn", "env"):
-        assert f"sentarl.{module}" not in data_only, module
-        assert f"sentarl.{module}" in after_run, module
-
-
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
                     reason="needs /proc/self/task and two or more cores")
-def test_sentarl_runs_one_blas_thread_unless_the_caller_sets_a_count():
-    code = ("import os, sentarl.cli, numpy\n"
+def test_the_cli_runs_one_blas_thread_unless_the_caller_sets_a_count():
+    code = ("import os, sys, importlib\n"
+            "importlib.import_module(sys.argv[1])\n"
+            "import numpy\n"
             "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n")
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env["PYTHONPATH"] = str(Path(sentarl.__file__).resolve().parents[1])
-    runs = [subprocess.run([sys.executable, "-c", code], env=child, check=True,
-                           capture_output=True, text=True, timeout=60).stdout.split()
-            for child in (env, dict(env, OPENBLAS_NUM_THREADS="2"))]
-    assert runs[0] == ["1", "1"]
-    assert runs[1][1] == "2"
+
+    def child(module, **extra):
+        return subprocess.run([sys.executable, "-c", code, module], env=dict(env, **extra),
+                              check=True, capture_output=True, text=True,
+                              timeout=60).stdout.split()
+
+    assert child("sentarl.cli") == ["1", "1"]
+    assert child("sentarl.cli", OPENBLAS_NUM_THREADS="2") == ["2", "2"]
+    # a library import of the learner sets nothing in the caller's environment
+    assert child("sentarl.evaluation")[1] == "None"
