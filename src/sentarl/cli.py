@@ -3,8 +3,8 @@
 Subcommands: `ingest` builds per-asset aligned caches, `corr-pulse` writes
 the lagged-correlation profile, `train` runs one debug trial, `run` executes
 the full experiment matrix and reports, `report` re-aggregates an existing
-results file. All outputs land under the config's output directory; the
-SENTARL_OUTPUT_ROOT environment variable re-roots relative output dirs.
+results file. All outputs land under the config's output directory. The
+commands that write there (`ingest`, `run` and `report`) hold its run lock.
 
 Exit codes: 0 success, 1 internal error (an unexpected exception), 2
 configuration/usage error, 3 ingestion or missing data error, 4 one or more
@@ -42,10 +42,10 @@ EXIT_INGEST = 3
 EXIT_TRIALS = 4
 
 
-def _scorer(config: RunConfig) -> sentiment.LexiconScorer:
+def _lexicon(config: RunConfig) -> dict[str, float]:
     if config.lexicon is not None:
-        return sentiment.LexiconScorer(sentiment.load_lexicon(config.lexicon))
-    return sentiment.LexiconScorer(sentiment.bundled_lexicon())
+        return sentiment.load_lexicon(config.lexicon)
+    return sentiment.bundled_lexicon()
 
 
 def _ingest_asset(config: RunConfig, name: str) -> data.AlignedSeries:
@@ -59,7 +59,7 @@ def _ingest_asset(config: RunConfig, name: str) -> data.AlignedSeries:
                     name, spec.news)
     else:
         headlines = data.load_headlines(spec.news)
-        scored = sentiment.score_headlines(headlines, _scorer(config))
+        scored = sentiment.score_headlines(headlines, _lexicon(config))
         del headlines  # one headline table alive at a time keeps the peak RSS down
         grouped = sentiment.group_by_hour(scored, config.grouping)
         del scored
@@ -206,22 +206,23 @@ def cmd_run(config: RunConfig, workers: int | None, resume: bool,
 
 def cmd_report(results_dir: Path, shift: int) -> int:
     results_path = results_dir / "results.csv"
-    if not results_path.exists():
+    if not results_path.exists():  # checked first: the lock would make the directory
         raise IngestError(f"no results file at {results_path}")
-    results = evaluation.read_results_csv(results_path)
-    caches_dir = results_dir / data.CACHE_DIR
-    # only the caches of the results' assets, and only under caches/ (the names come
-    # from the file); an asset without one has no scatter row
-    caches = {asset: caches_dir / f"{asset}{data.CACHE_SUFFIX}"
-              for asset in sorted({r.asset for r in results})}
-    series_by_asset = {asset: data.load_aligned(path, asset=asset)
-                       for asset, path in caches.items()
-                       if path.parent == caches_dir and path.is_file()}
-    for series in series_by_asset.values():
-        _check_shift(series, shift, "--shift")  # its scatter column
-    bundle = evaluation.report(results, series_by_asset or None,
-                               out_dir=results_dir / "report",
-                               scatter_shift=shift)
+    with run_lock(results_dir):  # a run may be writing results.csv or report/
+        results = evaluation.read_results_csv(results_path)
+        caches_dir = results_dir / data.CACHE_DIR
+        # only the caches of the results' assets, and only under caches/ (the names come
+        # from the file); an asset without one has no scatter row
+        caches = {asset: caches_dir / f"{asset}{data.CACHE_SUFFIX}"
+                  for asset in sorted({r.asset for r in results})}
+        series_by_asset = {asset: data.load_aligned(path, asset=asset)
+                           for asset, path in caches.items()
+                           if path.parent == caches_dir and path.is_file()}
+        for series in series_by_asset.values():
+            _check_shift(series, shift, "--shift")  # its scatter column
+        bundle = evaluation.report(results, series_by_asset or None,
+                                   out_dir=results_dir / "report",
+                                   scatter_shift=shift)
     _print_overall(bundle)
     print(f"report files in {results_dir / 'report'}")
     return EXIT_OK

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -27,9 +26,6 @@ from pathlib import Path
 from .data import CACHE_DIR, CACHE_SUFFIX
 from .errors import ConfigError
 from .files import atomic_open
-
-#: Relative output dirs resolve under this root when the variable is set.
-OUTPUT_ROOT_ENV = "SENTARL_OUTPUT_ROOT"
 
 STRATEGIES = ("buy-and-hold", "no-sentiment", "sentarl")
 #: How the per-unit switching cost c_t derives from tc_rate: proportional
@@ -303,9 +299,7 @@ class RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a config file. Its data paths resolve against its
     directory, absolutized so the echoed config means the same files when
-    parsed from anywhere; a relative output_dir resolves under
-    SENTARL_OUTPUT_ROOT when that is set (absolutized too, so that parsing
-    the echo again changes nothing), and is used as it is otherwise."""
+    parsed from anywhere; output_dir is used as it is."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -325,11 +319,7 @@ def load_config(path: str | Path) -> RunConfig:
                           for name, entry in keys["assets"].items()}
     if "lexicon" in keys:
         keys["lexicon"] = anchor(keys["lexicon"])
-    config = RunConfig(**keys)
-    root = os.environ.get(OUTPUT_ROOT_ENV)
-    if not root or config.output_dir.is_absolute():
-        return config
-    return dataclasses.replace(config, output_dir=(Path(root) / config.output_dir).absolute())
+    return RunConfig(**keys)
 
 
 def _json_value(value: object) -> object:

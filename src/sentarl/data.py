@@ -53,8 +53,6 @@ class HeadlineTable:
     hours: np.ndarray   # int64 hours since the Unix epoch (the containing UTC hour)
     texts: list[str]
     scores: np.ndarray  # float64 in [-1, 1]; NaN where the score cell is empty
-    path: Path          # the file, and each row's line in it, for error messages
-    lines: np.ndarray   # int64
 
     def __len__(self) -> int:
         return len(self.hours)
@@ -232,11 +230,10 @@ def load_prices(path: str | Path) -> PriceTable:
 
 
 def load_headlines(path: str | Path) -> HeadlineTable:
-    """Load a headline CSV; an empty score cell means "score via scorer"."""
+    """Load a headline CSV; an empty score cell means "score via the lexicon"."""
     path = Path(path)
     hour_blocks: list[np.ndarray] = []
     score_blocks: list[np.ndarray] = []
-    line_numbers: list[int] = []
     texts: list[str] = []
     for lines, (stamp_cells, headlines, score_cells), faults in _read_blocks(path, NEWS_HEADER):
         seconds, exc = decode_timestamps(stamp_cells)
@@ -257,11 +254,9 @@ def load_headlines(path: str | Path) -> HeadlineTable:
         scores[scored] = values
         hour_blocks.append(seconds // 3600)
         score_blocks.append(scores)
-        line_numbers += lines
         texts += headlines
     table = HeadlineTable(_joined(hour_blocks, np.int64), texts,
-                          _joined(score_blocks, np.float64), path,
-                          np.array(line_numbers, dtype=np.int64))
+                          _joined(score_blocks, np.float64))
     logger.info("loaded %d headline rows from %s", len(table), path)
     return table
 
@@ -402,9 +397,8 @@ def save_aligned(series: AlignedSeries, path: str | Path) -> None:
                                  diff_cells, hours, sentiment, flags)))
 
 
-def load_aligned(path: str | Path, asset: str | None = None) -> AlignedSeries:
-    """Read an aligned cache CSV back; the asset defaults to the file name
-    without CACHE_SUFFIX, or else to its stem up to the first '.'.
+def load_aligned(path: str | Path, asset: str) -> AlignedSeries:
+    """Read an aligned cache CSV back as `asset`'s series.
 
     Every row is checked as the cache writes it: timestamps increase,
     closes are finite and positive, the diff cell is empty on the first row
@@ -465,9 +459,6 @@ def load_aligned(path: str | Path, asset: str | None = None) -> AlignedSeries:
     )
     _raise_first(path, lines, [(int(np.argmax(bad)), message)
                                for bad, message in problems if bad.any()])
-    if asset is None:
-        asset = (path.name.removesuffix(CACHE_SUFFIX) if path.name.endswith(CACHE_SUFFIX)
-                 else path.stem.split(".")[0])
     return AlignedSeries(
         asset=asset,
         timestamps=timestamps,

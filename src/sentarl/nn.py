@@ -337,9 +337,13 @@ def apply_update(net: Mlp, grads: Gradients, lr: float,
     if not np.isfinite(norm).all() and not grads.is_finite():
         raise NonFiniteGradientError("update rejected: non-finite gradient")
     step = grads.flat
-    if clip_norm is not None and np.any(norm > clip_norm):
-        # trials within the bound get a factor of exactly 1
-        step *= (clip_norm / np.maximum(norm, clip_norm))[..., None]
+    if clip_norm is not None:
+        # numpy's pairwise sum, where the norm reaches the bits: BLAS may split the
+        # product across threads, and each row's sum is the same alone or stacked
+        norm = np.sqrt(np.add.reduce(step * step, axis=-1))
+        if np.any(norm > clip_norm):
+            # trials within the bound get a factor of exactly 1
+            step *= (clip_norm / np.maximum(norm, clip_norm))[..., None]
     if optimizer_state is None:
         step *= lr
         net.flat += step

@@ -2,9 +2,9 @@
 correlation-pulse diagnostic.
 
 The heavy sentiment extractor is deliberately out of this package's scope:
-any object with a ``score(headline) -> float`` method plugs in, and
-precomputed scores carried in the news file take precedence over the
-configured scorer. The bundled lexicon is a small baseline stand-in.
+its scores go in the news file's score column, and they take precedence
+over the configured lexicon, which scores only the rows left empty. The
+bundled lexicon is a small baseline stand-in.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -32,12 +32,6 @@ PULSE_SHIFTS = range(-10, 4)
 MIN_PULSE_OVERLAP = 3
 
 
-class SentimentScorer(Protocol):
-    """Anything that maps a headline to a score in [-1, 1]."""
-
-    def score(self, headline: str) -> float: ...
-
-
 def lexicon_score(headline: str, lexicon: dict[str, float]) -> float:
     """Mean weight of lexicon words found in the headline, clamped to
     [-1, 1]; 0.0 when nothing matches."""
@@ -47,16 +41,6 @@ def lexicon_score(headline: str, lexicon: dict[str, float]) -> float:
     if not hits:
         return 0.0
     return float(min(1.0, max(-1.0, sum(hits) / len(hits))))
-
-
-@dataclass(frozen=True)
-class LexiconScorer:
-    """Deterministic word-polarity scorer backed by a word -> weight map."""
-
-    lexicon: dict[str, float]
-
-    def score(self, headline: str) -> float:
-        return lexicon_score(headline, self.lexicon)
 
 
 def load_lexicon(path: str | Path) -> dict[str, float]:
@@ -99,23 +83,14 @@ AGGREGATES = {
 
 def score_headlines(
     headlines: "HeadlineTable",
-    scorer: SentimentScorer,
+    lexicon: dict[str, float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each headline's (epoch hour, score) as two columns; precomputed
-    scores win, and the scorer is called only for the unscored rows. A
-    scorer's value is clamped to [-1, 1]; a NaN from it is an IngestError
-    naming the headline's line."""
+    scores win, and lexicon_score scores only the unscored rows."""
     scores = headlines.scores.copy()
     todo = np.flatnonzero(np.isnan(scores))
     if todo.size:
-        values = np.array([scorer.score(headlines.texts[i]) for i in todo.tolist()],
-                          dtype=np.float64)
-        nan = np.isnan(values)
-        if nan.any():
-            row = int(todo[np.argmax(nan)])
-            raise IngestError(f"{headlines.path}:{headlines.lines[row]}: the scorer gave "
-                              f"nan for {headlines.texts[row]!r}")
-        scores[todo] = np.clip(values, -1.0, 1.0)
+        scores[todo] = [lexicon_score(headlines.texts[i], lexicon) for i in todo.tolist()]
     return headlines.hours, scores
 
 

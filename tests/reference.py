@@ -31,7 +31,7 @@ from sentarl.files import read_rows, write_csv
 from sentarl.env import TradingEnv, total_return
 from sentarl.nn import (ForwardCache, Gradients, Mlp, _pack, backward, forward, log_softmax,
                         softmax, softmax_draw)
-from sentarl.sentiment import CorrelationPulse
+from sentarl.sentiment import CorrelationPulse, lexicon_score
 
 # ---------------------------------------------------------------- env
 
@@ -596,10 +596,10 @@ def load_headline_records(path: str | Path) -> list[HeadlineRecord]:
 
 
 def score_records(records: Sequence[HeadlineRecord],
-                  scorer) -> list[tuple[datetime, float]]:
+                  lexicon: dict[str, float]) -> list[tuple[datetime, float]]:
     """Resolve each record to (timestamp, score); precomputed scores win."""
     return [(rec.timestamp, rec.score if rec.score is not None
-             else float(min(1.0, max(-1.0, scorer.score(rec.headline)))))
+             else lexicon_score(rec.headline, lexicon))
             for rec in records]
 
 

@@ -1,9 +1,15 @@
 """Learner math: advantages, critic/actor steps, rollout batching, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import random_walk_series, rel_err
+import sentarl
 from sentarl import a2c
 from reference import (Action, MarketState, Transition, act_greedy, act_sample, advantage,
                        backward_any, batch_of, copy_net, forward_row, greedy_policy,
@@ -383,3 +389,32 @@ def test_write_training_log(tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == 0
     assert float(first[1]) == agent.log[0].train_tr
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two or more cores")
+def test_clipped_training_does_not_depend_on_the_blas_thread_count():
+    # clipping brings the gradient norm into the weights, and BLAS may split a
+    # long (1, P) @ (P, 1) product across threads; 46-128-128 nets are wide
+    # enough for OpenBLAS to split it
+    code = ("import hashlib\n"
+            "from conftest import random_walk_series\n"
+            "from sentarl.a2c import train\n"
+            "from sentarl.config import A2cConfig, EnvConfig\n"
+            "from sentarl.env import TradingEnv\n"
+            "from sentarl.nn import serialize\n"
+            "series = random_walk_series(600, seed=8, base=30_000.0, vol=150.0)\n"
+            "env = TradingEnv([series] * 4, EnvConfig(w=20, l=5), [0.0] * 4, True)\n"
+            "config = A2cConfig(episodes=2, hidden_sizes=(128, 128), max_grad_norm=0.5)\n"
+            "nets = [net for agent in train(env, config, range(4))\n"
+            "        for net in (agent.policy_net, agent.value_net)]\n"
+            "print(hashlib.sha256(b''.join(map(serialize, nets))).hexdigest())\n")
+    path = os.pathsep.join([str(Path(sentarl.__file__).resolve().parents[1]),
+                            str(Path(__file__).parent)])
+    models = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        models.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                     capture_output=True, text=True, timeout=120).stdout)
+    assert models[0] == models[1]
+    assert len(models[0].strip()) == 64

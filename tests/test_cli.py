@@ -262,8 +262,7 @@ def test_every_dataclass_field_is_a_config_key(tmp_path, section, key):
 
 @pytest.mark.parametrize("key", [field.name for field in dataclasses.fields(RunConfig)
                                  if field.name != "assets"])
-def test_every_run_config_field_is_a_top_level_key(tmp_path, monkeypatch, key):
-    monkeypatch.delenv("SENTARL_OUTPUT_ROOT", raising=False)
+def test_every_run_config_field_is_a_top_level_key(tmp_path, key):
     default = load_config(minimal_config(tmp_path))
     # load_config adds no default of its own: a file without the key gets the field's
     assert default == RunConfig(assets=default.assets)
@@ -275,8 +274,7 @@ def test_every_run_config_field_is_a_top_level_key(tmp_path, monkeypatch, key):
                                                 f"{key}_": None}))
 
 
-def test_readme_config_block_shows_every_section_key_at_its_default(tmp_path, monkeypatch):
-    monkeypatch.delenv("SENTARL_OUTPUT_ROOT", raising=False)
+def test_readme_config_block_shows_every_section_key_at_its_default(tmp_path):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Config reference", 1)[1].split("```json\n", 1)[1]
     documented = json.loads(block.split("```", 1)[0])
@@ -380,8 +378,7 @@ NON_DEFAULT_ECHO = """{
 """
 
 
-def test_echo_of_a_config_with_every_key_off_its_default(tmp_path, monkeypatch):
-    monkeypatch.delenv("SENTARL_OUTPUT_ROOT", raising=False)
+def test_echo_of_a_config_with_every_key_off_its_default(tmp_path):
     for name in ("p.csv", "q.csv", "lex.csv"):
         (tmp_path / name).write_text("")
     path = tmp_path / "config.json"
@@ -853,15 +850,17 @@ def test_resume_wrong_journal_header_exits_3_naming_line_1(tmp_path, capsys):
     assert "results.journal.csv:1: bad header" in capsys.readouterr().err
 
 
-def test_output_root_env(tmp_path, monkeypatch):
+def test_outputs_land_in_the_config_output_dir_whatever_the_environment(tmp_path,
+                                                                        monkeypatch):
+    # an ambient variable must not move outputs: output_dir is used as the config says
     root = tmp_path / "rooted"
     monkeypatch.setenv("SENTARL_OUTPUT_ROOT", str(root))
+    monkeypatch.chdir(tmp_path)
     cfg = make_workspace(tmp_path, output_dir="relative-out")
+    assert load_config(cfg).output_dir == Path("relative-out")
     assert main(["ingest", "--config", str(cfg)]) == 0
-    assert (root / "relative-out" / "caches" / "AAA.aligned.csv").exists()
-    # absolute output dirs are untouched by the root override
-    config = load_config(cfg)
-    assert str(config.output_dir).startswith(str(root))
+    assert (tmp_path / "relative-out" / "caches" / "AAA.aligned.csv").exists()
+    assert not root.exists()
 
 
 def test_resume_rejects_a_changed_config(tmp_path, capsys):
@@ -1000,6 +999,29 @@ def test_ingest_refuses_an_output_dir_another_run_holds(tmp_path, capsys):
     assert cache.read_bytes() == before
     assert main(["ingest", "--config", str(cfg)]) == 0
     assert cache.read_bytes() != before
+
+
+def test_report_refuses_an_output_dir_another_run_holds(tmp_path, capsys):
+    cfg = make_workspace(tmp_path)
+    main(["ingest", "--config", str(cfg)])
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    report = out / "report"
+    written = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in report.iterdir()}
+    with open(out / ".sentarl.lock", "a+") as holder:
+        fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        holder.truncate(0)
+        holder.write("4242\n")
+        holder.flush()
+        capsys.readouterr()
+        assert main(["report", "--results", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: " in err and "pid 4242" in err
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in report.iterdir()} == written
+    assert main(["report", "--results", str(out)]) == 0
+    # a missing results directory is an error that creates nothing
+    assert main(["report", "--results", str(tmp_path / "missing")]) == 3
+    assert not (tmp_path / "missing").exists()
 
 
 def test_fresh_run_removes_the_outputs_of_an_earlier_run(tmp_path):

@@ -165,7 +165,7 @@ def test_aligned_series_invariants(tmp_path):
     stamps = hourly_stamps(30, start="2021-03-01T05:00:00")
     aligned = align(load_prices_rows(stamps, [str(100 + i // 2) for i in range(30)]), None)
     save_aligned(constructed, tmp_path / "RND.aligned.csv")
-    loaded = load_aligned(tmp_path / "RND.aligned.csv")
+    loaded = load_aligned(tmp_path / "RND.aligned.csv", asset="RND")
     for series in (constructed, aligned, loaded, constructed.slice(7, 31),
                    aligned.slice(1, 2)):
         assert bits(series.diffs) == bits(np.diff(series.prices))
@@ -208,22 +208,13 @@ def test_cache_round_trip(tmp_path):
     series = random_walk_series(60, seed=9, asset="RT")
     path = tmp_path / "RT.aligned.csv"
     save_aligned(series, path)
-    loaded = load_aligned(path)
+    loaded = load_aligned(path, asset="RT")
     assert loaded.asset == "RT"
     assert np.array_equal(loaded.prices, series.prices)  # bit-exact
     assert np.array_equal(loaded.diffs, series.diffs)
     assert np.array_equal(loaded.sentiment, series.sentiment)
     assert np.array_equal(loaded.has_news, series.has_news)
     assert np.array_equal(loaded.timestamps, series.timestamps)
-
-
-def test_cache_name_keeps_a_dotted_asset(tmp_path):
-    series = random_walk_series(30, seed=9, asset="AST.A")
-    path = tmp_path / "AST.A.aligned.csv"
-    save_aligned(series, path)
-    assert load_aligned(path).asset == "AST.A"
-    # without the cache suffix, the name is the stem up to its first '.'
-    assert load_aligned(path.rename(tmp_path / "AST.A.csv")).asset == "AST"
 
 
 def test_coverage_monotone():

@@ -4,6 +4,7 @@ malformed row is an IngestError that names its path and line."""
 import csv
 import math
 from datetime import datetime, timedelta, timezone
+from functools import partial
 
 import numpy as np
 import pytest
@@ -196,7 +197,7 @@ def aligned_series(draw, min_size=2):
 def test_load_aligned_round_trips(tmp_path, series):
     path = tmp_path / "X.aligned.csv"
     save_aligned(series, path)
-    back = load_aligned(path)
+    back = load_aligned(path, asset="X")
     assert back.asset == "X"
     for name in ("timestamps", "prices", "diffs", "hours", "sentiment", "has_news"):
         assert np.array_equal(getattr(back, name), getattr(series, name))
@@ -265,7 +266,7 @@ def test_load_aligned_names_the_malformed_line(tmp_path, fault, series, data):
         row[5] = data.draw(st.sampled_from(["2", "yes", ""]))
         message = f"has_news {row[5]!r} is not 0 or 1"
     write_rows(path, header, cells)
-    assert_names_line(path, i + 2, load_aligned, message)
+    assert_names_line(path, i + 2, partial(load_aligned, asset="X"), message)
 
 
 # ------------------------------------------------------ timestamp decoder
@@ -360,7 +361,8 @@ def test_load_prices_names_a_rejected_stamp(tmp_path, n, data):
     (load_prices, ["timestamp", "close"], ["1.5"], "bad timestamp {cell!r}: {error}"),
     (load_headlines, ["timestamp", "headline", "score"], ["x", "0.5"],
      "bad timestamp {cell!r}: {error}"),
-    (load_aligned, ["timestamp", "close", "diff", "tau", "sentiment", "has_news"],
+    (partial(load_aligned, asset="X"),
+     ["timestamp", "close", "diff", "tau", "sentiment", "has_news"],
      ["1.5", "0.0", "0.0", "0.0", "0"], "bad row: {error}"),
 ], ids=["prices", "news", "cache"])
 @pytest.mark.parametrize("cell", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"])
@@ -387,17 +389,9 @@ def spelled(ts: datetime, form: int) -> str:
     return ts.strftime("%Y-%m-%dT%H:%M:%S.%fZ")
 
 
-class WordScorer:
-    """Scores a headline by its first word; unknown words score 2.0, which
-    clamps to 1."""
-
-    WEIGHTS = {"gain": 0.5, "loss": -0.75, "flat": 0.0, "sink": -0.0, "boom": math.inf}
-
-    def score(self, headline):
-        return self.WEIGHTS.get(headline.split(" ")[0], 2.0)
-
-
-WORDS = st.sampled_from([*WordScorer.WEIGHTS, "news"])
+#: Each headline is one word; "news" is not in the lexicon, so it scores 0.0.
+LEXICON = {"gain": 0.5, "loss": -0.75, "flat": 0.0, "sink": -0.0, "boom": 1.0}
+WORDS = st.sampled_from([*LEXICON, "news"])
 #: mostly signed zeros, which only Python's min and max keep in input order
 SCORE_CELLS = st.sampled_from(["", "0.0", "-0.0", "0.0", "-0.0", "0.5", "-1"]) | st.floats(
     -1.0, 1.0).map(repr)
@@ -437,12 +431,11 @@ def assert_chains_agree(tmp_path, price_cells, news_cells, grouping, fill):
     prices, news = tmp_path / "prices.csv", tmp_path / "news.csv"
     write_rows(prices, ["timestamp", "close"], price_cells)
     write_rows(news, ["timestamp", "headline", "score"], news_cells)
-    scorer = WordScorer()
     got = align(load_prices(prices),
-                group_by_hour(score_headlines(load_headlines(news), scorer), grouping),
+                group_by_hour(score_headlines(load_headlines(news), LEXICON), grouping),
                 asset="X", fill=fill)
     want = align_records(load_price_records(prices),
-                         group_records(score_records(load_headline_records(news), scorer),
+                         group_records(score_records(load_headline_records(news), LEXICON),
                                        grouping),
                          asset="X", fill=fill)
     assert got.asset == want.asset

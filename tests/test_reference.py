@@ -90,8 +90,16 @@ def test_the_library_keeps_one_path():
     assert fresh.step([[1], [1]]).done is False
     assert list(inspect.signature(nn.RmspropState.create).parameters) == ["net"]
     assert list(inspect.signature(evaluation.make_windows).parameters) == ["length", "spec"]
-    scorer = inspect.signature(sentiment.score_headlines).parameters["scorer"]
-    assert scorer.default is inspect.Parameter.empty
+    # one way in for each input: scores come from the news file or the lexicon,
+    # outputs land in output_dir as the config says, and a cache read names its asset
+    assert list(inspect.signature(sentiment.score_headlines).parameters) == [
+        "headlines", "lexicon"]
+    assert [name for module, name in ((sentiment, "SentimentScorer"),
+                                       (sentiment, "LexiconScorer"),
+                                       (config, "OUTPUT_ROOT_ENV"))
+            if hasattr(module, name)] == []
+    assert [f.name for f in dataclasses.fields(data.HeadlineTable)] == [
+        "hours", "texts", "scores"]
     # one config schema: config declares every key and closed value set, each
     # set a tuple of strings, and errors holds only exception types
     assert [name for module, name in ((env, "CostMode"), (sentiment, "Grouping"),

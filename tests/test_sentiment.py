@@ -1,6 +1,5 @@
 """Scoring, grouping, fill policies, and the correlation pulse."""
 
-import math
 import os
 import subprocess
 import sys
@@ -17,7 +16,7 @@ import sentarl
 from sentarl.config import FILL_POLICIES
 from sentarl.data import HeadlineTable
 from sentarl.errors import IngestError
-from sentarl.sentiment import (CorrelationPulse, LexiconScorer, bundled_lexicon,
+from sentarl.sentiment import (CorrelationPulse, bundled_lexicon,
                                correlation_pulse, group_by_hour,
                                lexicon_score, load_lexicon, max_pulse_shift,
                                pearson, score_headlines, series_pulse,
@@ -79,42 +78,21 @@ def test_grouping_order_property():
 
 
 def headline_table(rows):
-    """A HeadlineTable of (timestamp, headline, score or None) rows, as
-    lines 2, 3, ... of news.csv."""
+    """A HeadlineTable of (timestamp, headline, score or None) rows."""
     return HeadlineTable(
         hours=epoch_seconds(when for when, _, _ in rows) // 3600,
         texts=[text for _, text, _ in rows],
-        scores=np.array([np.nan if score is None else score for _, _, score in rows]),
-        path=Path("news.csv"), lines=np.arange(2, len(rows) + 2))
+        scores=np.array([np.nan if score is None else score for _, _, score in rows]))
 
 
 def test_score_headlines_precedence():
-    scorer = LexiconScorer({"profit": 0.5})
     records = headline_table([
         (datetime(2021, 1, 4, tzinfo=timezone.utc), "profit", None),
         (datetime(2021, 1, 4, tzinfo=timezone.utc), "profit", -0.9),
     ])
-    _, scores = score_headlines(records, scorer)
-    assert scores[0] == 0.5    # scorer fills the gap
+    _, scores = score_headlines(records, {"profit": 0.5})
+    assert scores[0] == 0.5    # the lexicon fills the gap
     assert scores[1] == -0.9   # precomputed score wins
-
-
-class ConstantScorer:
-    def __init__(self, value):
-        self.value = value
-
-    def score(self, headline):
-        return self.value
-
-
-def test_score_headlines_rejects_a_nan_from_the_scorer():
-    when = datetime(2021, 1, 4, tzinfo=timezone.utc)
-    records = headline_table([(when, "a", 0.25), (when, "b", None), (when, "c", None)])
-    with pytest.raises(IngestError, match=r"^news\.csv:3: the scorer gave nan for 'b'$"):
-        score_headlines(records, ConstantScorer(float("nan")))
-    # infinities still clamp to the ends of [-1, 1]
-    for value, want in ((math.inf, 1.0), (-math.inf, -1.0)):
-        assert score_headlines(records, ConstantScorer(value))[1].tolist() == [0.25, want, want]
 
 
 def test_group_by_hour_buckets():
