@@ -28,8 +28,8 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 del _name
 
 from . import data, evaluation, sentiment
-from .config import (RESUMABLE_KEYS, RunConfig, _integer, _number, echo_config,
-                     echo_differences, load_config)
+from .config import (CACHE_DIR, CACHE_SUFFIX, RESUMABLE_KEYS, RunConfig, _integer, _number,
+                     echo_config, echo_differences, load_config)
 from .errors import ConfigError, IngestError, SentarlError
 from .files import run_lock
 
@@ -161,15 +161,18 @@ def cmd_run(config: RunConfig, workers: int | None, resume: bool,
         for series in series_by_asset.values():
             evaluation.make_windows(len(series), config.windows)
         out = config.output_dir
-        echo = out / "config.echo.json"
+        echo, journal = out / "config.echo.json", out / evaluation.JOURNAL
+        # journal rows are reused only under the config that made them
         if resume and echo.exists():
-            # journal rows are reused only under the config that made them
             differing = echo_differences(config, echo)
             if differing:
                 raise ConfigError(
                     f"--resume: the config differs from the run's echo {echo} in "
                     f"{', '.join(differing)} (only {' and '.join(RESUMABLE_KEYS)} may "
                     f"change); rerun without --resume to start over")
+        elif resume and journal.exists() and journal.stat().st_size:
+            raise ConfigError(f"--resume: the journal {journal} has no config echo {echo} to "
+                              f"check it against; rerun without --resume to start over")
         echo_config(config, echo)
         if not resume:
             evaluation.remove_outputs(out)
@@ -210,10 +213,10 @@ def cmd_report(results_dir: Path, shift: int) -> int:
         raise IngestError(f"no results file at {results_path}")
     with run_lock(results_dir):  # a run may be writing results.csv or report/
         results = evaluation.read_results_csv(results_path)
-        caches_dir = results_dir / data.CACHE_DIR
+        caches_dir = results_dir / CACHE_DIR
         # only the caches of the results' assets, and only under caches/ (the names come
         # from the file); an asset without one has no scatter row
-        caches = {asset: caches_dir / f"{asset}{data.CACHE_SUFFIX}"
+        caches = {asset: caches_dir / f"{asset}{CACHE_SUFFIX}"
                   for asset in sorted({r.asset for r in results})}
         series_by_asset = {asset: data.load_aligned(path, asset=asset)
                            for asset, path in caches.items()

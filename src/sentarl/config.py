@@ -9,8 +9,8 @@ field's default is the key's default, and the dataclass checks each value
 under its dotted key, in field order, when it is built. Each closed set of
 values is one tuple of strings. Parsing is strict: unknown keys are
 rejected with their location, so later stages can assume a valid config.
-This module imports no learner layer; the layers import their configs and
-value sets from here.
+It imports no other layer, only errors and files; the layers import their
+configs and value sets from here.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from .data import CACHE_DIR, CACHE_SUFFIX
 from .errors import ConfigError
 from .files import atomic_open
 
@@ -37,6 +36,9 @@ GROUPINGS = ("min", "mean", "max")
 FILL_POLICIES = ("neutral-zero", "forward-fill")
 ACTIVATIONS = ("tanh", "relu")
 OPTIMIZERS = ("sgd", "rmsprop")
+
+#: An asset's aligned cache is <output dir>/CACHE_DIR/<asset>CACHE_SUFFIX.
+CACHE_DIR, CACHE_SUFFIX = "caches", ".aligned.csv"
 
 _ASSET_NAME = re.compile(r"^[A-Za-z0-9._-]+$")
 _MISSING = object()
@@ -182,14 +184,12 @@ class A2cConfig:
         put("entropy_coef", _number(self.entropy_coef, "agent.entropy_coef", lo=0.0))
         put("hidden_sizes", _list(self.hidden_sizes, "agent.hidden_sizes",
                                   partial(_integer, lo=1), nonempty=False))
-        if _string(self.activation, "agent.activation") not in ACTIVATIONS:
-            raise ConfigError(f"agent.activation: unknown activation {self.activation!r}")
+        _choice(self.activation, "agent.activation", ACTIVATIONS, "activation")
         if self.max_grad_norm is not None:
             put("max_grad_norm", _number(self.max_grad_norm, "agent.max_grad_norm"))
             if self.max_grad_norm <= 0:
                 raise ConfigError("agent.max_grad_norm: max_grad_norm must be positive when set")
-        if _string(self.optimizer, "agent.optimizer") not in OPTIMIZERS:
-            raise ConfigError(f"agent.optimizer: unknown optimizer {self.optimizer!r}")
+        _choice(self.optimizer, "agent.optimizer", OPTIMIZERS, "optimizer")
         _boolean(self.use_n_step_returns, "agent.use_n_step_returns")
 
 

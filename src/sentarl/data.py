@@ -17,6 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .config import FILL_POLICIES, _choice
 from .errors import IngestError
 from .files import atomic_open, read_rows
 
@@ -25,8 +26,6 @@ logger = logging.getLogger(__name__)
 PRICE_HEADER = ["timestamp", "close"]
 NEWS_HEADER = ["timestamp", "headline", "score"]
 CACHE_HEADER = ["timestamp", "close", "diff", "tau", "sentiment", "has_news"]
-#: An asset's aligned cache is <output dir>/CACHE_DIR/<asset>CACHE_SUFFIX.
-CACHE_DIR, CACHE_SUFFIX = "caches", ".aligned.csv"
 #: Rows the loaders parse, and the cache writer formats, at a time: enough
 #: to amortize the numpy calls, few enough that one block's strings stay
 #: small next to the arrays they become.
@@ -324,6 +323,20 @@ def hour_fraction(timestamps: np.ndarray) -> np.ndarray:
     return hours.astype(np.float64) / 24.0
 
 
+def fill_hours(values: np.ndarray, observed: np.ndarray,
+               policy: str = "neutral-zero") -> np.ndarray:
+    """`values` where `observed`, and elsewhere the policy's value.
+
+    neutral-zero writes 0.0; forward-fill repeats the last observed value
+    (0.0 before any news has been seen).
+    """
+    values = np.where(observed, values, 0.0)
+    if _choice(policy, "fill", FILL_POLICIES, "fill policy") == "forward-fill":
+        last = np.maximum.accumulate(np.where(observed, np.arange(len(values)), -1))
+        values = np.where(last >= 0, values[np.maximum(last, 0)], 0.0)
+    return values
+
+
 def align(
     prices: PriceTable,
     grouped: tuple[np.ndarray, np.ndarray] | None,
@@ -332,38 +345,30 @@ def align(
 ) -> AlignedSeries:
     """Place grouped per-hour sentiment onto the price grid.
 
-    ``grouped`` holds two equal-length columns, epoch hours and their
-    values, as group_by_hour returns them; None means no news. Values whose
-    hour is not on the price grid are dropped with a logged count; of two
-    values for one hour the later wins. Slots without news get the fill
-    policy's value and ``has_news = False``.
+    ``prices`` is a PriceTable as load_prices returns it, its hours strictly
+    increasing. ``grouped`` holds two equal-length columns, epoch hours and
+    their values, one value per hour, as group_by_hour returns them; None
+    means no news. Values whose hour is not on the price grid are dropped
+    with a logged count. Slots without news get the fill policy's value and
+    ``has_news = False``.
     """
-    from .sentiment import fill_hours
-
     if not len(prices):
         raise ValueError("empty price series")
-    grid, close = prices.hours, prices.closes
-    news, values = grouped if grouped is not None else (grid[:0], close[:0])
-
-    order = np.argsort(grid, kind="stable")
-    sorted_grid = grid[order]
-    # the last price row of each news hour, as a dict from hour to row would give
-    at = np.searchsorted(sorted_grid, news, side="right") - 1
-    hit = sorted_grid[np.maximum(at, 0)] == news
+    grid = prices.hours
+    news, values = grouped if grouped is not None else (grid[:0], prices.closes[:0])
+    at = np.minimum(np.searchsorted(grid, news), len(grid) - 1)
+    hit = grid[at] == news
     if not hit.all():
         logger.warning("%s: dropped %d grouped sentiment values with no price hour",
                        asset or "series", np.count_nonzero(~hit))
-    rows, values = order[at[hit]], values[hit]
-    last = len(rows) - 1 - np.unique(rows[::-1], return_index=True)[1]
     has_news = np.zeros(len(prices), dtype=bool)
-    has_news[rows] = True
+    has_news[at[hit]] = True
     observed = np.zeros(len(prices))
-    observed[rows[last]] = values[last]
-    ts = (grid * 3600).astype("datetime64[s]")
+    observed[at[hit]] = values[hit]
     return AlignedSeries(
         asset=asset,
-        timestamps=ts,
-        prices=close,
+        timestamps=(grid * 3600).astype("datetime64[s]"),
+        prices=prices.closes,
         sentiment=fill_hours(observed, has_news, fill),
         has_news=has_news,
     )

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -38,6 +39,7 @@ from .sentiment import series_pulse
 log = logging.getLogger(__name__)
 
 RESULTS_HEADER = ["asset", "window", "seed", "tc", "strategy", "tr", "ar", "trade_count"]
+JOURNAL = "results.journal.csv"
 #: The files a run writes under artifacts/ (one per suffix per trial) and report/.
 ARTIFACT_SUFFIXES = (".policy.json", ".value.json", ".train.csv", ".equity.csv")
 REPORT_FILES = ("overall.csv", "sharpe_by_asset.csv", "scatter.csv")
@@ -119,13 +121,8 @@ class TrialKey:
     strategy: str
 
 
-@dataclass
-class TrialResult:
-    asset: str
-    window: int
-    seed: int
-    tc: float
-    strategy: str
+@dataclass(frozen=True)
+class TrialResult(TrialKey):
     tr: float
     ar: float | None       # None when TR <= -1 or the AR overflows
     trade_count: int
@@ -284,15 +281,10 @@ def _chunk_worker(keys: list[TrialKey],
 
 def enumerate_keys(assets: Iterable[str], window_count: int, seeds: Iterable[int],
                    tc_rates: Iterable[float], strategies: Iterable[str]) -> list[TrialKey]:
-    """Canonical execution order: sorted on every axis."""
-    keys = []
-    for asset in sorted(assets):
-        for window in range(window_count):
-            for seed in sorted(set(int(s) for s in seeds)):
-                for tc in sorted(set(float(t) for t in tc_rates)):
-                    for strategy in sorted(set(strategies)):
-                        keys.append(TrialKey(asset, window, seed, tc, strategy))
-    return keys
+    """Canonical execution order: sorted on every axis, each axis deduped."""
+    axes = (sorted(set(assets)), range(window_count), sorted({int(s) for s in seeds}),
+            sorted({float(t) for t in tc_rates}), sorted(set(strategies)))
+    return [TrialKey(*values) for values in itertools.product(*axes)]
 
 
 def read_results_csv(path: str | Path) -> list[TrialResult]:
@@ -337,7 +329,7 @@ def write_results_csv(rows: Iterable[Sequence[str]], path: Path) -> None:
 def remove_outputs(out_dir: Path) -> None:
     """Delete the files an earlier run wrote into out_dir, and no other file."""
     artifacts = [p for s in ARTIFACT_SUFFIXES for p in (out_dir / "artifacts").glob(f"*{s}")]
-    for path in [out_dir / "results.journal.csv", out_dir / "results.csv", *artifacts,
+    for path in [out_dir / JOURNAL, out_dir / "results.csv", *artifacts,
                  *(out_dir / "report" / name for name in REPORT_FILES)]:
         path.unlink(missing_ok=True)
 
@@ -376,7 +368,7 @@ def run_matrix(series_by_asset: Mapping[str, AlignedSeries],
 
     out_dir = Path(out_dir)
     artifacts_dir = out_dir / "artifacts"
-    journal_path = out_dir / "results.journal.csv"
+    journal_path = out_dir / JOURNAL
     key_set = set(keys)
     done = {k: v for k, v in _read_journal(journal_path).items() if k in key_set}
     pending = [k for k in keys if k not in done]
@@ -505,12 +497,11 @@ def _overall_row(strategy: str, tc: float | None,
                       mean_ar=_mean_or_none([r.ar for r in group]), sharpe=sharpe(trs))
 
 
-def _dedupe_bh(results: Sequence[TrialResult]) -> list[TrialResult]:
-    """Collapse replicated benchmark rows back to one per (asset, window)."""
-    seen: dict[tuple[str, int], TrialResult] = {}
-    for r in results:
-        seen.setdefault((r.asset, r.window), r)
-    return list(seen.values())
+def _where(results: Sequence[TrialResult], **fields: object) -> list[TrialResult]:
+    """The results whose named fields equal the given values, in their given
+    order, so a mean over them sums the same sequence every time."""
+    return [r for r in results
+            if all(getattr(r, name) == value for name, value in fields.items())]
 
 
 def report(results: Sequence[TrialResult],
@@ -528,51 +519,40 @@ def report(results: Sequence[TrialResult],
     if not results:
         raise ValueError("no results to report")
 
-    bh = _dedupe_bh([r for r in results if r.strategy == "buy-and-hold"])
-    agents = [r for r in results if r.strategy != "buy-and-hold"]
+    # replicated benchmark rows collapse back to the first per (asset, window)
+    first: dict[tuple[str, int], TrialResult] = {}
+    bh = [r for r in _where(results, strategy="buy-and-hold")
+          if first.setdefault((r.asset, r.window), r) is r]
+    strategies = sorted({r.strategy for r in results})
+    learners = [s for s in strategies if s != "buy-and-hold"]
 
-    overall: list[OverallRow] = []
-    for strategy in sorted({r.strategy for r in agents}):
-        for tc in sorted({r.tc for r in agents if r.strategy == strategy}):
-            group = [r for r in agents if r.strategy == strategy and r.tc == tc]
-            overall.append(_overall_row(strategy, tc, group))
+    overall = [_overall_row(strategy, tc, _where(results, strategy=strategy, tc=tc))
+               for strategy in learners
+               for tc in sorted({r.tc for r in _where(results, strategy=strategy)})]
     if bh:
         overall.append(_overall_row("buy-and-hold", None, bh))
 
     by_asset: list[AssetSharpeRow] = []
-    strategies_present = sorted({r.strategy for r in results})
     assets = sorted({r.asset for r in results})
-    tcs = sorted({r.tc for r in agents}) or [0.0]
+    tcs = sorted({r.tc for r in results if r.strategy != "buy-and-hold"}) or [0.0]
     for asset in assets:
         for tc in tcs:
-            srs: dict[str, float | None] = {}
-            for strategy in strategies_present:
-                if strategy == "buy-and-hold":
-                    trs = [r.tr for r in bh if r.asset == asset]
-                else:
-                    trs = [r.tr for r in agents
-                           if r.asset == asset and r.strategy == strategy
-                           and r.tc == tc]
-                srs[strategy] = sharpe(trs)
+            srs = {strategy: sharpe([r.tr for r in (
+                       _where(bh, asset=asset) if strategy == "buy-and-hold"
+                       else _where(results, asset=asset, strategy=strategy, tc=tc))])
+                   for strategy in strategies}
             defined = [(s, v) for s, v in srs.items() if v is not None]
             best = max(defined, key=lambda sv: sv[1])[0] if defined else None
             by_asset.append(AssetSharpeRow(asset, tc, srs, best))
 
     scatter: list[ScatterRow] = []
-    if series_by_asset:
-        for asset in assets:
-            series = series_by_asset.get(asset)
-            if series is None:
-                continue
-            sent = [r.tr for r in agents if r.asset == asset and r.strategy == "sentarl"]
-            abl = [r.tr for r in agents
-                   if r.asset == asset and r.strategy == "no-sentiment"]
-            tr_diff = None
-            if sent and abl:
-                tr_diff = float(np.mean(sent)) - float(np.mean(abl))
-            pulse = series_pulse(series, shifts=[scatter_shift])
-            scatter.append(ScatterRow(asset, coverage(series),
-                                      pulse.correlations[0], tr_diff))
+    for asset in [asset for asset in assets if asset in (series_by_asset or {})]:
+        series = series_by_asset[asset]
+        sent, abl = ([r.tr for r in _where(results, asset=asset, strategy=strategy)]
+                     for strategy in ("sentarl", "no-sentiment"))
+        tr_diff = float(np.mean(sent)) - float(np.mean(abl)) if sent and abl else None
+        pulse = series_pulse(series, shifts=[scatter_shift])
+        scatter.append(ScatterRow(asset, coverage(series), pulse.correlations[0], tr_diff))
 
     bundle = ReportBundle(overall, by_asset, scatter)
     if out_dir is not None:

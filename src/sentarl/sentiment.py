@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .config import FILL_POLICIES, GROUPINGS, _choice
+from .config import GROUPINGS, _choice
 from .errors import IngestError
 from .files import read_rows, write_csv
 
@@ -110,20 +110,6 @@ def group_by_hour(
     bounds = starts.tolist() + [len(values)]
     return hours[starts], np.array([aggregate(values[lo:hi])
                                     for lo, hi in zip(bounds, bounds[1:])], dtype=np.float64)
-
-
-def fill_hours(values: np.ndarray, observed: np.ndarray,
-               policy: str = "neutral-zero") -> np.ndarray:
-    """`values` where `observed`, and elsewhere the policy's value.
-
-    neutral-zero writes 0.0; forward-fill repeats the last observed value
-    (0.0 before any news has been seen).
-    """
-    values = np.where(observed, values, 0.0)
-    if _choice(policy, "fill", FILL_POLICIES, "fill policy") == "forward-fill":
-        last = np.maximum.accumulate(np.where(observed, np.arange(len(values)), -1))
-        values = np.where(last >= 0, values[np.maximum(last, 0)], 0.0)
-    return values
 
 
 @dataclass

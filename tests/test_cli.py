@@ -465,8 +465,10 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, where, value,
 
 VALUE_ERROR_ROWS = [
     ("env.cost_mode", "x", "env.cost_mode: unknown cost mode 'x'"),
-    ("agent.optimizer", "adamw", "agent.optimizer: unknown optimizer 'adamw'"),
-    ("agent.activation", "relu6", "agent.activation: unknown activation 'relu6'"),
+    ("agent.optimizer", "adamw",
+     "agent.optimizer: unknown optimizer 'adamw'; expected one of ['sgd', 'rmsprop']"),
+    ("agent.activation", "relu6",
+     "agent.activation: unknown activation 'relu6'; expected one of ['tanh', 'relu']"),
     ("env.phi", 0.0, "env.phi: phi must be positive"),
     ("agent.lr_critic", 0.0, "agent.lr_critic: learning rates must be positive"),
     ("agent.max_grad_norm", -1.0, "agent.max_grad_norm: max_grad_norm must be positive"),
@@ -879,6 +881,30 @@ def test_resume_rejects_a_changed_config(tmp_path, capsys):
     # the rejected resume leaves the journal as it was and writes no results
     assert journal.read_bytes() == rows
     assert not (tmp_path / "out" / "results.csv").exists()
+    # starting over with the new config is allowed
+    assert main(["run", "--config", str(cfg)]) == 0
+
+
+def test_resume_rejects_a_journal_without_its_config_echo(tmp_path, capsys):
+    cfg = make_workspace(tmp_path)
+    main(["ingest", "--config", str(cfg)])
+    assert main(["run", "--config", str(cfg), "--limit", "5"]) == 0
+    out = tmp_path / "out"
+    journal, echo = out / "results.journal.csv", out / "config.echo.json"
+    rows = journal.read_bytes()
+    echo.unlink()
+    config = json.loads(cfg.read_text())
+    config["agent"]["lr_actor"] = 1e-3
+    cfg.write_text(json.dumps(config))
+    capsys.readouterr()
+    # nothing says which config made the journal's rows, so none is reused
+    assert main(["run", "--config", str(cfg), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --resume: ")
+    assert str(journal) in err and str(echo) in err
+    # the refusal writes nothing: no echo of the new config, no new rows
+    assert journal.read_bytes() == rows
+    assert not echo.exists() and not (out / "results.csv").exists()
     # starting over with the new config is allowed
     assert main(["run", "--config", str(cfg)]) == 0
 

@@ -1,6 +1,7 @@
 """The per-trial oracles of reference.py stay out of the library, and the
 closed forms that replaced them agree with them bit for bit."""
 
+import ast
 import dataclasses
 import inspect
 import os
@@ -123,8 +124,26 @@ def test_the_config_schema_imports_no_learner_layer():
     loaded = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                             check=True, capture_output=True, text=True, timeout=60).stdout
     assert "sentarl.config" in loaded
-    for module in ("env", "nn", "a2c", "evaluation", "sentiment", "cli"):
+    for module in ("data", "env", "nn", "a2c", "evaluation", "sentiment", "cli"):
         assert f"'sentarl.{module}'" not in loaded, module
+
+
+def test_no_function_imports_a_sibling_module():
+    # each sibling import sits at the top of its module, so the import graph
+    # reads from the module heads; a lazy stdlib import is allowed
+    def sibling(node: ast.AST) -> bool:
+        if isinstance(node, ast.ImportFrom):
+            return node.level > 0 or (node.module or "").split(".")[0] == "sentarl"
+        return isinstance(node, ast.Import) and any(
+            alias.name.split(".")[0] == "sentarl" for alias in node.names)
+
+    lazy = set()
+    for path in sorted(Path(sentarl.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                lazy |= {f"{path.name}:{inner.lineno}" for inner in ast.walk(node)
+                         if sibling(inner)}
+    assert sorted(lazy) == []
 
 
 @pytest.mark.parametrize("phi", [0.5, 1.0, 3.0])
