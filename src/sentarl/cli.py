@@ -100,6 +100,9 @@ def _check_shift(series: data.AlignedSeries, shift: int, flag: str) -> None:
     """Reject a pulse shift that leaves too short an overlap on `series`,
     naming its flag."""
     limit = sentiment.max_pulse_shift(series)
+    if limit < 0:
+        raise ConfigError(f"{flag}: {series.asset} has {len(series)} hourly points, too few "
+                          f"for any pulse shift (it needs {sentiment.MIN_PULSE_OVERLAP + 1})")
     if abs(shift) > limit:
         raise ConfigError(f"{flag}: {shift} is outside [-{limit}, {limit}], the shifts "
                           f"the {len(series)} hourly points of {series.asset} allow")

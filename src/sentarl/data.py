@@ -25,7 +25,7 @@ logger = logging.getLogger(__name__)
 
 PRICE_HEADER = ["timestamp", "close"]
 NEWS_HEADER = ["timestamp", "headline", "score"]
-CACHE_HEADER = ["timestamp", "close", "diff", "tau", "sentiment", "has_news"]
+CACHE_HEADER = ["timestamp", "close", "sentiment", "has_news"]
 #: Rows the loaders parse, and the cache writer formats, at a time: enough
 #: to amortize the numpy calls, few enough that one block's strings stay
 #: small next to the arrays they become.
@@ -386,50 +386,39 @@ def save_aligned(series: AlignedSeries, path: str | Path) -> None:
     needs CSV quoting, so rows are joined directly, a block of rows at a
     time, with the CRLF line ends of the csv module.
     """
-    diffs = np.r_[np.nan, series.diffs]
     with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(CACHE_HEADER) + "\r\n")
         for lo in range(0, len(series), CACHE_BLOCK):
             block = slice(lo, lo + CACHE_BLOCK)
             stamps = np.datetime_as_string(series.timestamps[block], unit="s", timezone="UTC")
-            prices, diff_cells, hours, sentiment = (
-                list(map(repr, column[block].astype(np.float64).tolist()))
-                for column in (series.prices, diffs, series.hours, series.sentiment))
-            if lo == 0:
-                diff_cells[0] = ""  # the first row has no difference
+            prices, sentiment = (list(map(repr, column[block].astype(np.float64).tolist()))
+                                 for column in (series.prices, series.sentiment))
             flags = series.has_news[block].astype(np.uint8).tolist()
-            fh.write("".join(map("{},{},{},{},{},{}\r\n".format, stamps.tolist(), prices,
-                                 diff_cells, hours, sentiment, flags)))
+            fh.write("".join(map("{},{},{},{}\r\n".format, stamps.tolist(), prices,
+                                 sentiment, flags)))
 
 
 def load_aligned(path: str | Path, asset: str) -> AlignedSeries:
     """Read an aligned cache CSV back as `asset`'s series.
 
     Every row is checked as the cache writes it: timestamps increase,
-    closes are finite and positive, the diff cell is empty on the first row
-    only and otherwise holds the exact close difference, tau lies in [0, 1)
-    and is its timestamp's hour of day over 24, sentiment is finite and
-    has_news is 0 or 1. The first row with a cell that does not parse is an
-    IngestError naming its line; failing that, so is the first row that
-    fails a check.
+    closes are finite and positive, sentiment is finite and has_news is 0
+    or 1. The first row with a cell that does not parse is an IngestError
+    naming its line; failing that, so is the first row that fails a check.
     """
     path = Path(path)
     lines: list[int] = []
     blocks = []
     for block_lines, columns, faults in _read_blocks(path, CACHE_HEADER):
-        stamp_cells, close_cells, diff_cells, tau_cells, sent_cells, flag_cells = columns
+        stamp_cells, close_cells, sent_cells, flag_cells = columns
         seconds, exc = decode_timestamps(stamp_cells)
         if exc is not None:
             faults.append((len(seconds), f"bad row: {exc}"))
-        diff_rows = np.flatnonzero([bool(cell.strip()) for cell in diff_cells])
-        every_row = np.arange(len(close_cells))
         parsed = []
-        for rows, cells in ((every_row, close_cells),
-                            (diff_rows, [diff_cells[i] for i in diff_rows.tolist()]),
-                            (every_row, tau_cells), (every_row, sent_cells)):
+        for cells in (close_cells, sent_cells):
             values, exc = _parse_floats(cells)
             if exc is not None:
-                faults.append((int(rows[len(values)]), f"bad row: {exc}"))
+                faults.append((len(values), f"bad row: {exc}"))
             parsed.append(values)
         flags = np.array([cell.strip() for cell in flag_cells], dtype=str)
         has_news = flags == "1"
@@ -439,27 +428,16 @@ def load_aligned(path: str | Path, asset: str) -> AlignedSeries:
             faults.append((row, f"has_news {flag_cells[row]!r} is not 0 or 1"))
         # a cell that does not parse comes before any check across rows
         _raise_first(path, block_lines, faults)
-        has_diff = np.zeros(len(block_lines), dtype=bool)
-        has_diff[diff_rows] = True
         lines += block_lines
-        blocks.append((seconds, *parsed, has_diff, has_news))
+        blocks.append((seconds, *parsed, has_news))
     if not lines:
         raise IngestError(f"{path}: cache holds no rows")
-    seconds, prices, diffs, hours, sent, has_diff, has_news = map(np.concatenate, zip(*blocks))
+    seconds, prices, sent, has_news = map(np.concatenate, zip(*blocks))
     timestamps = seconds.astype("datetime64[s]")
-    diff_of_row = np.full(len(lines), np.nan)
-    diff_of_row[has_diff] = diffs
-    with np.errstate(invalid="ignore"):  # inf - inf where a close is infinite
-        steps = np.diff(prices, prepend=np.nan)
     problems = (
         (np.r_[False, timestamps[1:] <= timestamps[:-1]],
          "timestamp does not follow the previous row's"),
         (~(np.isfinite(prices) & (prices > 0)), "close is not a positive price"),
-        (has_diff != (np.arange(len(lines)) > 0),
-         "the diff cell must be empty on the first row only"),
-        (has_diff & (diff_of_row != steps), "diff is not the close difference"),
-        (~((hours >= 0.0) & (hours < 1.0)), "tau outside [0, 1)"),
-        (hours != hour_fraction(timestamps), "tau is not the hour of its timestamp"),
         (~np.isfinite(sent), "non-finite sentiment"),
     )
     _raise_first(path, lines, [(int(np.argmax(bad)), message)

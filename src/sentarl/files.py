@@ -73,9 +73,14 @@ def run_lock(directory: str | Path) -> Iterator[None]:
     """Hold `<directory>/.sentarl.lock` for the block, with this pid written
     in it; the kernel drops the lock if the process dies. Once it is held,
     each `.<name>.<pid>.tmp` under `directory` whose pid is dead is removed.
-    A lock another process holds is a ConfigError naming that pid."""
-    Path(directory).mkdir(parents=True, exist_ok=True)
-    with open(Path(directory) / ".sentarl.lock", "a+", encoding="ascii") as fh:
+    A directory that cannot be made or opened is a ConfigError naming it and
+    the reason, and a lock another process holds is one naming that pid."""
+    try:
+        Path(directory).mkdir(parents=True, exist_ok=True)
+        fh = open(Path(directory) / ".sentarl.lock", "a+", encoding="ascii")
+    except OSError as exc:
+        raise ConfigError(f"output directory {directory}: {exc.strerror}") from None
+    with fh:
         try:
             fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:

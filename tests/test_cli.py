@@ -559,6 +559,22 @@ def test_an_out_of_range_shift_names_its_flag_before_writing(tmp_path, capsys, c
     assert main([*args, *widest]) == 0
 
 
+def test_a_series_too_short_for_any_shift_says_so_before_writing(tmp_path, capsys):
+    cfg = make_workspace(tmp_path, n=3)  # a shift needs 4 points: 3 pairs in the overlap
+    assert main(["--quiet", "ingest", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    (out / "results.csv").write_text("asset,window,seed,tc,strategy,tr,ar,trade_count\n"
+                                     "AAA,0,0,0.0,sentarl,0.1,,2\n")
+    capsys.readouterr()
+    assert main(["--quiet", "corr-pulse", "--config", str(cfg), "--asset", "AAA"]) == 2
+    assert capsys.readouterr().err == ("config error: --min-shift: AAA has 3 hourly points, "
+                                       "too few for any pulse shift (it needs 4)\n")
+    assert main(["--quiet", "report", "--results", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: --shift: AAA has 3 hourly points, "
+                                       "too few for any pulse shift (it needs 4)\n")
+    assert not (out / "pulse").exists() and not (out / "report").exists()
+
+
 def test_train_command(tmp_path, capsys):
     cfg = make_workspace(tmp_path)
     main(["ingest", "--config", str(cfg)])
@@ -1048,6 +1064,45 @@ def test_report_refuses_an_output_dir_another_run_holds(tmp_path, capsys):
     # a missing results directory is an error that creates nothing
     assert main(["report", "--results", str(tmp_path / "missing")]) == 3
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "run"])
+def test_an_output_dir_that_cannot_be_made_exits_2_creating_nothing(tmp_path, capsys,
+                                                                    command):
+    (tmp_path / "afile").write_text("not a directory\n")
+    cfg = make_workspace(tmp_path, output_dir=str(tmp_path / "afile"))
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*")}
+    assert main(["--quiet", command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (f"config error: output directory {tmp_path / 'afile'}: "
+                                       f"File exists\n")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
+def test_a_six_column_cache_is_refused_before_anything_is_written(tmp_path, capsys):
+    """A cache that still holds the derived diff and tau columns, as older
+    caches did, is refused at its header; `ingest` rewrites it."""
+    cfg = make_workspace(tmp_path)
+    assert main(["--quiet", "ingest", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    cache = out / "caches" / "AAA.aligned.csv"
+    series = load_aligned(cache, asset="AAA")
+    stamps = np.datetime_as_string(series.timestamps, unit="s", timezone="UTC").tolist()
+    diffs = ["", *map(repr, series.diffs.tolist())]
+    cache.write_text("timestamp,close,diff,tau,sentiment,has_news\n" + "".join(
+        f"{stamp},{close!r},{diff},{tau!r},{sent!r},{int(flag)}\n"
+        for stamp, close, diff, tau, sent, flag in zip(
+            stamps, series.prices.tolist(), diffs, series.hours.tolist(),
+            series.sentiment.tolist(), series.has_news.tolist())))
+    header = ("AAA.aligned.csv:1: bad header ['timestamp', 'close', 'diff', 'tau', "
+              "'sentiment', 'has_news'], expected timestamp,close,sentiment,has_news")
+    capsys.readouterr()
+    assert main(["--quiet", "run", "--config", str(cfg)]) == 3
+    assert header in capsys.readouterr().err
+    assert main(["--quiet", "corr-pulse", "--config", str(cfg), "--asset", "AAA"]) == 3
+    assert header in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == [".sentarl.lock", "caches"]
+    assert main(["--quiet", "ingest", "--config", str(cfg)]) == 0
+    assert main(["--quiet", "run", "--config", str(cfg)]) == 0
 
 
 def test_fresh_run_removes_the_outputs_of_an_earlier_run(tmp_path):

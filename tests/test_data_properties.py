@@ -204,22 +204,16 @@ def test_load_aligned_round_trips(tmp_path, series):
 
 
 CACHE_FAULTS = ("missing field", "bad timestamp", "earlier timestamp", "bad close",
-                "non-positive close", "infinite close", "missing diff", "wrong diff",
-                "diff on first row", "tau out of range", "wrong tau", "non-finite sentiment",
+                "non-positive close", "infinite close", "non-finite sentiment",
                 "bad has_news")
 
 CACHE_MESSAGES = {
-    "missing field": "expected 6 fields, got 5",
+    "missing field": "expected 4 fields, got 3",
     "bad timestamp": "bad row: day is out of range for month",
     "earlier timestamp": "timestamp does not follow the previous row's",
     "bad close": "bad row: could not convert string to float: 'close'",
     "non-positive close": "close is not a positive price",
     "infinite close": "close is not a positive price",
-    "missing diff": "the diff cell must be empty on the first row only",
-    "wrong diff": "diff is not the close difference",
-    "diff on first row": "the diff cell must be empty on the first row only",
-    "tau out of range": "tau outside [0, 1)",
-    "wrong tau": "tau is not the hour of its timestamp",
     "non-finite sentiment": "non-finite sentiment",
 }
 
@@ -232,8 +226,7 @@ def test_load_aligned_names_the_malformed_line(tmp_path, fault, series, data):
     save_aligned(series, path)
     with path.open(newline="", encoding="utf-8") as fh:
         header, *cells = list(csv.reader(fh))
-    first = 0 if fault == "diff on first row" else 1
-    i = data.draw(st.integers(first, len(cells) - 1))
+    i = data.draw(st.integers(1, len(cells) - 1))
     row = cells[i]
     message = CACHE_MESSAGES.get(fault)
     if fault == "missing field":
@@ -248,23 +241,11 @@ def test_load_aligned_names_the_malformed_line(tmp_path, fault, series, data):
         row[1] = data.draw(st.sampled_from(["0.0", "-3.5"]))
     elif fault == "infinite close":
         row[1] = "inf"
-    elif fault == "missing diff":
-        row[2] = ""
-    elif fault == "wrong diff":
-        row[2] = repr(float(row[2]) + max(1.0, abs(float(row[2]))))
-    elif fault == "diff on first row":
-        row[2] = "0.0" if i == 0 else ""
-    elif fault == "tau out of range":
-        row[3] = data.draw(st.sampled_from(["1.0", "-0.5", "nan"]))
-    elif fault == "wrong tau":  # in range, but another hour's
-        tau = float(row[3])
-        row[3] = repr(data.draw(st.sampled_from([0.5, 0.1, 23 / 24, 0.0, tau + 1 / 24]).filter(
-            lambda other: 0.0 <= other < 1.0 and other != tau)))
     elif fault == "non-finite sentiment":
-        row[4] = data.draw(st.sampled_from(["nan", "inf"]))
+        row[2] = data.draw(st.sampled_from(["nan", "inf"]))
     else:
-        row[5] = data.draw(st.sampled_from(["2", "yes", ""]))
-        message = f"has_news {row[5]!r} is not 0 or 1"
+        row[3] = data.draw(st.sampled_from(["2", "yes", ""]))
+        message = f"has_news {row[3]!r} is not 0 or 1"
     write_rows(path, header, cells)
     assert_names_line(path, i + 2, partial(load_aligned, asset="X"), message)
 
@@ -362,14 +343,14 @@ def test_load_prices_names_a_rejected_stamp(tmp_path, n, data):
     (load_headlines, ["timestamp", "headline", "score"], ["x", "0.5"],
      "bad timestamp {cell!r}: {error}"),
     (partial(load_aligned, asset="X"),
-     ["timestamp", "close", "diff", "tau", "sentiment", "has_news"],
-     ["1.5", "0.0", "0.0", "0.0", "0"], "bad row: {error}"),
+     ["timestamp", "close", "sentiment", "has_news"],
+     ["1.5", "0.0", "0"], "bad row: {error}"),
 ], ids=["prices", "news", "cache"])
 @pytest.mark.parametrize("cell", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"])
 def test_an_offset_stamp_outside_years_1_to_9999_is_a_bad_timestamp(tmp_path, load, header,
                                                                     row, message, cell):
     path = tmp_path / "X.aligned.csv"
-    first = [stamp(START), "1.5", "", "0.0", "0.0", "0"][:len(header)]
+    first = [stamp(START), "1.5", "0.0", "0"][:len(header)]
     write_rows(path, header, [first, [cell, *row]])
     assert_names_line(path, 3, load,
                       message.format(cell=cell, error="date value out of range"))
