@@ -290,7 +290,10 @@ class AlignedSeries:
         for name in ("prices", "sentiment", "has_news"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"channel {name} length mismatch")
-        if len(np.unique(self.timestamps)) != n:
+        # an increasing grid, as every loader gives, needs no sort; np.unique
+        # would also import numpy.ma, which each forked pool worker carries
+        stamps = self.timestamps
+        if not (stamps[1:] > stamps[:-1]).all() and len(np.unique(stamps)) != n:
             raise ValueError("duplicate timestamps in grid")
         self.diffs = np.diff(self.prices)
         self.hours = hour_fraction(self.timestamps)
@@ -313,7 +316,7 @@ class AlignedSeries:
 
     def trading_days(self) -> int:
         """Distinct calendar dates covered by the grid (the AR day count)."""
-        return len(np.unique(self.timestamps.astype("datetime64[D]")))
+        return len(set(self.timestamps.astype("datetime64[D]").tolist()))
 
 
 def hour_fraction(timestamps: np.ndarray) -> np.ndarray:

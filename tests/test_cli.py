@@ -575,6 +575,17 @@ def test_a_series_too_short_for_any_shift_says_so_before_writing(tmp_path, capsy
     assert not (out / "pulse").exists() and not (out / "report").exists()
 
 
+def test_a_4_point_series_allows_only_shift_0(tmp_path, capsys):
+    cfg = make_workspace(tmp_path, n=4)  # one overlap of 3 pairs: shift 0 alone
+    assert main(["--quiet", "ingest", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["--quiet", "corr-pulse", "--config", str(cfg), "--asset", "AAA"]) == 2
+    assert capsys.readouterr().err == ("config error: --min-shift: -10 is outside [0, 0], "
+                                       "the shifts the 4 hourly points of AAA allow\n")
+    assert main(["--quiet", "corr-pulse", "--config", str(cfg), "--asset", "AAA",
+                 "--min-shift", "0", "--max-shift", "0"]) == 0
+
+
 def test_train_command(tmp_path, capsys):
     cfg = make_workspace(tmp_path)
     main(["ingest", "--config", str(cfg)])
@@ -952,6 +963,24 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, caplog,
     with caplog.at_level(logging.DEBUG, logger="sentarl"):
         assert main(["ingest", "--config", str(cfg)]) == 1
     assert "Traceback" in caplog.text and "disk on fire" in caplog.text
+
+
+def test_no_command_loads_numpy_ma(tmp_path):
+    # AlignedSeries checks an increasing grid without np.unique, whose first
+    # call imports numpy.ma; a forked pool worker would carry that import
+    cfg, out = str(make_workspace(tmp_path, seeds=[0])), str(tmp_path / "out")
+    commands = [["ingest", "--config", cfg], ["corr-pulse", "--config", cfg, "--asset", "AAA"],
+                ["run", "--config", cfg, "--workers", "1"], ["report", "--results", out],
+                ["train", "--config", cfg, "--asset", "AAA"]]
+    code = ("import json, sys\n"
+            "from sentarl.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(['--quiet', *argv]) == 0, argv\n"
+            "    assert 'numpy.ma' not in sys.modules, argv[0]\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(sentarl.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_run_progress_goes_to_stderr_unless_quiet(tmp_path):

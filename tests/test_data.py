@@ -191,6 +191,21 @@ def test_aligned_series_checks_its_given_channels():
         AlignedSeries(**{**given, "timestamps": stamps})
 
 
+def test_the_grid_check_refuses_any_repeat_and_takes_an_unsorted_grid():
+    series = random_walk_series(49)  # 49 hourly points span 3 calendar dates
+    given = {"asset": series.asset, "prices": series.prices,
+             "sentiment": series.sentiment, "has_news": series.has_news}
+    stamps = series.timestamps.copy()
+    stamps[4] = stamps[3]  # an adjacent repeat in an otherwise increasing grid
+    with pytest.raises(ValueError, match="^duplicate timestamps in grid$"):
+        AlignedSeries(**given, timestamps=stamps)
+    shuffled = np.random.default_rng(3).permutation(series.timestamps)
+    assert (np.diff(shuffled) < np.timedelta64(0, "s")).any()
+    unsorted = AlignedSeries(**given, timestamps=shuffled)
+    assert np.array_equal(unsorted.timestamps, shuffled)
+    assert unsorted.trading_days() == len({str(t)[:10] for t in shuffled}) == 3
+
+
 def test_slice_rederives_diffs():
     series = random_walk_series(40, seed=5)
     part = series.slice(10, 30)
