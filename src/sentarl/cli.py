@@ -1,10 +1,10 @@
 """Command-line entry point.
 
-Subcommands: `ingest` builds per-asset aligned caches, `corr-pulse` writes
-the lagged-correlation profile, `train` runs one debug trial, `run` executes
-the full experiment matrix and reports, `report` re-aggregates an existing
-results file. All outputs land under the config's output directory. The
-commands that write there (`ingest`, `run` and `report`) hold its run lock.
+Subcommands, each writing under the config's output directory: `ingest`
+builds per-asset aligned caches, `corr-pulse` writes the lagged-correlation
+profile to `pulse/`, `train` runs one debug trial into `debug/`, `run`
+executes the full experiment matrix and reports, `report` re-aggregates an
+existing results file. Only `ingest`, `run` and `report` hold its run lock.
 
 Exit codes: 0 success, 1 internal error (an unexpected exception), 2
 configuration/usage error, 3 ingestion or missing data error, 4 one or more
@@ -14,6 +14,7 @@ trials failed.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import logging
 import os
 import sys
@@ -28,10 +29,10 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 del _name
 
 from . import data, evaluation, sentiment
-from .config import (CACHE_DIR, CACHE_SUFFIX, RESUMABLE_KEYS, RunConfig, _integer, _number,
-                     echo_config, echo_differences, load_config)
+from .config import (CACHE_DIR, CACHE_SUFFIX, RESUMABLE_KEYS, RunConfig, _differences, _integer,
+                     _number, echo_config, echo_differences, load_config)
 from .errors import ConfigError, IngestError, SentarlError
-from .files import run_lock
+from .files import read_rows, run_lock, write_csv
 
 log = logging.getLogger("sentarl")
 
@@ -40,6 +41,8 @@ EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_INGEST = 3
 EXIT_TRIALS = 4
+
+DIGEST_HEADER = ["asset", "sha256"]  # of caches.sha256.csv: the caches a run read
 
 
 def _lexicon(config: RunConfig) -> dict[str, float]:
@@ -164,21 +167,26 @@ def cmd_run(config: RunConfig, workers: int | None, resume: bool,
         for series in series_by_asset.values():
             evaluation.make_windows(len(series), config.windows)
         out = config.output_dir
-        echo, journal = out / "config.echo.json", out / evaluation.JOURNAL
-        # journal rows are reused only under the config that made them
+        echo, journal, sums = (out / "config.echo.json", out / evaluation.JOURNAL,
+                               out / "caches.sha256.csv")
+        digests = {name: hashlib.sha256(config.cache_path(name).read_bytes()).hexdigest()
+                   for name in series_by_asset}
+        # journal rows are reused only under the config and the caches that made them
         if resume and echo.exists():
-            differing = echo_differences(config, echo)
+            old = {r[0]: r[-1] for _, r in read_rows(sums, DIGEST_HEADER)} if sums.exists() else {}
+            differing = echo_differences(config, echo) + _differences(old, digests, "caches")
             if differing:
                 raise ConfigError(
-                    f"--resume: the config differs from the run's echo {echo} in "
+                    f"--resume: the run's echo {echo} and cache digests {sums} differ in "
                     f"{', '.join(differing)} (only {' and '.join(RESUMABLE_KEYS)} may "
                     f"change); rerun without --resume to start over")
         elif resume and journal.exists() and journal.stat().st_size:
             raise ConfigError(f"--resume: the journal {journal} has no config echo {echo} to "
                               f"check it against; rerun without --resume to start over")
-        echo_config(config, echo)
-        if not resume:
+        if not resume:  # first, so no old row outlives the new echo and digests
             evaluation.remove_outputs(out)
+        echo_config(config, echo)
+        write_csv(sums, DIGEST_HEADER, digests.items())
         matrix = evaluation.run_matrix(
             series_by_asset,
             config.windows,

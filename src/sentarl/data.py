@@ -72,12 +72,9 @@ def parse_timestamp(text: str) -> datetime:
 
 
 #: The canonical stamp YYYY-MM-DDTHH:MM:SSZ: the positions of its
-#: separators and their bytes, the positions of its digits, and the tens
-#: and units digit of its month, day, hour, minute and second, as indices
-#: into those digits.
+#: separators and their bytes, and the positions of its digits.
 _SEPARATOR_AT, _SEPARATORS = [4, 7, 10, 13, 16, 19], np.frombuffer(b"--T::Z", np.uint8)
 _DIGITS = [i for i in range(20) if i not in _SEPARATOR_AT]
-_TENS, _UNITS = [4, 6, 8, 10, 12], [5, 7, 9, 11, 13]
 
 
 def decode_timestamps(cells: Sequence[str]) -> tuple[np.ndarray, ValueError | None]:
@@ -85,9 +82,9 @@ def decode_timestamps(cells: Sequence[str]) -> tuple[np.ndarray, ValueError | No
     up to the first one parse_timestamp rejects, and its error.
 
     A block of cells that all read YYYY-MM-DDTHH:MM:SSZ, each field in its
-    range, is decoded by numpy digit arithmetic. Any other block goes
-    through parse_timestamp cell by cell, so every spelling it accepts is
-    accepted here, with the same value, and every rejection keeps its text.
+    range, is parsed by numpy's datetime64. Any other block goes through
+    parse_timestamp cell by cell, so every spelling it accepts is accepted
+    here, with the same value, and every rejection keeps its text.
     """
     seconds = _decode_canonical(cells)
     if seconds is not None:
@@ -111,21 +108,15 @@ def _decode_canonical(cells: Sequence[str]) -> np.ndarray | None:
         return None
     chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(len(cells), 20)
     digits = chars[:, _DIGITS] - np.uint8(ord("0"))  # a non-digit wraps past 9
-    if not ((digits <= 9).all() and (chars[:, _SEPARATOR_AT] == _SEPARATORS).all()):
+    # numpy checks each field's range and the day against its month, but
+    # reads year 0000, which parse_timestamp rejects
+    if not ((digits <= 9).all() and (chars[:, _SEPARATOR_AT] == _SEPARATORS).all()
+            and digits[:, :4].any(axis=1).all()):
         return None
-    digits = digits.astype(np.int64)
-    year = digits[:, :4] @ np.array([1000, 100, 10, 1])
-    month, day, hour, minute, second = (digits[:, _TENS] * 10 + digits[:, _UNITS]).T
-    # the month's first day, and the day itself, which falls in another
-    # month when it is 0 or past the month's end
-    first = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
-    date = first.astype("datetime64[D]") + (day - 1)
-    in_range = ((year >= 1) & (month >= 1) & (month <= 12)
-                & (date.astype("datetime64[M]") == first)
-                & (hour <= 23) & (minute <= 59) & (second <= 59))
-    if not in_range.all():
+    try:  # each row's first 19 bytes, the stamp without its Z
+        return np.array(chars[:, :19]).view("S19")[:, 0].astype("datetime64[s]").astype(np.int64)
+    except ValueError:
         return None
-    return date.astype(np.int64) * 86400 + hour * 3600 + minute * 60 + second
 
 
 # The loaders below read a file a block of rows at a time and check each

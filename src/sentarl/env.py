@@ -179,18 +179,19 @@ class TradingEnv:
     def step(self, actions: np.ndarray) -> StepOutcome:
         """Trade at the clock price, realize the next price difference.
 
-        Takes a (K, m) block of action indices that steps m ticks in one
-        pass. A block is checked whole before the clock moves.
+        Takes a (K, m) block of integer action indices that steps m ticks
+        in one pass. A block is checked whole before the clock moves.
         """
         if self.done:
             raise RuntimeError("step() called on a finished episode")
         t, phi = self.t, self._phi
-        block = np.asarray(actions) - 1  # indices to action values
-        m = block.shape[1] if block.ndim == 2 else 0
-        if (block.shape[:1] != (self.trials,) or not 0 < m <= self._end - t
-                or np.abs(block).max() > 1):
-            raise ValueError(f"need a ({self.trials}, m) block of action indices in 0..2 "
-                             f"with 1 <= m <= {self._end - t}, got {block + 1}")
+        actions = np.asarray(actions)
+        m = actions.shape[1] if actions.ndim == 2 else 0
+        if (actions.dtype.kind not in "iu" or actions.shape[:1] != (self.trials,)
+                or not 0 < m <= self._end - t or actions.min() < 0 or actions.max() > 2):
+            raise ValueError(f"need a ({self.trials}, m) block of integer action indices "
+                             f"in 0..2 with 1 <= m <= {self._end - t}, got {actions}")
+        block = actions.astype(np.int64) - 1  # indices to action values
         # diff is z_{t+1}: the step trades at price p_t and holds over z_{t+1}
         price, diff = self._prices[:, t:t + m], self._diffs[:, t:t + m]
         switch = block - np.concatenate([self.last_action[:, None], block[:, :-1]], axis=1)
@@ -223,9 +224,9 @@ def write_equity_csv(env: TradingEnv, trial: int, path: str | Path) -> None:
     """
     rewards, psi, t0 = env.rewards[trial].tolist(), float(env.psi[trial]), env.start_index
     stamps = np.datetime_as_string(
-        env.series[trial].timestamps[t0:t0 + len(rewards)], unit="s")
+        env.series[trial].timestamps[t0:t0 + len(rewards)], unit="s", timezone="UTC")
     write_csv(path, ["t", "timestamp", "action", "reward", "cost", "cum_return"],
-              ([t0 + i, stamp + "Z", action, repr(r), repr(cost),
+              ([t0 + i, stamp, action, repr(r), repr(cost),
                 repr((math.fsum(rewards[:i]) + r) / psi)]
                for i, (stamp, action, r, cost) in enumerate(zip(
                    stamps, env.actions[trial].tolist(), rewards, env.costs[trial].tolist()))))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import fcntl
+import hashlib
 import json
 import logging
 import os
@@ -145,6 +146,16 @@ def test_ingest_corrupt_price_exits_3(tmp_path, capsys):
     assert main(["ingest", "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert "prices_AAA.csv:4: non-positive price" in err
+
+
+def test_ingest_an_empty_price_file_exits_3_naming_line_1(tmp_path, capsys):
+    cfg = make_workspace(tmp_path)
+    prices = tmp_path / "prices_AAA.csv"
+    prices.write_text("")
+    assert main(["ingest", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == (f"ingest error: {prices}:1: empty file, "
+                                       "expected header timestamp,close\n")
+    assert not (tmp_path / "out" / "caches").exists()
 
 
 def test_ingest_an_out_of_range_offset_stamp_exits_3(tmp_path, capsys):
@@ -420,11 +431,13 @@ MALFORMED_ROWS = [
     ("env", [20], "env: expected an object"),
     ("assets.AAA", {"news": "news_AAA.csv"}, "assets.AAA: missing required key 'prices'"),
     ("assets", {}, "assets: at least one asset is required"),
+    ("assets", [], "assets: expected an object"),
     ("assets", {"A B": {"prices": "prices_AAA.csv"}}, "assets: invalid asset name 'A B'"),
     ("assets.AAA.prices", "missing.csv", "assets.AAA.prices: file not found"),
     ("lexicon", "missing.csv", "lexicon: file not found"),
     ("env.w", 2.5, "env.w: expected an integer"),
     ("env.w", 0, "env.w: 0 is below the minimum 1"),
+    ("env.phi", "1", "env.phi: expected a number, got '1'"),
     ("agent.gamma", 1.5, "agent.gamma: 1.5 exceeds the maximum 1.0"),
     ("agent.activation", 3, "agent.activation: expected a string"),
     ("agent.hidden_sizes", 64, "agent.hidden_sizes: expected a list"),
@@ -945,6 +958,69 @@ def test_resume_allows_a_changed_worker_count(tmp_path):
     cfg.write_text(json.dumps(config))
     assert main(["run", "--config", str(cfg), "--resume", "--workers", "1"]) == 0
     assert (tmp_path / "out" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("change", ["prices", "digests"])
+def test_resume_refuses_rows_made_from_other_caches(tmp_path, capsys, change):
+    cfg = make_workspace(tmp_path)
+    main(["ingest", "--config", str(cfg)])
+    assert main(["run", "--config", str(cfg), "--limit", "5"]) == 0
+    out = tmp_path / "out"
+    sums = out / "caches.sha256.csv"
+    if change == "prices":  # every close moves, and ingest rewrites the cache
+        prices = tmp_path / "prices_AAA.csv"
+        header, *rows = prices.read_text().splitlines()
+        rows = [f"{stamp},{float(close) + (7.0 if i % 2 else -5.0)!r}"
+                for i, (stamp, close) in enumerate(row.split(",") for row in rows)]
+        prices.write_text("\n".join([header, *rows]) + "\n")
+        assert main(["ingest", "--config", str(cfg)]) == 0
+    else:  # nothing says which caches made the journal's rows
+        sums.unlink()
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --resume: ")
+    assert f"{sums} differ in caches.AAA (" in err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    # starting over on the new caches is allowed
+    assert main(["run", "--config", str(cfg)]) == 0
+
+
+def test_resume_after_reingesting_the_same_bytes_matches_a_straight_run(tmp_path):
+    cfg = make_workspace(tmp_path)
+    main(["ingest", "--config", str(cfg)])
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    straight = (out / "results.csv").read_bytes()
+    cache = out / "caches" / "AAA.aligned.csv"
+    assert (out / "caches.sha256.csv").read_bytes() == (
+        b"asset,sha256\r\nAAA,%s\r\n" % hashlib.sha256(cache.read_bytes()).hexdigest().encode())
+    assert main(["run", "--config", str(cfg), "--limit", "5"]) == 0
+    assert main(["ingest", "--config", str(cfg)]) == 0
+    assert main(["run", "--config", str(cfg), "--resume"]) == 0
+    assert (out / "results.csv").read_bytes() == straight
+
+
+@pytest.mark.parametrize("name, text, flags, code, message", [
+    ("caches/AAA.aligned.csv", "timestamp,close,sentiment,has_news\r\n", [], 3,
+     "ingest error: {path}: cache holds no rows\n"),
+    ("config.echo.json", "{not json", ["--resume"], 2,
+     "config error: cannot read the config echo {path}: "),
+    ("caches.sha256.csv", "asset,md5\r\n", ["--resume"], 3, "ingest error: {path}:1: bad header"),
+])
+def test_run_refuses_an_unreadable_file_writing_nothing(tmp_path, capsys, name, text, flags,
+                                                       code, message):
+    cfg = make_workspace(tmp_path)
+    main(["ingest", "--config", str(cfg)])
+    assert main(["run", "--config", str(cfg), "--limit", "5"]) == 0
+    out = tmp_path / "out"
+    (out / name).write_text(text)
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), *flags]) == code
+    assert capsys.readouterr().err.startswith(message.format(path=out / name))
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
 def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, caplog,

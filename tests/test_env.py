@@ -126,6 +126,19 @@ def test_done_at_final_index():
         env.step(Action.NEUTRAL)
 
 
+@pytest.mark.parametrize("block", [np.array([[1.5]]), np.array([[np.nan]]), [[1.0]],
+                                   np.array([[True]])])
+def test_step_refuses_a_block_that_is_not_integer_before_the_clock_moves(block):
+    env = StackEnv([random_walk_series(30)], EnvConfig(w=3, l=2), [0.0], True)
+    with pytest.raises(ValueError, match="integer action indices"):
+        env.step(block)
+    assert (env.t, env.actions.size, env.last_action.tolist()) == (env.start_index, 0, [0])
+    # any integer dtype steps as a list of ints does
+    for indices in ([[2]], np.array([[0]], dtype=np.uint8), np.array([[1]], dtype=np.int32)):
+        env.step(indices)
+    assert env.actions.tolist() == [[1, -1, 0]] and env.last_action.dtype == np.int64
+
+
 def test_step_requires_reset():
     series = build_series(np.linspace(100, 109, 10))
     env = TradingEnv(series, EnvConfig(w=2, l=1))
