@@ -431,13 +431,11 @@ MALFORMED_ROWS = [
     ("env", [20], "env: expected an object"),
     ("assets.AAA", {"news": "news_AAA.csv"}, "assets.AAA: missing required key 'prices'"),
     ("assets", {}, "assets: at least one asset is required"),
-    ("assets", [], "assets: expected an object"),
     ("assets", {"A B": {"prices": "prices_AAA.csv"}}, "assets: invalid asset name 'A B'"),
     ("assets.AAA.prices", "missing.csv", "assets.AAA.prices: file not found"),
     ("lexicon", "missing.csv", "lexicon: file not found"),
     ("env.w", 2.5, "env.w: expected an integer"),
     ("env.w", 0, "env.w: 0 is below the minimum 1"),
-    ("env.phi", "1", "env.phi: expected a number, got '1'"),
     ("agent.gamma", 1.5, "agent.gamma: 1.5 exceeds the maximum 1.0"),
     ("agent.activation", 3, "agent.activation: expected a string"),
     ("agent.hidden_sizes", 64, "agent.hidden_sizes: expected a list"),
@@ -458,6 +456,8 @@ MALFORMED_ROWS = [
     ("windows.test_len", 0, "windows.test_len: 0 is below the minimum 1"),
     ("windows.stride", 0, "windows.stride: 0 is below the minimum 1"),
     ("windows.count", 0, "windows.count: 0 is below the minimum 1"),
+    ("assets", [], "assets: expected an object"),
+    ("env.phi", "1", "env.phi: expected a number, got '1'"),
 ]
 
 
